@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -61,9 +62,7 @@ import numpy as np
 
 def _manifest(args, config: dict | None, seeds: dict, outputs: list, t0: float) -> dict:
     return {
-        "command_line": [sys.argv[0], *map(str, vars(args).get("_raw_argv", []))]
-        if "_raw_argv" in vars(args)
-        else sys.argv,
+        "command_line": sys.argv,
         "command": args.command,
         "config": config,
         "seeds": seeds,
@@ -268,12 +267,7 @@ def cmd_phase(args) -> int:
     cfg = load_config(args.config) if args.config else None
     thresholds = parse_phase(cfg)
     if args.eps_mc is not None:
-        from dataclasses import replace
-
-        thresholds = replace(
-            thresholds,
-            eps_mc=float("inf") if args.eps_mc == "inf" else float(args.eps_mc),
-        )
+        thresholds = replace(thresholds, eps_mc=args.eps_mc)
     rows = read_results_csv(args.csv)
     labels = label_rows(rows, thresholds)
     for row, label in zip(rows, labels):
@@ -372,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="classify sweep cells into phases")
     p.add_argument("--csv", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--eps-mc", default=None,
+    p.add_argument("--eps-mc", type=float, default=None,
                    help="override the well-connected band half-width ('inf' allowed)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_phase)

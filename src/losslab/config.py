@@ -3,56 +3,77 @@
 Anything that can change a result lives in the config file (flags only
 pick files and verbosity), so manifests capture complete provenance.
 Top-level keys mirror the owning modules: model, data, train, curve,
-metrics, grid, phase.
+metrics, grid, phase.  Each section is built from the fields and type
+hints of its dataclass, where every default lives.  An absent key takes
+the default; null means None for an Optional field, else the default.
 """
 
 from __future__ import annotations
 
 import json
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 from .curvature import CurvatureConfig
-from .curves import DEFAULT_T_GRID, CurveTrainConfig
-from .errors import ConfigError
+from .curves import CurveTrainConfig
+from .errors import ConfigError, ParameterError
 from .model import ModelSpec
 from .phases import PhaseThresholds
 from .sweep import Axis, DataRecipe, GridSpec, ProbeConfig
-from .train import LinearDecay, TrainConfig
+from .train import TrainConfig
 
 SCHEMA_VERSION = 1
 
-_MISSING = object()
+# Fields a config must give even though the dataclass has a default.
+REQUIRED = {
+    DataRecipe: ("kind",),
+    TrainConfig: ("batch_size", "lr", "weight_decay", "max_epochs"),
+}
 
 
-def _get(section: dict, key: str, path: str, kind, default=_MISSING):
-    if key not in section:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = section[key]
-    if value is None and default is not _MISSING:
-        return default
+def _convert(hint, value, path: str):
+    """``value`` as the type ``hint`` names, or a ConfigError at ``path``."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # every Optional field is written ``X | None``
+        return None if value is None else _convert(args[0], value, path)
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    if hint is tuple or typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected list, got {value!r}")
+        return tuple(_convert(args[0], v, path) for v in value) if args else tuple(value)
     try:
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
-        if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
+        if hint is float:
+            return float(value)
+        if hint is int and not isinstance(value, bool) and int(value) == value:
             return int(value)
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if hint in (bool, str) and isinstance(value, hint):
+        return value
+    raise ConfigError(path, f"expected {hint.__name__}, got {value!r}")
 
 
-def _section(cfg: dict, key: str, required: bool = True) -> dict | None:
-    if key not in cfg:
-        if required:
-            raise ConfigError(key, "missing required section")
-        return None
-    if not isinstance(cfg[key], dict):
-        raise ConfigError(key, "must be an object")
-    return cfg[key]
+def _build(cls, sec, path: str, **given):
+    """The dataclass ``cls`` from the config object ``sec``; ``given`` fields are used as is."""
+    if not isinstance(sec, dict):
+        raise ConfigError(path, f"expected an object, got {sec!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        value = sec.get(f.name)
+        optional = type(None) in typing.get_args(hints[f.name])
+        if value is None and (f.name not in sec or not optional):
+            if f.default is MISSING or f.name in REQUIRED.get(cls, ()):
+                raise ConfigError(f"{path}.{f.name}", "missing required field")
+            continue
+        kwargs[f.name] = _convert(hints[f.name], value, f"{path}.{f.name}")
+    try:
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def load_config(path) -> dict:
@@ -70,163 +91,40 @@ def load_config(path) -> dict:
 
 
 def parse_model(cfg: dict) -> ModelSpec:
-    sec = _section(cfg, "model")
-    widths = sec.get("hidden_widths")
-    if widths is None or not isinstance(widths, list):
-        raise ConfigError("model.hidden_widths", "missing required list")
-    try:
-        return ModelSpec(
-            input_dim=_get(sec, "input_dim", "model", int),
-            hidden_widths=tuple(int(w) for w in widths),
-            num_classes=_get(sec, "num_classes", "model", int),
-        )
-    except Exception as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("model", str(exc)) from None
+    return _build(ModelSpec, cfg.get("model"), "model")
 
 
 def parse_data(cfg: dict) -> DataRecipe:
-    sec = _section(cfg, "data")
-    kind = _get(sec, "kind", "data", str)
-    subsample_n = sec.get("subsample_n")
-    if subsample_n is not None:
-        subsample_n = _get(sec, "subsample_n", "data", int)
-    try:
-        return DataRecipe(
-            kind=kind,
-            n_train=_get(sec, "n_train", "data", int, 1000),
-            n_test=_get(sec, "n_test", "data", int, 200),
-            num_classes=_get(sec, "num_classes", "data", int, 4),
-            dim=_get(sec, "dim", "data", int, 8),
-            spread=_get(sec, "spread", "data", float, 0.15),
-            arm_noise=_get(sec, "arm_noise", "data", float, 0.05),
-            path=sec.get("path"),
-            subsample_n=subsample_n,
-            noise_frac=_get(sec, "noise_frac", "data", float, 0.0),
-            pixel_noise=_get(sec, "pixel_noise", "data", float, 0.0),
-            seed=_get(sec, "seed", "data", int, 0),
-        )
-    except Exception as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("data", str(exc)) from None
-
-
-def _parse_schedule(sec: dict, path: str) -> LinearDecay | None:
-    raw = sec.get("schedule")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}.schedule", "must be an object or null")
-    return LinearDecay(
-        start_epoch=_get(raw, "start_epoch", f"{path}.schedule", int),
-        end_epoch=_get(raw, "end_epoch", f"{path}.schedule", int),
-        final_fraction=_get(raw, "final_fraction", f"{path}.schedule", float),
-    )
+    return _build(DataRecipe, cfg.get("data"), "data")
 
 
 def parse_train(cfg: dict) -> TrainConfig:
-    sec = _section(cfg, "train")
-    return TrainConfig(
-        batch_size=_get(sec, "batch_size", "train", int),
-        lr=_get(sec, "lr", "train", float),
-        weight_decay=_get(sec, "weight_decay", "train", float),
-        max_epochs=_get(sec, "max_epochs", "train", int),
-        plateau_eps=_get(sec, "plateau_eps", "train", float, 1e-4),
-        plateau_epochs=_get(sec, "plateau_epochs", "train", int, 5),
-        schedule=_parse_schedule(sec, "train"),
-        linear_scale_lr=_get(sec, "linear_scale_lr", "train", bool, False),
-        reference_batch=_get(sec, "reference_batch", "train", int, 128),
-        seed=_get(sec, "seed", "train", int, 0),
-    )
+    return _build(TrainConfig, cfg.get("train"), "train")
 
 
 def parse_curve(cfg: dict) -> CurveTrainConfig:
-    sec = _section(cfg, "curve", required=False)
-    if sec is None:
-        return CurveTrainConfig()
-    t_grid = sec.get("t_grid")
-    if t_grid is not None and not isinstance(t_grid, list):
-        raise ConfigError("curve.t_grid", "must be a list")
-    if "schedule" in sec:
-        schedule = _parse_schedule(sec, "curve")
-    else:
-        schedule = LinearDecay(25, 45, 0.01)
-    return CurveTrainConfig(
-        epochs=_get(sec, "epochs", "curve", int, 50),
-        lr=_get(sec, "lr", "curve", float, 0.01),
-        schedule=schedule,
-        batch_size=_get(sec, "batch_size", "curve", int, 128),
-        k=_get(sec, "k", "curve", int, 2),
-        t_grid=tuple(float(t) for t in t_grid) if t_grid is not None else DEFAULT_T_GRID,
-        seed=_get(sec, "seed", "curve", int, 0),
-    )
+    return _build(CurveTrainConfig, cfg.get("curve", {}), "curve")
 
 
 def parse_metrics(cfg: dict) -> tuple[CurvatureConfig, ProbeConfig]:
-    sec = _section(cfg, "metrics", required=False) or {}
-    curvature = CurvatureConfig(
-        max_iter=_get(sec, "max_iter", "metrics", int, 100),
-        rtol=_get(sec, "rtol", "metrics", float, 1e-3),
-        metric_batch=_get(sec, "metric_batch", "metrics", int, 200),
-        seed=_get(sec, "seed", "metrics", int, 0),
-    )
-    praw = sec.get("probes") or {}
-    if not isinstance(praw, dict):
-        raise ConfigError("metrics.probes", "must be an object")
-    probes = ProbeConfig(
-        source=_get(praw, "source", "metrics.probes", str, "mixup"),
-        m=_get(praw, "m", "metrics.probes", int, 640),
-        alpha=_get(praw, "alpha", "metrics.probes", float, 16.0),
-        noise=_get(praw, "noise", "metrics.probes", float, 0.0),
-    )
-    return curvature, probes
-
-
-def _parse_axis(sec: dict, key: str) -> Axis:
-    raw = sec.get(key)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"grid.{key}", "missing required object")
-    values = raw.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"grid.{key}.values", "missing required non-empty list")
-    return Axis(kind=_get(raw, "kind", f"grid.{key}", str), values=tuple(values))
+    sec = cfg.get("metrics", {})
+    curvature = _build(CurvatureConfig, sec, "metrics")
+    return curvature, _build(ProbeConfig, sec.get("probes") or {}, "metrics.probes")
 
 
 def parse_grid(cfg: dict) -> GridSpec:
-    sec = _section(cfg, "grid")
+    sec = cfg.get("grid")
+    if not isinstance(sec, dict):
+        raise ConfigError("grid", f"expected an object, got {sec!r}")
     curvature, probes = parse_metrics(cfg)
-    try:
-        return GridSpec(
-            load_axis=_parse_axis(sec, "load"),
-            temp_axis=_parse_axis(sec, "temp"),
-            base_model=parse_model(cfg),
-            base_train=parse_train(cfg),
-            recipe=parse_data(cfg),
-            replicates=_get(sec, "replicates", "grid", int, 5),
-            curve=parse_curve(cfg),
-            curvature=curvature,
-            probes=probes,
-            base_seed=_get(sec, "base_seed", "grid", int, 0),
-        )
-    except Exception as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("grid", str(exc)) from None
+    return _build(
+        GridSpec, sec, "grid",
+        load_axis=_build(Axis, sec.get("load"), "grid.load"),
+        temp_axis=_build(Axis, sec.get("temp"), "grid.temp"),
+        base_model=parse_model(cfg), base_train=parse_train(cfg), recipe=parse_data(cfg),
+        curve=parse_curve(cfg), curvature=curvature, probes=probes,
+    )
 
 
 def parse_phase(cfg: dict | None) -> PhaseThresholds:
-    if cfg is None:
-        return PhaseThresholds()
-    sec = _section(cfg, "phase", required=False)
-    if sec is None:
-        return PhaseThresholds()
-    eps = sec.get("eps_mc", 2.0)
-    eps = float("inf") if eps in ("inf", "Infinity") else float(eps)
-    return PhaseThresholds(
-        eps_mc=eps,
-        sharp_quantile=_get(sec, "sharp_quantile", "phase", float, 0.5),
-        tau_cka=_get(sec, "tau_cka", "phase", float, 0.9),
-        loss_converged=_get(sec, "loss_converged", "phase", float, 10.0),
-    )
+    return _build(PhaseThresholds, (cfg or {}).get("phase", {}), "phase")

@@ -14,7 +14,8 @@ against the analytically known pure-quadratic penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,20 @@ from .errors import DimensionError, ParameterError
 from .rng import Rng
 
 LayoutEntry = tuple[int, str, tuple[int, ...]]
+
+
+class Layout(tuple):
+    """The (layer, kind, shape) entries of a flat parameter vector, with the
+    flat offsets between entries (``bounds``) and the total ``size``."""
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        bounds = [0]
+        for _, _, shape in self:
+            bounds.append(bounds[-1] + math.prod(shape))
+        self.bounds = tuple(bounds)
+        self.size = bounds[-1]
+        return self
 
 
 @dataclass(frozen=True)
@@ -43,6 +58,12 @@ class ModelSpec:
             raise ParameterError("num_classes must be >= 2")
         if self.activation != "relu":
             raise ParameterError("only relu activation is supported")
+        dims = self.layer_dims
+        entries: list[LayoutEntry] = []
+        for layer in range(self.num_layers):
+            entries.append((layer, "weight", (dims[layer], dims[layer + 1])))
+            entries.append((layer, "bias", (dims[layer + 1],)))
+        object.__setattr__(self, "_layout", Layout(entries))
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -52,33 +73,38 @@ class ModelSpec:
     def num_layers(self) -> int:
         return len(self.hidden_widths) + 1
 
-    def layout(self) -> tuple[LayoutEntry, ...]:
-        dims = self.layer_dims
-        entries: list[LayoutEntry] = []
-        for layer in range(self.num_layers):
-            entries.append((layer, "weight", (dims[layer], dims[layer + 1])))
-            entries.append((layer, "bias", (dims[layer + 1],)))
-        return tuple(entries)
+    def layout(self) -> Layout:
+        """The layout built with the spec; every call returns the same object."""
+        return self._layout
 
     @property
     def param_count(self) -> int:
-        return sum(int(np.prod(shape)) for _, _, shape in self.layout())
+        return self._layout.size
 
 
 @dataclass
 class ParamVector:
-    """Flat float64 parameter vector plus the layout that interprets it."""
+    """Flat float64 parameter vector plus the layout that interprets it.
 
-    layout: tuple[LayoutEntry, ...]
+    The per-layer ``(W, b)`` views are sliced once here, so ``values``
+    must only ever be updated in place, never rebound.
+    """
+
+    layout: Layout
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        expected = sum(int(np.prod(shape)) for _, _, shape in self.layout)
-        if self.values.size != expected:
+        if self.values.size != self.layout.size:
             raise DimensionError(
-                f"value length {self.values.size} does not match layout size {expected}"
+                f"value length {self.values.size} does not match layout size {self.layout.size}"
             )
+        bounds = self.layout.bounds
+        self._views = []
+        for i in range(0, len(self.layout), 2):
+            w = self.values[bounds[i] : bounds[i + 1]].reshape(self.layout[i][2])
+            b = self.values[bounds[i + 1] : bounds[i + 2]]
+            self._views.append((w, b))
 
     @classmethod
     def zeros(cls, spec: ModelSpec) -> "ParamVector":
@@ -87,29 +113,23 @@ class ParamVector:
     def copy(self) -> "ParamVector":
         return ParamVector(self.layout, self.values.copy())
 
+    def __reduce__(self):
+        # rebuild through __init__ so the views of a pickled or deep-copied
+        # vector alias its own new buffer
+        return ParamVector, (self.layout, self.values)
+
     def views(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W, b) views into the flat buffer, one pair per layer."""
-        pairs = []
-        offset = 0
-        for i in range(0, len(self.layout), 2):
-            _, _, wshape = self.layout[i]
-            _, _, bshape = self.layout[i + 1]
-            wn = int(np.prod(wshape))
-            bn = int(np.prod(bshape))
-            w = self.values[offset : offset + wn].reshape(wshape)
-            b = self.values[offset + wn : offset + wn + bn]
-            pairs.append((w, b))
-            offset += wn + bn
-        return pairs
+        return self._views
 
 
 def require_same_layout(a: ParamVector, b: ParamVector) -> None:
-    if a.layout != b.layout:
+    if a.layout is not b.layout and a.layout != b.layout:
         raise DimensionError("parameter layouts do not match")
 
 
 def require_matching(spec: ModelSpec, theta: ParamVector) -> None:
-    if theta.layout != spec.layout():
+    if theta.layout is not spec.layout() and theta.layout != spec.layout():
         raise DimensionError("parameter layout does not match the model spec")
 
 
@@ -180,12 +200,6 @@ def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(y.size), y]
     return float(np.mean(lse - picked))
-
-
-def loss_value(spec, theta, batch, weight_decay, data_weight=1.0) -> float:
-    logits = forward(spec, theta, batch.X)
-    reg = weight_decay * float(theta.values @ theta.values)
-    return data_weight * _mean_cross_entropy(logits, batch.y) + reg
 
 
 def loss_grad(

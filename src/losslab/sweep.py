@@ -33,8 +33,8 @@ from .datasets import (
     raw_probes,
     subsample,
 )
-from .errors import DegenerateOutputError, DimensionError, DivergenceError, ParameterError
-from .model import ModelSpec, ParamVector
+from .errors import DegenerateOutputError, DivergenceError, ParameterError
+from .model import ModelSpec, ParamVector, require_same_layout
 from .rng import derive_seed
 from .train import TrainConfig, evaluate, sgd_train
 
@@ -55,12 +55,13 @@ CSV_COLUMNS = [
     "mu_hat", "beta_hat",
     "phase_label",
 ]
+_TEXT_COLUMNS = ("load_kind", "temp_kind", "phase_label")
+_COUNT_COLUMNS = ("n_replicates", "n_converged")
 
 
 def l2_distance(theta_a: ParamVector, theta_b: ParamVector) -> float:
     """Euclidean distance between two parameter vectors."""
-    if theta_a.layout != theta_b.layout:
-        raise DimensionError("parameter layouts do not match")
+    require_same_layout(theta_a, theta_b)
     return float(np.linalg.norm(theta_a.values - theta_b.values))
 
 
@@ -107,10 +108,11 @@ class Axis:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
+        if not self.values:
+            raise ParameterError("axis needs at least one value")
         diffs = np.diff(np.asarray(self.values, dtype=np.float64))
-        if len(self.values) < 1 or not (np.all(diffs > 0) or np.all(diffs < 0)):
-            if len(self.values) != 1:
-                raise ParameterError(f"axis values must be strictly monotone: {self.values}")
+        if len(self.values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ParameterError(f"axis values must be strictly monotone: {self.values}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,6 @@ class ReplicateMetrics:
     seed: int
     converged: bool
     train_loss: float | None = None
-    train_acc: float | None = None
-    test_loss: float | None = None
     test_acc: float | None = None
     lambda_max: float | None = None
     hessian_trace: float | None = None
@@ -195,10 +195,10 @@ class CellResult:
         return float(arr.mean()), sd
 
     def aggregate(self) -> dict:
-        """Means and sample SDs over converged replicates / valid pairs."""
+        """The CSV's metric columns: means and sample SDs over converged
+        replicates / valid pairs, plus the mu and beta estimates."""
         out = {}
-        for name in ("train_loss", "train_acc", "test_loss", "test_acc",
-                     "lambda_max", "hessian_trace"):
+        for name in ("train_loss", "test_acc", "lambda_max", "hessian_trace"):
             mean, sd = self._mean_sd(self._rep_values(name))
             out[f"{name}_mean"] = mean
             out[f"{name}_sd"] = sd
@@ -210,14 +210,20 @@ class CellResult:
         out["beta_hat"] = out["mc_mean"]
         return out
 
+    def row(self) -> dict:
+        """This cell as one ``results.csv`` row, keyed by ``CSV_COLUMNS``."""
+        return {
+            "load_kind": self.load_kind, "load_value": self.load_value,
+            "temp_kind": self.temp_kind, "temp_value": self.temp_value,
+            "n_replicates": self.n_replicates, "n_converged": self.n_converged,
+            **self.aggregate(),
+            "phase_label": self.phase_label,
+        }
+
 
 def _axis_value(kind: str, value):
+    """Canonical form of an axis value (ints stay ints), used in seed keys and rows."""
     return int(value) if kind in _INT_KINDS else float(value)
-
-
-def _seed_part(kind: str, value):
-    """Canonical seed-key form of an axis value (ints stay ints)."""
-    return _axis_value(kind, value)
 
 
 def _base_dataset(recipe: DataRecipe, which: str) -> Dataset:
@@ -305,8 +311,7 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
     """Train and measure one (load, temperature) cell; divergence is data."""
     load_value = _axis_value(grid.load_axis.kind, grid.load_axis.values[i])
     temp_value = _axis_value(grid.temp_axis.kind, grid.temp_axis.values[j])
-    key = (grid.load_axis.kind, _seed_part(grid.load_axis.kind, load_value),
-           grid.temp_axis.kind, _seed_part(grid.temp_axis.kind, temp_value))
+    key = (grid.load_axis.kind, load_value, grid.temp_axis.kind, temp_value)
 
     spec = cell_model_spec(grid, load_value)
     train_ds, test_ds = build_cell_dataset(grid, load_value)
@@ -332,8 +337,6 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
         tr = evaluate(spec, theta, train_ds, weight_decay=cfg.weight_decay)
         te = evaluate(spec, theta, test_ds)
         rep.train_loss = tr.loss
-        rep.train_acc = tr.acc
-        rep.test_loss = te.loss
         rep.test_acc = te.acc
         curv_cfg = replace(grid.curvature, seed=derive_seed(grid.base_seed, "curvature", *key, r))
         batch = draw_metric_batch(train_ds, curv_cfg)
@@ -390,16 +393,12 @@ def run_sweep(grid: GridSpec, workers: int = 1) -> tuple[list[CellResult], dict]
     manifest = {
         "schema": 1,
         "version": __version__,
-        "grid": grid_to_dict(grid),
+        "grid": dataclasses.asdict(grid),
         "base_seed": grid.base_seed,
         "workers": workers,
         "wall_clock_s": time.time() - t0,
     }
     return cells, manifest
-
-
-def grid_to_dict(grid: GridSpec) -> dict:
-    return dataclasses.asdict(grid)
 
 
 def _fmt(value) -> str:
@@ -409,25 +408,7 @@ def _fmt(value) -> str:
 
 
 def results_to_csv(cells: list[CellResult]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for cell in cells:
-        agg = cell.aggregate()
-        row = [
-            cell.load_kind, _fmt(cell.load_value),
-            cell.temp_kind, _fmt(cell.temp_value),
-            str(cell.n_replicates), str(cell.n_converged),
-            _fmt(agg["train_loss_mean"]), _fmt(agg["train_loss_sd"]),
-            _fmt(agg["test_acc_mean"]), _fmt(agg["test_acc_sd"]),
-            _fmt(agg["lambda_max_mean"]), _fmt(agg["lambda_max_sd"]),
-            _fmt(agg["hessian_trace_mean"]), _fmt(agg["hessian_trace_sd"]),
-            _fmt(agg["mc_mean"]), _fmt(agg["mc_sd"]),
-            _fmt(agg["cka_mean"]), _fmt(agg["cka_sd"]),
-            _fmt(agg["l2_mean"]), _fmt(agg["l2_sd"]),
-            _fmt(agg["mu_hat"]), _fmt(agg["beta_hat"]),
-            cell.phase_label,
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return rows_to_csv([cell.row() for cell in cells])
 
 
 def write_results_csv(cells: list[CellResult], path) -> None:
@@ -436,15 +417,15 @@ def write_results_csv(cells: list[CellResult], path) -> None:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    """Re-serialize parsed CSV rows (used when writing back phase labels)."""
+    """One CSV line per row dict (from ``CellResult.row`` or ``read_results_csv``)."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         parts = []
         for name in CSV_COLUMNS:
             value = row.get(name)
-            if name in ("load_kind", "temp_kind", "phase_label"):
+            if name in _TEXT_COLUMNS:
                 parts.append(value or "")
-            elif name in ("n_replicates", "n_converged"):
+            elif name in _COUNT_COLUMNS:
                 parts.append(str(value))
             else:
                 parts.append(_fmt(value))
@@ -462,9 +443,9 @@ def read_results_csv(path) -> list[dict]:
         parts = ln.split(",")
         row = {}
         for name, value in zip(header, parts):
-            if name in ("load_kind", "temp_kind", "phase_label"):
+            if name in _TEXT_COLUMNS:
                 row[name] = value
-            elif name in ("n_replicates", "n_converged"):
+            elif name in _COUNT_COLUMNS:
                 row[name] = int(value)
             else:
                 row[name] = float(value) if value else None

@@ -17,7 +17,16 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigError, DimensionError, DivergenceError, FormatError, ParameterError
-from .model import Batch, ModelSpec, ParamVector, _mean_cross_entropy, forward, he_init, loss_grad
+from .model import (
+    Batch,
+    ModelSpec,
+    ParamVector,
+    _mean_cross_entropy,
+    forward,
+    he_init,
+    loss_grad,
+    require_matching,
+)
 from .rng import Rng
 
 CHECKPOINT_MAGIC = b"LLAB"
@@ -221,8 +230,7 @@ def sgd_train(
 
 def save_checkpoint(theta: ParamVector, spec: ModelSpec, meta: dict, path) -> None:
     """Binary checkpoint: magic, version, spec, raw f64 values, JSON meta."""
-    if theta.layout != spec.layout():
-        raise DimensionError("theta layout does not match spec")
+    require_matching(spec, theta)
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)

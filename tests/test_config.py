@@ -77,7 +77,7 @@ def edited(cfg: dict, path: str, value=None, delete: bool = False) -> dict:
     return out
 
 
-GRID_ERRORS = [
+ERRORS = [
     # (edited path, new value or "DELETE", expected ConfigError path)
     ("train.lr", "DELETE", "train.lr"),
     ("data.kind", "DELETE", "data.kind"),
@@ -86,14 +86,21 @@ GRID_ERRORS = [
     ("grid.replicates", True, "grid.replicates"),
     ("grid.replicates", 1, "grid"),
     ("train.schedule", {"start_epoch": 1, "final_fraction": 0.1}, "train.schedule.end_epoch"),
+    ("grid.load.values", [], "grid.load"),
+    ("metrics.rtol", 0, "metrics"),
+    ("metrics.probes.source", "zzz", "metrics.probes"),
+    ("curve.k", 0, "curve"),
+    ("phase.eps_mc", "wide", "phase.eps_mc"),
+    ("phase.eps_mc", -1.0, "phase"),
 ]
 
 
-@pytest.mark.parametrize("path,value,error_path", GRID_ERRORS)
-def test_grid_error_paths(sweep_cfg, path, value, error_path):
+@pytest.mark.parametrize("path,value,error_path", ERRORS)
+def test_error_paths(sweep_cfg, path, value, error_path):
     cfg = edited(sweep_cfg, path, value, delete=value == "DELETE")
     with pytest.raises(ConfigError) as info:
         parse_grid(cfg)
+        parse_phase(cfg)
     assert info.value.path == error_path
 
 
@@ -105,6 +112,7 @@ def test_curve_schedule_null_disables_and_absent_defaults(sweep_cfg):
 def test_null_means_default_for_non_optional_field(sweep_cfg):
     grid = parse_grid(edited(sweep_cfg, "train.plateau_eps", None))
     assert grid.base_train.plateau_eps == 1e-4
+    assert parse_phase(edited(sweep_cfg, "phase.eps_mc", None)).eps_mc == 2.0
 
 
 def test_phase_eps_mc_accepts_inf(sweep_cfg):
@@ -118,3 +126,14 @@ def test_sweep_with_bad_config_exits_2(sweep_cfg, tmp_path, capsys):
                      "--workers", "1"])
     assert code == 2
     assert "train.lr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps_mc", ["wide", -1.0])
+def test_phase_with_bad_eps_mc_exits_2(sweep_cfg, tmp_path, capsys, eps_mc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edited(sweep_cfg, "phase.eps_mc", eps_mc)))
+    # the config is parsed before the CSV is read, so no CSV is needed
+    code = cli.main(["phase", "--csv", str(tmp_path / "results.csv"), "--config", str(path),
+                     "--out", str(tmp_path / "phases.csv")])
+    assert code == 2
+    assert "phase" in capsys.readouterr().err

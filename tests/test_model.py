@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -221,3 +223,29 @@ def test_exact_hessian_guard():
     batch = Batch(np.zeros((2, 100)), np.zeros(2, dtype=np.int64))
     with pytest.raises(ParameterError):
         exact_hessian(spec, theta, batch, 0.0)
+
+
+def test_layout_built_once_and_views_alias_values():
+    spec = ModelSpec(input_dim=4, hidden_widths=(8, 3), num_classes=2)
+    assert spec.layout() is spec.layout()
+    theta = ParamVector(spec.layout(), np.arange(spec.param_count, dtype=np.float64))
+    assert theta.views() is theta.views()
+    for w, b in theta.views():
+        assert np.shares_memory(w, theta.values) and np.shares_memory(b, theta.values)
+    theta.views()[1][1][...] = -1.0
+    assert np.array_equal(theta.values[64:67], [-1.0, -1.0, -1.0])
+
+
+def test_copies_keep_views_aliasing_their_own_buffer():
+    spec = ModelSpec(input_dim=3, hidden_widths=(4,), num_classes=2)
+    theta = he_init(spec, Rng(3))
+    for other in (theta.copy(), copy.deepcopy(theta), pickle.loads(pickle.dumps(theta))):
+        assert np.array_equal(other.values, theta.values)
+        other.views()[0][0][...] = 0.0
+        assert not np.any(other.values[:12]) and np.any(theta.values[:12])
+
+
+def test_param_vector_length_must_match_layout():
+    spec = ModelSpec(input_dim=3, hidden_widths=(4,), num_classes=2)
+    with pytest.raises(DimensionError):
+        ParamVector(spec.layout(), np.zeros(spec.param_count + 1))

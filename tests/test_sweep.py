@@ -1,8 +1,8 @@
 """Golden-output guards for the grid sweep and the phase command.
 
-The pinned digests were taken from the sweep as it stood before any
-refactor of the layout, config or CSV code, so a change that alters a
-single byte of ``results.csv`` or ``phases.csv`` fails here.
+The pinned digests fix every byte of ``results.csv`` and ``phases.csv``
+for one tiny grid, so a change to the layout, config or CSV code that
+alters any number or its formatting fails here.
 """
 
 import hashlib
