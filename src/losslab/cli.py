@@ -1,12 +1,14 @@
 """Command-line surface: train, per-metric measurement, sweeps, phases, plots.
 
 Everything that can change a result comes from the JSON config; flags
-only choose files, workers, and output locations.  Every command drops
-one manifest next to its outputs recording the command line, the full
-config, the seeds involved, and wall-clock time.
+only choose files, workers, and output locations, and each setting has
+exactly one of the two as its source.  Every command drops one manifest,
+``<first output>.manifest.json`` (``train.manifest.json`` and
+``sweep.manifest.json`` in the output directory), recording the command
+line, the full config, the seeds involved, and wall-clock time.
 
 Exit codes: 0 success, 2 usage or config problem, 3 numeric divergence,
-4 I/O or file-format failure.
+4 I/O failure or a malformed input file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +32,7 @@ from .config import (
     parse_model,
     parse_phase,
     parse_train,
+    parse_weight_decay,
 )
 from .curvature import draw_metric_batch, top_eigenvalue, trace_hutchinson
 from .curves import CurveProfile, curve_profile, init_curve, mode_connectivity, train_curve
@@ -39,37 +42,42 @@ from .errors import (
     DimensionError,
     DivergenceError,
     FormatError,
-    LosslabError,
     NumericError,
     ParameterError,
 )
 from .model import exact_hessian
-from .phases import PhaseThresholds, emit_heatmap, label_rows, render_curve_profile
+from .phases import emit_heatmap, label_rows, render_curve_profile
+from .rng import derive_seed
 from .sweep import (
     CSV_COLUMNS,
+    build_probes,
     datasets_from_recipe,
     l2_distance,
     read_results_csv,
+    results_to_csv,
     rows_to_csv,
     run_sweep,
     write_manifest,
-    write_results_csv,
 )
-from .train import evaluate, load_checkpoint, save_checkpoint, sgd_train
+from .train import load_checkpoint, save_checkpoint, sgd_train
 
 import numpy as np
 
 
-def _manifest(args, config: dict | None, seeds: dict, outputs: list, t0: float) -> dict:
-    return {
+def _finish(args, outputs: list, config: dict | None = None, seeds: dict | None = None,
+            path=None, **extra) -> int:
+    """Write the command's manifest, by default next to its first output, and return 0."""
+    manifest = extra | {
         "command_line": sys.argv,
         "command": args.command,
         "config": config,
-        "seeds": seeds,
+        "seeds": seeds or {},
         "version": __version__,
-        "outputs": [str(p) for p in outputs],
-        "wall_clock_s": time.time() - t0,
+        "outputs": [str(Path(p)) for p in outputs],
+        "wall_clock_s": time.time() - args.t0,
     }
+    write_manifest(manifest, path or f"{outputs[0]}.manifest.json")
+    return 0
 
 
 def _load_pair(path_a, path_b):
@@ -87,15 +95,8 @@ def _write_record(record: dict, path) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _weight_decay(cfg: dict) -> float:
-    train = cfg.get("train")
-    if isinstance(train, dict) and "weight_decay" in train:
-        return float(train["weight_decay"])
-    return 0.0
-
-
 def cmd_train(args) -> int:
-    t0 = time.time()
+    """train one model from a JSON config"""
     cfg = load_config(args.config)
     spec = parse_model(cfg)
     recipe = parse_data(cfg)
@@ -115,22 +116,20 @@ def cmd_train(args) -> int:
                 "%d,%.10g,%.10g,%.10g,%.10g,%.10g\n"
                 % (r.epoch, r.train_loss, r.train_acc, r.test_loss, r.test_acc, r.lr_used)
             )
-    manifest = _manifest(args, cfg, {"train": tcfg.seed, "data": recipe.seed},
-                         [ckpt, hist_path], t0)
-    manifest["best_train_loss_epoch"] = history.best_train_loss_epoch
-    manifest["best_test_acc_epoch"] = history.best_test_acc_epoch
-    manifest["stopped_by_plateau"] = history.stopped_by_plateau
-    write_manifest(manifest, out_dir / "train.manifest.json")
     print(f"checkpoint written to {ckpt}")
-    return 0
+    return _finish(args, [ckpt, hist_path], cfg, {"train": tcfg.seed, "data": recipe.seed},
+                   path=out_dir / "train.manifest.json",
+                   best_train_loss_epoch=history.best_train_loss_epoch,
+                   best_test_acc_epoch=history.best_test_acc_epoch,
+                   stopped_by_plateau=history.stopped_by_plateau)
 
 
 def cmd_hessian(args) -> int:
-    t0 = time.time()
+    """curvature metrics of one checkpoint"""
     cfg = load_config(args.config)
     recipe = parse_data(cfg)
     curvature, _ = parse_metrics(cfg)
-    wd = _weight_decay(cfg)
+    wd = parse_weight_decay(cfg)
     theta, spec, _ = load_checkpoint(args.checkpoint)
     train_ds, _ = datasets_from_recipe(recipe)
     batch = draw_metric_batch(train_ds, curvature)
@@ -153,48 +152,32 @@ def cmd_hessian(args) -> int:
         record["exact_lambda_max"] = exact_lam
         record["exact_rel_err"] = rel
         record["exact_trace"] = float(np.trace(dense))
-        if rel >= 1e-3:
-            _write_record(record, args.out)
-            raise NumericError(
-                f"power iteration off by {rel:.2e} relative to the dense eigensolver"
-            )
-    out = Path(args.out)
-    _write_record(record, out)
-    write_manifest(
-        _manifest(args, cfg, {"metrics": curvature.seed}, [out], t0),
-        out.with_suffix(out.suffix + ".manifest.json"),
-    )
-    return 0
+    _write_record(record, args.out)
+    if record.get("exact_rel_err", 0.0) >= 1e-3:
+        raise NumericError(f"power iteration off by {rel:.2e} relative to the dense eigensolver")
+    return _finish(args, [args.out], cfg, {"metrics": curvature.seed})
 
 
 def cmd_cka(args) -> int:
-    t0 = time.time()
+    """output similarity of two checkpoints"""
     cfg = load_config(args.config)
     recipe = parse_data(cfg)
     _, probes_cfg = parse_metrics(cfg)
     spec, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
     train_ds, _ = datasets_from_recipe(recipe)
-    from .rng import derive_seed
-    from .sweep import _build_probes
-
-    probes = _build_probes(train_ds, probes_cfg, derive_seed(recipe.seed, "cli_probes"))
+    probes = build_probes(train_ds, probes_cfg, derive_seed(recipe.seed, "cli_probes"))
     value = cka_between_models(spec, theta_a, theta_b, probes)
-    record = {"metric": "cka", "cka": value, "probes": probes.m, "source": probes.source}
-    out = Path(args.out)
-    _write_record(record, out)
-    write_manifest(
-        _manifest(args, cfg, {"data": recipe.seed}, [out], t0),
-        out.with_suffix(out.suffix + ".manifest.json"),
-    )
-    return 0
+    _write_record({"metric": "cka", "cka": value, "probes": probes.m, "source": probes.source},
+                  args.out)
+    return _finish(args, [args.out], cfg, {"data": recipe.seed})
 
 
 def cmd_modeconn(args) -> int:
-    t0 = time.time()
+    """train a connecting curve and report mc"""
     cfg = load_config(args.config)
     recipe = parse_data(cfg)
     ccfg = parse_curve(cfg)
-    wd = _weight_decay(cfg)
+    wd = parse_weight_decay(cfg)
     spec, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
     train_ds, _ = datasets_from_recipe(recipe)
     curve = train_curve(spec, init_curve(theta_a, theta_b, ccfg.k), train_ds, ccfg,
@@ -206,113 +189,78 @@ def cmd_modeconn(args) -> int:
         "mc_cross_entropy": mode_connectivity(profile, use="cross_entropy"),
         "profile": profile.to_dict(),
     }
-    out = Path(args.out)
-    profile_path = out.with_suffix(".profile.json")
+    profile_path = Path(args.out).with_suffix(".profile.json")
     with open(profile_path, "w") as fh:
         json.dump(profile.to_dict(), fh, indent=2)
         fh.write("\n")
-    _write_record(record, out)
-    write_manifest(
-        _manifest(args, cfg, {"curve": ccfg.seed}, [out, profile_path], t0),
-        out.with_suffix(out.suffix + ".manifest.json"),
-    )
-    return 0
+    _write_record(record, args.out)
+    return _finish(args, [args.out, profile_path], cfg, {"curve": ccfg.seed})
 
 
 def cmd_l2(args) -> int:
-    t0 = time.time()
-    spec, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
-    record = {"metric": "l2", "l2": l2_distance(theta_a, theta_b)}
-    out = Path(args.out)
-    _write_record(record, out)
-    write_manifest(
-        _manifest(args, None, {}, [out], t0),
-        out.with_suffix(out.suffix + ".manifest.json"),
-    )
-    return 0
-
-
-def _worker_count(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("LLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("LLAB_WORKERS", f"not an integer: {env!r}") from None
-    return os.cpu_count() or 1
+    """parameter-space distance of two checkpoints"""
+    _, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
+    _write_record({"metric": "l2", "l2": l2_distance(theta_a, theta_b)}, args.out)
+    return _finish(args, [args.out])
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.time()
+    """run the full load-temperature grid"""
     cfg = load_config(args.config)
     grid = parse_grid(cfg)
-    workers = _worker_count(args)
-    cells, manifest = run_sweep(grid, workers=workers)
+    cells, manifest = run_sweep(grid, workers=max(1, args.workers))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
-    write_results_csv(cells, csv_path)
-    manifest.update(_manifest(args, cfg, {"base_seed": grid.base_seed}, [csv_path], t0))
-    write_manifest(manifest, out_dir / "sweep.manifest.json")
-    n_cells = len(cells)
+    csv_path.write_text(results_to_csv(cells), newline="")
     n_nc = sum(not c.converged for c in cells)
-    print(f"{n_cells} cells written to {csv_path}" + (f" ({n_nc} NC)" if n_nc else ""))
-    return 0
+    print(f"{len(cells)} cells written to {csv_path}" + (f" ({n_nc} NC)" if n_nc else ""))
+    return _finish(args, [csv_path], cfg, {"base_seed": grid.base_seed},
+                   path=out_dir / "sweep.manifest.json", **manifest)
 
 
 def cmd_phase(args) -> int:
-    t0 = time.time()
+    """classify sweep cells into phases"""
     cfg = load_config(args.config) if args.config else None
     thresholds = parse_phase(cfg)
-    if args.eps_mc is not None:
-        thresholds = replace(thresholds, eps_mc=args.eps_mc)
     rows = read_results_csv(args.csv)
     labels = label_rows(rows, thresholds)
     for row, label in zip(rows, labels):
         row["phase_label"] = label
-    out = Path(args.out)
-    with open(out, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
-    write_manifest(
-        _manifest(args, cfg, {}, [out], t0) | {"thresholds": str(thresholds)},
-        out.with_suffix(out.suffix + ".manifest.json"),
-    )
-    counts = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    print(json.dumps({"labels": counts}, sort_keys=True))
-    return 0
+    Path(args.out).write_text(rows_to_csv(rows), newline="")
+    print(json.dumps({"labels": Counter(labels)}, sort_keys=True))
+    return _finish(args, [args.out], cfg, thresholds=str(thresholds))
 
 
 def cmd_plot(args) -> int:
-    t0 = time.time()
+    """render a metric heatmap as SVG"""
     rows = read_results_csv(args.csv)
     if args.metric not in CSV_COLUMNS:
         raise ConfigError("metric", f"unknown metric {args.metric!r}")
-    out = Path(args.out)
-    emit_heatmap(rows, args.metric, out, orientation=args.orientation)
-    write_manifest(
-        _manifest(args, None, {}, [out], t0),
-        out.with_suffix(out.suffix + ".manifest.json"),
-    )
-    print(f"heatmap written to {out}")
-    return 0
+    emit_heatmap(rows, args.metric, args.out, orientation=args.orientation)
+    print(f"heatmap written to {args.out}")
+    return _finish(args, [args.out])
 
 
 def cmd_profile_plot(args) -> int:
-    t0 = time.time()
-    with open(args.profile) as fh:
-        profile = CurveProfile.from_dict(json.load(fh))
-    out = Path(args.out)
-    render_curve_profile(profile, out)
-    write_manifest(
-        _manifest(args, None, {}, [out], t0),
-        out.with_suffix(out.suffix + ".manifest.json"),
-    )
-    print(f"profile plot written to {out}")
-    return 0
+    """render a curve profile as SVG"""
+    try:
+        with open(args.profile) as fh:
+            profile = CurveProfile.from_dict(json.load(fh))
+    except (ValueError, KeyError, TypeError, ParameterError) as exc:
+        raise FormatError(f"{args.profile}: not a curve profile: {exc!r}") from None
+    render_curve_profile(profile, args.out)
+    print(f"profile plot written to {args.out}")
+    return _finish(args, [args.out])
+
+
+def _command(sub, func, *required: str) -> argparse.ArgumentParser:
+    """The subcommand running ``func``, named after it, with its required path flags."""
+    p = sub.add_parser(func.__name__[4:].replace("_", "-"), help=func.__doc__)
+    for flag in required:
+        p.add_argument(flag, required=True)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,73 +270,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"losslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train one model from a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("hessian", help="curvature metrics of one checkpoint")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--exact", action="store_true",
-                   help="cross-check against the dense Hessian (small nets only)")
-    p.set_defaults(func=cmd_hessian)
-
-    p = sub.add_parser("cka", help="output similarity of two checkpoints")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint-a", required=True)
-    p.add_argument("--checkpoint-b", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cka)
-
-    p = sub.add_parser("modeconn", help="train a connecting curve and report mc")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint-a", required=True)
-    p.add_argument("--checkpoint-b", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_modeconn)
-
-    p = sub.add_parser("l2", help="parameter-space distance of two checkpoints")
-    p.add_argument("--checkpoint-a", required=True)
-    p.add_argument("--checkpoint-b", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_l2)
-
-    p = sub.add_parser("sweep", help="run the full load-temperature grid")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel cells (default: LLAB_WORKERS or all cores)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("phase", help="classify sweep cells into phases")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--eps-mc", type=float, default=None,
-                   help="override the well-connected band half-width ('inf' allowed)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_phase)
-
-    p = sub.add_parser("plot", help="render a metric heatmap as SVG")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--metric", required=True)
-    p.add_argument("--orientation", choices=("auto", "flip"), default="auto")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plot)
-
-    p = sub.add_parser("profile-plot", help="render a curve profile as SVG")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_profile_plot)
-
+    pair = ("--checkpoint-a", "--checkpoint-b", "--out")
+    _command(sub, cmd_train, "--config", "--out-dir")
+    _command(sub, cmd_hessian, "--config", "--checkpoint", "--out").add_argument(
+        "--exact", action="store_true",
+        help="cross-check against the dense Hessian (small nets only)")
+    _command(sub, cmd_cka, "--config", *pair)
+    _command(sub, cmd_modeconn, "--config", *pair)
+    _command(sub, cmd_l2, *pair)
+    _command(sub, cmd_sweep, "--config", "--out-dir").add_argument(
+        "--workers", type=int, default=os.cpu_count() or 1,
+        help="parallel cells (default: all cores)")
+    _command(sub, cmd_phase, "--csv", "--out").add_argument("--config", default=None)
+    _command(sub, cmd_plot, "--csv", "--metric", "--out").add_argument(
+        "--orientation", choices=("auto", "flip"), default="auto")
+    _command(sub, cmd_profile_plot, "--profile", "--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.t0 = time.time()
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,11 +1,13 @@
 """JSON run-configuration parsing with field-path error reporting.
 
 Anything that can change a result lives in the config file (flags only
-pick files and verbosity), so manifests capture complete provenance.
-Top-level keys mirror the owning modules: model, data, train, curve,
-metrics, grid, phase.  Each section is built from the fields and type
-hints of its dataclass, where every default lives.  An absent key takes
-the default; null means None for an Optional field, else the default.
+pick files, workers and output locations), so manifests capture complete
+provenance.  Top-level keys mirror the owning modules: model, data,
+train, curve, metrics, grid, phase.  Each section is built from the
+fields and type hints of its dataclass, where every default lives.  An
+absent key takes the default; null means None for an Optional field,
+else the default.  A key that names no field or section is an error, so
+a misspelled setting cannot silently fall back to its default.
 """
 
 from __future__ import annotations
@@ -23,11 +25,18 @@ from .sweep import Axis, DataRecipe, GridSpec, ProbeConfig
 from .train import TrainConfig
 
 SCHEMA_VERSION = 1
+SECTIONS = ("schema", "model", "data", "train", "curve", "metrics", "grid", "phase")
 
 # Fields a config must give even though the dataclass has a default.
 REQUIRED = {
     DataRecipe: ("kind",),
     TrainConfig: ("batch_size", "lr", "weight_decay", "max_epochs"),
+}
+
+# Keys of a section that hold a nested section parsed on its own.
+NESTED = {
+    CurvatureConfig: ("probes",),
+    GridSpec: ("load", "temp"),
 }
 
 
@@ -58,6 +67,10 @@ def _build(cls, sec, path: str, **given):
     """The dataclass ``cls`` from the config object ``sec``; ``given`` fields are used as is."""
     if not isinstance(sec, dict):
         raise ConfigError(path, f"expected an object, got {sec!r}")
+    known = {f.name for f in fields(cls) if f.name not in given} | set(NESTED.get(cls, ()))
+    for key in sec:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", "unknown field")
     hints = typing.get_type_hints(cls)
     kwargs = dict(given)
     for f in fields(cls):
@@ -87,6 +100,9 @@ def load_config(path) -> dict:
     schema = cfg.get("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"expected schema {SCHEMA_VERSION}, got {schema!r}")
+    for key in cfg:
+        if key not in SECTIONS:
+            raise ConfigError(key, "unknown section")
     return cfg
 
 
@@ -100,6 +116,17 @@ def parse_data(cfg: dict) -> DataRecipe:
 
 def parse_train(cfg: dict) -> TrainConfig:
     return _build(TrainConfig, cfg.get("train"), "train")
+
+
+def parse_weight_decay(cfg: dict) -> float:
+    """``train.weight_decay`` alone, checked as ``parse_train`` checks it; 0.0 when absent."""
+    sec = cfg.get("train", {})
+    if not isinstance(sec, dict):
+        raise ConfigError("train", f"expected an object, got {sec!r}")
+    if "weight_decay" not in sec:
+        return 0.0
+    wd = _convert(float, sec["weight_decay"], "train.weight_decay")
+    return TrainConfig(weight_decay=wd).weight_decay
 
 
 def parse_curve(cfg: dict) -> CurveTrainConfig:

@@ -11,7 +11,6 @@ all diverged stay NC.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +115,6 @@ def label_rows(rows: list[dict], thresholds: PhaseThresholds) -> list[str]:
 
 
 # -- SVG rendering -------------------------------------------------------
-
-
-def _hex_to_rgb(color: str) -> tuple[int, int, int]:
-    return tuple(int(color[i : i + 2], 16) for i in (1, 3, 5))
 
 
 def _sequential_color(frac: float) -> str:

@@ -33,7 +33,7 @@ from .datasets import (
     raw_probes,
     subsample,
 )
-from .errors import DegenerateOutputError, DivergenceError, ParameterError
+from .errors import DegenerateOutputError, DivergenceError, FormatError, ParameterError
 from .model import ModelSpec, ParamVector, require_same_layout
 from .rng import derive_seed
 from .train import TrainConfig, evaluate, sgd_train
@@ -298,7 +298,8 @@ def cell_train_config(grid: GridSpec, temp_value, seed: int) -> TrainConfig:
     return replace(grid.base_train, **{kind: value}, seed=seed)
 
 
-def _build_probes(ds: Dataset, cfg: ProbeConfig, seed: int):
+def build_probes(ds: Dataset, cfg: ProbeConfig, seed: int):
+    """The CKA probe inputs drawn from ``ds`` as ``cfg`` describes."""
     if cfg.source == "mixup":
         return mixup_probes(ds, cfg.m, cfg.alpha, seed)
     probes = raw_probes(ds, cfg.m, derive_seed(seed, "rows"))
@@ -347,8 +348,8 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
 
     converged_ids = sorted(thetas)
     if len(converged_ids) >= 2:
-        probes = _build_probes(train_ds, grid.probes,
-                               derive_seed(grid.base_seed, "probes", *key))
+        probes = build_probes(train_ds, grid.probes,
+                              derive_seed(grid.base_seed, "probes", *key))
         for a, b in zip(converged_ids[0::2], converged_ids[1::2]):
             pair = PairMetrics(replica_a=a, replica_b=b)
             pair.l2 = l2_distance(thetas[a], thetas[b])
@@ -411,11 +412,6 @@ def results_to_csv(cells: list[CellResult]) -> str:
     return rows_to_csv([cell.row() for cell in cells])
 
 
-def write_results_csv(cells: list[CellResult], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(results_to_csv(cells))
-
-
 def rows_to_csv(rows: list[dict]) -> str:
     """One CSV line per row dict (from ``CellResult.row`` or ``read_results_csv``)."""
     lines = [",".join(CSV_COLUMNS)]
@@ -434,21 +430,31 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def read_results_csv(path) -> list[dict]:
-    """Rows as dicts; numeric fields parsed, absent metrics become None."""
+    """Rows as dicts; numeric fields parsed, absent metrics become None.
+
+    An empty file or a malformed line is a FormatError naming the file and line.
+    """
     with open(path, "r") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise FormatError(f"{path}: empty file, expected a header line")
+    header = lines[0][1].split(",")
     rows = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise FormatError(f"{path}:{n}: expected {len(header)} fields, got {len(parts)}")
         row = {}
         for name, value in zip(header, parts):
-            if name in _TEXT_COLUMNS:
-                row[name] = value
-            elif name in _COUNT_COLUMNS:
-                row[name] = int(value)
-            else:
-                row[name] = float(value) if value else None
+            try:
+                if name in _TEXT_COLUMNS:
+                    row[name] = value
+                elif name in _COUNT_COLUMNS:
+                    row[name] = int(value)
+                else:
+                    row[name] = float(value) if value else None
+            except ValueError:
+                raise FormatError(f"{path}:{n}: {name} is not a number: {value!r}") from None
         rows.append(row)
     return rows
 

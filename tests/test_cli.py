@@ -141,14 +141,30 @@ def in_workdir(workdir, monkeypatch, argv):
     return run(argv)
 
 
-def test_config_missing_field_exits_2(workdir, monkeypatch):
-    cfg = small_config()
+def without_lr(cfg):
     del cfg["train"]["lr"]
-    root = workdir[0]
-    write_config(str(root / "no_lr.json"), cfg)
+
+
+def negative_weight_decay(cfg):
+    cfg["train"]["weight_decay"] = -1.0
+
+
+def misspelled_plateau_eps(cfg):
+    cfg["train"]["plateu_eps"] = cfg["train"].pop("plateau_eps")
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("train", without_lr, "train.lr: missing required field"),
+    ("train", negative_weight_decay, "train.weight_decay: must be >= 0"),
+    ("sweep", misspelled_plateau_eps, "train.plateu_eps: unknown field"),
+])
+def test_config_error_exits_2(workdir, monkeypatch, command, edit, message):
+    cfg = small_config()
+    edit(cfg)
+    write_config(str(workdir[0] / "bad.json"), cfg)
     code, _, err = in_workdir(workdir, monkeypatch,
-                              ["train", "--config", "no_lr.json", "--out-dir", "no_lr"])
-    assert code == 2 and "train.lr" in err
+                              [command, "--config", "bad.json", "--out-dir", "bad"])
+    assert code == 2 and message in err
 
 
 def test_plot_unknown_metric_exits_2(workdir, monkeypatch):
@@ -182,3 +198,62 @@ def test_truncated_checkpoint_exits_4(workdir, monkeypatch):
         "l2", "--checkpoint-a", "truncated.ckpt", "--checkpoint-b", "run_b/model.ckpt",
         "--out", "x.json"])
     assert code == 4 and "truncated" in err
+
+
+MEASURE = {
+    "hessian": ["--checkpoint", "run_a/model.ckpt"],
+    "modeconn": ["--checkpoint-a", "run_a/model.ckpt", "--checkpoint-b", "run_b/model.ckpt"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MEASURE))
+@pytest.mark.parametrize("value", ["abc", None, -1.0])
+def test_bad_weight_decay_exits_2(workdir, monkeypatch, command, value):
+    cfg = small_config()
+    cfg["train"]["weight_decay"] = value
+    write_config(str(workdir[0] / "bad_wd.json"), cfg)
+    code, _, err = in_workdir(workdir, monkeypatch, [
+        command, "--config", "bad_wd.json", *MEASURE[command], "--out", "bad_wd.json.out"])
+    assert code == 2 and "train.weight_decay" in err
+
+
+def test_weight_decay_defaults_to_zero_without_train_section(workdir, monkeypatch):
+    cfg = small_config()
+    del cfg["train"]
+    write_config(str(workdir[0] / "no_train.json"), cfg)
+    code, out, _ = in_workdir(workdir, monkeypatch, [
+        "hessian", "--config", "no_train.json", *MEASURE["hessian"], "--out", "no_train.out"])
+    assert code == 0 and json.loads(out)["weight_decay"] == 0.0
+
+
+def write_broken_results_csv(root: Path) -> None:
+    """``sweep/results.csv`` with a non-integer ``n_converged`` on its third line."""
+    lines = (root / "sweep" / "results.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    parts = lines[2].split(",")
+    parts[header.index("n_converged")] = "two"
+    lines[2] = ",".join(parts)
+    (root / "broken.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["phase", "--csv", "empty.csv", "--out", "x.csv"], "empty.csv: empty file"),
+    (["plot", "--csv", "empty.csv", "--metric", "mc_mean", "--out", "x.svg"],
+     "empty.csv: empty file"),
+    (["phase", "--csv", "broken.csv", "--out", "x.csv"], "broken.csv:3: n_converged"),
+    (["profile-plot", "--profile", "short.json", "--out", "x.svg"], "short.json"),
+])
+def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
+    root = workdir[0]
+    (root / "empty.csv").write_text("")
+    write_broken_results_csv(root)
+    (root / "short.json").write_text('{"t": [0.0]}')
+    code, _, err = in_workdir(workdir, monkeypatch, argv)
+    assert code == 4 and message in err
+
+
+def test_eps_mc_is_set_only_in_the_config(workdir, monkeypatch):
+    with pytest.raises(SystemExit) as info:
+        in_workdir(workdir, monkeypatch, ["phase", "--csv", "sweep/results.csv",
+                                          "--eps-mc", "1.0", "--out", "x.csv"])
+    assert info.value.code == 2

@@ -16,6 +16,7 @@ from losslab.config import (
     parse_model,
     parse_phase,
     parse_train,
+    parse_weight_decay,
 )
 from losslab.curvature import CurvatureConfig
 from losslab.curves import CurveTrainConfig
@@ -92,13 +93,23 @@ ERRORS = [
     ("curve.k", 0, "curve"),
     ("phase.eps_mc", "wide", "phase.eps_mc"),
     ("phase.eps_mc", -1.0, "phase"),
+    ("train.plateu_eps", 1e-3, "train.plateu_eps"),
+    ("train.bacth_size", 64, "train.bacth_size"),
+    ("train.schedule", {"start_epoch": 1, "end_epoch": 2, "final_fraction": 0.1, "x": 0},
+     "train.schedule.x"),
+    ("metrics.probes.mm", 64, "metrics.probes.mm"),
+    ("grid.load_axis", {"kind": "width", "values": [2]}, "grid.load_axis"),
+    ("phase.eps", 1.0, "phase.eps"),
+    ("phases", {"eps_mc": 1.0}, "phases"),
 ]
 
 
 @pytest.mark.parametrize("path,value,error_path", ERRORS)
-def test_error_paths(sweep_cfg, path, value, error_path):
-    cfg = edited(sweep_cfg, path, value, delete=value == "DELETE")
+def test_error_paths(sweep_cfg, tmp_path, path, value, error_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(edited(sweep_cfg, path, value, delete=value == "DELETE")))
     with pytest.raises(ConfigError) as info:
+        cfg = load_config(cfg_path)
         parse_grid(cfg)
         parse_phase(cfg)
     assert info.value.path == error_path
@@ -117,6 +128,23 @@ def test_null_means_default_for_non_optional_field(sweep_cfg):
 
 def test_phase_eps_mc_accepts_inf(sweep_cfg):
     assert math.isinf(parse_phase(edited(sweep_cfg, "phase.eps_mc", "inf")).eps_mc)
+
+
+@pytest.mark.parametrize("cfg,expected", [
+    ({}, 0.0),
+    ({"train": {}}, 0.0),
+    ({"train": {"weight_decay": 0.01}}, 0.01),
+    ({"train": {"weight_decay": 0}}, 0.0),
+])
+def test_weight_decay_alone(cfg, expected):
+    assert parse_weight_decay(cfg) == expected
+
+
+@pytest.mark.parametrize("value", ["abc", None, -1.0])
+def test_weight_decay_alone_is_checked_as_in_train(value):
+    with pytest.raises(ConfigError) as info:
+        parse_weight_decay({"train": {"weight_decay": value}})
+    assert info.value.path == "train.weight_decay"
 
 
 def test_sweep_with_bad_config_exits_2(sweep_cfg, tmp_path, capsys):
