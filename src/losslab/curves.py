@@ -8,18 +8,25 @@ bends with the Bernstein coefficient as the chain-rule factor.  The
 against the largest deviation along the curve: negative means a
 barrier, near zero means well-connected, positive means the endpoints
 themselves were never at a reasonable optimum.
+
+The curves of several replicate pairs train together as one stack: each
+step evaluates all C curve points as one ``(C, B, d)`` ``loss_grad`` call,
+with a ``(C, k+1)`` array of Bernstein coefficients.  Each pair keeps its
+own generator (shuffle and t draws) and divergence check, so its curve is
+bitwise what it gets alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datasets import Dataset
 from .errors import DimensionError, DivergenceError, ParameterError
-from .model import Batch, ModelSpec, ParamVector, loss_grad, require_same_layout
+from .model import Batch, ModelSpec, ParamVector, loss_grad, require_matching, require_same_layout
 from .rng import Rng
 from .train import LinearDecay, epoch_batches, evaluate, schedule_lr
 
@@ -58,11 +65,20 @@ def curve_point(curve: BezierCurve, t: float) -> ParamVector:
         return curve.controls[0].copy()
     if t == 1.0:
         return curve.controls[-1].copy()
-    coeffs = bernstein(curve.k, t)
-    values = np.zeros_like(curve.controls[0].values)
-    for c, ctrl in zip(coeffs, curve.controls):
-        values += c * ctrl.values
+    values = np.empty_like(curve.controls[0].values)
+    _combine(bernstein(curve.k, t), [c.values for c in curve.controls], values)
     return ParamVector(curve.controls[0].layout, values)
+
+
+def _combine(coeffs: np.ndarray, controls: list[np.ndarray], out: np.ndarray) -> None:
+    """``out`` = sum over j of ``coeffs[..., j]`` times ``controls[j]``, added in j order.
+
+    ``coeffs`` is ``(k+1,)`` for one curve or ``(C, k+1)`` for a stack of
+    C curves whose control points are ``(C, P)`` arrays.
+    """
+    out[...] = 0.0
+    for j, ctrl in enumerate(controls):
+        out += coeffs[..., j, None] * ctrl
 
 
 def init_curve(theta_a: ParamVector, theta_b: ParamVector, k: int = 2) -> BezierCurve:
@@ -107,40 +123,85 @@ class CurveTrainConfig:
 
 def train_curve(
     spec: ModelSpec,
-    curve: BezierCurve,
+    curve: BezierCurve | Sequence[BezierCurve],
     ds: Dataset,
-    cfg: CurveTrainConfig,
+    cfg: CurveTrainConfig | Sequence[CurveTrainConfig],
     weight_decay: float = 0.0,
     data_weight: float = 1.0,
-) -> BezierCurve:
+):
     """Minimize the loss along the curve over the interior bends only.
 
     One fresh t ~ Uniform[0,1] per minibatch; the gradient at gamma(t)
     reaches bend j scaled by its Bernstein coefficient.  Endpoint
     objects are passed through untouched.
+
+    One curve and config return the trained curve and raise
+    DivergenceError on a non-finite loss.  Lists of curves and of configs
+    that differ only in ``seed`` train as one stack and return, per
+    curve, the trained curve or the DivergenceError that ended it.
     """
     if ds.dim != spec.input_dim:
         raise DimensionError("dataset dimension does not match the model spec")
-    k = curve.k
-    interior = [c.copy() for c in curve.controls[1:-1]]
-    trained = BezierCurve([curve.controls[0], *interior, curve.controls[-1]])
-    if not interior:
+    if isinstance(curve, BezierCurve):
+        [trained] = _train_stack(spec, [curve], ds, [cfg], weight_decay, data_weight)
+        if isinstance(trained, DivergenceError):
+            raise trained
         return trained
-    rng = Rng(cfg.seed)
+    return _train_stack(spec, curve, ds, cfg, weight_decay, data_weight)
+
+
+def _train_stack(spec, curves, ds, cfgs, weight_decay, data_weight):
+    cfg = cfgs[0] if cfgs else None
+    if (cfg is None or len(curves) != len(cfgs)
+            or any(replace(c, seed=cfg.seed) != cfg for c in cfgs)):
+        raise ParameterError("curves trained together need one config each, "
+                             "sharing every setting but the seed")
+    k = curves[0].k
+    for curve in curves:
+        require_matching(spec, curve.controls[0])
+        if curve.k != k:
+            raise ParameterError("curves trained together must share the bend degree")
+    results: list = [
+        BezierCurve([c.controls[0], *(b.copy() for b in c.controls[1:-1]), c.controls[-1]])
+        for c in curves
+    ]
+    if k == 1:
+        return results
+    rngs = [Rng(c.seed) for c in cfgs]
+    layout = spec.layout()
+    active = list(range(len(curves)))  # curve of each stack row
+    # controls[j] is control point j of every active curve, one row each
+    controls = [np.stack([results[c].controls[j].values for c in active]) for j in range(k + 1)]
     for epoch in range(cfg.epochs):
+        gamma = ParamVector(layout, np.empty_like(controls[0]))
+        grad = ParamVector(layout, np.empty_like(controls[0]))
+        finite = np.ones(len(active), dtype=bool)
         lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx in epoch_batches(ds.n, cfg.batch_size, rng):
-                t = rng.uniform()
-                gamma = curve_point(trained, t)
+            for idx in epoch_batches(ds.n, cfg.batch_size, [rngs[c] for c in active]):
+                coeffs = np.array([bernstein(k, rngs[c].uniform()) for c in active])
+                _combine(coeffs, controls, gamma.values)
                 batch = Batch(ds.X[idx], ds.y[idx])
-                loss_b, grad = loss_grad(spec, gamma, batch, weight_decay, data_weight)
-                if not np.isfinite(loss_b):
-                    raise DivergenceError(epoch)
-                coeffs = bernstein(k, t)
-                for j, bend in enumerate(interior, start=1):
-                    bend.values -= lr_t * coeffs[j] * grad.values
-    return trained
+                losses, _ = loss_grad(spec, gamma, batch, weight_decay, data_weight, grad)
+                # a diverged curve rides along until the epoch ends; rows never mix
+                finite &= np.isfinite(losses)
+                for j in range(1, k):
+                    controls[j] -= (lr_t * coeffs[:, j])[:, None] * grad.values
+        keep = []
+        for i, c in enumerate(active):
+            if finite[i]:
+                keep.append(i)
+            else:
+                results[c] = DivergenceError(epoch)
+        if len(keep) < len(active):
+            controls = [ctrl[keep] for ctrl in controls]
+            active = [active[i] for i in keep]
+        if not active:
+            break
+    for i, c in enumerate(active):
+        for j in range(1, k):
+            results[c].controls[j].values[...] = controls[j][i]
+    return results
 
 
 @dataclass

@@ -38,4 +38,5 @@ class ConfigError(LosslabError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")

@@ -10,6 +10,12 @@ differentiated once more, with no finite differences anywhere.
 Loss convention: ``loss = data_weight * mean_CE + wd * ||theta||^2``.
 ``data_weight`` exists so tests can switch the data term off and work
 against the analytically known pure-quadratic penalty.
+
+``ParamVector`` and ``Batch`` may carry a leading model axis: R models'
+parameters as one ``(R, P)`` array and their minibatches as ``(R, B, d)``.
+``loss_grad`` takes either form; each model's loss and gradient in a stack
+are bitwise what it gets alone, because stacked ``matmul`` and the row
+reductions run the same BLAS call and summation order per model.
 """
 
 from __future__ import annotations
@@ -86,24 +92,27 @@ class ModelSpec:
 class ParamVector:
     """Flat float64 parameter vector plus the layout that interprets it.
 
-    The per-layer ``(W, b)`` views are sliced once here, so ``values``
-    must only ever be updated in place, never rebound.
+    ``values`` is one model's ``(P,)`` vector or a stack of R models'
+    vectors, ``(R, P)``; the views then carry the same leading axis.  The
+    per-layer ``(W, b)`` views are sliced once here, so ``values`` must
+    only ever be updated in place, never rebound.
     """
 
     layout: Layout
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        if self.values.size != self.layout.size:
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.layout.size:
             raise DimensionError(
-                f"value length {self.values.size} does not match layout size {self.layout.size}"
+                f"value shape {self.values.shape} does not match layout size {self.layout.size}"
             )
+        lead = self.values.shape[:-1]
         bounds = self.layout.bounds
         self._views = []
         for i in range(0, len(self.layout), 2):
-            w = self.values[bounds[i] : bounds[i + 1]].reshape(self.layout[i][2])
-            b = self.values[bounds[i + 1] : bounds[i + 2]]
+            w = self.values[..., bounds[i] : bounds[i + 1]].reshape(lead + self.layout[i][2])
+            b = self.values[..., bounds[i + 1] : bounds[i + 2]]
             self._views.append((w, b))
 
     @classmethod
@@ -135,22 +144,27 @@ def require_matching(spec: ModelSpec, theta: ParamVector) -> None:
 
 @dataclass
 class Batch:
-    """One minibatch: features and integer class labels."""
+    """One minibatch: features and integer class labels.
+
+    ``X`` is ``(B, d)`` for one model, or ``(R, B, d)`` with labels
+    ``(R, B)`` for a stack of R models; ``size`` is B either way.
+    """
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64).ravel()
-        if self.X.ndim != 2:
-            raise DimensionError("batch X must be 2-D")
-        if self.X.shape[0] != self.y.size:
+        self.y = np.asarray(self.y, dtype=np.int64)
+        if self.X.ndim not in (2, 3):
+            raise DimensionError("batch X must be 2-D, or 3-D for a stack of models")
+        if self.y.size != math.prod(self.X.shape[:-1]):
             raise DimensionError("batch X rows and label count differ")
+        self.y = self.y.reshape(self.X.shape[:-1])
 
     @property
     def size(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
 
 
 def he_init(spec: ModelSpec, rng: Rng) -> ParamVector:
@@ -164,14 +178,18 @@ def he_init(spec: ModelSpec, rng: Rng) -> ParamVector:
 
 
 def _forward_trace(spec, theta, X):
-    """Returns (activations, preacts, logits); activations[0] is X."""
+    """Returns (activations, preacts, logits); activations[0] is X.
+
+    Works on one model or, with a leading model axis on ``theta`` and ``X``,
+    on a stack of them.
+    """
     acts = [X]
     zs = []
     a = X
     pairs = theta.views()
     last = spec.num_layers - 1
     for l, (w, b) in enumerate(pairs):
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         zs.append(z)
         if l < last:
             a = np.maximum(z, 0.0)
@@ -189,17 +207,22 @@ def forward(spec: ModelSpec, theta: ParamVector, X: np.ndarray) -> np.ndarray:
     return logits
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+def _shifted_exp(logits: np.ndarray):
+    """Logits minus their row max, its exp, and the row sums of that exp."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return shifted, e, e.sum(axis=-1)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    _, e, s = _shifted_exp(logits)
+    return e / s[..., None]
 
 
 def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    shifted, _, s = _shifted_exp(logits)
     picked = shifted[np.arange(y.size), y]
-    return float(np.mean(lse - picked))
+    return float(np.mean(np.log(s) - picked))
 
 
 def loss_grad(
@@ -208,38 +231,55 @@ def loss_grad(
     batch: Batch,
     weight_decay: float,
     data_weight: float = 1.0,
-) -> tuple[float, ParamVector]:
-    """Regularized cross-entropy loss and its exact gradient."""
+    out: ParamVector | None = None,
+):
+    """Regularized cross-entropy loss and its exact gradient.
+
+    For one model returns ``(loss, grad)``.  For a stack (``theta`` of R
+    models, ``batch`` with the same leading axis) returns an ``(R,)`` loss
+    array and the stacked gradient.  The gradient is written into ``out``
+    when the caller passes a buffer of ``theta``'s shape.  Shapes are not
+    checked here: the trainers check them once, at their boundary.
+    """
     if batch.size == 0:
         raise ParameterError("empty batch")
     if weight_decay < 0:
         raise ParameterError("weight_decay must be >= 0")
-    require_matching(spec, theta)
-    if batch.X.shape[1] != spec.input_dim:
-        raise DimensionError("batch feature dimension does not match the model spec")
+    grad = ParamVector(theta.layout, np.empty_like(theta.values)) if out is None else out
+    if theta.values.ndim == 1:  # one model is a stack of one
+        losses = _stacked_loss_grad(
+            spec, ParamVector(theta.layout, theta.values[None]), batch.X[None], batch.y[None],
+            weight_decay, data_weight, ParamVector(grad.layout, grad.values[None]))
+        return float(losses[0]), grad
+    return _stacked_loss_grad(spec, theta, batch.X, batch.y, weight_decay, data_weight, grad), grad
 
-    acts, zs, logits = _forward_trace(spec, theta, batch.X)
-    n = batch.size
-    loss = data_weight * _mean_cross_entropy(logits, batch.y)
-    loss += weight_decay * float(theta.values @ theta.values)
 
-    grad = ParamVector.zeros(spec)
+def _stacked_loss_grad(spec, theta, X, y, weight_decay, data_weight, grad) -> np.ndarray:
+    """Per-model losses of a stack; the stacked gradient goes into ``grad``."""
+    acts, zs, logits = _forward_trace(spec, theta, X)
+    r, n = y.shape
+    pick = (np.arange(r)[:, None], np.arange(n), y)
+    shifted, e, s = _shifted_exp(logits)
+    losses = data_weight * (np.log(s) - shifted[pick]).mean(axis=1)
+    # a BLAS dot per model; einsum or (V * V).sum(1) would round differently
+    v = theta.values
+    losses += weight_decay * (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
     gpairs = grad.views()
     wpairs = theta.views()
-
-    p = softmax(logits)
-    p[np.arange(n), batch.y] -= 1.0
+    p = e / s[..., None]
+    p[pick] -= 1.0
     g = p / n
     for l in range(spec.num_layers - 1, -1, -1):
         gw, gb = gpairs[l]
-        gw[...] = acts[l].T @ g
-        gb[...] = g.sum(axis=0)
+        np.matmul(acts[l].swapaxes(1, 2), g, out=gw)
+        g.sum(axis=1, out=gb)
         if l > 0:
-            g = (g @ wpairs[l][0].T) * (zs[l - 1] > 0.0)
+            g = (g @ wpairs[l][0].swapaxes(1, 2)) * (zs[l - 1] > 0.0)
 
     grad.values *= data_weight
     grad.values += (2.0 * weight_decay) * theta.values
-    return loss, grad
+    return losses
 
 
 def hvp(

@@ -66,7 +66,7 @@ class GridContext:
     """Grid-relative reference values the classifier compares against."""
 
     trace_threshold: float
-    min_train_loss: float
+    min_train_loss: float | None  # None when no converged row has a train loss
 
 
 def _converged(row: dict) -> bool:
@@ -81,13 +81,16 @@ def build_context(rows: list[dict], thresholds: PhaseThresholds) -> GridContext:
     if not traces:
         raise ParameterError("no converged cells to build a grid context from")
     threshold = float(np.quantile(np.asarray(traces), thresholds.sharp_quantile))
-    return GridContext(trace_threshold=threshold, min_train_loss=float(min(losses)))
+    return GridContext(trace_threshold=threshold,
+                       min_train_loss=float(min(losses)) if losses else None)
 
 
 def is_low_loss(row: dict, ctx: GridContext, thresholds: PhaseThresholds) -> bool:
     """Whether the cell trained to within loss_converged x the grid minimum."""
     loss = row.get("train_loss_mean")
-    return loss is not None and loss <= thresholds.loss_converged * ctx.min_train_loss
+    if loss is None or ctx.min_train_loss is None:
+        return False
+    return loss <= thresholds.loss_converged * ctx.min_train_loss
 
 
 def classify_cell(row: dict, ctx: GridContext, thresholds: PhaseThresholds) -> str:

@@ -121,7 +121,7 @@ class Rng:
         return (self.next_u64() >> 11) * _INV53
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([(r >> 11) * _INV53 for r in self._raw(n)], dtype=np.float64)
+        return (np.array(self._raw(n), dtype=np.uint64) >> np.uint64(11)) * _INV53
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes ceil(n/2) pairs."""
@@ -151,9 +151,8 @@ class Rng:
         """n entries in {-1.0, +1.0}, one generator draw per sign."""
         if n < 1:
             raise ParameterError("rademacher needs n >= 1")
-        return np.array(
-            [1.0 if r >> 63 else -1.0 for r in self._raw(n)], dtype=np.float64
-        )
+        signs = np.array(self._raw(n), dtype=np.uint64) >> np.uint64(63)
+        return 2.0 * signs - 1.0
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) by sorting random keys."""

@@ -3,22 +3,23 @@
 Each cell trains R replicates at one (load value, temperature value)
 pair, measures per-model curvature and accuracy, then forms disjoint
 replicate pairs for the pairwise metrics (mode connectivity, CKA,
-parameter-space distance).  All randomness is derived from seeds keyed
-by axis *values*, never indices, so extending the grid or reordering
-cell execution cannot change any existing cell's numbers.
+parameter-space distance).  The R replicates train as one stacked
+``sgd_train`` call and the pairs' curves as one stacked ``train_curve``
+call; curvature, CKA and curve profiles are measured per model and per
+pair.  All randomness is derived from seeds keyed by axis *values*,
+never indices, so extending the grid or reordering cell execution cannot
+change any existing cell's numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
 from .cka import cka_between_models
 from .curvature import CurvatureConfig, draw_metric_batch, top_eigenvalue, trace_hutchinson
 from .curves import CurveTrainConfig, curve_profile, init_curve, mode_connectivity, train_curve
@@ -322,55 +323,50 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
         n_replicates=grid.replicates,
     )
 
+    cfgs = [cell_train_config(grid, temp_value, derive_seed(grid.base_seed, "train", *key, r))
+             for r in range(grid.replicates)]
+    wd = cfgs[0].weight_decay
+    trained, _ = sgd_train(spec, train_ds, test_ds, cfgs)
     thetas: dict[int, ParamVector] = {}
-    wd = None
-    for r in range(grid.replicates):
-        seed = derive_seed(grid.base_seed, "train", *key, r)
-        cfg = cell_train_config(grid, temp_value, seed)
-        wd = cfg.weight_decay
-        rep = ReplicateMetrics(seed=seed, converged=False)
-        try:
-            theta, _ = sgd_train(spec, train_ds, test_ds, cfg)
-        except DivergenceError:
-            cell.replicates.append(rep)
+    for r, (cfg, theta) in enumerate(zip(cfgs, trained)):
+        rep = ReplicateMetrics(seed=cfg.seed, converged=not isinstance(theta, DivergenceError))
+        cell.replicates.append(rep)
+        if not rep.converged:
             continue
-        rep.converged = True
-        tr = evaluate(spec, theta, train_ds, weight_decay=cfg.weight_decay)
-        te = evaluate(spec, theta, test_ds)
-        rep.train_loss = tr.loss
-        rep.test_acc = te.acc
+        rep.train_loss = evaluate(spec, theta, train_ds, weight_decay=wd).loss
+        rep.test_acc = evaluate(spec, theta, test_ds).acc
         curv_cfg = replace(grid.curvature, seed=derive_seed(grid.base_seed, "curvature", *key, r))
         batch = draw_metric_batch(train_ds, curv_cfg)
-        rep.lambda_max = top_eigenvalue(spec, theta, batch, cfg.weight_decay, curv_cfg).value
-        rep.hessian_trace = trace_hutchinson(spec, theta, batch, cfg.weight_decay, curv_cfg).value
+        rep.lambda_max = top_eigenvalue(spec, theta, batch, wd, curv_cfg).value
+        rep.hessian_trace = trace_hutchinson(spec, theta, batch, wd, curv_cfg).value
         thetas[r] = theta
-        cell.replicates.append(rep)
 
     converged_ids = sorted(thetas)
-    if len(converged_ids) >= 2:
-        probes = build_probes(train_ds, grid.probes,
-                              derive_seed(grid.base_seed, "probes", *key))
-        for a, b in zip(converged_ids[0::2], converged_ids[1::2]):
-            pair = PairMetrics(replica_a=a, replica_b=b)
-            pair.l2 = l2_distance(thetas[a], thetas[b])
-            try:
-                pair.cka = cka_between_models(spec, thetas[a], thetas[b], probes)
-            except DegenerateOutputError:
-                pair.cka = None
-            curve_cfg = replace(
-                grid.curve,
-                batch_size=cell_train_config(grid, temp_value, 0).batch_size,
-                seed=derive_seed(grid.base_seed, "curve", *key, a, b),
-            )
-            try:
-                curve = train_curve(spec, init_curve(thetas[a], thetas[b], grid.curve.k),
-                                    train_ds, curve_cfg, weight_decay=wd)
-                profile = curve_profile(spec, curve, train_ds, curve_cfg.t_grid)
-                pair.mc = mode_connectivity(profile)
-                pair.profile = profile.to_dict()
-            except DivergenceError:
-                pair.mc = None
-            cell.pairs.append(pair)
+    if len(converged_ids) < 2:
+        return cell
+    probes = build_probes(train_ds, grid.probes, derive_seed(grid.base_seed, "probes", *key))
+    pairs = [PairMetrics(replica_a=a, replica_b=b)
+             for a, b in zip(converged_ids[0::2], converged_ids[1::2])]
+    curve_cfgs = [
+        replace(grid.curve, batch_size=cfgs[0].batch_size,
+                seed=derive_seed(grid.base_seed, "curve", *key, p.replica_a, p.replica_b))
+        for p in pairs
+    ]
+    curves = train_curve(
+        spec, [init_curve(thetas[p.replica_a], thetas[p.replica_b], grid.curve.k) for p in pairs],
+        train_ds, curve_cfgs, weight_decay=wd)
+    for pair, curve in zip(pairs, curves):
+        theta_a, theta_b = thetas[pair.replica_a], thetas[pair.replica_b]
+        pair.l2 = l2_distance(theta_a, theta_b)
+        try:
+            pair.cka = cka_between_models(spec, theta_a, theta_b, probes)
+        except DegenerateOutputError:
+            pair.cka = None
+        if not isinstance(curve, DivergenceError):
+            profile = curve_profile(spec, curve, train_ds, grid.curve.t_grid)
+            pair.mc = mode_connectivity(profile)
+            pair.profile = profile.to_dict()
+        cell.pairs.append(pair)
     return cell
 
 
@@ -381,7 +377,6 @@ def _cell_task(args):
 
 def run_sweep(grid: GridSpec, workers: int = 1) -> tuple[list[CellResult], dict]:
     """All grid cells (optionally in parallel) plus a provenance manifest."""
-    t0 = time.time()
     tasks = [(grid, i, j) for i in range(len(grid.load_axis.values))
              for j in range(len(grid.temp_axis.values))]
     if workers and workers > 1:
@@ -393,11 +388,9 @@ def run_sweep(grid: GridSpec, workers: int = 1) -> tuple[list[CellResult], dict]
     cells = [r[2] for r in results]
     manifest = {
         "schema": 1,
-        "version": __version__,
         "grid": dataclasses.asdict(grid),
         "base_seed": grid.base_seed,
         "workers": workers,
-        "wall_clock_s": time.time() - t0,
     }
     return cells, manifest
 

@@ -5,12 +5,20 @@ initialization, shuffling, and the update sequence all come from the
 config seed, so reruns are bit-identical.  Weight decay is coupled: the
 update direction is the exact gradient of the penalized loss, i.e. the
 minibatch data gradient plus ``2 * wd * theta``.
+
+Replicates that differ only in their seed train together as one stack:
+each SGD step is one ``loss_grad`` call on an ``(R, B, d)`` batch gathered
+from the R shuffles.  Each replicate keeps its own generator, plateau
+stop, best-loss selection and divergence check, and leaves the stack when
+it stops or diverges, so its result is bitwise what it gets alone.  A
+single config is the stack of one.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -126,6 +134,23 @@ class TrainHistory:
         return int(np.argmax(accs))
 
 
+class StackHistory(list):
+    """The histories of replicates trained together, in config order.
+
+    ``records`` and ``stopped_by_plateau`` total the replicates, so the
+    stack reads like one run: all epochs trained, and how many replicates
+    stopped on a plateau.
+    """
+
+    @property
+    def records(self) -> list[EpochRecord]:
+        return [rec for history in self for rec in history.records]
+
+    @property
+    def stopped_by_plateau(self) -> int:
+        return sum(history.stopped_by_plateau for history in self)
+
+
 @dataclass
 class EvalResult:
     loss: float
@@ -149,10 +174,17 @@ def evaluate(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: flo
     return EvalResult(loss=loss, err01=100.0 - acc, acc=acc)
 
 
-def epoch_batches(n: int, batch_size: int, rng: Rng) -> list[np.ndarray]:
-    """Shuffled disjoint minibatch index blocks covering every row once."""
-    perm = rng.permutation(n)
-    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+def epoch_batches(n: int, batch_size: int, rng: Rng | Sequence[Rng]) -> list[np.ndarray]:
+    """Shuffled disjoint minibatch index blocks covering every row once.
+
+    Given R generators, each block is an ``(R, batch)`` array whose row r
+    is the block generator r alone gives.
+    """
+    if isinstance(rng, Rng):
+        perm = rng.permutation(n)
+    else:
+        perm = np.stack([r.permutation(n) for r in rng])
+    return [perm[..., i : i + batch_size] for i in range(0, n, batch_size)]
 
 
 def _check_dims(spec: ModelSpec, ds: Dataset, which: str) -> None:
@@ -166,63 +198,107 @@ def sgd_train(
     spec: ModelSpec,
     train: Dataset,
     test: Dataset,
-    cfg: TrainConfig,
+    cfg: TrainConfig | Sequence[TrainConfig],
     data_weight: float = 1.0,
-) -> tuple[ParamVector, TrainHistory]:
+):
     """Train an MLP, returning the epoch-end weights with lowest training loss.
 
     Stops early once the epoch-end training loss changes by less than
     ``plateau_eps`` for ``plateau_epochs`` consecutive epochs; otherwise
     runs ``max_epochs``.  Best-loss selection applies either way.
+
+    One config returns ``(theta, history)`` and raises DivergenceError on
+    a non-finite loss.  A list of configs that differ only in ``seed``
+    trains those replicates as one stack and returns ``(thetas,
+    StackHistory)``: per replicate its best weights, or the
+    DivergenceError that ended it.
     """
     _check_dims(spec, train, "train")
     _check_dims(spec, test, "test")
-    rng = Rng(cfg.seed)
-    theta = he_init(spec, rng)
+    if isinstance(cfg, TrainConfig):
+        [theta], [history] = _train_stack(spec, train, test, [cfg], data_weight)
+        if isinstance(theta, DivergenceError):
+            raise theta
+        return theta, history
+    return _train_stack(spec, train, test, cfg, data_weight)
+
+
+@dataclass
+class _Replicate:
+    """One replicate's own state while it trains in a stack."""
+
+    rng: Rng
+    result: ParamVector | DivergenceError  # best weights so far, or what ended the run
+    history: TrainHistory = field(default_factory=TrainHistory)
+    best_loss: float = np.inf
+    prev_loss: float | None = None
+    streak: int = 0
+
+
+def _train_stack(spec, train, test, cfgs, data_weight):
+    cfg = cfgs[0] if cfgs else None
+    if cfg is None or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ParameterError("replicates trained together must share every setting but the seed")
+    layout = spec.layout()
     wd = cfg.weight_decay
     base_lr = cfg.effective_lr
-
-    history = TrainHistory()
-    best_loss = np.inf
-    best_theta = theta.copy()
-    prev_loss = None
-    streak = 0
+    reps = []
+    for c in cfgs:
+        rng = Rng(c.seed)
+        reps.append(_Replicate(rng, he_init(spec, rng)))
+    active = list(reps)  # the replicate of each stack row
+    theta = ParamVector(layout, np.stack([rep.result.values for rep in reps]))
 
     for epoch in range(cfg.max_epochs):
+        grad = ParamVector(layout, np.empty_like(theta.values))
+        finite = np.ones(len(active), dtype=bool)
         lr_t = schedule_lr(epoch, base_lr, cfg.schedule)
-        # overflow on the way to a non-finite loss is expected and becomes
-        # a DivergenceError, so the numpy warnings are just noise here
+        # overflow on the way to a non-finite loss is expected and ends
+        # the replicate, so the numpy warnings are just noise here
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx in epoch_batches(train.n, cfg.batch_size, rng):
+            for idx in epoch_batches(train.n, cfg.batch_size, [rep.rng for rep in active]):
                 batch = Batch(train.X[idx], train.y[idx])
-                loss_b, grad = loss_grad(spec, theta, batch, wd, data_weight)
-                if not np.isfinite(loss_b):
-                    raise DivergenceError(epoch)
+                losses, _ = loss_grad(spec, theta, batch, wd, data_weight, grad)
+                # a replicate that diverged rides along until the epoch ends;
+                # the rows never mix, so the others are unaffected
+                finite &= np.isfinite(losses)
                 theta.values -= lr_t * grad.values
 
-            train_eval = evaluate(spec, theta, train)
-            epoch_loss = data_weight * train_eval.loss + wd * float(theta.values @ theta.values)
-            if not np.isfinite(epoch_loss):
-                raise DivergenceError(epoch)
-            test_eval = evaluate(spec, theta, test)
-        history.records.append(
-            EpochRecord(epoch, epoch_loss, train_eval.acc, test_eval.loss, test_eval.acc, lr_t)
-        )
+            keep = []
+            for i, rep in enumerate(active):
+                if not finite[i]:
+                    rep.result = DivergenceError(epoch)
+                    continue
+                row = ParamVector(layout, theta.values[i])
+                train_eval = evaluate(spec, row, train)
+                epoch_loss = data_weight * train_eval.loss + wd * float(row.values @ row.values)
+                if not np.isfinite(epoch_loss):
+                    rep.result = DivergenceError(epoch)
+                    continue
+                test_eval = evaluate(spec, row, test)
+                rep.history.records.append(EpochRecord(
+                    epoch, epoch_loss, train_eval.acc, test_eval.loss, test_eval.acc, lr_t))
 
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
-            best_theta = theta.copy()
+                if epoch_loss < rep.best_loss:
+                    rep.best_loss = epoch_loss
+                    rep.result = row.copy()
 
-        if prev_loss is not None and abs(epoch_loss - prev_loss) < cfg.plateau_eps:
-            streak += 1
-            if streak >= cfg.plateau_epochs:
-                history.stopped_by_plateau = True
-                break
-        else:
-            streak = 0
-        prev_loss = epoch_loss
+                if rep.prev_loss is not None and abs(epoch_loss - rep.prev_loss) < cfg.plateau_eps:
+                    rep.streak += 1
+                    if rep.streak >= cfg.plateau_epochs:
+                        rep.history.stopped_by_plateau = True
+                        continue
+                else:
+                    rep.streak = 0
+                rep.prev_loss = epoch_loss
+                keep.append(i)
+        if not keep:
+            break
+        if len(keep) < len(active):
+            theta = ParamVector(layout, theta.values[keep])
+            active = [active[i] for i in keep]
 
-    return best_theta, history
+    return [rep.result for rep in reps], StackHistory(rep.history for rep in reps)
 
 
 # -- checkpoint persistence ---------------------------------------------

@@ -101,6 +101,10 @@ ERRORS = [
     ("grid.load_axis", {"kind": "width", "values": [2]}, "grid.load_axis"),
     ("phase.eps", 1.0, "phase.eps"),
     ("phases", {"eps_mc": 1.0}, "phases"),
+    ("train.schedule", {"start_epoch": 5, "end_epoch": 2, "final_fraction": 0.1},
+     "train.schedule"),
+    ("curve.schedule", {"start_epoch": 5, "end_epoch": 2, "final_fraction": 0.1},
+     "curve.schedule"),
 ]
 
 

@@ -19,7 +19,7 @@ from losslab.datasets import gen_blobs
 from losslab.errors import DimensionError, DivergenceError, ParameterError
 from losslab.model import ModelSpec, ParamVector, he_init
 from losslab.rng import Rng
-from losslab.train import TrainConfig, evaluate, sgd_train
+from losslab.train import LinearDecay, TrainConfig, evaluate, sgd_train
 
 
 def make_endpoints(seed=0, spec=None):
@@ -212,3 +212,54 @@ def test_profile_requires_endpoints():
         CurveProfile((0.25, 0.5, 1.0), [1, 2, 3], [1, 2, 3])
     with pytest.raises(ParameterError):
         CurveTrainConfig(t_grid=(0.0, 0.5))
+
+
+def train_stack_and_alone(spec, curves, ds, cfgs, **kw):
+    """Train ``curves`` as one stack and check each against training it alone."""
+    stacked = train_curve(spec, curves, ds, cfgs, **kw)
+    assert len(stacked) == len(curves)
+    for curve, cfg, trained in zip(curves, cfgs, stacked):
+        try:
+            alone = train_curve(spec, curve, ds, cfg, **kw)
+        except DivergenceError as err:
+            assert isinstance(trained, DivergenceError) and trained.epoch == err.epoch
+            continue
+        assert trained.controls[0] is curve.controls[0]
+        assert trained.controls[-1] is curve.controls[-1]
+        for a, b in zip(alone.controls, trained.controls):
+            assert np.array_equal(a.values, b.values)
+    return stacked
+
+
+def stack_pairs(count, k):
+    spec = ModelSpec(input_dim=3, hidden_widths=(4,), num_classes=3)
+    curves = [init_curve(he_init(spec, Rng(2 * i)), he_init(spec, Rng(2 * i + 1)), k=k)
+              for i in range(count)]
+    return spec, curves, gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=14)
+
+
+def test_stacked_curves_match_alone():
+    spec, curves, ds = stack_pairs(3, k=3)
+    cfgs = [CurveTrainConfig(epochs=6, lr=0.05, schedule=LinearDecay(2, 5, 0.1),
+                             batch_size=7, k=3, seed=30 + i) for i in range(3)]
+    stacked = train_stack_and_alone(spec, curves, ds, cfgs, weight_decay=1e-3)
+    assert not any(isinstance(c, DivergenceError) for c in stacked)
+
+
+def test_stacked_curve_divergence_leaves_the_others_training():
+    # lr 1e28: pair 0 overflows in epoch 2, pairs 1 and 2 stay finite
+    spec, curves, ds = stack_pairs(3, k=2)
+    cfgs = [CurveTrainConfig(epochs=4, lr=1e28, schedule=None, batch_size=10, seed=20 + i)
+            for i in range(3)]
+    stacked = train_stack_and_alone(spec, curves, ds, cfgs)
+    assert [isinstance(c, DivergenceError) for c in stacked] == [True, False, False]
+    assert stacked[0].epoch == 2
+
+
+def test_stacked_curves_must_share_all_but_the_seed():
+    spec, curves, ds = stack_pairs(2, k=2)
+    cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=10, seed=1)
+    with pytest.raises(ParameterError):
+        train_curve(spec, curves, ds, [cfg, CurveTrainConfig(epochs=2, batch_size=10, seed=2)])
+    with pytest.raises(ParameterError):
+        train_curve(spec, curves, ds, [cfg])

@@ -4,7 +4,7 @@ import pytest
 
 from losslab import cli
 from losslab.errors import ParameterError
-from losslab.phases import PhaseThresholds, label_rows
+from losslab.phases import PhaseThresholds, build_context, is_low_loss, label_rows
 from losslab.sweep import rows_to_csv
 
 THRESHOLDS = PhaseThresholds(eps_mc=2.0, sharp_quantile=0.5, tau_cka=0.9)
@@ -76,3 +76,15 @@ def test_phase_command_without_converged_rows_exits_2(tmp_path, capsys):
     code = cli.main(["phase", "--csv", str(csv_path), "--out", str(tmp_path / "phases.csv")])
     assert code == 2
     assert "no converged cells" in capsys.readouterr().err
+
+
+def test_converged_rows_without_train_loss_still_label(tmp_path):
+    blank = row(trace=1.0)
+    blank["train_loss_mean"] = None
+    ctx = build_context([blank], THRESHOLDS)
+    assert ctx.min_train_loss is None
+    assert not is_low_loss(row(), ctx, THRESHOLDS)
+    assert label_rows([blank], THRESHOLDS) == ["IV-A"]
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(rows_to_csv([blank]))
+    assert cli.main(["phase", "--csv", str(csv_path), "--out", str(tmp_path / "phases.csv")]) == 0

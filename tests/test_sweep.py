@@ -6,6 +6,7 @@ alters any number or its formatting fails here.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -64,6 +65,15 @@ def test_results_csv_pinned(serial_csv):
 def test_parallel_sweep_matches_serial(serial_csv):
     cells, _ = run_sweep(tiny_grid(), workers=2)
     assert results_to_csv(cells) == serial_csv
+
+
+def test_extending_an_axis_leaves_old_cells_unchanged(serial_csv):
+    grid = tiny_grid()
+    extended = replace(grid, temp_axis=Axis("batch_size", (*grid.temp_axis.values, 256)))
+    cells, _ = run_sweep(extended, workers=1)
+    assert len(cells) == 6
+    old_cells = [cell for cell in cells if cell.temp_value != 256]
+    assert results_to_csv(old_cells) == serial_csv
 
 
 def test_read_then_rows_to_csv_round_trips(serial_csv, tmp_path):

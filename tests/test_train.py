@@ -1,8 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from losslab.datasets import Dataset, gen_blobs
-from losslab.errors import ConfigError, DimensionError, DivergenceError, FormatError
+from losslab.errors import (
+    ConfigError,
+    DimensionError,
+    DivergenceError,
+    FormatError,
+    ParameterError,
+)
 from losslab.model import ModelSpec, ParamVector, forward, he_init, require_matching
 from losslab.rng import Rng
 from losslab.train import (
@@ -219,3 +227,53 @@ def test_checkpoint_spec_mismatch_guard(tmp_path):
     spec16 = ModelSpec(input_dim=4, hidden_widths=(16,), num_classes=3)
     with pytest.raises(DimensionError):
         require_matching(spec16, loaded_theta)
+
+
+def train_stack_and_alone(spec, train, test, cfgs):
+    """Train ``cfgs`` as one stack and check each replicate against training it alone."""
+    thetas, histories = sgd_train(spec, train, test, cfgs)
+    assert len(thetas) == len(histories) == len(cfgs)
+    for cfg, theta, history in zip(cfgs, thetas, histories):
+        try:
+            alone, alone_history = sgd_train(spec, train, test, cfg)
+        except DivergenceError as err:
+            assert isinstance(theta, DivergenceError) and theta.epoch == err.epoch
+            continue
+        assert np.array_equal(theta.values, alone.values)
+        assert history == alone_history
+    return thetas, histories
+
+
+def test_stacked_replicates_stop_on_plateau_at_their_own_epochs():
+    train, test = tiny_task()
+    spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
+    base = TrainConfig(batch_size=8, lr=0.05, weight_decay=0.0, max_epochs=40,
+                       plateau_eps=1e-2, plateau_epochs=2)
+    cfgs = [replace(base, seed=s) for s in range(4)]
+    _, histories = train_stack_and_alone(spec, train, test, cfgs)
+    assert [len(h.records) for h in histories] == [20, 21, 19, 18]
+    assert all(h.stopped_by_plateau for h in histories)
+    assert len(histories.records) == 78 and histories.stopped_by_plateau == 4
+
+
+def test_stacked_replicate_divergence_leaves_the_others_training():
+    # at lr 1e40 the first steps kill every ReLU unit of seeds 0-2, so
+    # they stay finite, while seed 3 overflows in epoch 0
+    train, test = tiny_task()
+    spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
+    base = TrainConfig(batch_size=8, lr=1e40, weight_decay=0.0, max_epochs=6, plateau_eps=0.0)
+    cfgs = [replace(base, seed=s) for s in range(4)]
+    thetas, histories = train_stack_and_alone(spec, train, test, cfgs)
+    assert [isinstance(t, DivergenceError) for t in thetas] == [False, False, False, True]
+    assert thetas[3].epoch == 0
+    assert [len(h.records) for h in histories] == [6, 6, 6, 0]
+
+
+def test_stacked_replicates_must_share_all_but_the_seed():
+    train, test = tiny_task()
+    spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
+    cfg = TrainConfig(batch_size=8, lr=0.05, max_epochs=2, seed=1)
+    with pytest.raises(ParameterError):
+        sgd_train(spec, train, test, [cfg, replace(cfg, seed=2, lr=0.1)])
+    with pytest.raises(ParameterError):
+        sgd_train(spec, train, test, [])
