@@ -1,0 +1,152 @@
+"""Per-layer timings of the RNG stream and the per-epoch evaluation, two trees side by side.
+
+Usage, from the repository root::
+
+    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_5.json]
+
+``DIR`` is the ``src`` directory of the tree to compare against (for
+example ``git archive`` of the parent commit, unpacked).  Each round
+measures the parent tree and then this tree, each in a fresh process, so
+both sides run on the same machine at nearly the same time; the record
+keeps every round's value and the median over rounds.  A metric a tree
+does not have is ``null`` there.
+
+Each value is the median of ``REPS`` timed calls, in microseconds per
+call (the jump table's build in milliseconds).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPS = 30
+STACKS = [(1, 1000), (2, 1000), (4, 1000)]
+RAW_SIZES = [212, 2000, 8000]
+HERE = Path(__file__).resolve()
+SRC = HERE.parent.parent / "src"
+
+
+def _median_us(fn, reps=REPS) -> float:
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e6
+
+
+def measure() -> dict:
+    """Every metric of the ``losslab`` on ``sys.path``, as one flat dict."""
+    import numpy as np
+
+    from losslab import rng as rng_module
+    from losslab.datasets import gen_blobs
+    from losslab.model import ModelSpec, ParamVector, he_init
+    from losslab.rng import Rng
+    from losslab.train import epoch_batches, evaluate
+
+    out = {}
+    build = getattr(rng_module, "_table", None)
+    if build is None:
+        out["rng.jump_table.build_ms"] = None
+    else:
+        rng_module._jump_table = None
+        start = time.perf_counter()
+        build()
+        out["rng.jump_table.build_ms"] = (time.perf_counter() - start) * 1e3
+    for count, n in STACKS:
+        rngs = [Rng(s) for s in range(count)]
+        # one stack epoch's shuffle, as the trainers draw it
+        out[f"rng.stack_permutation.R{count}_n{n}.us"] = _median_us(
+            lambda: epoch_batches(n, n, rngs))
+    for n in RAW_SIZES:
+        r = Rng(3)
+        out[f"rng.raw.n{n}.us"] = _median_us(lambda: r._raw(n))
+
+    # the evaluation after one epoch of 4 replicates: full train and test sets
+    spec = ModelSpec(input_dim=8, hidden_widths=(16,), num_classes=4)
+    train = gen_blobs(1000, 4, 8, 0.15, seed=1)
+    test = gen_blobs(200, 4, 8, 0.15, seed=2)
+    thetas = [he_init(spec, Rng(s)) for s in range(4)]
+    out["train.epoch_evaluate.per_model.us"] = _median_us(
+        lambda: [evaluate(spec, t, ds) for t in thetas for ds in (train, test)])
+    stack = ParamVector(spec.layout(), np.stack([t.values for t in thetas]))
+    try:
+        stacked = evaluate(spec, stack, train)
+        if np.ndim(stacked.loss) != 1:
+            raise TypeError("evaluate returned one value for a stack")
+    except Exception:  # a tree whose evaluate takes one model only
+        out["train.epoch_evaluate.stacked.us"] = None
+    else:
+        alone = [evaluate(spec, t, train).loss for t in thetas]
+        if stacked.loss.tolist() != alone:
+            raise SystemExit("stacked evaluate differs from per-model evaluate")
+        out["train.epoch_evaluate.stacked.us"] = _median_us(
+            lambda: [evaluate(spec, stack, ds) for ds in (train, test)])
+    return out
+
+
+def run_side(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, str(HERE), "--measure"], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def environment() -> dict:
+    import numpy as np
+
+    blas = {}
+    try:
+        info = np.show_config(mode="dicts")
+        blas = info.get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.25 has no dict mode
+        pass
+    return {"machine": platform.machine(), "processor": platform.processor(),
+            "cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--parent", type=Path, help="src directory of the tree to compare against")
+    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--out", type=Path, default=Path("BENCH_5.json"))
+    args = ap.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure()))
+        return 0
+    if args.parent is None:
+        ap.error("--parent is required")
+    rounds = {"parent": [], "change": []}
+    for _ in range(args.rounds):
+        rounds["parent"].append(run_side(args.parent.resolve()))
+        rounds["change"].append(run_side(SRC))
+    metrics = {}
+    for name in rounds["change"][0]:
+        entry = {}
+        for side, runs in rounds.items():
+            values = [run.get(name) for run in runs]
+            entry[side] = None if None in values else statistics.median(values)
+            entry[f"{side}_rounds"] = values
+        metrics[name] = entry
+    record = {"command": "python3 benchmarks/bench_rng.py --parent DIR --rounds "
+                         f"{args.rounds}", "reps_per_value": REPS,
+              "environment": environment(), "metrics": metrics}
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    for name, entry in metrics.items():
+        print(f"{name:40s} parent {entry['parent']}  change {entry['change']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -198,7 +198,7 @@ def _forward_trace(spec, theta, X):
 
 
 def forward(spec: ModelSpec, theta: ParamVector, X: np.ndarray) -> np.ndarray:
-    """Logits of shape (batch, num_classes)."""
+    """Logits of shape (batch, num_classes), or (R, batch, num_classes) for a stack of R models."""
     require_matching(spec, theta)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
@@ -219,10 +219,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / s[..., None]
 
 
-def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-model mean cross-entropy of ``(R, N, C)`` logits; ``y`` is ``(N,)`` or ``(R, N)``."""
     shifted, _, s = _shifted_exp(logits)
-    picked = shifted[np.arange(y.size), y]
-    return float(np.mean(np.log(s) - picked))
+    r, n = logits.shape[:2]
+    return (np.log(s) - shifted[np.arange(r)[:, None], np.arange(n), y]).mean(axis=1)
+
+
+def sq_norms(values: np.ndarray) -> np.ndarray:
+    """``(R,)`` squared norms of ``(R, P)`` rows, one BLAS dot each.
+
+    Each equals ``values[r] @ values[r]``; einsum or ``(V * V).sum(1)``
+    would round differently.
+    """
+    return (values[:, None, :] @ values[:, :, None])[:, 0, 0]
 
 
 def loss_grad(
@@ -261,9 +271,7 @@ def _stacked_loss_grad(spec, theta, X, y, weight_decay, data_weight, grad) -> np
     pick = (np.arange(r)[:, None], np.arange(n), y)
     shifted, e, s = _shifted_exp(logits)
     losses = data_weight * (np.log(s) - shifted[pick]).mean(axis=1)
-    # a BLAS dot per model; einsum or (V * V).sum(1) would round differently
-    v = theta.values
-    losses += weight_decay * (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    losses += weight_decay * sq_norms(theta.values)
 
     gpairs = grad.views()
     wpairs = theta.views()

@@ -34,8 +34,9 @@ from .model import (
     he_init,
     loss_grad,
     require_matching,
+    sq_norms,
 )
-from .rng import Rng
+from .rng import Rng, permutations
 
 CHECKPOINT_MAGIC = b"LLAB"
 CHECKPOINT_VERSION = 1
@@ -161,16 +162,22 @@ class EvalResult:
 def evaluate(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: float = 0.0) -> EvalResult:
     """Mean cross-entropy (optionally penalized) and accuracy in percent.
 
-    Argmax ties break toward the lowest class index.
+    Argmax ties break toward the lowest class index.  For a stack of R
+    models (``theta`` values ``(R, P)``) the fields are ``(R,)`` arrays
+    from one forward pass, entry r bitwise what model r alone gives.
     """
     if ds.n == 0:
         raise ParameterError("cannot evaluate on an empty dataset")
+    one = theta.values.ndim == 1
+    if one:  # one model is a stack of one
+        theta = ParamVector(theta.layout, theta.values[None])
     logits = forward(spec, theta, ds.X)
     loss = _mean_cross_entropy(logits, ds.y)
     if weight_decay:
-        loss += weight_decay * float(theta.values @ theta.values)
-    pred = np.argmax(logits, axis=1)
-    acc = 100.0 * float(np.mean(pred == ds.y))
+        loss += weight_decay * sq_norms(theta.values)
+    acc = 100.0 * (np.argmax(logits, axis=-1) == ds.y).mean(axis=1)
+    if one:
+        return EvalResult(loss=float(loss[0]), err01=100.0 - float(acc[0]), acc=float(acc[0]))
     return EvalResult(loss=loss, err01=100.0 - acc, acc=acc)
 
 
@@ -180,10 +187,9 @@ def epoch_batches(n: int, batch_size: int, rng: Rng | Sequence[Rng]) -> list[np.
     Given R generators, each block is an ``(R, batch)`` array whose row r
     is the block generator r alone gives.
     """
+    perm = permutations([rng] if isinstance(rng, Rng) else rng, n)
     if isinstance(rng, Rng):
-        perm = rng.permutation(n)
-    else:
-        perm = np.stack([r.permutation(n) for r in rng])
+        perm = perm[0]
     return [perm[..., i : i + batch_size] for i in range(0, n, batch_size)]
 
 
@@ -264,24 +270,22 @@ def _train_stack(spec, train, test, cfgs, data_weight):
                 finite &= np.isfinite(losses)
                 theta.values -= lr_t * grad.values
 
+            train_eval = evaluate(spec, theta, train)
+            test_eval = evaluate(spec, theta, test)
+            epoch_losses = data_weight * train_eval.loss + wd * sq_norms(theta.values)
             keep = []
             for i, rep in enumerate(active):
-                if not finite[i]:
+                epoch_loss = float(epoch_losses[i])
+                if not (finite[i] and np.isfinite(epoch_loss)):
                     rep.result = DivergenceError(epoch)
                     continue
-                row = ParamVector(layout, theta.values[i])
-                train_eval = evaluate(spec, row, train)
-                epoch_loss = data_weight * train_eval.loss + wd * float(row.values @ row.values)
-                if not np.isfinite(epoch_loss):
-                    rep.result = DivergenceError(epoch)
-                    continue
-                test_eval = evaluate(spec, row, test)
                 rep.history.records.append(EpochRecord(
-                    epoch, epoch_loss, train_eval.acc, test_eval.loss, test_eval.acc, lr_t))
+                    epoch, epoch_loss, float(train_eval.acc[i]), float(test_eval.loss[i]),
+                    float(test_eval.acc[i]), lr_t))
 
                 if epoch_loss < rep.best_loss:
                     rep.best_loss = epoch_loss
-                    rep.result = row.copy()
+                    rep.result = ParamVector(layout, theta.values[i].copy())
 
                 if rep.prev_loss is not None and abs(epoch_loss - rep.prev_loss) < cfg.plateau_eps:
                     rep.streak += 1

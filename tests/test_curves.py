@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from losslab import rng as rng_module
 from losslab.curves import (
     DEFAULT_T_GRID,
     BezierCurve,
@@ -215,12 +216,18 @@ def test_profile_requires_endpoints():
 
 
 def train_stack_and_alone(spec, curves, ds, cfgs, **kw):
-    """Train ``curves`` as one stack and check each against training it alone."""
+    """Train ``curves`` as one stack and check each against training it alone.
+
+    Alone, every draw comes from the scalar loop; a stack whose shuffles
+    are long enough draws them from the numpy lanes.
+    """
     stacked = train_curve(spec, curves, ds, cfgs, **kw)
     assert len(stacked) == len(curves)
     for curve, cfg, trained in zip(curves, cfgs, stacked):
         try:
-            alone = train_curve(spec, curve, ds, cfg, **kw)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rng_module, "CROSSOVER", float("inf"))
+                alone = train_curve(spec, curve, ds, cfg, **kw)
         except DivergenceError as err:
             assert isinstance(trained, DivergenceError) and trained.epoch == err.epoch
             continue
@@ -244,6 +251,18 @@ def test_stacked_curves_match_alone():
                              batch_size=7, k=3, seed=30 + i) for i in range(3)]
     stacked = train_stack_and_alone(spec, curves, ds, cfgs, weight_decay=1e-3)
     assert not any(isinstance(c, DivergenceError) for c in stacked)
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_stacked_curves_on_lane_draws_match_scalar_alone(n):
+    # two pairs of n rows cross CROSSOVER, so each shuffle comes from the
+    # lanes and each t is then drawn from where its stream's lanes stopped
+    spec, curves, _ = stack_pairs(2, k=2)
+    ds = gen_blobs(n=n, num_classes=3, dim=3, spread=0.2, seed=15)
+    assert 2 * n >= rng_module.CROSSOVER
+    cfgs = [CurveTrainConfig(epochs=3, lr=0.05, schedule=None, batch_size=128, seed=40 + i)
+            for i in range(2)]
+    train_stack_and_alone(spec, curves, ds, cfgs)
 
 
 def test_stacked_curve_divergence_leaves_the_others_training():

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from losslab import rng as rng_module
 from losslab.errors import ParameterError
-from losslab.rng import Rng, _splitmix64, derive_seed
+from losslab.rng import LANES, STRIDE, Rng, _splitmix64, derive_seed, permutations, raw_outputs
+from losslab.train import epoch_batches
 
 from oracles import splitmix64_stream, xoshiro256pp_stream
 
@@ -156,3 +160,113 @@ def test_gamma_mean_matches_alpha():
     for alpha in (0.7, 1.0, 4.0, 16.0):
         draws = np.array([r.gamma(alpha) for _ in range(20_000)])
         assert abs(float(draws.mean()) - alpha) < 0.05 * max(alpha, 1.0), alpha
+
+
+# -- block draws over numpy lanes ------------------------------------------
+
+BLOCK = LANES * STRIDE
+BLOCK_SIZES = [1, STRIDE - 1, STRIDE, STRIDE + 1, BLOCK - 1, BLOCK, BLOCK + 1, 212, 1000, 8000]
+
+
+@pytest.fixture
+def lanes_always(monkeypatch):
+    """Draw every length from the lanes, however short."""
+    monkeypatch.setattr(rng_module, "CROSSOVER", 0)
+
+
+def streams(seeds):
+    """Fresh generators, and the start state of each for the oracle."""
+    rngs = [Rng(s) for s in seeds]
+    return rngs, [list(r._s) for r in rngs]
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_block_draws_match_reference_stream(lanes_always, count, n):
+    rngs, starts = streams(range(50, 50 + count))
+    out = raw_outputs(rngs, n)
+    assert out.shape == (count, n) and out.dtype == np.uint64
+    for r, start, row in zip(rngs, starts, out):
+        ref = xoshiro256pp_stream(start, n + 2)
+        assert row.tolist() == ref[:n]
+        # the generator is left exactly n steps on
+        assert [r.next_u64(), r.next_u64()] == ref[n:]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_block_and_scalar_draws_interleave_on_one_stream(lanes_always, count):
+    rngs, starts = streams(range(7, 7 + count))
+    first = raw_outputs(rngs, BLOCK + 5)
+    scalars = [(r.next_u64(), r.uniform()) for r in rngs]
+    second = raw_outputs(rngs, 3 * STRIDE)
+    for start, a, (u64, u), b in zip(starts, first, scalars, second):
+        ref = xoshiro256pp_stream(start, BLOCK + 5 + 2 + 3 * STRIDE)
+        assert a.tolist() == ref[: BLOCK + 5]
+        assert u64 == ref[BLOCK + 5]
+        assert u == (ref[BLOCK + 6] >> 11) * 2.0**-53
+        assert b.tolist() == ref[BLOCK + 7 :]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+       n=st.integers(0, 3 * BLOCK))
+def test_block_draws_match_reference_property(seeds, n):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "CROSSOVER", 0)
+        rngs, starts = streams(seeds)
+        out = raw_outputs(rngs, n)
+    for r, start, row in zip(rngs, starts, out):
+        ref = xoshiro256pp_stream(start, n + 1)
+        assert row.tolist() == ref[:n]
+        assert r.next_u64() == ref[n]
+
+
+def test_crossover_picks_the_path_not_the_stream():
+    short = Rng(3).uniforms(rng_module.CROSSOVER - 1)
+    long = Rng(3).uniforms(rng_module.CROSSOVER + 1)
+    assert np.array_equal(short, long[: rng_module.CROSSOVER - 1])
+
+
+def test_jump_table_is_built_once_and_fits_512_kb():
+    table = rng_module._table()
+    assert table is rng_module._table()
+    assert table.shape == (256, 4, LANES) and table.nbytes <= 512 * 1024
+    # lane 0 is no jump: entry i is unit state i itself
+    bits = np.arange(256)
+    assert np.array_equal(table[bits, bits // 64, 0], np.uint64(1) << (bits % 64).astype(np.uint64))
+    assert np.count_nonzero(table[:, :, 0]) == 256
+
+
+@pytest.mark.parametrize("n", [5, 300, 1000])
+def test_stacked_epoch_batches_are_the_per_generator_permutations(n):
+    stacked = epoch_batches(n, 64, [Rng(s) for s in range(4)])
+    perms = [Rng(s).permutation(n) for s in range(4)]
+    assert np.array_equal(np.concatenate(stacked, axis=1), np.stack(perms))
+    one = epoch_batches(n, 64, Rng(2))
+    assert np.array_equal(np.concatenate(one), perms[2])
+    assert np.array_equal(permutations([Rng(1)], n)[0], perms[1])
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, 2047, 2048, 2049, 3000])
+def test_permutations_are_stable_argsorts_of_uniform_keys(n):
+    perms = permutations([Rng(s) for s in range(3)], n)
+    assert perms.dtype == np.intp
+    for s, row in enumerate(perms):
+        assert np.array_equal(row, np.argsort(Rng(s).uniforms(n), kind="stable"))
+
+
+@pytest.mark.parametrize("n", [300, 2048, 2100])
+def test_permutations_break_key_ties_by_index(monkeypatch, n):
+    # 40 distinct keys, so every key is tied many times over
+    tied = (np.arange(n, dtype=np.uint64) * np.uint64(7919) % np.uint64(40)) << np.uint64(11)
+    monkeypatch.setattr(rng_module, "raw_outputs", lambda rngs, n: np.stack([tied, tied[::-1]]))
+    perms = permutations([Rng(0), Rng(1)], n)
+    assert np.array_equal(perms[0], np.argsort(tied, kind="stable"))
+    assert np.array_equal(perms[1], np.argsort(tied[::-1], kind="stable"))
+
+
+def test_normal_is_normals_of_one():
+    for seed in range(2000):
+        assert Rng(seed).normal() == Rng(seed).normals(1)[0]
+    r, ref = Rng(5), Rng(5)
+    assert [r.normal() for _ in range(500)] == [ref.normals(1)[0] for _ in range(500)]

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from losslab import rng as rng_module
 from losslab.datasets import Dataset, gen_blobs
 from losslab.errors import (
     ConfigError,
@@ -183,6 +184,19 @@ def test_evaluate_matches_loop_oracle():
     assert res.acc == 100.0 * count_correct_loops(logits, ds.y) / ds.n
 
 
+def test_stacked_evaluate_is_each_model_alone():
+    train, _ = tiny_task(n=300)
+    spec = ModelSpec(input_dim=4, hidden_widths=(8, 5), num_classes=3)
+    thetas = [he_init(spec, Rng(s)) for s in range(3)]
+    stack = ParamVector(spec.layout(), np.stack([t.values for t in thetas]))
+    stacked = evaluate(spec, stack, train, weight_decay=1e-3)
+    for i, theta in enumerate(thetas):
+        alone = evaluate(spec, theta, train, weight_decay=1e-3)
+        assert (stacked.loss[i], stacked.err01[i], stacked.acc[i]) == (alone.loss, alone.err01, alone.acc)
+        logits = forward(spec, theta, train.X)
+        assert alone.acc == pytest.approx(100.0 * count_correct_loops(logits.tolist(), train.y.tolist()) / train.n)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     spec = ModelSpec(input_dim=4, hidden_widths=(8, 5), num_classes=3)
     theta = he_init(spec, Rng(21))
@@ -230,12 +244,18 @@ def test_checkpoint_spec_mismatch_guard(tmp_path):
 
 
 def train_stack_and_alone(spec, train, test, cfgs):
-    """Train ``cfgs`` as one stack and check each replicate against training it alone."""
+    """Train ``cfgs`` as one stack and check each replicate against training it alone.
+
+    Alone, every draw comes from the scalar loop; a stack whose shuffles
+    are long enough draws them from the numpy lanes.
+    """
     thetas, histories = sgd_train(spec, train, test, cfgs)
     assert len(thetas) == len(histories) == len(cfgs)
     for cfg, theta, history in zip(cfgs, thetas, histories):
         try:
-            alone, alone_history = sgd_train(spec, train, test, cfg)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rng_module, "CROSSOVER", float("inf"))
+                alone, alone_history = sgd_train(spec, train, test, cfg)
         except DivergenceError as err:
             assert isinstance(theta, DivergenceError) and theta.epoch == err.epoch
             continue
@@ -254,6 +274,15 @@ def test_stacked_replicates_stop_on_plateau_at_their_own_epochs():
     assert [len(h.records) for h in histories] == [20, 21, 19, 18]
     assert all(h.stopped_by_plateau for h in histories)
     assert len(histories.records) == 78 and histories.stopped_by_plateau == 4
+
+
+def test_stacked_replicates_on_lane_draws_match_scalar_alone():
+    # three replicates of 400 rows cross CROSSOVER: their shuffles come
+    # from the lanes, and each epoch's starts where the last one stopped
+    train, test = tiny_task(n=400)
+    spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
+    base = TrainConfig(batch_size=64, lr=0.05, weight_decay=1e-3, max_epochs=3, plateau_eps=0.0)
+    train_stack_and_alone(spec, train, test, [replace(base, seed=s) for s in range(3)])
 
 
 def test_stacked_replicate_divergence_leaves_the_others_training():
