@@ -5,12 +5,15 @@ for one tiny grid, so a change to the layout, config or CSV code that
 alters any number or its formatting fails here.
 """
 
+import copy
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
 from losslab import cli
+from losslab.config import load_config, parse_grid
 from losslab.curvature import CurvatureConfig
 from losslab.curves import CurveTrainConfig
 from losslab.model import ModelSpec
@@ -88,3 +91,77 @@ def test_phase_command_output_pinned(serial_csv, tmp_path, capsys):
     out = tmp_path / "phases.csv"
     assert cli.main(["phase", "--csv", str(csv_path), "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == PHASES_SHA256
+
+
+# The benchmark's sweep workloads at seed 1: the quickstart config with
+# each workload's changes.  The quickstart is copied here, not read from
+# the package, so these digests stay fixed when the bundled example
+# changes.
+QUICKSTART = {
+    "schema": 1,
+    "model": {"input_dim": 8, "hidden_widths": [16], "num_classes": 4},
+    "data": {"kind": "blobs", "n_train": 1000, "n_test": 200, "num_classes": 4, "dim": 8,
+             "spread": 0.15, "seed": 1},
+    "train": {"batch_size": 128, "lr": 0.05, "weight_decay": 5e-4, "max_epochs": 60,
+              "plateau_eps": 1e-4, "plateau_epochs": 5, "seed": 0},
+    "curve": {"epochs": 50, "lr": 0.01, "batch_size": 128, "k": 2},
+    "metrics": {"max_iter": 100, "rtol": 1e-3, "metric_batch": 200,
+                "probes": {"source": "mixup", "m": 640, "alpha": 16.0}},
+    "grid": {"load": {"kind": "width", "values": [2, 4, 8, 16]},
+             "temp": {"kind": "batch_size", "values": [4, 16, 64, 256]},
+             "replicates": 4, "base_seed": 7},
+    "phase": {"eps_mc": 2.0, "sharp_quantile": 0.5, "tau_cka": 0.9, "loss_converged": 10.0},
+}
+
+WORKLOADS = {
+    "small_batch": {
+        "grid.load": {"kind": "width", "values": [2, 16]},
+        "grid.temp": {"kind": "batch_size", "values": [4, 16]},
+        "train.max_epochs": 5,
+        "curve.epochs": 4,
+    },
+    "large_batch_noisy": {
+        "grid.load": {"kind": "noise_frac", "values": [0.0, 0.1, 0.2, 0.4]},
+        "grid.temp": {"kind": "batch_size", "values": [64, 256]},
+        "train.max_epochs": 15,
+        "curve.epochs": 12,
+    },
+    "curvature_heavy": {
+        "model.hidden_widths": [16, 16],
+        "grid.load": {"kind": "width", "values": [16, 24, 32]},
+        "grid.temp": {"kind": "weight_decay", "values": [5e-4, 5e-3]},
+        "grid.replicates": 2,
+        "train.max_epochs": 10,
+        "curve.epochs": 5,
+        "metrics.metric_batch": 1000,
+        "metrics.rtol": 1e-12,
+        "metrics.max_iter": 50,
+        "metrics.probes.m": 4000,
+    },
+}
+
+WORKLOAD_SHA256 = {
+    "small_batch": "75605b2301264cca8ea322c772f3d70647fc2487f09f8851ef44d13859183057",
+    "large_batch_noisy": "e6f0c41810fe79bd461268c313b59e94541f5eced720a53577d2abab83923535",
+    "curvature_heavy": "2972c46db73200c15f39705762a06667451c27d2b40ab507688d2cda88e6707b",
+}
+
+
+def workload_config(name: str, seed: int) -> dict:
+    cfg = copy.deepcopy(QUICKSTART)
+    changes = {**WORKLOADS[name], "grid.base_seed": seed, "data.seed": seed}
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        section = cfg
+        for part in parents:
+            section = section[part]
+        section[key] = copy.deepcopy(value)
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_results_csv_pinned(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(workload_config(name, 1)))
+    cells, _ = run_sweep(parse_grid(load_config(path)), workers=1)
+    assert sha256(results_to_csv(cells).encode()) == WORKLOAD_SHA256[name]
