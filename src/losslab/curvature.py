@@ -64,7 +64,6 @@ def top_eigenvalue(
     batch: Batch,
     weight_decay: float,
     cfg: CurvatureConfig,
-    data_weight: float = 1.0,
 ) -> PowerIterResult:
     """Dominant-magnitude Hessian eigenvalue by power iteration.
 
@@ -79,7 +78,7 @@ def top_eigenvalue(
     prev = None
     lam = 0.0
     for it in range(1, cfg.max_iter + 1):
-        hv = hvp(spec, theta, batch, weight_decay, work, data_weight).values
+        hv = hvp(spec, theta, batch, weight_decay, work).values
         norm = float(np.linalg.norm(hv))
         if norm == 0.0:
             return PowerIterResult(value=0.0, iterations=it, degenerate=True)
@@ -97,7 +96,6 @@ def trace_hutchinson(
     batch: Batch,
     weight_decay: float,
     cfg: CurvatureConfig,
-    data_weight: float = 1.0,
 ) -> TraceResult:
     """Hessian trace as the running mean of z^T H z over Rademacher probes."""
     rng = Rng(cfg.seed).split("hutchinson")
@@ -106,7 +104,7 @@ def trace_hutchinson(
     mean = 0.0
     for k in range(1, cfg.max_iter + 1):
         z = ParamVector(spec.layout(), rng.rademacher(spec.param_count))
-        hz = hvp(spec, theta, batch, weight_decay, z, data_weight).values
+        hz = hvp(spec, theta, batch, weight_decay, z).values
         total += float(z.values @ hz)
         mean = total / k
         if mean_prev is not None and _rel_change(mean, mean_prev) < cfg.rtol:

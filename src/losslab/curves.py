@@ -127,7 +127,6 @@ def train_curve(
     ds: Dataset,
     cfg: CurveTrainConfig | Sequence[CurveTrainConfig],
     weight_decay: float = 0.0,
-    data_weight: float = 1.0,
 ):
     """Minimize the loss along the curve over the interior bends only.
 
@@ -143,14 +142,14 @@ def train_curve(
     if ds.dim != spec.input_dim:
         raise DimensionError("dataset dimension does not match the model spec")
     if isinstance(curve, BezierCurve):
-        [trained] = _train_stack(spec, [curve], ds, [cfg], weight_decay, data_weight)
+        [trained] = _train_stack(spec, [curve], ds, [cfg], weight_decay)
         if isinstance(trained, DivergenceError):
             raise trained
         return trained
-    return _train_stack(spec, curve, ds, cfg, weight_decay, data_weight)
+    return _train_stack(spec, curve, ds, cfg, weight_decay)
 
 
-def _train_stack(spec, curves, ds, cfgs, weight_decay, data_weight):
+def _train_stack(spec, curves, ds, cfgs, weight_decay):
     cfg = cfgs[0] if cfgs else None
     if (cfg is None or len(curves) != len(cfgs)
             or any(replace(c, seed=cfg.seed) != cfg for c in cfgs)):
@@ -182,7 +181,7 @@ def _train_stack(spec, curves, ds, cfgs, weight_decay, data_weight):
                 coeffs = np.array([bernstein(k, rngs[c].uniform()) for c in active])
                 _combine(coeffs, controls, gamma.values)
                 batch = Batch(ds.X[idx], ds.y[idx])
-                losses, _ = loss_grad(spec, gamma, batch, weight_decay, data_weight, grad)
+                losses, _ = loss_grad(spec, gamma, batch, weight_decay, grad)
                 # a diverged curve rides along until the epoch ends; rows never mix
                 finite &= np.isfinite(losses)
                 for j in range(1, k):
@@ -235,12 +234,11 @@ def curve_profile(
     curve: BezierCurve,
     ds: Dataset,
     t_grid: tuple[float, ...] = DEFAULT_T_GRID,
-    weight_decay: float = 0.0,
 ) -> CurveProfile:
     errs = []
     ces = []
     for t in sorted(t_grid):
-        res = evaluate(spec, curve_point(curve, t), ds, weight_decay)
+        res = evaluate(spec, curve_point(curve, t), ds)
         errs.append(res.err01)
         ces.append(res.loss)
     return CurveProfile(tuple(sorted(t_grid)), errs, ces)

@@ -25,13 +25,12 @@ SPIRAL_PHI_MAX = 3.0 * math.pi
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer labels; clean_y kept once labels are randomized."""
+    """Feature matrix with integer labels."""
 
     X: np.ndarray
     y: np.ndarray
     num_classes: int
     name: str = "dataset"
-    clean_y: np.ndarray | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -42,10 +41,6 @@ class Dataset:
             raise ParameterError("dataset must contain at least one row")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.num_classes):
             raise ParameterError("labels must lie in [0, num_classes)")
-        if self.clean_y is not None:
-            self.clean_y = np.asarray(self.clean_y, dtype=np.int64).ravel()
-            if self.clean_y.size != self.y.size:
-                raise ParameterError("clean_y length differs from y")
 
     @property
     def n(self) -> int:
@@ -122,16 +117,6 @@ def gen_spirals(n: int, num_classes: int, noise: float, seed: int) -> Dataset:
     return Dataset(np.vstack(rows), np.array(labels), num_classes, name="spirals")
 
 
-def write_csv(ds: Dataset, path) -> None:
-    """Canonical CSV form: header comment, '%.17g' floats, LF endings."""
-    lines = [f"# d={ds.dim} classes={ds.num_classes}\n"]
-    for i in range(ds.n):
-        feats = ",".join("%.17g" % v for v in ds.X[i])
-        lines.append(f"{feats},{ds.y[i]}\n")
-    with open(path, "w", newline="") as fh:
-        fh.writelines(lines)
-
-
 def load_csv(path) -> Dataset:
     with open(path, "r") as fh:
         raw = fh.readlines()
@@ -172,7 +157,6 @@ def randomize_labels(ds: Dataset, frac: float, seed: int) -> Dataset:
         raise ParameterError("frac must lie in [0, 1]")
     if ds.num_classes < 2:
         raise ParameterError("label randomization needs num_classes >= 2")
-    clean = ds.clean_y if ds.clean_y is not None else ds.y.copy()
     y = ds.y.copy()
     k = round(frac * ds.n)
     if k:
@@ -183,7 +167,7 @@ def randomize_labels(ds: Dataset, frac: float, seed: int) -> Dataset:
             if other >= y[i]:
                 other += 1
             y[i] = other
-    return Dataset(ds.X.copy(), y, ds.num_classes, name=ds.name, clean_y=clean)
+    return Dataset(ds.X.copy(), y, ds.num_classes, name=ds.name)
 
 
 def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
@@ -191,8 +175,7 @@ def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
     if not 1 <= n_keep <= ds.n:
         raise ParameterError(f"n_keep must lie in [1, {ds.n}]")
     idx = Rng(seed).choose(ds.n, n_keep)
-    clean = ds.clean_y[idx] if ds.clean_y is not None else None
-    return Dataset(ds.X[idx].copy(), ds.y[idx].copy(), ds.num_classes, ds.name, clean)
+    return Dataset(ds.X[idx].copy(), ds.y[idx].copy(), ds.num_classes, ds.name)
 
 
 def perturb_uniform(data, magnitude: float, seed: int):
@@ -201,9 +184,9 @@ def perturb_uniform(data, magnitude: float, seed: int):
         raise ParameterError("magnitude must be >= 0")
     if isinstance(data, Dataset):
         if magnitude == 0:
-            return Dataset(data.X.copy(), data.y.copy(), data.num_classes, data.name, data.clean_y)
+            return Dataset(data.X.copy(), data.y.copy(), data.num_classes, data.name)
         noise = Rng(seed).uniforms(data.X.size).reshape(data.X.shape) * magnitude
-        return Dataset(data.X + noise, data.y.copy(), data.num_classes, data.name, data.clean_y)
+        return Dataset(data.X + noise, data.y.copy(), data.num_classes, data.name)
     if isinstance(data, ProbeSet):
         source = f"pixel_noise(u={magnitude:g})" if data.source == "raw" else f"{data.source}+uniform(0,{magnitude:g})"
         if magnitude == 0:

@@ -7,9 +7,8 @@ graph.  The Hessian-vector product is the Pearlmutter R-operator:
 tangents are pushed through the forward pass and the backward pass is
 differentiated once more, with no finite differences anywhere.
 
-Loss convention: ``loss = data_weight * mean_CE + wd * ||theta||^2``.
-``data_weight`` exists so tests can switch the data term off and work
-against the analytically known pure-quadratic penalty.
+The one loss is ``mean_CE + wd * ||theta||^2``: every gradient, Hessian
+product and curvature estimate in the package is of this objective.
 
 ``ParamVector`` and ``Batch`` may carry a leading model axis: R models'
 parameters as one ``(R, P)`` array and their minibatches as ``(R, B, d)``.
@@ -29,6 +28,9 @@ from .errors import DimensionError, ParameterError
 from .rng import Rng
 
 LayoutEntry = tuple[int, str, tuple[int, ...]]
+
+# Most parameters ``exact_hessian`` assembles a dense Hessian for.
+MAX_DENSE_PARAMS = 2000
 
 
 class Layout(tuple):
@@ -240,7 +242,6 @@ def loss_grad(
     theta: ParamVector,
     batch: Batch,
     weight_decay: float,
-    data_weight: float = 1.0,
     out: ParamVector | None = None,
 ):
     """Regularized cross-entropy loss and its exact gradient.
@@ -259,18 +260,18 @@ def loss_grad(
     if theta.values.ndim == 1:  # one model is a stack of one
         losses = _stacked_loss_grad(
             spec, ParamVector(theta.layout, theta.values[None]), batch.X[None], batch.y[None],
-            weight_decay, data_weight, ParamVector(grad.layout, grad.values[None]))
+            weight_decay, ParamVector(grad.layout, grad.values[None]))
         return float(losses[0]), grad
-    return _stacked_loss_grad(spec, theta, batch.X, batch.y, weight_decay, data_weight, grad), grad
+    return _stacked_loss_grad(spec, theta, batch.X, batch.y, weight_decay, grad), grad
 
 
-def _stacked_loss_grad(spec, theta, X, y, weight_decay, data_weight, grad) -> np.ndarray:
+def _stacked_loss_grad(spec, theta, X, y, weight_decay, grad) -> np.ndarray:
     """Per-model losses of a stack; the stacked gradient goes into ``grad``."""
     acts, zs, logits = _forward_trace(spec, theta, X)
     r, n = y.shape
     pick = (np.arange(r)[:, None], np.arange(n), y)
     shifted, e, s = _shifted_exp(logits)
-    losses = data_weight * (np.log(s) - shifted[pick]).mean(axis=1)
+    losses = (np.log(s) - shifted[pick]).mean(axis=1)
     losses += weight_decay * sq_norms(theta.values)
 
     gpairs = grad.views()
@@ -285,7 +286,6 @@ def _stacked_loss_grad(spec, theta, X, y, weight_decay, data_weight, grad) -> np
         if l > 0:
             g = (g @ wpairs[l][0].swapaxes(1, 2)) * (zs[l - 1] > 0.0)
 
-    grad.values *= data_weight
     grad.values += (2.0 * weight_decay) * theta.values
     return losses
 
@@ -296,7 +296,6 @@ def hvp(
     batch: Batch,
     weight_decay: float,
     v: ParamVector,
-    data_weight: float = 1.0,
 ) -> ParamVector:
     """Hessian-vector product by forward-over-reverse differentiation."""
     if batch.size == 0:
@@ -339,7 +338,6 @@ def hvp(
             rg = (rg @ wpairs[l][0].T + g @ vpairs[l][0].T) * mask
             g = (g @ wpairs[l][0].T) * mask
 
-    out.values *= data_weight
     out.values += (2.0 * weight_decay) * v.values
     return out
 
@@ -349,21 +347,19 @@ def exact_hessian(
     theta: ParamVector,
     batch: Batch,
     weight_decay: float,
-    data_weight: float = 1.0,
-    max_params: int = 2000,
 ) -> np.ndarray:
     """Dense Hessian assembled column-by-column from basis-vector HVPs.
 
     Test oracle for the iterative curvature estimators; guarded so it is
-    never called on more than ``max_params`` parameters.
+    never called on more than ``MAX_DENSE_PARAMS`` parameters.
     """
     p = spec.param_count
-    if p > max_params:
-        raise ParameterError(f"exact_hessian guard: {p} parameters exceeds {max_params}")
+    if p > MAX_DENSE_PARAMS:
+        raise ParameterError(f"exact_hessian guard: {p} parameters exceeds {MAX_DENSE_PARAMS}")
     h = np.empty((p, p), dtype=np.float64)
     basis = ParamVector.zeros(spec)
     for j in range(p):
         basis.values[:] = 0.0
         basis.values[j] = 1.0
-        h[:, j] = hvp(spec, theta, batch, weight_decay, basis, data_weight).values
+        h[:, j] = hvp(spec, theta, batch, weight_decay, basis).values
     return h

@@ -177,8 +177,6 @@ class Rng:
     splitmix64 outputs of the seed.
     """
 
-    ALGORITHM = "xoshiro256++"
-
     __slots__ = ("seed", "_s")
 
     def __init__(self, seed: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -111,6 +112,11 @@ class Axis:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ParameterError("axis needs at least one value")
+        for v in self.values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ParameterError(f"axis values must be numbers, got {v!r}")
+            if self.kind in _INT_KINDS and not float(v).is_integer():
+                raise ParameterError(f"{self.kind} axis values must be integers, got {v!r}")
         diffs = np.diff(np.asarray(self.values, dtype=np.float64))
         if len(self.values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ParameterError(f"axis values must be strictly monotone: {self.values}")

@@ -66,8 +66,6 @@ class TrainConfig:
     plateau_eps: float = 1e-4
     plateau_epochs: int = 5
     schedule: LinearDecay | None = None
-    linear_scale_lr: bool = False
-    reference_batch: int = 128
     seed: int = 0
 
     def __post_init__(self):
@@ -80,14 +78,6 @@ class TrainConfig:
             raise ConfigError("train.weight_decay", "must be >= 0")
         if self.max_epochs < 1:
             raise ConfigError("train.max_epochs", "must be >= 1")
-        if self.reference_batch < 1:
-            raise ConfigError("train.reference_batch", "must be >= 1")
-
-    @property
-    def effective_lr(self) -> float:
-        if self.linear_scale_lr:
-            return self.lr * (self.batch_size / self.reference_batch)
-        return self.lr
 
 
 def schedule_lr(epoch: int, base_lr: float, schedule: LinearDecay | None) -> float:
@@ -101,12 +91,6 @@ def schedule_lr(epoch: int, base_lr: float, schedule: LinearDecay | None) -> flo
     span = schedule.end_epoch - schedule.start_epoch
     frac = (epoch - schedule.start_epoch) / span
     return base_lr * (1.0 - frac * (1.0 - schedule.final_fraction))
-
-
-def linear_decay_lr(epoch: int, cfg: TrainConfig) -> float:
-    if cfg.schedule is None:
-        raise ConfigError("train.schedule", "linear_decay_lr requires a linear_decay schedule")
-    return schedule_lr(epoch, cfg.effective_lr, cfg.schedule)
 
 
 @dataclass
@@ -205,7 +189,6 @@ def sgd_train(
     train: Dataset,
     test: Dataset,
     cfg: TrainConfig | Sequence[TrainConfig],
-    data_weight: float = 1.0,
 ):
     """Train an MLP, returning the epoch-end weights with lowest training loss.
 
@@ -222,11 +205,11 @@ def sgd_train(
     _check_dims(spec, train, "train")
     _check_dims(spec, test, "test")
     if isinstance(cfg, TrainConfig):
-        [theta], [history] = _train_stack(spec, train, test, [cfg], data_weight)
+        [theta], [history] = _train_stack(spec, train, test, [cfg])
         if isinstance(theta, DivergenceError):
             raise theta
         return theta, history
-    return _train_stack(spec, train, test, cfg, data_weight)
+    return _train_stack(spec, train, test, cfg)
 
 
 @dataclass
@@ -241,13 +224,12 @@ class _Replicate:
     streak: int = 0
 
 
-def _train_stack(spec, train, test, cfgs, data_weight):
+def _train_stack(spec, train, test, cfgs):
     cfg = cfgs[0] if cfgs else None
     if cfg is None or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ParameterError("replicates trained together must share every setting but the seed")
     layout = spec.layout()
     wd = cfg.weight_decay
-    base_lr = cfg.effective_lr
     reps = []
     for c in cfgs:
         rng = Rng(c.seed)
@@ -258,13 +240,13 @@ def _train_stack(spec, train, test, cfgs, data_weight):
     for epoch in range(cfg.max_epochs):
         grad = ParamVector(layout, np.empty_like(theta.values))
         finite = np.ones(len(active), dtype=bool)
-        lr_t = schedule_lr(epoch, base_lr, cfg.schedule)
+        lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
         # overflow on the way to a non-finite loss is expected and ends
         # the replicate, so the numpy warnings are just noise here
         with np.errstate(over="ignore", invalid="ignore"):
             for idx in epoch_batches(train.n, cfg.batch_size, [rep.rng for rep in active]):
                 batch = Batch(train.X[idx], train.y[idx])
-                losses, _ = loss_grad(spec, theta, batch, wd, data_weight, grad)
+                losses, _ = loss_grad(spec, theta, batch, wd, grad)
                 # a replicate that diverged rides along until the epoch ends;
                 # the rows never mix, so the others are unaffected
                 finite &= np.isfinite(losses)
@@ -272,7 +254,7 @@ def _train_stack(spec, train, test, cfgs, data_weight):
 
             train_eval = evaluate(spec, theta, train)
             test_eval = evaluate(spec, theta, test)
-            epoch_losses = data_weight * train_eval.loss + wd * sq_norms(theta.values)
+            epoch_losses = train_eval.loss + wd * sq_norms(theta.values)
             keep = []
             for i, rep in enumerate(active):
                 epoch_loss = float(epoch_losses[i])

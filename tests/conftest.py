@@ -84,3 +84,25 @@ def smooth_hvp_instance(start_seed, h, direction_seed=0, **kw):
         if len(spec.hidden_widths) == 0 or fd_hvp_applicable(spec, theta, batch, v, h):
             return spec, theta, batch, v
         seed += 1
+
+
+def penalty_only_instance(seed=0, widths=(5,), d=3, c=3, batch=8):
+    """A (spec, theta, batch) triple whose data term is exactly zero.
+
+    Weights come from ``he_init``.  Hidden biases of -1e4 switch every
+    ReLU off, and an output bias of ``[1e4, 0, ...]`` with every label 0
+    puts all softmax mass on the true class (``exp(-1e4)`` underflows to
+    0).  The cross-entropy, its gradient and its Hessian are then exactly
+    0, so the loss is the penalty ``wd * ||theta||^2`` alone: gradient
+    ``2 * wd * theta`` and Hessian ``2 * wd * I``.
+    """
+    r = Rng(seed)
+    spec = ModelSpec(input_dim=d, hidden_widths=widths, num_classes=c)
+    theta = he_init(spec, r.split("init"))
+    views = theta.views()
+    for _, b in views[:-1]:
+        b[...] = -1e4
+    views[-1][1][...] = 0.0
+    views[-1][1][0] = 1e4
+    x = r.split("data").normals(batch * d).reshape(batch, d)
+    return spec, theta, Batch(x, np.zeros(batch, dtype=np.int64))

@@ -21,7 +21,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "9374b9c546de7cfd19df98f47a887b32965760c209ba591a664d92916a214f0a"
+GOLDEN_SHA256 = "a7c687c17d1e3414bdb655a9dedd4b5eddc2a75a4cc43e602707c3bc8f3fb5ef"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")
@@ -153,10 +153,25 @@ def misspelled_plateau_eps(cfg):
     cfg["train"]["plateu_eps"] = cfg["train"].pop("plateau_eps")
 
 
+def text_axis_values(cfg):
+    cfg["grid"]["load"]["values"] = ["a", "b"]
+
+
+def fractional_width(cfg):
+    cfg["grid"]["load"] = {"kind": "width", "values": [2.5, 16]}
+
+
+def linear_scale_lr(cfg):
+    cfg["train"]["linear_scale_lr"] = True
+
+
 @pytest.mark.parametrize("command,edit,message", [
     ("train", without_lr, "train.lr: missing required field"),
     ("train", negative_weight_decay, "train.weight_decay: must be >= 0"),
     ("sweep", misspelled_plateau_eps, "train.plateu_eps: unknown field"),
+    ("sweep", text_axis_values, "grid.load: axis values must be numbers, got 'a'"),
+    ("sweep", fractional_width, "grid.load: width axis values must be integers, got 2.5"),
+    ("train", linear_scale_lr, "train.linear_scale_lr: unknown field"),
 ])
 def test_config_error_exits_2(workdir, monkeypatch, command, edit, message):
     cfg = small_config()

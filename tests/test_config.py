@@ -105,6 +105,15 @@ ERRORS = [
      "train.schedule"),
     ("curve.schedule", {"start_epoch": 5, "end_epoch": 2, "final_fraction": 0.1},
      "curve.schedule"),
+    ("grid.load.values", ["a", "b"], "grid.load"),
+    ("grid.load", {"kind": "width", "values": [2.5, 16]}, "grid.load"),
+    ("grid.load", {"kind": "n_samples", "values": [100, 200.5]}, "grid.load"),
+    ("grid.temp.values", [4, True], "grid.temp"),
+    ("grid.temp.values", [None, 16], "grid.temp"),
+    ("grid.temp.values", [4, math.inf], "grid.temp"),
+    ("grid.temp", {"kind": "lr", "values": ["0.1"]}, "grid.temp"),
+    ("train.linear_scale_lr", True, "train.linear_scale_lr"),
+    ("train.reference_batch", 64, "train.reference_batch"),
 ]
 
 
@@ -158,6 +167,15 @@ def test_sweep_with_bad_config_exits_2(sweep_cfg, tmp_path, capsys):
                      "--workers", "1"])
     assert code == 2
     assert "train.lr" in capsys.readouterr().err
+
+
+def test_axis_values_are_kept_as_given(sweep_cfg):
+    cfg = edited(sweep_cfg, "grid.load", {"kind": "width", "values": [2.0, 16]})
+    values = parse_grid(cfg).load_axis.values
+    assert values == (2.0, 16) and [type(v) for v in values] == [float, int]
+    cfg = edited(sweep_cfg, "grid.temp", {"kind": "lr", "values": [0.01, 1]})
+    values = parse_grid(cfg).temp_axis.values
+    assert values == (0.01, 1) and [type(v) for v in values] == [float, int]
 
 
 @pytest.mark.parametrize("eps_mc", ["wide", -1.0])

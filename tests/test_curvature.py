@@ -12,6 +12,8 @@ from losslab.errors import ParameterError
 from losslab.model import Batch, ModelSpec, exact_hessian, he_init, hvp, ParamVector
 from losslab.rng import Rng
 
+from conftest import penalty_only_instance
+
 
 def small_instance(seed=0, widths=(5,), d=3, c=4, batch=16):
     # 3 -> 5 -> 4 has 44 parameters
@@ -30,12 +32,13 @@ def dominant_eig(h):
 
 
 def test_isotropic_hessian_exact():
-    spec, theta, batch = small_instance()
+    # the data term's Hessian is exactly zero, so H = 2 * lam * I
+    spec, theta, batch = penalty_only_instance(c=4, batch=16)
     lam = 0.1
     cfg = CurvatureConfig(seed=3)
-    res = top_eigenvalue(spec, theta, batch, lam, cfg, data_weight=0.0)
+    res = top_eigenvalue(spec, theta, batch, lam, cfg)
     assert abs(res.value - 0.2) < 1e-9
-    tr = trace_hutchinson(spec, theta, batch, lam, cfg, data_weight=0.0)
+    tr = trace_hutchinson(spec, theta, batch, lam, cfg)
     # every probe hits exactly 2*lam*P, so the mean settles at probe two
     assert tr.probes == 2
     assert abs(tr.value - 0.2 * spec.param_count) < 1e-9
@@ -61,9 +64,10 @@ def test_power_iteration_deterministic():
 
 
 def test_power_iteration_degenerate_zero_hessian():
-    spec, theta, batch = small_instance()
-    # zero weight decay and zero data weight gives an exactly-zero Hessian
-    res = top_eigenvalue(spec, theta, batch, 0.0, CurvatureConfig(seed=1), data_weight=0.0)
+    # zero weight decay on a net whose data term is exactly zero gives an
+    # exactly-zero Hessian
+    spec, theta, batch = penalty_only_instance(c=4, batch=16)
+    res = top_eigenvalue(spec, theta, batch, 0.0, CurvatureConfig(seed=1))
     assert res.degenerate
     assert res.value == 0.0
 

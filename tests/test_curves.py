@@ -16,11 +16,13 @@ from losslab.curves import (
     mode_connectivity,
     train_curve,
 )
-from losslab.datasets import gen_blobs
+from losslab.datasets import Dataset, gen_blobs
 from losslab.errors import DimensionError, DivergenceError, ParameterError
 from losslab.model import ModelSpec, ParamVector, he_init
 from losslab.rng import Rng
-from losslab.train import LinearDecay, TrainConfig, evaluate, sgd_train
+from losslab.train import LinearDecay, TrainConfig, epoch_batches, evaluate, sgd_train
+
+from conftest import penalty_only_instance
 
 
 def make_endpoints(seed=0, spec=None):
@@ -104,11 +106,13 @@ def test_train_curve_zero_lr_keeps_bends():
 
 
 def test_train_curve_lowers_midpoint_loss_on_quadratic():
-    # pure penalty surrogate: loss = wd * ||theta||^2, minimized at the origin
-    spec = ModelSpec(input_dim=2, hidden_widths=(), num_classes=2)
-    a = ParamVector(spec.layout(), np.array([2.0, 1.0, -1.5, 0.5, 1.0, 2.0]))
-    b = ParamVector(spec.layout(), np.array([1.5, 2.0, 1.0, -0.5, 2.0, 1.0]))
-    ds = gen_blobs(n=20, num_classes=2, dim=2, spread=0.2, seed=11)
+    # Both endpoints, and so every point of the curve, have a data term
+    # that is exactly zero (see penalty_only_instance), so the loss is
+    # the penalty wd * ||theta||^2 alone: each step moves the bend by
+    # lr * b_1(t) * 2 * wd * gamma(t).
+    spec, a, batch = penalty_only_instance(seed=0, batch=20)
+    _, b, _ = penalty_only_instance(seed=1, batch=20)
+    ds = Dataset(batch.X, batch.y, spec.num_classes)
     wd = 0.5
 
     def mid_loss(curve):
@@ -117,9 +121,18 @@ def test_train_curve_lowers_midpoint_loss_on_quadratic():
 
     curve = init_curve(a, b, k=2)
     initial = mid_loss(curve)
-    cfg = CurveTrainConfig(epochs=20, lr=0.05, schedule=None, batch_size=20, seed=12)
-    trained = train_curve(spec, curve, ds, cfg, weight_decay=wd, data_weight=0.0)
+    cfg = CurveTrainConfig(epochs=20, lr=0.05, schedule=None, batch_size=10, seed=12)
+    trained = train_curve(spec, curve, ds, cfg, weight_decay=wd)
     assert mid_loss(trained) < initial
+
+    rng = Rng(cfg.seed)
+    bend = curve.controls[1].values.copy()
+    for _ in range(cfg.epochs):
+        for _ in epoch_batches(ds.n, cfg.batch_size, rng):
+            c = bernstein(2, rng.uniform())
+            gamma = c[0] * a.values + c[1] * bend + c[2] * b.values
+            bend -= (cfg.lr * c[1]) * ((2.0 * wd) * gamma)
+    assert np.array_equal(trained.controls[1].values, bend)
 
 
 def test_train_curve_divergence():

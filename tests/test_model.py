@@ -18,7 +18,12 @@ from losslab.model import (
 )
 from losslab.rng import Rng
 
-from conftest import random_instance, smooth_grad_instance, smooth_hvp_instance
+from conftest import (
+    penalty_only_instance,
+    random_instance,
+    smooth_grad_instance,
+    smooth_hvp_instance,
+)
 from oracles import central_diff_grad, central_diff_hvp, jacobi_eigenvalues, mlp_forward_loops
 
 
@@ -90,10 +95,17 @@ def test_zero_theta_loss_is_log_c():
 
 
 def test_regularizer_gradient_vanishes_at_origin():
-    spec, _, batch = small_net()
-    theta = ParamVector.zeros(spec)
-    _, grad = loss_grad(spec, theta, batch, weight_decay=0.7, data_weight=0.0)
+    # with the data term exactly zero, the loss and gradient are the
+    # penalty's alone: wd * ||theta||^2 and 2 * wd * theta, which vanish
+    # at the origin and for wd = 0
+    spec, theta, batch = penalty_only_instance()
+    loss, grad = loss_grad(spec, theta, batch, weight_decay=0.0)
+    assert loss == 0.0
     assert np.all(grad.values == 0.0)
+    wd = 0.7
+    loss, grad = loss_grad(spec, theta, batch, weight_decay=wd)
+    assert loss == wd * float(theta.values @ theta.values)
+    assert np.array_equal(grad.values, (2.0 * wd) * theta.values)
 
 
 def test_empty_batch_rejected():
@@ -103,9 +115,9 @@ def test_empty_batch_rejected():
         loss_grad(spec, theta, empty, weight_decay=0.0)
 
 
-def grad_flat(spec, batch, wd, values, layout, data_weight=1.0):
+def grad_flat(spec, batch, wd, values, layout):
     theta = ParamVector(layout, values)
-    return loss_grad(spec, theta, batch, wd, data_weight)[1].values
+    return loss_grad(spec, theta, batch, wd)[1].values
 
 
 def test_gradient_matches_central_differences():
@@ -143,12 +155,14 @@ def test_hvp_zero_vector():
 
 
 def test_hvp_pure_quadratic_penalty():
-    spec, theta, batch = small_net(seed=4)
-    lam = 0.1
+    # the data term's Hessian is exactly zero, so H v = 2 * wd * v bitwise
+    spec, theta, batch = penalty_only_instance(seed=4)
     r = Rng(77)
     v = ParamVector(spec.layout(), r.normals(spec.param_count))
-    out = hvp(spec, theta, batch, weight_decay=lam, v=v, data_weight=0.0)
-    assert np.allclose(out.values, 2.0 * lam * v.values, rtol=1e-12, atol=1e-15)
+    assert np.all(hvp(spec, theta, batch, weight_decay=0.0, v=v).values == 0.0)
+    lam = 0.1
+    out = hvp(spec, theta, batch, weight_decay=lam, v=v)
+    assert np.array_equal(out.values, 0.2 * v.values)
 
 
 def test_hvp_matches_finite_difference_of_gradients():

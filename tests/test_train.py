@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from losslab.train import (
     TrainConfig,
     epoch_batches,
     evaluate,
-    linear_decay_lr,
     load_checkpoint,
     save_checkpoint,
     schedule_lr,
@@ -46,19 +46,29 @@ def test_zero_lr_keeps_initialization_bits():
 
 
 def test_quadratic_surrogate_matches_closed_form():
-    train, test = tiny_task()
-    spec = ModelSpec(input_dim=4, hidden_widths=(), num_classes=3)
+    # All-zero inputs with two balanced classes: every ReLU is off and
+    # the biases stay 0, so the logits are 0 and p = 1/2 exactly.  On the
+    # full batch the per-row data gradients (+-1/2 over 64 rows, a power
+    # of two) cancel exactly, and SGD is gradient descent on the penalty
+    # alone: theta_t = theta_0 * (1 - 2 * lr * lam) ** t.
+    data = Dataset(np.zeros((64, 4)), np.tile([0, 1], 32), num_classes=2)
+    spec = ModelSpec(input_dim=4, hidden_widths=(5,), num_classes=2)
     lam, lr, epochs = 0.1, 0.5, 12
-    cfg = TrainConfig(batch_size=train.n, lr=lr, weight_decay=lam,
+    cfg = TrainConfig(batch_size=data.n, lr=lr, weight_decay=lam,
                       max_epochs=epochs, plateau_eps=0.0, seed=3)
-    theta, history = sgd_train(spec, train, test, cfg, data_weight=0.0)
+    theta, history = sgd_train(spec, data, data, cfg)
     theta0 = he_init(spec, Rng(3))
     factor = (1.0 - 2.0 * lr * lam) ** epochs
     expected = theta0.values * factor
     denom = np.abs(expected) + 1e-300
     assert np.max(np.abs(theta.values - expected) / denom) < 1e-12
+    replica = theta0.values.copy()
+    for _ in range(epochs):
+        replica -= lr * ((2.0 * lam) * replica)
+    assert np.array_equal(theta.values, replica)
     losses = [r.train_loss for r in history.records]
     assert all(b < a for a, b in zip(losses, losses[1:]))  # strict decrease
+    assert losses[-1] == math.log(2.0) + lam * float(theta.values @ theta.values)
 
 
 def test_blobs_reach_full_train_accuracy():
@@ -134,25 +144,17 @@ def test_divergence_raises_with_epoch():
     assert err.value.epoch >= 0
 
 
-def test_linear_scale_lr():
-    cfg = TrainConfig(batch_size=256, lr=0.05, reference_batch=128, linear_scale_lr=True)
-    assert cfg.effective_lr == 0.05 * 2.0
-    plain = TrainConfig(batch_size=256, lr=0.05, reference_batch=128)
-    assert plain.effective_lr == 0.05
-
-
 def test_linear_decay_schedule_values():
     sched = LinearDecay(start_epoch=25, end_epoch=45, final_fraction=0.01)
-    cfg = TrainConfig(lr=0.01, schedule=sched)
-    assert linear_decay_lr(10, cfg) == 0.01
-    assert abs(linear_decay_lr(45, cfg) - 0.01 * 0.01) < 1e-18
-    assert abs(linear_decay_lr(60, cfg) - 0.01 * 0.01) < 1e-18
-    mid = linear_decay_lr(35, cfg)
+    assert schedule_lr(10, 0.01, sched) == 0.01
+    assert abs(schedule_lr(45, 0.01, sched) - 0.01 * 0.01) < 1e-18
+    assert abs(schedule_lr(60, 0.01, sched) - 0.01 * 0.01) < 1e-18
+    mid = schedule_lr(35, 0.01, sched)
     assert abs(mid - 0.505 * 0.01) < 1e-15
     with pytest.raises(ConfigError):
         LinearDecay(start_epoch=45, end_epoch=45, final_fraction=0.01)
-    with pytest.raises(ConfigError):
-        linear_decay_lr(0, TrainConfig())
+    # without a schedule every epoch runs at the base rate
+    assert [schedule_lr(e, 0.01, None) for e in (0, 35, 60)] == [0.01] * 3
 
 
 def test_evaluate_zero_theta_argmax_ties_to_class_zero():
