@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 
@@ -19,6 +20,7 @@ from losslab.model import (
 from losslab.rng import Rng
 
 from conftest import (
+    mlp_instance,
     penalty_only_instance,
     random_instance,
     smooth_grad_instance,
@@ -263,3 +265,47 @@ def test_param_vector_length_must_match_layout():
     spec = ModelSpec(input_dim=3, hidden_widths=(4,), num_classes=2)
     with pytest.raises(DimensionError):
         ParamVector(spec.layout(), np.zeros(spec.param_count + 1))
+
+
+# Pinned before the Hessian operator replaced hvp's per-call primal passes:
+# sha256 of the little-endian float64 bytes of every output, in order.
+HVP_GOLDEN_SHA256 = "9a7cfa074cb30d5b2716f7f8584f516da0422d2a6a219178537322b2ea1e6d2f"
+EXACT_HESSIAN_GOLDEN_SHA256 = {
+    "random_instance(21)": "393c443c6b78d45450265c3b7cf971fc26b77b04c16c706b646a72438445fb0d",
+    "8-16-4/B64": "952c10d53d421ad290a7ab2d1e0f3de4d2a96073fc36ef9a0af626137df824ab",
+}
+
+
+def golden_vectors(spec, seed):
+    """One Gaussian, one Rademacher and one basis direction per instance."""
+    r = Rng(seed).split("golden_vectors")
+    p = spec.param_count
+    basis = np.zeros(p)
+    basis[seed % p] = 1.0
+    return [r.normals(p), r.rademacher(p), basis]
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_hvp_outputs_match_pinned_digest():
+    outputs = []
+    for seed in range(40):
+        spec, theta, batch = random_instance(seed)
+        wd = 0.0 if seed % 2 else 5e-4
+        for v in golden_vectors(spec, seed):
+            outputs.append(hvp(spec, theta, batch, wd, ParamVector(spec.layout(), v)).values)
+    assert digest(outputs) == HVP_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("name,instance", [
+    ("random_instance(21)", lambda: random_instance(21)),
+    ("8-16-4/B64", lambda: mlp_instance((8, 16, 4), 64, seed=3)),
+])
+def test_exact_hessian_matches_pinned_digest(name, instance):
+    spec, theta, batch = instance()
+    assert digest([exact_hessian(spec, theta, batch, 5e-4)]) == EXACT_HESSIAN_GOLDEN_SHA256[name]
