@@ -2,8 +2,10 @@
 
 Both estimators ride on the exact Hessian-vector product and share one
 frozen batch per measured model, so the two numbers describe the same
-local loss surface.  Stopping compares consecutive iterates against a
-relative tolerance.
+local loss surface.  Each builds one ``HessianOperator`` (the primal
+passes, once) and applies it through the module-level ``hvp``, one call
+per iteration or probe.  Stopping compares consecutive iterates against
+a relative tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ParameterError
-from .model import Batch, ModelSpec, ParamVector, hvp
+from .model import Batch, ModelSpec, ParamVector, hessian_operator, hvp
 from .rng import Rng
 
 
@@ -70,6 +72,7 @@ def top_eigenvalue(
     Returns the signed Rayleigh quotient; an exactly-zero product is
     reported as value 0 with the degenerate flag set.
     """
+    op = hessian_operator(spec, theta, batch, weight_decay)
     rng = Rng(cfg.seed).split("power_iteration")
     v = rng.normals(spec.param_count)
     v /= np.linalg.norm(v)
@@ -78,7 +81,7 @@ def top_eigenvalue(
     prev = None
     lam = 0.0
     for it in range(1, cfg.max_iter + 1):
-        hv = hvp(spec, theta, batch, weight_decay, work).values
+        hv = hvp(spec, op, batch, weight_decay, work).values
         norm = float(np.linalg.norm(hv))
         if norm == 0.0:
             return PowerIterResult(value=0.0, iterations=it, degenerate=True)
@@ -98,13 +101,14 @@ def trace_hutchinson(
     cfg: CurvatureConfig,
 ) -> TraceResult:
     """Hessian trace as the running mean of z^T H z over Rademacher probes."""
+    op = hessian_operator(spec, theta, batch, weight_decay)
     rng = Rng(cfg.seed).split("hutchinson")
     total = 0.0
     mean_prev = None
     mean = 0.0
     for k in range(1, cfg.max_iter + 1):
         z = ParamVector(spec.layout(), rng.rademacher(spec.param_count))
-        hz = hvp(spec, theta, batch, weight_decay, z).values
+        hz = hvp(spec, op, batch, weight_decay, z).values
         total += float(z.values @ hz)
         mean = total / k
         if mean_prev is not None and _rel_change(mean, mean_prev) < cfg.rtol:

@@ -7,6 +7,15 @@ graph.  The Hessian-vector product is the Pearlmutter R-operator:
 tangents are pushed through the forward pass and the backward pass is
 differentiated once more, with no finite differences anywhere.
 
+The curvature estimators apply one Hessian, at a fixed (theta, batch), 50
+to 100 times, so it is a ``HessianOperator``.  ``hessian_operator`` checks
+the shapes and runs the primal passes once, caching the activations, the
+ReLU masks (bool), the softmax and every layer's backward signal; each
+application then runs only the tangent passes, into ``(B, width)``
+workspaces the operator owns, and returns a fresh vector.  ``hvp`` and
+``exact_hessian`` build one and apply it; every result is bitwise what
+the full forward-over-reverse pass gives.
+
 The one loss is ``mean_CE + wd * ||theta||^2``: every gradient, Hessian
 product and curvature estimate in the package is of this objective.
 
@@ -290,56 +299,143 @@ def _stacked_loss_grad(spec, theta, X, y, weight_decay, grad) -> np.ndarray:
     return losses
 
 
-def hvp(
+def hessian_operator(
     spec: ModelSpec,
     theta: ParamVector,
     batch: Batch,
     weight_decay: float,
-    v: ParamVector,
-) -> ParamVector:
-    """Hessian-vector product by forward-over-reverse differentiation."""
+) -> "HessianOperator":
+    """The Hessian of one model's loss at ``(theta, batch)``, ready to apply.
+
+    Checks the shapes, then runs the primal passes once: the forward
+    activations, the ReLU masks, the softmax and every layer's backward
+    signal.  ``theta`` is copied, so later in-place edits of it do not
+    reach the operator.
+    """
     if batch.size == 0:
         raise ParameterError("empty batch")
     require_matching(spec, theta)
-    require_same_layout(theta, v)
+    X, y = batch.X, batch.y
+    if theta.values.ndim != 1 or X.ndim != 2:
+        raise DimensionError("the Hessian operator takes one model and a 2-D batch, not a stack")
+    if X.shape[1] != spec.input_dim:
+        raise DimensionError(f"batch input dimension {X.shape[1]} != input_dim {spec.input_dim}")
+    if y.min() < 0 or y.max() >= spec.num_classes:
+        raise DimensionError(f"batch labels span {y.min()}..{y.max()}, outside the "
+                             f"model's {spec.num_classes} classes")
 
-    acts, zs, logits = _forward_trace(spec, theta, batch.X)
+    theta = theta.copy()
+    weights = [w for w, _ in theta.views()]
+    acts, zs, logits = _forward_trace(spec, theta, X)
+    masks = [z > 0.0 for z in zs[:-1]]
     n = batch.size
-    wpairs = theta.views()
-    vpairs = v.views()
-    last = spec.num_layers - 1
-
-    # Tangents of activations pushed forward alongside the cached primals.
-    r_acts = [np.zeros_like(batch.X)]
-    ra = r_acts[0]
-    rz_last = None
-    for l, ((w, b), (vw, vb)) in enumerate(zip(wpairs, vpairs)):
-        rz = ra @ w + acts[l] @ vw + vb
-        if l < last:
-            ra = rz * (zs[l] > 0.0)
-            r_acts.append(ra)
-        else:
-            rz_last = rz
-
     p = softmax(logits)
-    rp = p * (rz_last - (p * rz_last).sum(axis=1, keepdims=True))
-    rg = rp / n
-    p[np.arange(n), batch.y] -= 1.0
-    g = p / n
+    g = p.copy()
+    g[np.arange(n), y] -= 1.0
+    g /= n
+    signals = [g]
+    for l in range(spec.num_layers - 1, 0, -1):
+        g = (g @ weights[l].T) * masks[l - 1]
+        signals.insert(0, g)
+    return HessianOperator(spec, batch, weight_decay, weights, acts, masks, p, signals)
 
-    out = ParamVector.zeros(spec)
-    opairs = out.views()
-    for l in range(last, -1, -1):
-        hw, hb = opairs[l]
-        hw[...] = r_acts[l].T @ g + acts[l].T @ rg
-        hb[...] = rg.sum(axis=0)
-        if l > 0:
-            mask = zs[l - 1] > 0.0
-            rg = (rg @ wpairs[l][0].T + g @ vpairs[l][0].T) * mask
-            g = (g @ wpairs[l][0].T) * mask
 
-    out.values += (2.0 * weight_decay) * v.values
-    return out
+class HessianOperator:
+    """Pearlmutter Hessian-vector products at one fixed (theta, batch, weight decay).
+
+    Built by ``hessian_operator``, which caches the primal passes.  Each
+    ``apply`` runs only the tangent passes, into ``(B, width)`` and
+    weight-shaped workspaces the operator owns, and returns a fresh
+    ``(P,)`` array.
+    """
+
+    def __init__(self, spec, batch, weight_decay, weights, acts, masks, p, signals):
+        self.spec = spec
+        self.layout = spec.layout()
+        self.batch = batch
+        self.weight_decay = weight_decay
+        self._weights = weights
+        self._acts = acts
+        self._masks = masks
+        self._p = p
+        self._signals = signals
+        n = batch.size
+        dims = spec.layer_dims
+        # _tangents[l] holds layer l's output tangent on the way forward and
+        # its backward tangent signal on the way back
+        self._tangents = [np.empty((n, d)) for d in dims[1:]]
+        self._scratch = [np.empty((n, d)) for d in dims[1:]]
+        self._weight_scratch = [np.empty(w.shape) for w in weights]
+        self._row_sums = np.empty((n, 1))
+        self._out = np.empty(spec.param_count)
+        self._out_views = ParamVector(self.layout, self._out).views()
+
+    def apply(self, v: ParamVector) -> np.ndarray:
+        """``H v`` as a new ``(P,)`` array."""
+        if v.layout is not self.layout and v.layout != self.layout:
+            raise DimensionError("parameter layouts do not match")
+        acts, ws, masks = self._acts, self._weights, self._masks
+        rs, ts = self._tangents, self._scratch
+        vpairs = v.views()
+        last = len(ws) - 1
+
+        # forward tangents; the input's tangent is zero, so layer 0 has no W product
+        for l, (vw, vb) in enumerate(vpairs):
+            if l == 0:
+                np.matmul(acts[0], vw, out=rs[0])
+            else:
+                np.matmul(rs[l - 1], ws[l], out=rs[l])
+                np.matmul(acts[l], vw, out=ts[l])
+                rs[l] += ts[l]
+            rs[l] += vb
+            if l < last:
+                rs[l] *= masks[l]
+
+        # tangent of the softmax cross-entropy's backward signal
+        p, rg = self._p, rs[last]
+        np.multiply(p, rg, out=ts[last])
+        np.sum(ts[last], axis=1, keepdims=True, out=self._row_sums)
+        rg -= self._row_sums
+        rg *= p
+        rg /= self.batch.size
+
+        for l in range(last, -1, -1):
+            hw, hb = self._out_views[l]
+            rg = rs[l]
+            if l == 0:
+                np.matmul(acts[0].T, rg, out=hw)
+            else:
+                np.matmul(rs[l - 1].T, self._signals[l], out=hw)
+                np.matmul(acts[l].T, rg, out=self._weight_scratch[l])
+                hw += self._weight_scratch[l]
+            np.sum(rg, axis=0, out=hb)
+            if l > 0:
+                np.matmul(rg, ws[l].T, out=ts[l - 1])
+                np.matmul(self._signals[l], vpairs[l][0].T, out=rs[l - 1])
+                rs[l - 1] += ts[l - 1]
+                rs[l - 1] *= masks[l - 1]
+
+        return self._out + (2.0 * self.weight_decay) * v.values
+
+
+def hvp(
+    spec: ModelSpec,
+    theta: "ParamVector | HessianOperator",
+    batch: Batch,
+    weight_decay: float,
+    v: ParamVector,
+) -> ParamVector:
+    """Hessian-vector product by forward-over-reverse differentiation.
+
+    ``theta`` is either the parameters, for a one-shot product (an operator
+    is built and applied once), or a ``HessianOperator`` built for this
+    spec, batch and weight decay, which is applied as it is.
+    """
+    if not isinstance(theta, HessianOperator):
+        theta = hessian_operator(spec, theta, batch, weight_decay)
+    elif theta.spec != spec or theta.batch is not batch or theta.weight_decay != weight_decay:
+        raise ParameterError("the operator was built for another spec, batch or weight decay")
+    return ParamVector(theta.layout, theta.apply(v))
 
 
 def exact_hessian(
@@ -348,7 +444,7 @@ def exact_hessian(
     batch: Batch,
     weight_decay: float,
 ) -> np.ndarray:
-    """Dense Hessian assembled column-by-column from basis-vector HVPs.
+    """Dense Hessian assembled column by column, one operator application per basis vector.
 
     Test oracle for the iterative curvature estimators; guarded so it is
     never called on more than ``MAX_DENSE_PARAMS`` parameters.
@@ -356,10 +452,11 @@ def exact_hessian(
     p = spec.param_count
     if p > MAX_DENSE_PARAMS:
         raise ParameterError(f"exact_hessian guard: {p} parameters exceeds {MAX_DENSE_PARAMS}")
+    op = hessian_operator(spec, theta, batch, weight_decay)
     h = np.empty((p, p), dtype=np.float64)
     basis = ParamVector.zeros(spec)
     for j in range(p):
         basis.values[:] = 0.0
         basis.values[j] = 1.0
-        h[:, j] = hvp(spec, theta, batch, weight_decay, basis).values
+        h[:, j] = op.apply(basis)
     return h

@@ -241,6 +241,19 @@ def test_weight_decay_defaults_to_zero_without_train_section(workdir, monkeypatc
     assert code == 0 and json.loads(out)["weight_decay"] == 0.0
 
 
+@pytest.mark.parametrize("field,message", [
+    ("dim", "batch input dimension 6 != input_dim 8"),
+    ("num_classes", "outside the model's 4 classes"),
+])
+def test_hessian_on_data_the_checkpoint_does_not_fit_exits_2(workdir, monkeypatch, field, message):
+    cfg = small_config()
+    cfg["data"][field] = 6
+    write_config(str(workdir[0] / "misfit.json"), cfg)
+    code, _, err = in_workdir(workdir, monkeypatch, [
+        "hessian", "--config", "misfit.json", *MEASURE["hessian"], "--out", "misfit.out"])
+    assert code == 2 and message in err, err
+
+
 def write_broken_results_csv(root: Path) -> None:
     """``sweep/results.csv`` with a non-integer ``n_converged`` on its third line."""
     lines = (root / "sweep" / "results.csv").read_text().splitlines()

@@ -14,6 +14,7 @@ from losslab.model import (
     exact_hessian,
     forward,
     he_init,
+    hessian_operator,
     hvp,
     loss_grad,
 )
@@ -309,3 +310,47 @@ def test_hvp_outputs_match_pinned_digest():
 def test_exact_hessian_matches_pinned_digest(name, instance):
     spec, theta, batch = instance()
     assert digest([exact_hessian(spec, theta, batch, 5e-4)]) == EXACT_HESSIAN_GOLDEN_SHA256[name]
+
+
+def test_operator_applications_do_not_depend_on_earlier_ones():
+    spec, theta, batch = mlp_instance((4, 6, 5, 3), 40, seed=1)
+    op = hessian_operator(spec, theta, batch, 5e-4)
+    r = Rng(9)
+    v1, v2 = (ParamVector(spec.layout(), r.normals(spec.param_count)) for _ in range(2))
+    first = hvp(spec, op, batch, 5e-4, v1).values
+    held = first.copy()
+    second = hvp(spec, op, batch, 5e-4, v2).values
+    again = hvp(spec, op, batch, 5e-4, v1).values
+    assert np.array_equal(first, held)  # the result is not a view of a workspace
+    assert np.array_equal(again, first)
+    assert np.array_equal(second, hvp(spec, theta, batch, 5e-4, v2).values)
+
+
+def test_operator_does_not_see_later_edits_of_theta():
+    spec, theta, batch = mlp_instance((4, 6, 3), 20, seed=2)
+    v = ParamVector(spec.layout(), Rng(3).normals(spec.param_count))
+    op = hessian_operator(spec, theta, batch, 1e-3)
+    before = op.apply(v)
+    theta.values *= 3.0
+    assert np.array_equal(op.apply(v), before)
+
+
+def test_operator_of_a_zero_hessian_returns_exact_zeros():
+    spec, theta, batch = penalty_only_instance(seed=4)
+    op = hessian_operator(spec, theta, batch, 0.0)
+    for seed in range(3):
+        v = ParamVector(spec.layout(), Rng(seed).normals(spec.param_count))
+        assert np.all(op.apply(v) == 0.0)
+
+
+def test_operator_checks_shapes_once_at_construction():
+    spec, theta, batch = small_net()
+    with pytest.raises(DimensionError, match="input dimension"):
+        hessian_operator(spec, theta, Batch(batch.X[:, :2], batch.y), 0.0)
+    with pytest.raises(DimensionError, match="labels"):
+        hessian_operator(spec, theta, Batch(batch.X, np.full(batch.size, spec.num_classes)), 0.0)
+    with pytest.raises(ParameterError):
+        hessian_operator(spec, theta, Batch(np.zeros((0, spec.input_dim)), np.zeros(0)), 0.0)
+    op = hessian_operator(spec, theta, batch, 0.0)
+    with pytest.raises(ParameterError, match="built for another"):
+        hvp(spec, op, small_net()[2], 0.0, ParamVector.zeros(spec))
