@@ -9,29 +9,26 @@ example ``git archive`` of the parent commit, unpacked).  Each round
 measures the parent tree and then this tree, each in a fresh process, so
 both sides run on the same machine at nearly the same time; the record
 keeps every round's value and the median over rounds.  A metric a tree
-does not have is ``null`` there.
+does not have is ``null`` there.  The command line is ``bench_rng.py``'s.
 
 An application is one ``hvp`` call as the curvature estimators make it:
 on a tree with ``model.hessian_operator`` the operator is built once and
 passed to ``hvp``; otherwise ``hvp`` gets the parameters and redoes the
 primal passes.  Each timing is the median of ``REPS`` calls, in
-microseconds (``exact_hessian`` in milliseconds).  Page faults are the
+microseconds (``exact_hessian``: the median of 5, in milliseconds).  Page faults are the
 minor faults of ``FAULT_CALLS`` applications, per application, measured
 first in the process.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import resource
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from bench_rng import compare_trees
 
 REPS = 50
 WEIGHT_DECAY = 5e-4
@@ -46,7 +43,6 @@ DENSE_SHAPES = [((8, 16, 4), 200), ((8, 16, 16, 4), 200)]  # P = 212 and 484
 FAULT_SHAPE = ((8, 32, 32, 4), 1000)
 FAULT_CALLS = 300
 HERE = Path(__file__).resolve()
-SRC = HERE.parent.parent / "src"
 
 
 def _median(fn, reps=REPS) -> float:
@@ -113,59 +109,8 @@ def measure() -> dict:
     return out
 
 
-def run_side(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, str(HERE), "--measure"], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def environment() -> dict:
-    import numpy as np
-
-    blas = {}
-    try:
-        info = np.show_config(mode="dicts")
-        blas = info.get("Build Dependencies", {}).get("blas", {})
-    except TypeError:  # numpy < 1.25 has no dict mode
-        pass
-    return {"machine": platform.machine(), "processor": platform.processor(),
-            "cpus": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
-
-
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--parent", type=Path, help="src directory of the tree to compare against")
-    ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--out", type=Path, default=Path("BENCH_7.json"))
-    args = ap.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
-        return 0
-    if args.parent is None:
-        ap.error("--parent is required")
-    rounds = {"parent": [], "change": []}
-    for _ in range(args.rounds):
-        rounds["parent"].append(run_side(args.parent.resolve()))
-        rounds["change"].append(run_side(SRC))
-    metrics = {}
-    for name in rounds["change"][0]:
-        entry = {}
-        for side, runs in rounds.items():
-            values = [run.get(name) for run in runs]
-            entry[side] = None if None in values else statistics.median(values)
-            entry[f"{side}_rounds"] = values
-        metrics[name] = entry
-    record = {"command": "python3 benchmarks/bench_hessian.py --parent DIR --rounds "
-                         f"{args.rounds}", "reps_per_value": REPS,
-              "environment": environment(), "metrics": metrics}
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    for name, entry in metrics.items():
-        print(f"{name:48s} parent {entry['parent']}  change {entry['change']}")
-    return 0
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_7.json", argv)
 
 
 if __name__ == "__main__":

@@ -94,9 +94,9 @@ def measure() -> dict:
     return out
 
 
-def run_side(src: Path) -> dict:
+def run_side(script: Path, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, str(HERE), "--measure"], env=env,
+    proc = subprocess.run([sys.executable, str(script), "--measure"], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -112,15 +112,17 @@ def environment() -> dict:
         pass
     return {"machine": platform.machine(), "processor": platform.processor(),
             "cpus": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+            "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, argv=None) -> int:
+    """The command line of a two-tree benchmark ``script`` whose ``measure`` returns a flat dict."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--parent", type=Path, help="src directory of the tree to compare against")
     ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--out", type=Path, default=Path("BENCH_5.json"))
+    ap.add_argument("--out", type=Path, default=Path(default_out))
     args = ap.parse_args(argv)
     if args.measure:
         print(json.dumps(measure()))
@@ -129,8 +131,8 @@ def main(argv=None) -> int:
         ap.error("--parent is required")
     rounds = {"parent": [], "change": []}
     for _ in range(args.rounds):
-        rounds["parent"].append(run_side(args.parent.resolve()))
-        rounds["change"].append(run_side(SRC))
+        rounds["parent"].append(run_side(script, args.parent.resolve()))
+        rounds["change"].append(run_side(script, SRC))
     metrics = {}
     for name in rounds["change"][0]:
         entry = {}
@@ -139,13 +141,17 @@ def main(argv=None) -> int:
             entry[side] = None if None in values else statistics.median(values)
             entry[f"{side}_rounds"] = values
         metrics[name] = entry
-    record = {"command": "python3 benchmarks/bench_rng.py --parent DIR --rounds "
-                         f"{args.rounds}", "reps_per_value": REPS,
+    record = {"command": f"python3 benchmarks/{script.name} --parent DIR --rounds "
+                         f"{args.rounds}", "reps_per_value": reps,
               "environment": environment(), "metrics": metrics}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     for name, entry in metrics.items():
-        print(f"{name:40s} parent {entry['parent']}  change {entry['change']}")
+        print(f"{name:48s} parent {entry['parent']}  change {entry['change']}")
     return 0
+
+
+def main(argv=None) -> int:
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_5.json", argv)
 
 
 if __name__ == "__main__":

@@ -79,6 +79,47 @@ def central_diff_hvp(grad_f, x, v, h=1e-4):
     return (grad_f(x + h * v) - grad_f(x - h * v)) / (2.0 * h)
 
 
+def hvp_full_pass(layers, tangents, X, y, wd):
+    """Pearlmutter Hessian-vector product, every pass recomputed per call.
+
+    ``layers`` and ``tangents`` are per-layer ``(W, b)`` pairs of the
+    parameters and of the direction.  The forward pass, softmax, primal
+    backward pass and both tangent passes run in the order of the
+    textbook R-operator, with a zero input tangent carried through, so
+    the result is the reference a cached-primal implementation must equal
+    bit for bit.  Returns the flat ``(W0, b0, W1, b1, ...)`` vector.
+    """
+    n, last = X.shape[0], len(layers) - 1
+    acts, zs, r_acts = [X], [], [np.zeros_like(X)]
+    a, ra = X, r_acts[0]
+    for l, ((w, b), (vw, vb)) in enumerate(zip(layers, tangents)):
+        z = a @ w + b
+        rz = ra @ w + a @ vw + vb
+        zs.append(z)
+        if l < last:
+            a = np.maximum(z, 0.0)
+            ra = rz * (z > 0.0)
+            acts.append(a)
+            r_acts.append(ra)
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=1)[:, None]
+    rg = p * (rz - (p * rz).sum(axis=1, keepdims=True)) / n
+    p[np.arange(n), y] -= 1.0
+    g = p / n
+    parts = [None] * (2 * len(layers))
+    for l in range(last, -1, -1):
+        parts[2 * l] = (r_acts[l].T @ g + acts[l].T @ rg).ravel()
+        parts[2 * l + 1] = rg.sum(axis=0)
+        if l > 0:
+            mask = zs[l - 1] > 0.0
+            w_t, vw_t = layers[l][0].T, tangents[l][0].T
+            rg = (rg @ w_t + g @ vw_t) * mask
+            g = (g @ w_t) * mask
+    v = np.concatenate([np.concatenate([vw.ravel(), vb]) for vw, vb in tangents])
+    return np.concatenate(parts) + (2.0 * wd) * v
+
+
 def jacobi_eigenvalues(a, sweeps=100, tol=1e-14):
     """Cyclic Jacobi rotation eigensolver for symmetric matrices."""
     a = np.array(a, dtype=np.float64)

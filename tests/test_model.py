@@ -27,7 +27,13 @@ from conftest import (
     smooth_grad_instance,
     smooth_hvp_instance,
 )
-from oracles import central_diff_grad, central_diff_hvp, jacobi_eigenvalues, mlp_forward_loops
+from oracles import (
+    central_diff_grad,
+    central_diff_hvp,
+    hvp_full_pass,
+    jacobi_eigenvalues,
+    mlp_forward_loops,
+)
 
 
 def small_net(seed=0, widths=(5,), d=3, c=3, batch=8):
@@ -312,18 +318,34 @@ def test_exact_hessian_matches_pinned_digest(name, instance):
     assert digest([exact_hessian(spec, theta, batch, 5e-4)]) == EXACT_HESSIAN_GOLDEN_SHA256[name]
 
 
+@pytest.mark.parametrize("dims,rows", [
+    ((8, 16, 4), 200), ((8, 2, 4), 200),
+    ((8, 16, 16, 4), 1000), ((8, 24, 24, 4), 1000), ((8, 32, 32, 4), 1000),
+])
+def test_operator_equals_the_full_pass_bitwise(dims, rows):
+    spec, theta, batch = mlp_instance(dims, rows, seed=rows + dims[1])
+    op = hessian_operator(spec, theta, batch, 5e-4)
+    r = Rng(dims[1]).split("directions")
+    for k in range(20):
+        v = ParamVector(spec.layout(), r.normals(spec.param_count) if k % 2
+                        else r.rademacher(spec.param_count))
+        ref = hvp_full_pass(theta.views(), v.views(), batch.X, batch.y, 5e-4)
+        assert np.array_equal(op.apply(v), ref), k
+
+
 def test_operator_applications_do_not_depend_on_earlier_ones():
     spec, theta, batch = mlp_instance((4, 6, 5, 3), 40, seed=1)
-    op = hessian_operator(spec, theta, batch, 5e-4)
+    # at wd 0 nothing is added to the tangent passes' output buffer
+    op = hessian_operator(spec, theta, batch, 0.0)
     r = Rng(9)
     v1, v2 = (ParamVector(spec.layout(), r.normals(spec.param_count)) for _ in range(2))
-    first = hvp(spec, op, batch, 5e-4, v1).values
+    first = hvp(spec, op, batch, 0.0, v1).values
     held = first.copy()
-    second = hvp(spec, op, batch, 5e-4, v2).values
-    again = hvp(spec, op, batch, 5e-4, v1).values
+    second = hvp(spec, op, batch, 0.0, v2).values
+    again = hvp(spec, op, batch, 0.0, v1).values
     assert np.array_equal(first, held)  # the result is not a view of a workspace
     assert np.array_equal(again, first)
-    assert np.array_equal(second, hvp(spec, theta, batch, 5e-4, v2).values)
+    assert np.array_equal(second, hvp(spec, theta, batch, 0.0, v2).values)
 
 
 def test_operator_does_not_see_later_edits_of_theta():
