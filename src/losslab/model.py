@@ -304,7 +304,7 @@ def hessian_operator(
     theta: ParamVector,
     batch: Batch,
     weight_decay: float,
-) -> "HessianOperator":
+) -> HessianOperator:
     """The Hessian of one model's loss at ``(theta, batch)``, ready to apply.
 
     Checks the shapes, then runs the primal passes once: the forward
@@ -420,7 +420,7 @@ class HessianOperator:
 
 def hvp(
     spec: ModelSpec,
-    theta: "ParamVector | HessianOperator",
+    theta: ParamVector | HessianOperator,
     batch: Batch,
     weight_decay: float,
     v: ParamVector,

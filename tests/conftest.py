@@ -31,17 +31,6 @@ def random_instance(seed, max_hidden_layers=3, max_width=16, max_batch=32):
     return spec, theta, Batch(x, y)
 
 
-def mlp_instance(dims, rows, seed=0):
-    """A He-initialized ``dims[0] -> ... -> dims[-1]`` net and a Gaussian batch of ``rows`` rows."""
-    r = Rng(seed)
-    spec = ModelSpec(input_dim=dims[0], hidden_widths=tuple(dims[1:-1]), num_classes=dims[-1])
-    theta = he_init(spec, r.split("init"))
-    data_rng = r.split("data")
-    x = data_rng.normals(rows * dims[0]).reshape(rows, dims[0])
-    y = np.array([data_rng.integer(dims[-1]) for _ in range(rows)], dtype=np.int64)
-    return spec, theta, Batch(x, y)
-
-
 def _relu_pattern(spec, values, batch):
     _, zs, _ = _forward_trace(spec, ParamVector(spec.layout(), values), batch.X)
     return [z > 0.0 for z in zs[:-1]]

@@ -12,7 +12,7 @@ from losslab.errors import ParameterError
 from losslab.model import Batch, ModelSpec, exact_hessian, he_init, hvp, ParamVector
 from losslab.rng import Rng
 
-from conftest import mlp_instance, penalty_only_instance
+from conftest import penalty_only_instance
 
 
 def small_instance(seed=0, widths=(5,), d=3, c=4, batch=16):
@@ -150,7 +150,7 @@ def test_config_validation():
 def test_estimators_match_pinned_values():
     # pinned before the Hessian operator replaced hvp's per-call primal
     # passes; values are exact float64 bit patterns
-    spec, theta, batch = mlp_instance((8, 16, 16, 4), 1000, seed=5)
+    spec, theta, batch = small_instance(seed=5, widths=(16, 16), d=8, c=4, batch=1000)
     cfg = CurvatureConfig(seed=2)
     eig = top_eigenvalue(spec, theta, batch, 5e-4, cfg)
     tr = trace_hutchinson(spec, theta, batch, 5e-4, cfg)

@@ -21,7 +21,6 @@ from losslab.model import (
 from losslab.rng import Rng
 
 from conftest import (
-    mlp_instance,
     penalty_only_instance,
     random_instance,
     smooth_grad_instance,
@@ -311,7 +310,7 @@ def test_hvp_outputs_match_pinned_digest():
 
 @pytest.mark.parametrize("name,instance", [
     ("random_instance(21)", lambda: random_instance(21)),
-    ("8-16-4/B64", lambda: mlp_instance((8, 16, 4), 64, seed=3)),
+    ("8-16-4/B64", lambda: small_net(seed=3, widths=(16,), d=8, c=4, batch=64)),
 ])
 def test_exact_hessian_matches_pinned_digest(name, instance):
     spec, theta, batch = instance()
@@ -323,7 +322,7 @@ def test_exact_hessian_matches_pinned_digest(name, instance):
     ((8, 16, 16, 4), 1000), ((8, 24, 24, 4), 1000), ((8, 32, 32, 4), 1000),
 ])
 def test_operator_equals_the_full_pass_bitwise(dims, rows):
-    spec, theta, batch = mlp_instance(dims, rows, seed=rows + dims[1])
+    spec, theta, batch = small_net(rows + dims[1], dims[1:-1], dims[0], dims[-1], rows)
     op = hessian_operator(spec, theta, batch, 5e-4)
     r = Rng(dims[1]).split("directions")
     for k in range(20):
@@ -334,7 +333,7 @@ def test_operator_equals_the_full_pass_bitwise(dims, rows):
 
 
 def test_operator_applications_do_not_depend_on_earlier_ones():
-    spec, theta, batch = mlp_instance((4, 6, 5, 3), 40, seed=1)
+    spec, theta, batch = small_net(seed=1, widths=(6, 5), d=4, c=3, batch=40)
     # at wd 0 nothing is added to the tangent passes' output buffer
     op = hessian_operator(spec, theta, batch, 0.0)
     r = Rng(9)
@@ -349,7 +348,7 @@ def test_operator_applications_do_not_depend_on_earlier_ones():
 
 
 def test_operator_does_not_see_later_edits_of_theta():
-    spec, theta, batch = mlp_instance((4, 6, 3), 20, seed=2)
+    spec, theta, batch = small_net(seed=2, widths=(6,), d=4, c=3, batch=20)
     v = ParamVector(spec.layout(), Rng(3).normals(spec.param_count))
     op = hessian_operator(spec, theta, batch, 1e-3)
     before = op.apply(v)
