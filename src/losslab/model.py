@@ -364,8 +364,8 @@ class HessianOperator:
         # _tangents[l] holds layer l's output tangent on the way forward and
         # its backward tangent signal on the way back
         self._tangents = [np.empty((n, d)) for d in dims[1:]]
-        self._scratch = [np.empty((n, d)) for d in dims[1:]]
-        self._weight_scratch = [np.empty(w.shape) for w in weights]
+        self._partials = [np.empty((n, d)) for d in dims[1:]]
+        self._weight_partials = [np.empty(w.shape) for w in weights]
         self._row_sums = np.empty((n, 1))
         self._out = np.empty(spec.param_count)
         self._out_views = ParamVector(self.layout, self._out).views()
@@ -375,7 +375,7 @@ class HessianOperator:
         if v.layout is not self.layout and v.layout != self.layout:
             raise DimensionError("parameter layouts do not match")
         acts, ws, masks = self._acts, self._weights, self._masks
-        rs, ts = self._tangents, self._scratch
+        rs, ts = self._tangents, self._partials
         vpairs = v.views()
         last = len(ws) - 1
 
@@ -406,8 +406,8 @@ class HessianOperator:
                 np.matmul(acts[0].T, rg, out=hw)
             else:
                 np.matmul(rs[l - 1].T, self._signals[l], out=hw)
-                np.matmul(acts[l].T, rg, out=self._weight_scratch[l])
-                hw += self._weight_scratch[l]
+                np.matmul(acts[l].T, rg, out=self._weight_partials[l])
+                hw += self._weight_partials[l]
             np.sum(rg, axis=0, out=hb)
             if l > 0:
                 np.matmul(rg, ws[l].T, out=ts[l - 1])
