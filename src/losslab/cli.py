@@ -102,7 +102,9 @@ def cmd_train(args) -> int:
     recipe = parse_data(cfg)
     tcfg = parse_train(cfg)
     train_ds, test_ds = datasets_from_recipe(recipe)
-    theta, history = sgd_train(spec, train_ds, test_ds, tcfg)
+    [theta], [history] = sgd_train(spec, train_ds, test_ds, [tcfg])
+    if isinstance(theta, DivergenceError):
+        raise theta
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,8 +182,10 @@ def cmd_modeconn(args) -> int:
     wd = parse_weight_decay(cfg)
     spec, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
     train_ds, _ = datasets_from_recipe(recipe)
-    curve = train_curve(spec, init_curve(theta_a, theta_b, ccfg.k), train_ds, ccfg,
-                        weight_decay=wd)
+    [curve] = train_curve(spec, [init_curve(theta_a, theta_b, ccfg.k)], train_ds, [ccfg],
+                          weight_decay=wd)
+    if isinstance(curve, DivergenceError):
+        raise curve
     profile = curve_profile(spec, curve, train_ds, ccfg.t_grid)
     record = {
         "metric": "modeconn",

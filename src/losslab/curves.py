@@ -9,11 +9,11 @@ against the largest deviation along the curve: negative means a
 barrier, near zero means well-connected, positive means the endpoints
 themselves were never at a reasonable optimum.
 
-The curves of several replicate pairs train together as one stack: each
-step evaluates all C curve points as one ``(C, B, d)`` ``loss_grad`` call,
-with a ``(C, k+1)`` array of Bernstein coefficients.  Each pair keeps its
-own generator (shuffle and t draws) and divergence check, so its curve is
-bitwise what it gets alone.
+``train_curve`` trains a list of curves, one per replicate pair, as one
+stack: each step evaluates all C curve points as one ``(C, B, d)``
+``loss_grad`` call, with a ``(C, k+1)`` array of Bernstein coefficients.
+Each pair keeps its own generator (shuffle and t draws) and divergence
+check, so its curve is bitwise what it gets in a list of one.
 """
 
 from __future__ import annotations
@@ -123,33 +123,23 @@ class CurveTrainConfig:
 
 def train_curve(
     spec: ModelSpec,
-    curve: BezierCurve | Sequence[BezierCurve],
+    curves: Sequence[BezierCurve],
     ds: Dataset,
-    cfg: CurveTrainConfig | Sequence[CurveTrainConfig],
+    cfgs: Sequence[CurveTrainConfig],
     weight_decay: float = 0.0,
-):
-    """Minimize the loss along the curve over the interior bends only.
+) -> list:
+    """Minimize the loss along each curve over its interior bends only.
 
     One fresh t ~ Uniform[0,1] per minibatch; the gradient at gamma(t)
     reaches bend j scaled by its Bernstein coefficient.  Endpoint
     objects are passed through untouched.
 
-    One curve and config return the trained curve and raise
-    DivergenceError on a non-finite loss.  Lists of curves and of configs
-    that differ only in ``seed`` train as one stack and return, per
-    curve, the trained curve or the DivergenceError that ended it.
+    The curves train as one stack, one config each; the configs must
+    differ only in ``seed``.  Returns, per curve, the trained curve or the
+    DivergenceError that ended it on a non-finite loss.
     """
     if ds.dim != spec.input_dim:
         raise DimensionError("dataset dimension does not match the model spec")
-    if isinstance(curve, BezierCurve):
-        [trained] = _train_stack(spec, [curve], ds, [cfg], weight_decay)
-        if isinstance(trained, DivergenceError):
-            raise trained
-        return trained
-    return _train_stack(spec, curve, ds, cfg, weight_decay)
-
-
-def _train_stack(spec, curves, ds, cfgs, weight_decay):
     cfg = cfgs[0] if cfgs else None
     if (cfg is None or len(curves) != len(cfgs)
             or any(replace(c, seed=cfg.seed) != cfg for c in cfgs)):
@@ -226,7 +216,9 @@ class CurveProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveProfile":
-        return cls(tuple(d["t"]), list(d["err01"]), list(d["cross_entropy"]))
+        """The profile ``to_dict`` wrote; every value must convert with ``float``."""
+        return cls(tuple(float(t) for t in d["t"]), [float(v) for v in d["err01"]],
+                   [float(v) for v in d["cross_entropy"]])
 
 
 def curve_profile(

@@ -7,14 +7,17 @@ graph.  The Hessian-vector product is the Pearlmutter R-operator:
 tangents are pushed through the forward pass and the backward pass is
 differentiated once more, with no finite differences anywhere.
 
-The curvature estimators apply one Hessian, at a fixed (theta, batch), 50
-to 100 times, so it is a ``HessianOperator``.  ``hessian_operator`` checks
-the shapes and runs the primal passes once, caching the activations, the
-ReLU masks (bool), the softmax and every layer's backward signal; each
-application then runs only the tangent passes, into ``(B, width)``
-workspaces the operator owns, and returns a fresh vector.  ``hvp`` and
-``exact_hessian`` build one and apply it; every result is bitwise what
-the full forward-over-reverse pass gives.
+The primal pass is written once, in ``_primal``, for a stack of models:
+the forward activations, the ReLU masks (bool), the softmax, the mean
+cross-entropy and every layer's backward signal.  ``loss_grad`` forms
+the gradient from those signals.  The curvature estimators apply one
+Hessian, at a fixed (theta, batch), 50 to 100 times, so it is a
+``HessianOperator``: ``hessian_operator`` checks the shapes, runs the
+primal pass once on a stack of one and caches it; each application then
+runs only the tangent passes, into ``(B, width)`` workspaces the operator
+owns, and returns a fresh vector.  ``hvp`` and ``exact_hessian`` build
+one and apply it; every result is bitwise what the full
+forward-over-reverse pass gives.
 
 The one loss is ``mean_CE + wd * ||theta||^2``: every gradient, Hessian
 product and curvature estimate in the package is of this objective.
@@ -230,11 +233,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / s[..., None]
 
 
-def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-model mean cross-entropy of ``(R, N, C)`` logits; ``y`` is ``(N,)`` or ``(R, N)``."""
-    shifted, _, s = _shifted_exp(logits)
+def _cross_entropy(logits: np.ndarray, y: np.ndarray):
+    """Per-model mean cross-entropy of ``(R, N, C)`` logits; ``y`` is ``(N,)`` or ``(R, N)``.
+
+    Also returns what the softmax and its gradient reuse: the exp of the
+    shifted logits, its row sums, and the index of every row's label.
+    """
+    shifted, e, s = _shifted_exp(logits)
     r, n = logits.shape[:2]
-    return (np.log(s) - shifted[np.arange(r)[:, None], np.arange(n), y]).mean(axis=1)
+    pick = (np.arange(r)[:, None], np.arange(n), y)
+    return (np.log(s) - shifted[pick]).mean(axis=1), e, s, pick
 
 
 def sq_norms(values: np.ndarray) -> np.ndarray:
@@ -274,27 +282,37 @@ def loss_grad(
     return _stacked_loss_grad(spec, theta, batch.X, batch.y, weight_decay, grad), grad
 
 
+def _primal(spec, theta, X, y):
+    """The primal pass of a stack of R models, shared by the gradient and the Hessian.
+
+    ``X`` is ``(R, B, d)`` and ``y`` is ``(R, B)``.  Returns the forward
+    activations (``acts[0]`` is ``X``), the ReLU masks (bool), the
+    softmax, the ``(R,)`` mean cross-entropies, and every layer's backward
+    signal: ``signals[l]`` is the data loss's gradient with respect to
+    layer l's pre-activation.
+    """
+    acts, zs, logits = _forward_trace(spec, theta, X)
+    masks = [z > 0.0 for z in zs[:-1]]
+    ce, e, s, pick = _cross_entropy(logits, y)
+    p = e / s[..., None]
+    g = p.copy()
+    g[pick] -= 1.0
+    g /= y.shape[1]
+    signals = [g]
+    wpairs = theta.views()
+    for l in range(spec.num_layers - 1, 0, -1):
+        g = (g @ wpairs[l][0].swapaxes(1, 2)) * masks[l - 1]
+        signals.insert(0, g)
+    return acts, masks, p, ce, signals
+
+
 def _stacked_loss_grad(spec, theta, X, y, weight_decay, grad) -> np.ndarray:
     """Per-model losses of a stack; the stacked gradient goes into ``grad``."""
-    acts, zs, logits = _forward_trace(spec, theta, X)
-    r, n = y.shape
-    pick = (np.arange(r)[:, None], np.arange(n), y)
-    shifted, e, s = _shifted_exp(logits)
-    losses = (np.log(s) - shifted[pick]).mean(axis=1)
+    acts, _, _, losses, signals = _primal(spec, theta, X, y)
     losses += weight_decay * sq_norms(theta.values)
-
-    gpairs = grad.views()
-    wpairs = theta.views()
-    p = e / s[..., None]
-    p[pick] -= 1.0
-    g = p / n
-    for l in range(spec.num_layers - 1, -1, -1):
-        gw, gb = gpairs[l]
-        np.matmul(acts[l].swapaxes(1, 2), g, out=gw)
-        g.sum(axis=1, out=gb)
-        if l > 0:
-            g = (g @ wpairs[l][0].swapaxes(1, 2)) * (zs[l - 1] > 0.0)
-
+    for l, (gw, gb) in enumerate(grad.views()):
+        np.matmul(acts[l].swapaxes(1, 2), signals[l], out=gw)
+        signals[l].sum(axis=1, out=gb)
     grad.values += (2.0 * weight_decay) * theta.values
     return losses
 
@@ -307,10 +325,9 @@ def hessian_operator(
 ) -> HessianOperator:
     """The Hessian of one model's loss at ``(theta, batch)``, ready to apply.
 
-    Checks the shapes, then runs the primal passes once: the forward
-    activations, the ReLU masks, the softmax and every layer's backward
-    signal.  ``theta`` is copied, so later in-place edits of it do not
-    reach the operator.
+    Checks the shapes, then runs the primal pass once, on a stack of one,
+    and keeps views of its one model.  ``theta`` is copied, so later
+    in-place edits of it do not reach the operator.
     """
     if batch.size == 0:
         raise ParameterError("empty batch")
@@ -325,19 +342,11 @@ def hessian_operator(
                              f"model's {spec.num_classes} classes")
 
     theta = theta.copy()
-    weights = [w for w, _ in theta.views()]
-    acts, zs, logits = _forward_trace(spec, theta, X)
-    masks = [z > 0.0 for z in zs[:-1]]
-    n = batch.size
-    p = softmax(logits)
-    g = p.copy()
-    g[np.arange(n), y] -= 1.0
-    g /= n
-    signals = [g]
-    for l in range(spec.num_layers - 1, 0, -1):
-        g = (g @ weights[l].T) * masks[l - 1]
-        signals.insert(0, g)
-    return HessianOperator(spec, batch, weight_decay, weights, acts, masks, p, signals)
+    acts, masks, p, _, signals = _primal(
+        spec, ParamVector(theta.layout, theta.values[None]), X[None], y[None])
+    return HessianOperator(spec, batch, weight_decay, [w for w, _ in theta.views()],
+                           [a[0] for a in acts], [m[0] for m in masks], p[0],
+                           [g[0] for g in signals])
 
 
 class HessianOperator:

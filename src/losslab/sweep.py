@@ -5,10 +5,12 @@ pair, measures per-model curvature and accuracy, then forms disjoint
 replicate pairs for the pairwise metrics (mode connectivity, CKA,
 parameter-space distance).  The R replicates train as one stacked
 ``sgd_train`` call and the pairs' curves as one stacked ``train_curve``
-call; curvature, CKA and curve profiles are measured per model and per
-pair.  All randomness is derived from seeds keyed by axis *values*,
-never indices, so extending the grid or reordering cell execution cannot
-change any existing cell's numbers.
+call.  A replicate's training loss and test accuracy are read from its
+training history, at the epoch whose weights training returned;
+curvature, CKA and curve profiles are measured per model and per pair.
+All randomness is derived from seeds keyed by axis *values*, never
+indices, so extending the grid or reordering cell execution cannot change
+any existing cell's numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from .datasets import (
 from .errors import DegenerateOutputError, DivergenceError, FormatError, ParameterError
 from .model import ModelSpec, ParamVector, require_same_layout
 from .rng import derive_seed
-from .train import TrainConfig, evaluate, sgd_train
+# evaluate is not called here, but the benchmark's tracer rebinds
+# sweep.evaluate, so the name must stay bound
+from .train import TrainConfig, evaluate, sgd_train  # noqa: F401
 
 LOAD_KINDS = ("width", "n_samples", "noise_frac", "pixel_noise")
 TEMP_KINDS = ("batch_size", "lr", "weight_decay")
@@ -332,15 +336,16 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
     cfgs = [cell_train_config(grid, temp_value, derive_seed(grid.base_seed, "train", *key, r))
              for r in range(grid.replicates)]
     wd = cfgs[0].weight_decay
-    trained, _ = sgd_train(spec, train_ds, test_ds, cfgs)
+    trained, histories = sgd_train(spec, train_ds, test_ds, cfgs)
     thetas: dict[int, ParamVector] = {}
-    for r, (cfg, theta) in enumerate(zip(cfgs, trained)):
+    for r, (cfg, theta, history) in enumerate(zip(cfgs, trained, histories)):
         rep = ReplicateMetrics(seed=cfg.seed, converged=not isinstance(theta, DivergenceError))
         cell.replicates.append(rep)
         if not rep.converged:
             continue
-        rep.train_loss = evaluate(spec, theta, train_ds, weight_decay=wd).loss
-        rep.test_acc = evaluate(spec, theta, test_ds).acc
+        best = history.records[history.best_train_loss_epoch]
+        rep.train_loss = best.train_loss
+        rep.test_acc = best.test_acc
         curv_cfg = replace(grid.curvature, seed=derive_seed(grid.base_seed, "curvature", *key, r))
         batch = draw_metric_batch(train_ds, curv_cfg)
         rep.lambda_max = top_eigenvalue(spec, theta, batch, wd, curv_cfg).value
@@ -431,13 +436,18 @@ def rows_to_csv(rows: list[dict]) -> str:
 def read_results_csv(path) -> list[dict]:
     """Rows as dicts; numeric fields parsed, absent metrics become None.
 
-    An empty file or a malformed line is a FormatError naming the file and line.
+    An empty file, a header without every ``CSV_COLUMNS`` name, or a
+    malformed line is a FormatError naming the file and line.
     """
     with open(path, "r") as fh:
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty file, expected a header line")
-    header = lines[0][1].split(",")
+    n, header_line = lines[0]
+    header = header_line.split(",")
+    missing = [name for name in CSV_COLUMNS if name not in header]
+    if missing:
+        raise FormatError(f"{path}:{n}: header lacks the column(s) {', '.join(missing)}")
     rows = []
     for n, ln in lines[1:]:
         parts = ln.split(",")

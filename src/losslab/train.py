@@ -10,8 +10,10 @@ Replicates that differ only in their seed train together as one stack:
 each SGD step is one ``loss_grad`` call on an ``(R, B, d)`` batch gathered
 from the R shuffles.  Each replicate keeps its own generator, plateau
 stop, best-loss selection and divergence check, and leaves the stack when
-it stops or diverges, so its result is bitwise what it gets alone.  A
-single config is the stack of one.
+it stops or diverges, so its result is bitwise what it gets alone.  Each
+epoch-end record holds the replicate's penalized training loss and test
+accuracy as ``evaluate`` gives them, so the record of the best epoch is
+the measurement of the returned weights.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .model import (
     Batch,
     ModelSpec,
     ParamVector,
-    _mean_cross_entropy,
+    _cross_entropy,
     forward,
     he_init,
     loss_grad,
@@ -144,7 +146,7 @@ class EvalResult:
 
 
 def evaluate(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: float = 0.0) -> EvalResult:
-    """Mean cross-entropy (optionally penalized) and accuracy in percent.
+    """Mean cross-entropy plus ``weight_decay * ||theta||^2``, and accuracy in percent.
 
     Argmax ties break toward the lowest class index.  For a stack of R
     models (``theta`` values ``(R, P)``) the fields are ``(R,)`` arrays
@@ -156,25 +158,22 @@ def evaluate(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: flo
     if one:  # one model is a stack of one
         theta = ParamVector(theta.layout, theta.values[None])
     logits = forward(spec, theta, ds.X)
-    loss = _mean_cross_entropy(logits, ds.y)
-    if weight_decay:
-        loss += weight_decay * sq_norms(theta.values)
+    loss = _cross_entropy(logits, ds.y)[0]
+    loss += weight_decay * sq_norms(theta.values)
     acc = 100.0 * (np.argmax(logits, axis=-1) == ds.y).mean(axis=1)
     if one:
         return EvalResult(loss=float(loss[0]), err01=100.0 - float(acc[0]), acc=float(acc[0]))
     return EvalResult(loss=loss, err01=100.0 - acc, acc=acc)
 
 
-def epoch_batches(n: int, batch_size: int, rng: Rng | Sequence[Rng]) -> list[np.ndarray]:
+def epoch_batches(n: int, batch_size: int, rngs: Sequence[Rng]) -> list[np.ndarray]:
     """Shuffled disjoint minibatch index blocks covering every row once.
 
-    Given R generators, each block is an ``(R, batch)`` array whose row r
+    Each block is an ``(R, batch)`` array for the R generators; its row r
     is the block generator r alone gives.
     """
-    perm = permutations([rng] if isinstance(rng, Rng) else rng, n)
-    if isinstance(rng, Rng):
-        perm = perm[0]
-    return [perm[..., i : i + batch_size] for i in range(0, n, batch_size)]
+    perm = permutations(rngs, n)
+    return [perm[:, i : i + batch_size] for i in range(0, n, batch_size)]
 
 
 def _check_dims(spec: ModelSpec, ds: Dataset, which: str) -> None:
@@ -182,34 +181,6 @@ def _check_dims(spec: ModelSpec, ds: Dataset, which: str) -> None:
         raise DimensionError(f"{which} dimension {ds.dim} != input_dim {spec.input_dim}")
     if ds.num_classes != spec.num_classes:
         raise DimensionError(f"{which} classes {ds.num_classes} != num_classes {spec.num_classes}")
-
-
-def sgd_train(
-    spec: ModelSpec,
-    train: Dataset,
-    test: Dataset,
-    cfg: TrainConfig | Sequence[TrainConfig],
-):
-    """Train an MLP, returning the epoch-end weights with lowest training loss.
-
-    Stops early once the epoch-end training loss changes by less than
-    ``plateau_eps`` for ``plateau_epochs`` consecutive epochs; otherwise
-    runs ``max_epochs``.  Best-loss selection applies either way.
-
-    One config returns ``(theta, history)`` and raises DivergenceError on
-    a non-finite loss.  A list of configs that differ only in ``seed``
-    trains those replicates as one stack and returns ``(thetas,
-    StackHistory)``: per replicate its best weights, or the
-    DivergenceError that ended it.
-    """
-    _check_dims(spec, train, "train")
-    _check_dims(spec, test, "test")
-    if isinstance(cfg, TrainConfig):
-        [theta], [history] = _train_stack(spec, train, test, [cfg])
-        if isinstance(theta, DivergenceError):
-            raise theta
-        return theta, history
-    return _train_stack(spec, train, test, cfg)
 
 
 @dataclass
@@ -224,7 +195,21 @@ class _Replicate:
     streak: int = 0
 
 
-def _train_stack(spec, train, test, cfgs):
+def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfgs: Sequence[TrainConfig]):
+    """Train one MLP per config, keeping the epoch-end weights with lowest training loss.
+
+    The configs must differ only in ``seed``.  Each replicate stops early
+    once its epoch-end training loss changes by less than ``plateau_eps``
+    for ``plateau_epochs`` consecutive epochs; otherwise it runs
+    ``max_epochs``.  Best-loss selection applies either way.
+
+    Returns ``(results, StackHistory)``: per config its best weights, or
+    the DivergenceError that ended it on a non-finite loss.  The record of
+    the best epoch holds that epoch's penalized training loss and test
+    accuracy, bitwise what ``evaluate`` gives on the returned weights.
+    """
+    _check_dims(spec, train, "train")
+    _check_dims(spec, test, "test")
     cfg = cfgs[0] if cfgs else None
     if cfg is None or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ParameterError("replicates trained together must share every setting but the seed")
@@ -252,12 +237,11 @@ def _train_stack(spec, train, test, cfgs):
                 finite &= np.isfinite(losses)
                 theta.values -= lr_t * grad.values
 
-            train_eval = evaluate(spec, theta, train)
+            train_eval = evaluate(spec, theta, train, wd)
             test_eval = evaluate(spec, theta, test)
-            epoch_losses = train_eval.loss + wd * sq_norms(theta.values)
             keep = []
             for i, rep in enumerate(active):
-                epoch_loss = float(epoch_losses[i])
+                epoch_loss = float(train_eval.loss[i])
                 if not (finite[i] and np.isfinite(epoch_loss)):
                     rep.result = DivergenceError(epoch)
                     continue

@@ -1,11 +1,12 @@
 """The names and signatures the benchmark in ``perfbench/`` relies on.
 
-The benchmark traces a sweep by rebinding module-level names, checks
-raw-numpy floors against ``loss_grad`` and ``hvp``, counts the estimators'
-Hessian applications through ``curvature.hvp``, builds a dense
-reference with ``exact_hessian`` and writes its own sweep configs.  A
-change to the package that breaks any of these fails here.  The
-benchmark's files are only read, never changed.
+The benchmark traces a sweep by rebinding module-level names and reading
+the histories ``sgd_train`` returns, checks raw-numpy floors against
+``loss_grad`` and ``hvp``, counts the estimators' Hessian applications
+through ``curvature.hvp``, builds a dense reference with
+``exact_hessian`` and writes its own sweep configs.  A change to the
+package that breaks any of these fails here.  The benchmark's files are
+only read, never changed.
 """
 
 import importlib.util
@@ -14,9 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from losslab import curvature
+from losslab import curvature, sweep
 from losslab.config import parse_grid, parse_phase
 from losslab.model import exact_hessian
+from losslab.sweep import results_to_csv, run_sweep
+
+from test_sweep import tiny_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,6 +41,27 @@ def test_trace_points_resolve():
     tracing = load("tracing")
     for owner, attr, name in tracing.TRACE_POINTS + tracing.CAPTURE_POINTS:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({name})"
+
+
+def test_traced_sweep_matches_untraced_and_counts_every_epoch(monkeypatch):
+    # the traced run reads the histories sgd_train returns, so a change to
+    # its return shape would otherwise fail only in the benchmark
+    untraced, _ = run_sweep(tiny_grid(), workers=1)
+    histories = []
+    sgd_train = sweep.sgd_train
+
+    def recording(*args):
+        result = sgd_train(*args)
+        histories.extend(result[1])
+        return result
+
+    monkeypatch.setattr(sweep, "sgd_train", recording)
+    tracer = load("tracing").Tracer()
+    with tracer.patched():
+        traced, _ = run_sweep(tiny_grid(), workers=1)
+    assert results_to_csv(traced) == results_to_csv(untraced)
+    assert len(histories) == sum(cell.n_replicates for cell in traced)
+    assert tracer.counts["train.epochs"] == sum(len(h.records) for h in histories) > 0
 
 
 @pytest.mark.parametrize("kind", ["model.loss_grad", "model.hvp"])

@@ -170,8 +170,7 @@ def test_trained_models_more_aligned_on_clean_labels():
         cfg = lambda s: TrainConfig(batch_size=32, lr=0.05, weight_decay=5e-4,
                                     max_epochs=80, plateau_eps=1e-4,
                                     plateau_epochs=5, seed=s)
-        ta, _ = sgd_train(spec, ds, test, cfg(seed_a))
-        tb, _ = sgd_train(spec, ds, test, cfg(seed_b))
+        (ta, tb), _ = sgd_train(spec, ds, test, [cfg(seed_a), cfg(seed_b)])
         return cka_between_models(spec, ta, tb, probes)
 
     assert train_pair(clean, 1, 2) > train_pair(noisy, 1, 2)

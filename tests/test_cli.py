@@ -188,6 +188,15 @@ def test_plot_unknown_metric_exits_2(workdir, monkeypatch):
     assert code == 2 and "nope" in err
 
 
+def test_diverging_training_exits_3(workdir, monkeypatch):
+    cfg = small_config()
+    cfg["train"]["lr"] = 1e200
+    write_config(str(workdir[0] / "hot_train.json"), cfg)
+    code, _, err = in_workdir(workdir, monkeypatch,
+                              ["train", "--config", "hot_train.json", "--out-dir", "hot_train"])
+    assert code == 3 and "epoch 0" in err
+
+
 def test_diverging_curve_exits_3(workdir, monkeypatch):
     cfg = small_config()
     cfg["curve"]["lr"] = 1e200
@@ -264,18 +273,42 @@ def write_broken_results_csv(root: Path) -> None:
     (root / "broken.csv").write_text("\n".join(lines) + "\n")
 
 
+def write_narrow_results_csv(root: Path) -> None:
+    """``sweep/results.csv`` without its ``load_value`` column."""
+    rows = [line.split(",") for line in (root / "sweep" / "results.csv").read_text().splitlines()]
+    drop = rows[0].index("load_value")
+    (root / "narrow.csv").write_text(
+        "".join(",".join(row[:drop] + row[drop + 1:]) + "\n" for row in rows))
+
+
+def write_profile_with(root: Path, name: str, value) -> None:
+    """The modeconn profile with ``value`` as its second ``err01`` entry."""
+    profile = json.loads((root / "modeconn.profile.json").read_text())
+    profile["err01"][1] = value
+    (root / name).write_text(json.dumps(profile))
+
+
 @pytest.mark.parametrize("argv,message", [
     (["phase", "--csv", "empty.csv", "--out", "x.csv"], "empty.csv: empty file"),
     (["plot", "--csv", "empty.csv", "--metric", "mc_mean", "--out", "x.svg"],
      "empty.csv: empty file"),
     (["phase", "--csv", "broken.csv", "--out", "x.csv"], "broken.csv:3: n_converged"),
     (["profile-plot", "--profile", "short.json", "--out", "x.svg"], "short.json"),
+    (["phase", "--csv", "narrow.csv", "--out", "x.csv"],
+     "narrow.csv:1: header lacks the column(s) load_value"),
+    (["plot", "--csv", "narrow.csv", "--metric", "mc_mean", "--out", "x.svg"],
+     "narrow.csv:1: header lacks the column(s) load_value"),
+    (["profile-plot", "--profile", "text.json", "--out", "x.svg"], "text.json"),
+    (["profile-plot", "--profile", "null.json", "--out", "x.svg"], "null.json"),
 ])
 def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     root = workdir[0]
     (root / "empty.csv").write_text("")
     write_broken_results_csv(root)
+    write_narrow_results_csv(root)
     (root / "short.json").write_text('{"t": [0.0]}')
+    write_profile_with(root, "text.json", "a")
+    write_profile_with(root, "null.json", None)
     code, _, err = in_workdir(workdir, monkeypatch, argv)
     assert code == 4 and message in err
 

@@ -87,7 +87,7 @@ def test_train_curve_preserves_endpoints_bitwise():
     b_snapshot = b.values.copy()
     ds = gen_blobs(n=60, num_classes=3, dim=3, spread=0.2, seed=6)
     cfg = CurveTrainConfig(epochs=8, lr=0.05, schedule=None, batch_size=20, seed=7)
-    trained = train_curve(spec, init_curve(a, b, k=2), ds, cfg, weight_decay=1e-3)
+    [trained] = train_curve(spec, [init_curve(a, b, k=2)], ds, [cfg], weight_decay=1e-3)
     assert np.array_equal(trained.controls[0].values, a_snapshot)
     assert np.array_equal(trained.controls[-1].values, b_snapshot)
     # and the interior actually moved
@@ -101,7 +101,7 @@ def test_train_curve_zero_lr_keeps_bends():
     cfg = CurveTrainConfig(epochs=3, lr=0.0, schedule=None, batch_size=10, seed=10)
     curve = init_curve(a, b, k=2)
     before = curve.controls[1].values.copy()
-    trained = train_curve(spec, curve, ds, cfg)
+    [trained] = train_curve(spec, [curve], ds, [cfg])
     assert np.array_equal(trained.controls[1].values, before)
 
 
@@ -122,13 +122,13 @@ def test_train_curve_lowers_midpoint_loss_on_quadratic():
     curve = init_curve(a, b, k=2)
     initial = mid_loss(curve)
     cfg = CurveTrainConfig(epochs=20, lr=0.05, schedule=None, batch_size=10, seed=12)
-    trained = train_curve(spec, curve, ds, cfg, weight_decay=wd)
+    [trained] = train_curve(spec, [curve], ds, [cfg], weight_decay=wd)
     assert mid_loss(trained) < initial
 
     rng = Rng(cfg.seed)
     bend = curve.controls[1].values.copy()
     for _ in range(cfg.epochs):
-        for _ in epoch_batches(ds.n, cfg.batch_size, rng):
+        for _ in epoch_batches(ds.n, cfg.batch_size, [rng]):
             c = bernstein(2, rng.uniform())
             gamma = c[0] * a.values + c[1] * bend + c[2] * b.values
             bend -= (cfg.lr * c[1]) * ((2.0 * wd) * gamma)
@@ -139,8 +139,8 @@ def test_train_curve_divergence():
     spec, a, b = make_endpoints(seed=13)
     ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=14)
     cfg = CurveTrainConfig(epochs=10, lr=1e200, schedule=None, batch_size=10, seed=15)
-    with pytest.raises(DivergenceError):
-        train_curve(spec, init_curve(a, b, k=2), ds, cfg)
+    [trained] = train_curve(spec, [init_curve(a, b, k=2)], ds, [cfg])
+    assert isinstance(trained, DivergenceError) and trained.epoch == 0
 
 
 def test_profile_constant_for_degenerate_curve():
@@ -164,7 +164,7 @@ def test_profile_random_bend_hurts_perfect_model():
     spec = ModelSpec(input_dim=4, hidden_widths=(16,), num_classes=3)
     cfg = TrainConfig(batch_size=16, lr=0.05, weight_decay=5e-4, max_epochs=100,
                       plateau_eps=1e-4, plateau_epochs=5, seed=21)
-    theta, _ = sgd_train(spec, train, train, cfg)
+    [theta], _ = sgd_train(spec, train, train, [cfg])
     assert evaluate(spec, theta, train).err01 == 0.0
     wild = ParamVector(spec.layout(), 5.0 * Rng(22).normals(spec.param_count))
     curve = BezierCurve([theta, wild, theta.copy()])
@@ -237,12 +237,11 @@ def train_stack_and_alone(spec, curves, ds, cfgs, **kw):
     stacked = train_curve(spec, curves, ds, cfgs, **kw)
     assert len(stacked) == len(curves)
     for curve, cfg, trained in zip(curves, cfgs, stacked):
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(rng_module, "CROSSOVER", float("inf"))
-                alone = train_curve(spec, curve, ds, cfg, **kw)
-        except DivergenceError as err:
-            assert isinstance(trained, DivergenceError) and trained.epoch == err.epoch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng_module, "CROSSOVER", float("inf"))
+            [alone] = train_curve(spec, [curve], ds, [cfg], **kw)
+        if isinstance(alone, DivergenceError):
+            assert isinstance(trained, DivergenceError) and trained.epoch == alone.epoch
             continue
         assert trained.controls[0] is curve.controls[0]
         assert trained.controls[-1] is curve.controls[-1]

@@ -30,7 +30,7 @@ def train_linear_probe(ds, epochs=200, lr=0.5):
         batch_size=ds.n, lr=lr, weight_decay=0.0, max_epochs=epochs,
         plateau_eps=0.0, seed=1,
     )
-    theta, history = sgd_train(spec, ds, ds, cfg)
+    _, [history] = sgd_train(spec, ds, ds, [cfg])
     return history.records[history.best_train_loss_epoch].train_acc
 
 

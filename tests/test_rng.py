@@ -242,8 +242,8 @@ def test_stacked_epoch_batches_are_the_per_generator_permutations(n):
     stacked = epoch_batches(n, 64, [Rng(s) for s in range(4)])
     perms = [Rng(s).permutation(n) for s in range(4)]
     assert np.array_equal(np.concatenate(stacked, axis=1), np.stack(perms))
-    one = epoch_batches(n, 64, Rng(2))
-    assert np.array_equal(np.concatenate(one), perms[2])
+    one = epoch_batches(n, 64, [Rng(2)])
+    assert np.array_equal(np.concatenate(one, axis=1), perms[2][None])
     assert np.array_equal(permutations([Rng(1)], n)[0], perms[1])
 
 

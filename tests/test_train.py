@@ -40,7 +40,7 @@ def test_zero_lr_keeps_initialization_bits():
     spec = ModelSpec(input_dim=4, hidden_widths=(6,), num_classes=3)
     cfg = TrainConfig(batch_size=16, lr=0.0, weight_decay=0.0, max_epochs=3,
                       plateau_eps=0.0, seed=5)
-    theta, _ = sgd_train(spec, train, test, cfg)
+    [theta], _ = sgd_train(spec, train, test, [cfg])
     init = he_init(spec, Rng(5))
     assert np.array_equal(theta.values, init.values)
 
@@ -56,7 +56,7 @@ def test_quadratic_surrogate_matches_closed_form():
     lam, lr, epochs = 0.1, 0.5, 12
     cfg = TrainConfig(batch_size=data.n, lr=lr, weight_decay=lam,
                       max_epochs=epochs, plateau_eps=0.0, seed=3)
-    theta, history = sgd_train(spec, data, data, cfg)
+    [theta], [history] = sgd_train(spec, data, data, [cfg])
     theta0 = he_init(spec, Rng(3))
     factor = (1.0 - 2.0 * lr * lam) ** epochs
     expected = theta0.values * factor
@@ -76,7 +76,7 @@ def test_blobs_reach_full_train_accuracy():
     spec = ModelSpec(input_dim=4, hidden_widths=(16,), num_classes=3)
     cfg = TrainConfig(batch_size=16, lr=0.05, weight_decay=5e-4, max_epochs=150,
                       plateau_eps=1e-4, plateau_epochs=5, seed=7)
-    theta, history = sgd_train(spec, train, test, cfg)
+    [theta], _ = sgd_train(spec, train, test, [cfg])
     assert evaluate(spec, theta, train).acc == 100.0
 
 
@@ -85,8 +85,8 @@ def test_training_is_deterministic():
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     cfg = TrainConfig(batch_size=8, lr=0.05, weight_decay=5e-4, max_epochs=10,
                       plateau_eps=0.0, seed=11)
-    t1, h1 = sgd_train(spec, train, test, cfg)
-    t2, h2 = sgd_train(spec, train, test, cfg)
+    [t1], [h1] = sgd_train(spec, train, test, [cfg])
+    [t2], [h2] = sgd_train(spec, train, test, [cfg])
     assert np.array_equal(t1.values, t2.values)
     assert [r.train_loss for r in h1.records] == [r.train_loss for r in h2.records]
 
@@ -96,19 +96,19 @@ def test_zero_wd_matches_pure_sgd_replica():
     spec = ModelSpec(input_dim=4, hidden_widths=(5,), num_classes=3)
     cfg = TrainConfig(batch_size=8, lr=0.1, weight_decay=0.0, max_epochs=4,
                       plateau_eps=0.0, seed=13)
-    theta, _ = sgd_train(spec, train, test, cfg)
+    [theta], _ = sgd_train(spec, train, test, [cfg])
 
     from losslab.model import Batch, loss_grad
 
     rng = Rng(13)
     replica = he_init(spec, rng)
     for _ in range(4):
-        for idx in epoch_batches(train.n, 8, rng):
+        for (idx,) in epoch_batches(train.n, 8, [rng]):
             _, g = loss_grad(spec, replica, Batch(train.X[idx], train.y[idx]), 0.0)
             replica.values -= 0.1 * g.values
     # sgd_train returns the best epoch; recompute which epoch that was
     # by confirming the final replica equals one recorded iterate
-    t_final, hist = sgd_train(spec, train, test, cfg)
+    [t_final], [hist] = sgd_train(spec, train, test, [cfg])
     assert np.array_equal(t_final.values, theta.values)
     if hist.best_train_loss_epoch == 3:
         assert np.array_equal(theta.values, replica.values)
@@ -117,7 +117,7 @@ def test_zero_wd_matches_pure_sgd_replica():
 def test_epoch_partition_covers_every_index_once():
     rng = Rng(1)
     for n, b in [(10, 3), (12, 4), (7, 7), (5, 8)]:
-        batches = epoch_batches(n, b, rng)
+        batches = [block[0] for block in epoch_batches(n, b, [rng])]
         flat = np.concatenate(batches)
         assert np.array_equal(np.sort(flat), np.arange(n))
         assert len(batches) == (n + b - 1) // b
@@ -129,7 +129,7 @@ def test_plateau_stopping_fires():
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     cfg = TrainConfig(batch_size=40, lr=1e-6, weight_decay=0.0, max_epochs=100,
                       plateau_eps=1e-3, plateau_epochs=5, seed=1)
-    _, history = sgd_train(spec, train, test, cfg)
+    _, [history] = sgd_train(spec, train, test, [cfg])
     assert history.stopped_by_plateau
     assert len(history.records) < 100
 
@@ -139,9 +139,9 @@ def test_divergence_raises_with_epoch():
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     cfg = TrainConfig(batch_size=8, lr=1e200, weight_decay=0.0, max_epochs=50,
                       plateau_eps=0.0, seed=2)
-    with pytest.raises(DivergenceError) as err:
-        sgd_train(spec, train, test, cfg)
-    assert err.value.epoch >= 0
+    [theta], [history] = sgd_train(spec, train, test, [cfg])
+    assert isinstance(theta, DivergenceError)
+    assert theta.epoch == 0 and history.records == []
 
 
 def test_linear_decay_schedule_values():
@@ -254,12 +254,11 @@ def train_stack_and_alone(spec, train, test, cfgs):
     thetas, histories = sgd_train(spec, train, test, cfgs)
     assert len(thetas) == len(histories) == len(cfgs)
     for cfg, theta, history in zip(cfgs, thetas, histories):
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(rng_module, "CROSSOVER", float("inf"))
-                alone, alone_history = sgd_train(spec, train, test, cfg)
-        except DivergenceError as err:
-            assert isinstance(theta, DivergenceError) and theta.epoch == err.epoch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng_module, "CROSSOVER", float("inf"))
+            [alone], [alone_history] = sgd_train(spec, train, test, [cfg])
+        if isinstance(alone, DivergenceError):
+            assert isinstance(theta, DivergenceError) and theta.epoch == alone.epoch
             continue
         assert np.array_equal(theta.values, alone.values)
         assert history == alone_history
@@ -308,3 +307,25 @@ def test_stacked_replicates_must_share_all_but_the_seed():
         sgd_train(spec, train, test, [cfg, replace(cfg, seed=2, lr=0.1)])
     with pytest.raises(ParameterError):
         sgd_train(spec, train, test, [])
+
+
+@pytest.mark.parametrize("base", [
+    # every replicate stops on a plateau
+    TrainConfig(batch_size=8, lr=0.05, weight_decay=1e-3, max_epochs=40,
+                plateau_eps=1e-2, plateau_epochs=2),
+    # seed 3 diverges in epoch 0; the others' best epochs (4, 1, 3) precede their last
+    TrainConfig(batch_size=8, lr=1e40, weight_decay=0.0, max_epochs=6, plateau_eps=0.0),
+])
+def test_best_epoch_record_is_the_evaluation_of_the_returned_weights(base):
+    # a cell reads its replicates' train loss and test accuracy from here
+    train, test = tiny_task()
+    spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
+    cfgs = [replace(base, seed=s) for s in range(4)]
+    thetas, histories = train_stack_and_alone(spec, train, test, cfgs)
+    assert histories.stopped_by_plateau or any(isinstance(t, DivergenceError) for t in thetas)
+    for theta, history in zip(thetas, histories):
+        if isinstance(theta, DivergenceError):
+            continue
+        best = history.records[history.best_train_loss_epoch]
+        assert best.train_loss == evaluate(spec, theta, train, base.weight_decay).loss
+        assert best.test_acc == evaluate(spec, theta, test).acc
