@@ -8,16 +8,16 @@ Usage, from the repository root::
 example ``git archive`` of the parent commit, unpacked).  Each round
 measures the parent tree and then this tree, each in a fresh process, so
 both sides run on the same machine at nearly the same time; the record
-keeps every round's value and the median over rounds.  A metric a tree
-does not have is ``null`` there.  The command line is ``bench_rng.py``'s.
+keeps every round's value and the median over rounds.  Both trees must
+construct the operator as ``model.HessianOperator(spec, theta, batch,
+weight_decay)``.  The command line is ``bench_rng.py``'s.
 
 An application is one ``hvp`` call as the curvature estimators make it:
-on a tree with ``model.hessian_operator`` the operator is built once and
-passed to ``hvp``; otherwise ``hvp`` gets the parameters and redoes the
-primal passes.  Each timing is the median of ``REPS`` calls, in
-microseconds (``exact_hessian``: the median of 5, in milliseconds).  Page faults are the
-minor faults of ``FAULT_CALLS`` applications, per application, measured
-first in the process.
+the operator is constructed once and passed to ``hvp``.  Each timing is
+the median of ``REPS`` calls, in microseconds (``exact_hessian``: the
+median of 5, in milliseconds).  Page faults are the minor faults of
+``FAULT_CALLS`` applications, per application, measured first in the
+process.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ FAULT_CALLS = 300
 HERE = Path(__file__).resolve()
 
 
-def _median(fn, reps=REPS) -> float:
+def _median(fn, reps=None) -> float:
     times = []
-    for _ in range(reps):
+    for _ in range(REPS if reps is None else reps):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -62,11 +62,9 @@ def measure() -> dict:
     """Every metric of the ``losslab`` on ``sys.path``, as one flat dict."""
     import numpy as np
 
-    from losslab import model
-    from losslab.model import Batch, ModelSpec, ParamVector, exact_hessian, he_init, hvp
+    from losslab.model import (
+        Batch, HessianOperator, ModelSpec, ParamVector, exact_hessian, he_init, hvp)
     from losslab.rng import Rng
-
-    build = getattr(model, "hessian_operator", None)
 
     def instance(dims, rows):
         r = Rng(0)
@@ -78,8 +76,8 @@ def measure() -> dict:
         return spec, theta, Batch(X, y), v
 
     def application(spec, theta, batch, v):
-        target = theta if build is None else build(spec, theta, batch, WEIGHT_DECAY)
-        return lambda: hvp(spec, target, batch, WEIGHT_DECAY, v)
+        op = HessianOperator(spec, theta, batch, WEIGHT_DECAY)
+        return lambda: hvp(spec, op, batch, WEIGHT_DECAY, v)
 
     out = {}
     # first, while the allocator is as a fresh process leaves it: once a
@@ -99,9 +97,8 @@ def measure() -> dict:
         if not np.array_equal(apply().values, once):
             raise SystemExit(f"applications differ from a one-shot hvp at {_name(dims, rows)}")
         out[f"hvp.apply.{_name(dims, rows)}.us"] = _median(apply) * 1e6
-        out[f"hvp.build.{_name(dims, rows)}.us"] = (
-            None if build is None
-            else _median(lambda: build(spec, theta, batch, WEIGHT_DECAY)) * 1e6)
+        out[f"hvp.build.{_name(dims, rows)}.us"] = _median(
+            lambda: HessianOperator(spec, theta, batch, WEIGHT_DECAY)) * 1e6
     for dims, rows in DENSE_SHAPES:
         spec, theta, batch, _ = instance(dims, rows)
         out[f"exact_hessian.P{spec.param_count}.ms"] = _median(

@@ -9,7 +9,8 @@ example ``git archive`` of the parent commit, unpacked).  Each round
 measures the parent tree and then this tree, each in a fresh process, so
 both sides run on the same machine at nearly the same time; the record
 keeps every round's value and the median over rounds.  A metric a tree
-does not have is ``null`` there.
+does not have is ``null`` there; ``measure`` itself needs the RNG jump
+table (``rng._table``) and an ``evaluate`` that takes a stack of models.
 
 Each value is the median of ``REPS`` timed calls, in microseconds per
 call (the jump table's build in milliseconds).
@@ -34,9 +35,9 @@ HERE = Path(__file__).resolve()
 SRC = HERE.parent.parent / "src"
 
 
-def _median_us(fn, reps=REPS) -> float:
+def _median_us(fn) -> float:
     times = []
-    for _ in range(reps):
+    for _ in range(REPS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -54,14 +55,10 @@ def measure() -> dict:
     from losslab.train import epoch_batches, evaluate
 
     out = {}
-    build = getattr(rng_module, "_table", None)
-    if build is None:
-        out["rng.jump_table.build_ms"] = None
-    else:
-        rng_module._jump_table = None
-        start = time.perf_counter()
-        build()
-        out["rng.jump_table.build_ms"] = (time.perf_counter() - start) * 1e3
+    rng_module._jump_table = None
+    start = time.perf_counter()
+    rng_module._table()
+    out["rng.jump_table.build_ms"] = (time.perf_counter() - start) * 1e3
     for count, n in STACKS:
         rngs = [Rng(s) for s in range(count)]
         # one stack epoch's shuffle, as the trainers draw it
@@ -79,18 +76,11 @@ def measure() -> dict:
     out["train.epoch_evaluate.per_model.us"] = _median_us(
         lambda: [evaluate(spec, t, ds) for t in thetas for ds in (train, test)])
     stack = ParamVector(spec.layout(), np.stack([t.values for t in thetas]))
-    try:
-        stacked = evaluate(spec, stack, train)
-        if np.ndim(stacked.loss) != 1:
-            raise TypeError("evaluate returned one value for a stack")
-    except Exception:  # a tree whose evaluate takes one model only
-        out["train.epoch_evaluate.stacked.us"] = None
-    else:
-        alone = [evaluate(spec, t, train).loss for t in thetas]
-        if stacked.loss.tolist() != alone:
-            raise SystemExit("stacked evaluate differs from per-model evaluate")
-        out["train.epoch_evaluate.stacked.us"] = _median_us(
-            lambda: [evaluate(spec, stack, ds) for ds in (train, test)])
+    alone = [evaluate(spec, t, train).loss for t in thetas]
+    if evaluate(spec, stack, train).loss.tolist() != alone:
+        raise SystemExit("stacked evaluate differs from per-model evaluate")
+    out["train.epoch_evaluate.stacked.us"] = _median_us(
+        lambda: [evaluate(spec, stack, ds) for ds in (train, test)])
     return out
 
 

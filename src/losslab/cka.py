@@ -18,10 +18,6 @@ from .model import ModelSpec, ParamVector, forward, softmax
 
 def softmax_outputs(spec: ModelSpec, theta: ParamVector, probes: ProbeSet) -> np.ndarray:
     """Row-wise softmax probabilities of the model on the probe inputs."""
-    if probes.X.shape[1] != spec.input_dim:
-        raise DimensionError(
-            f"probe dimension {probes.X.shape[1]} does not match input_dim {spec.input_dim}"
-        )
     return softmax(forward(spec, theta, probes.X))
 
 

@@ -2,10 +2,10 @@
 
 Both estimators ride on the exact Hessian-vector product and share one
 frozen batch per measured model, so the two numbers describe the same
-local loss surface.  Each builds one ``HessianOperator`` (the primal
-passes, once) and applies it through the module-level ``hvp``, one call
-per iteration or probe.  Stopping compares consecutive iterates against
-a relative tolerance.
+local loss surface.  Each constructs one ``HessianOperator`` (the
+primal passes, once) and applies it through the module-level ``hvp``,
+one call per iteration or probe.  Stopping compares consecutive
+iterates against a relative tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ParameterError
-from .model import Batch, ModelSpec, ParamVector, hessian_operator, hvp
+from .model import Batch, HessianOperator, ModelSpec, ParamVector, hvp
 from .rng import Rng
 
 
@@ -72,7 +72,7 @@ def top_eigenvalue(
     Returns the signed Rayleigh quotient; an exactly-zero product is
     reported as value 0 with the degenerate flag set.
     """
-    op = hessian_operator(spec, theta, batch, weight_decay)
+    op = HessianOperator(spec, theta, batch, weight_decay)
     rng = Rng(cfg.seed).split("power_iteration")
     v = rng.normals(spec.param_count)
     v /= np.linalg.norm(v)
@@ -101,7 +101,7 @@ def trace_hutchinson(
     cfg: CurvatureConfig,
 ) -> TraceResult:
     """Hessian trace as the running mean of z^T H z over Rademacher probes."""
-    op = hessian_operator(spec, theta, batch, weight_decay)
+    op = HessianOperator(spec, theta, batch, weight_decay)
     rng = Rng(cfg.seed).split("hutchinson")
     total = 0.0
     mean_prev = None

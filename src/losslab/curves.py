@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import Dataset
-from .errors import DimensionError, DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError
 from .model import Batch, ModelSpec, ParamVector, loss_grad, require_matching, require_same_layout
 from .rng import Rng
-from .train import LinearDecay, epoch_batches, evaluate, schedule_lr
+from .train import LinearDecay, check_dataset, epoch_batches, evaluate, schedule_lr
 
 DEFAULT_T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -138,8 +138,7 @@ def train_curve(
     differ only in ``seed``.  Returns, per curve, the trained curve or the
     DivergenceError that ended it on a non-finite loss.
     """
-    if ds.dim != spec.input_dim:
-        raise DimensionError("dataset dimension does not match the model spec")
+    check_dataset(spec, ds, "curve data")
     cfg = cfgs[0] if cfgs else None
     if (cfg is None or len(curves) != len(cfgs)
             or any(replace(c, seed=cfg.seed) != cfg for c in cfgs)):

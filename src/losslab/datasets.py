@@ -178,22 +178,13 @@ def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
     return Dataset(ds.X[idx].copy(), ds.y[idx].copy(), ds.num_classes, ds.name)
 
 
-def perturb_uniform(data, magnitude: float, seed: int):
-    """Add independent Uniform[0, magnitude] noise to every feature entry."""
+def perturb_uniform(X: np.ndarray, magnitude: float, seed: int) -> np.ndarray:
+    """A new array: ``X`` plus independent Uniform[0, magnitude] noise on every entry."""
     if magnitude < 0:
         raise ParameterError("magnitude must be >= 0")
-    if isinstance(data, Dataset):
-        if magnitude == 0:
-            return Dataset(data.X.copy(), data.y.copy(), data.num_classes, data.name)
-        noise = Rng(seed).uniforms(data.X.size).reshape(data.X.shape) * magnitude
-        return Dataset(data.X + noise, data.y.copy(), data.num_classes, data.name)
-    if isinstance(data, ProbeSet):
-        source = f"pixel_noise(u={magnitude:g})" if data.source == "raw" else f"{data.source}+uniform(0,{magnitude:g})"
-        if magnitude == 0:
-            return ProbeSet(data.X.copy(), source)
-        noise = Rng(seed).uniforms(data.X.size).reshape(data.X.shape) * magnitude
-        return ProbeSet(data.X + noise, source)
-    raise ParameterError(f"cannot perturb object of type {type(data)!r}")
+    if magnitude == 0:
+        return X.copy()
+    return X + Rng(seed).uniforms(X.size).reshape(X.shape) * magnitude
 
 
 def raw_probes(ds: Dataset, m: int, seed: int) -> ProbeSet:

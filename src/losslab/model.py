@@ -12,8 +12,8 @@ the forward activations, the ReLU masks (bool), the softmax, the mean
 cross-entropy and every layer's backward signal.  ``loss_grad`` forms
 the gradient from those signals.  The curvature estimators apply one
 Hessian, at a fixed (theta, batch), 50 to 100 times, so it is a
-``HessianOperator``: ``hessian_operator`` checks the shapes, runs the
-primal pass once on a stack of one and caches it; each application then
+``HessianOperator``: its constructor checks the shapes, runs the primal
+pass once on a stack of one and caches it; each application then
 runs only the tangent passes, into ``(B, width)`` workspaces the operator
 owns, and returns a fresh vector.  ``hvp`` and ``exact_hessian`` build
 one and apply it; every result is bitwise what the full
@@ -317,72 +317,57 @@ def _stacked_loss_grad(spec, theta, X, y, weight_decay, grad) -> np.ndarray:
     return losses
 
 
-def hessian_operator(
-    spec: ModelSpec,
-    theta: ParamVector,
-    batch: Batch,
-    weight_decay: float,
-) -> HessianOperator:
-    """The Hessian of one model's loss at ``(theta, batch)``, ready to apply.
-
-    Checks the shapes, then runs the primal pass once, on a stack of one,
-    and keeps views of its one model.  ``theta`` is copied, so later
-    in-place edits of it do not reach the operator.
-    """
-    if batch.size == 0:
-        raise ParameterError("empty batch")
-    require_matching(spec, theta)
-    X, y = batch.X, batch.y
-    if theta.values.ndim != 1 or X.ndim != 2:
-        raise DimensionError("the Hessian operator takes one model and a 2-D batch, not a stack")
-    if X.shape[1] != spec.input_dim:
-        raise DimensionError(f"batch input dimension {X.shape[1]} != input_dim {spec.input_dim}")
-    if y.min() < 0 or y.max() >= spec.num_classes:
-        raise DimensionError(f"batch labels span {y.min()}..{y.max()}, outside the "
-                             f"model's {spec.num_classes} classes")
-
-    theta = theta.copy()
-    acts, masks, p, _, signals = _primal(
-        spec, ParamVector(theta.layout, theta.values[None]), X[None], y[None])
-    return HessianOperator(spec, batch, weight_decay, [w for w, _ in theta.views()],
-                           [a[0] for a in acts], [m[0] for m in masks], p[0],
-                           [g[0] for g in signals])
-
-
 class HessianOperator:
     """Pearlmutter Hessian-vector products at one fixed (theta, batch, weight decay).
 
-    Built by ``hessian_operator``, which caches the primal passes.  Each
+    The constructor checks the shapes, then runs the primal pass once, on
+    a stack of one, and keeps views of its one model.  ``theta`` is
+    copied, so later in-place edits of it do not reach the operator.  Each
     ``apply`` runs only the tangent passes, into ``(B, width)`` and
     weight-shaped workspaces the operator owns, and returns a fresh
     ``(P,)`` array.
     """
 
-    def __init__(self, spec, batch, weight_decay, weights, acts, masks, p, signals):
+    def __init__(self, spec: ModelSpec, theta: ParamVector, batch: Batch, weight_decay: float):
+        if batch.size == 0:
+            raise ParameterError("empty batch")
+        require_matching(spec, theta)
+        X, y = batch.X, batch.y
+        if theta.values.ndim != 1 or X.ndim != 2:
+            raise DimensionError("the Hessian operator takes one model and a 2-D batch, not a stack")
+        if X.shape[1] != spec.input_dim:
+            raise DimensionError(f"batch input dimension {X.shape[1]} != input_dim {spec.input_dim}")
+        # a Batch declares no class count, so only the spec bounds the labels
+        if y.min() < 0 or y.max() >= spec.num_classes:
+            raise DimensionError(f"batch labels span {y.min()}..{y.max()}, outside the "
+                                 f"model's {spec.num_classes} classes")
+
         self.spec = spec
         self.layout = spec.layout()
         self.batch = batch
         self.weight_decay = weight_decay
-        self._weights = weights
-        self._acts = acts
-        self._masks = masks
-        self._p = p
-        self._signals = signals
+        theta = theta.copy()
+        acts, masks, p, _, signals = _primal(
+            spec, ParamVector(theta.layout, theta.values[None]), X[None], y[None])
+        self._weights = [w for w, _ in theta.views()]
+        self._acts = [a[0] for a in acts]
+        self._masks = [m[0] for m in masks]
+        self._p = p[0]
+        self._signals = [g[0] for g in signals]
         n = batch.size
         dims = spec.layer_dims
         # _tangents[l] holds layer l's output tangent on the way forward and
         # its backward tangent signal on the way back
         self._tangents = [np.empty((n, d)) for d in dims[1:]]
         self._partials = [np.empty((n, d)) for d in dims[1:]]
-        self._weight_partials = [np.empty(w.shape) for w in weights]
+        self._weight_partials = [np.empty(w.shape) for w in self._weights]
         self._row_sums = np.empty((n, 1))
         self._out = np.empty(spec.param_count)
         self._out_views = ParamVector(self.layout, self._out).views()
 
     def apply(self, v: ParamVector) -> np.ndarray:
         """``H v`` as a new ``(P,)`` array."""
-        if v.layout is not self.layout and v.layout != self.layout:
-            raise DimensionError("parameter layouts do not match")
+        require_matching(self.spec, v)
         acts, ws, masks = self._acts, self._weights, self._masks
         rs, ts = self._tangents, self._partials
         vpairs = v.views()
@@ -441,7 +426,7 @@ def hvp(
     spec, batch and weight decay, which is applied as it is.
     """
     if not isinstance(theta, HessianOperator):
-        theta = hessian_operator(spec, theta, batch, weight_decay)
+        theta = HessianOperator(spec, theta, batch, weight_decay)
     elif theta.spec != spec or theta.batch is not batch or theta.weight_decay != weight_decay:
         raise ParameterError("the operator was built for another spec, batch or weight decay")
     return ParamVector(theta.layout, theta.apply(v))
@@ -461,7 +446,7 @@ def exact_hessian(
     p = spec.param_count
     if p > MAX_DENSE_PARAMS:
         raise ParameterError(f"exact_hessian guard: {p} parameters exceeds {MAX_DENSE_PARAMS}")
-    op = hessian_operator(spec, theta, batch, weight_decay)
+    op = HessianOperator(spec, theta, batch, weight_decay)
     h = np.empty((p, p), dtype=np.float64)
     basis = ParamVector.zeros(spec)
     for j in range(p):

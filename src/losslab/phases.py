@@ -150,6 +150,22 @@ def _fmt_tick(value: float) -> str:
     return "%.4g" % value
 
 
+def _text(x, y, label, size=11, anchor=None, rotate=False) -> str:
+    """One sans-serif ``<text>`` element; ``rotate`` turns it -90 degrees about (x, y)."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="rotate(-90 {x} {y})"' if rotate else ""
+    return (f'<text x="{x}" y="{y}" font-size="{size}"{anchor_attr} '
+            f'font-family="sans-serif"{transform}>{label}</text>')
+
+
+def _write_svg(path, width, height, body: list[str]) -> None:
+    """Write the ``<svg>`` element of the given size around ``body``, one element a line."""
+    header = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+              f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">')
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *body, "</svg>"]) + "\n")
+
+
 def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto") -> None:
     """One SVG rect per grid cell, colored by the chosen metric.
 
@@ -189,13 +205,10 @@ def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto")
     width = MARGIN_LEFT + CELL * len(load_vals) + LEGEND_W
     height = MARGIN_TOP + CELL * len(top_to_bottom) + MARGIN_BOTTOM
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         '<defs><pattern id="nc" width="8" height="8" patternUnits="userSpaceOnUse">'
         '<rect width="8" height="8" fill="#dddddd"/>'
         '<path d="M0,8 L8,0" stroke="#888888" stroke-width="1.5"/></pattern></defs>',
-        f'<text x="{MARGIN_LEFT}" y="{MARGIN_TOP - 12}" font-size="13" '
-        f'font-family="sans-serif">{metric}</text>',
+        _text(MARGIN_LEFT, MARGIN_TOP - 12, metric, size=13),
     ]
 
     span = max(abs(vmin), abs(vmax)) if (diverging and present) else 0.0
@@ -222,28 +235,14 @@ def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto")
     for col, lv in enumerate(load_vals):
         x = MARGIN_LEFT + col * CELL + CELL / 2
         y = MARGIN_TOP + CELL * len(top_to_bottom) + 16
-        out.append(
-            f'<text x="{x}" y="{y}" font-size="11" text-anchor="middle" '
-            f'font-family="sans-serif">{_fmt_tick(lv)}</text>'
-        )
+        out.append(_text(x, y, _fmt_tick(lv), anchor="middle"))
     for rix, tv in enumerate(top_to_bottom):
-        x = MARGIN_LEFT - 6
         y = MARGIN_TOP + rix * CELL + CELL / 2 + 4
-        out.append(
-            f'<text x="{x}" y="{y}" font-size="11" text-anchor="end" '
-            f'font-family="sans-serif">{_fmt_tick(tv)}</text>'
-        )
-    out.append(
-        f'<text x="{MARGIN_LEFT + CELL * len(load_vals) / 2}" y="{height - 8}" '
-        f'font-size="12" text-anchor="middle" font-family="sans-serif">'
-        f'{rows[0]["load_kind"]} (load &#8594;)</text>'
-    )
-    out.append(
-        f'<text x="14" y="{MARGIN_TOP + CELL * len(top_to_bottom) / 2}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 14 {MARGIN_TOP + CELL * len(top_to_bottom) / 2})">'
-        f'{temp_kind} (temperature &#8593;)</text>'
-    )
+        out.append(_text(MARGIN_LEFT - 6, y, _fmt_tick(tv), anchor="end"))
+    out.append(_text(MARGIN_LEFT + CELL * len(load_vals) / 2, height - 8,
+                     f'{rows[0]["load_kind"]} (load &#8594;)', size=12, anchor="middle"))
+    out.append(_text(14, MARGIN_TOP + CELL * len(top_to_bottom) / 2,
+                     f"{temp_kind} (temperature &#8593;)", size=12, anchor="middle", rotate=True))
 
     lx = MARGIN_LEFT + CELL * len(load_vals) + 18
     if categorical:
@@ -252,10 +251,7 @@ def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto")
             y = MARGIN_TOP + k * 22
             fill = PHASE_COLORS.get(lab, "url(#nc)")
             out.append(f'<rect x="{lx}" y="{y}" width="16" height="16" fill="{fill}"/>')
-            out.append(
-                f'<text x="{lx + 22}" y="{y + 12}" font-size="11" '
-                f'font-family="sans-serif">{lab}</text>'
-            )
+            out.append(_text(lx + 22, y + 12, lab))
     elif present:
         bar_h = CELL * len(top_to_bottom)
         steps = 32
@@ -271,17 +267,9 @@ def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto")
             )
         top_val = span if diverging else vmax
         bot_val = -span if diverging else vmin
-        out.append(
-            f'<text x="{lx + 18}" y="{MARGIN_TOP + 10}" font-size="11" '
-            f'font-family="sans-serif">{_fmt_tick(top_val)}</text>'
-        )
-        out.append(
-            f'<text x="{lx + 18}" y="{MARGIN_TOP + bar_h}" font-size="11" '
-            f'font-family="sans-serif">{_fmt_tick(bot_val)}</text>'
-        )
-    out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+        out.append(_text(lx + 18, MARGIN_TOP + 10, _fmt_tick(top_val)))
+        out.append(_text(lx + 18, MARGIN_TOP + bar_h, _fmt_tick(bot_val)))
+    _write_svg(path, width, height, out)
 
 
 PROFILE_W = 400
@@ -300,8 +288,6 @@ def render_curve_profile(profile: CurveProfile, path) -> None:
 
     pts = " ".join(f"{sx(t):.2f},{sy(e):.2f}" for t, e in zip(profile.t_values, profile.err01))
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{PROFILE_W}" height="{PROFILE_H}" viewBox="0 0 {PROFILE_W} {PROFILE_H}">',
         f'<rect x="{PAD}" y="{PAD}" width="{PROFILE_W - 2 * PAD}" '
         f'height="{PROFILE_H - 2 * PAD}" fill="none" stroke="#333333"/>',
         f'<polyline points="{pts}" fill="none" stroke="#2166ac" stroke-width="2"/>',
@@ -312,24 +298,9 @@ def render_curve_profile(profile: CurveProfile, path) -> None:
         fill = "#b2182b" if marker else "#2166ac"
         out.append(f'<circle cx="{sx(t):.2f}" cy="{sy(e):.2f}" r="{r}" fill="{fill}"/>')
     for t in (0.0, 0.5, 1.0):
-        out.append(
-            f'<text x="{sx(t):.2f}" y="{PROFILE_H - PAD + 16}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{t:g}</text>'
-        )
+        out.append(_text(f"{sx(t):.2f}", PROFILE_H - PAD + 16, f"{t:g}", anchor="middle"))
     for e in (0, 50, 100):
-        out.append(
-            f'<text x="{PAD - 8}" y="{sy(e) + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{e}</text>'
-        )
-    out.append(
-        f'<text x="{PROFILE_W / 2}" y="{PROFILE_H - 8}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">t</text>'
-    )
-    out.append(
-        f'<text x="14" y="{PROFILE_H / 2}" font-size="12" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 14 {PROFILE_H / 2})">'
-        f'training error %</text>'
-    )
-    out.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+        out.append(_text(PAD - 8, f"{sy(e) + 4:.2f}", e, anchor="end"))
+    out.append(_text(PROFILE_W / 2, PROFILE_H - 8, "t", size=12, anchor="middle"))
+    out.append(_text(14, PROFILE_H / 2, "training error %", size=12, anchor="middle", rotate=True))
+    _write_svg(path, PROFILE_W, PROFILE_H, out)

@@ -20,6 +20,7 @@ import json
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .curvature import CurvatureConfig, draw_metric_batch, top_eigenvalue, trace
 from .curves import CurveTrainConfig, curve_profile, init_curve, mode_connectivity, train_curve
 from .datasets import (
     Dataset,
+    ProbeSet,
     gen_blobs,
     gen_spirals,
     load_csv,
@@ -146,10 +148,6 @@ class GridSpec:
             raise ParameterError(f"temperature axis kind must be one of {TEMP_KINDS}")
         if self.replicates < 2:
             raise ParameterError("pairing requires at least 2 replicates")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.load_axis.values), len(self.temp_axis.values))
 
 
 @dataclass
@@ -271,9 +269,9 @@ def datasets_from_recipe(recipe: DataRecipe) -> tuple[Dataset, Dataset]:
             train, recipe.noise_frac, derive_seed(recipe.seed, "labels", recipe.noise_frac)
         )
     if recipe.pixel_noise > 0.0:
-        train = perturb_uniform(
-            train, recipe.pixel_noise, derive_seed(recipe.seed, "pixel", recipe.pixel_noise)
-        )
+        X = perturb_uniform(
+            train.X, recipe.pixel_noise, derive_seed(recipe.seed, "pixel", recipe.pixel_noise))
+        train = Dataset(X, train.y, train.num_classes, train.name)
     return train, test
 
 
@@ -314,9 +312,10 @@ def build_probes(ds: Dataset, cfg: ProbeConfig, seed: int):
     if cfg.source == "mixup":
         return mixup_probes(ds, cfg.m, cfg.alpha, seed)
     probes = raw_probes(ds, cfg.m, derive_seed(seed, "rows"))
-    if cfg.source == "pixel_noise":
-        probes = perturb_uniform(probes, cfg.noise, derive_seed(seed, "noise"))
-    return probes
+    if cfg.source == "raw":
+        return probes
+    return ProbeSet(perturb_uniform(probes.X, cfg.noise, derive_seed(seed, "noise")),
+                    f"pixel_noise(u={cfg.noise:g})")
 
 
 def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
@@ -381,22 +380,16 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
     return cell
 
 
-def _cell_task(args):
-    grid, i, j = args
-    return (i, j, run_cell(grid, i, j))
-
-
 def run_sweep(grid: GridSpec, workers: int = 1) -> tuple[list[CellResult], dict]:
-    """All grid cells (optionally in parallel) plus a provenance manifest."""
-    tasks = [(grid, i, j) for i in range(len(grid.load_axis.values))
+    """All grid cells, in grid order (optionally in parallel), plus a provenance manifest."""
+    tasks = [(i, j) for i in range(len(grid.load_axis.values))
              for j in range(len(grid.temp_axis.values))]
-    if workers and workers > 1:
+    args = (repeat(grid), *zip(*tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_task, tasks))
+            cells = list(pool.map(run_cell, *args))
     else:
-        results = [_cell_task(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
-    cells = [r[2] for r in results]
+        cells = list(map(run_cell, *args))
     manifest = {
         "schema": 1,
         "grid": dataclasses.asdict(grid),

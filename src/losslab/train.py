@@ -152,8 +152,6 @@ def evaluate(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: flo
     models (``theta`` values ``(R, P)``) the fields are ``(R,)`` arrays
     from one forward pass, entry r bitwise what model r alone gives.
     """
-    if ds.n == 0:
-        raise ParameterError("cannot evaluate on an empty dataset")
     one = theta.values.ndim == 1
     if one:  # one model is a stack of one
         theta = ParamVector(theta.layout, theta.values[None])
@@ -176,7 +174,9 @@ def epoch_batches(n: int, batch_size: int, rngs: Sequence[Rng]) -> list[np.ndarr
     return [perm[:, i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _check_dims(spec: ModelSpec, ds: Dataset, which: str) -> None:
+def check_dataset(spec: ModelSpec, ds: Dataset, which: str) -> None:
+    """Raise DimensionError, naming ``which`` data, unless ``ds`` has the
+    spec's input dimension and class count."""
     if ds.dim != spec.input_dim:
         raise DimensionError(f"{which} dimension {ds.dim} != input_dim {spec.input_dim}")
     if ds.num_classes != spec.num_classes:
@@ -208,8 +208,8 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfgs: Sequence[Tra
     the best epoch holds that epoch's penalized training loss and test
     accuracy, bitwise what ``evaluate`` gives on the returned weights.
     """
-    _check_dims(spec, train, "train")
-    _check_dims(spec, test, "test")
+    check_dataset(spec, train, "train")
+    check_dataset(spec, test, "test")
     cfg = cfgs[0] if cfgs else None
     if cfg is None or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ParameterError("replicates trained together must share every setting but the seed")

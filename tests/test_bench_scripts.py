@@ -1,0 +1,27 @@
+"""Smoke test of the two-tree benchmark scripts in ``benchmarks/``.
+
+Each script's ``measure`` must still reach every name it times; a metric
+that reads ``None`` or NaN would mean it fell back to some other path.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.mark.parametrize("name", ["bench_rng", "bench_hessian"])
+def test_measure_reports_a_finite_number_for_every_metric(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))  # bench_hessian imports bench_rng
+    spec = importlib.util.spec_from_file_location(f"benchmarks_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "REPS", 2)
+    metrics = module.measure()
+    assert metrics
+    bad = {k: v for k, v in metrics.items()
+           if not isinstance(v, float) or not math.isfinite(v)}
+    assert not bad, bad

@@ -250,16 +250,31 @@ def test_weight_decay_defaults_to_zero_without_train_section(workdir, monkeypatc
     assert code == 0 and json.loads(out)["weight_decay"] == 0.0
 
 
+def run_on_misfit_data(workdir, monkeypatch, command, field):
+    """``command`` on the quickstart data with ``data.<field>`` 6, as (exit code, stderr)."""
+    cfg = small_config()
+    cfg["data"][field] = 6
+    write_config(str(workdir[0] / "misfit.json"), cfg)
+    code, _, err = in_workdir(workdir, monkeypatch, [
+        command, "--config", "misfit.json", *MEASURE[command], "--out", "misfit.out"])
+    return code, err
+
+
 @pytest.mark.parametrize("field,message", [
     ("dim", "batch input dimension 6 != input_dim 8"),
     ("num_classes", "outside the model's 4 classes"),
 ])
 def test_hessian_on_data_the_checkpoint_does_not_fit_exits_2(workdir, monkeypatch, field, message):
-    cfg = small_config()
-    cfg["data"][field] = 6
-    write_config(str(workdir[0] / "misfit.json"), cfg)
-    code, _, err = in_workdir(workdir, monkeypatch, [
-        "hessian", "--config", "misfit.json", *MEASURE["hessian"], "--out", "misfit.out"])
+    code, err = run_on_misfit_data(workdir, monkeypatch, "hessian", field)
+    assert code == 2 and message in err, err
+
+
+@pytest.mark.parametrize("field,message", [
+    ("dim", "curve data dimension 6 != input_dim 8"),
+    ("num_classes", "curve data classes 6 != num_classes 4"),
+])
+def test_modeconn_on_data_the_checkpoints_do_not_fit_exits_2(workdir, monkeypatch, field, message):
+    code, err = run_on_misfit_data(workdir, monkeypatch, "modeconn", field)
     assert code == 2 and message in err, err
 
 

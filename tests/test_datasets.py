@@ -20,6 +20,8 @@ from losslab.datasets import (
 )
 from losslab.errors import FormatError, ParameterError
 from losslab.model import ModelSpec
+from losslab.rng import derive_seed
+from losslab.sweep import ProbeConfig, build_probes
 from losslab.train import TrainConfig, sgd_train
 
 
@@ -172,19 +174,20 @@ def test_subsample_preserves_order():
 
 def test_perturb_uniform_zero_magnitude():
     ds = gen_blobs(n=20, num_classes=2, dim=2, spread=0.3, seed=19)
-    out = perturb_uniform(ds, 0.0, seed=20)
-    assert np.array_equal(out.X, ds.X)
+    out = perturb_uniform(ds.X, 0.0, seed=20)
+    assert out is not ds.X and not np.shares_memory(out, ds.X)
+    assert np.array_equal(out, ds.X)
 
 
 def test_perturb_uniform_codomain_and_mean():
     ds = gen_blobs(n=4000, num_classes=2, dim=8, spread=0.3, seed=21)
     u = 0.5
-    out = perturb_uniform(ds, u, seed=22)
-    diff = out.X - ds.X
+    out = perturb_uniform(ds.X, u, seed=22)
+    diff = out - ds.X
     assert np.all(diff >= 0.0) and np.all(diff <= u)
     assert abs(float(diff.mean()) - u / 2) < 0.01 * u
     with pytest.raises(ParameterError):
-        perturb_uniform(ds, -0.1, seed=0)
+        perturb_uniform(ds.X, -0.1, seed=0)
 
 
 def test_mixup_fixed_lambda_returns_rows():
@@ -224,9 +227,9 @@ def test_mixup_errors():
 def test_probe_source_descriptors():
     ds = gen_blobs(n=20, num_classes=2, dim=2, spread=0.2, seed=27)
     assert mixup_probes(ds, m=8, seed=0).source == "mixup(alpha=16)"
-    raw = raw_probes(ds, m=8, seed=0)
-    assert raw.source == "raw"
-    noisy = perturb_uniform(raw, 0.25, seed=1)
+    assert raw_probes(ds, m=8, seed=0).source == "raw"
+    noisy = build_probes(ds, ProbeConfig(source="pixel_noise", m=8, noise=0.25), seed=1)
+    raw = raw_probes(ds, m=8, seed=derive_seed(1, "rows"))
     assert noisy.source == "pixel_noise(u=0.25)"
     assert np.all((noisy.X - raw.X) >= 0.0) and np.all((noisy.X - raw.X) <= 0.25)
 

@@ -9,12 +9,12 @@ import pytest
 from losslab.errors import DimensionError, ParameterError
 from losslab.model import (
     Batch,
+    HessianOperator,
     ModelSpec,
     ParamVector,
     exact_hessian,
     forward,
     he_init,
-    hessian_operator,
     hvp,
     loss_grad,
 )
@@ -323,7 +323,7 @@ def test_exact_hessian_matches_pinned_digest(name, instance):
 ])
 def test_operator_equals_the_full_pass_bitwise(dims, rows):
     spec, theta, batch = small_net(rows + dims[1], dims[1:-1], dims[0], dims[-1], rows)
-    op = hessian_operator(spec, theta, batch, 5e-4)
+    op = HessianOperator(spec, theta, batch, 5e-4)
     r = Rng(dims[1]).split("directions")
     for k in range(20):
         v = ParamVector(spec.layout(), r.normals(spec.param_count) if k % 2
@@ -335,7 +335,7 @@ def test_operator_equals_the_full_pass_bitwise(dims, rows):
 def test_operator_applications_do_not_depend_on_earlier_ones():
     spec, theta, batch = small_net(seed=1, widths=(6, 5), d=4, c=3, batch=40)
     # at wd 0 nothing is added to the tangent passes' output buffer
-    op = hessian_operator(spec, theta, batch, 0.0)
+    op = HessianOperator(spec, theta, batch, 0.0)
     r = Rng(9)
     v1, v2 = (ParamVector(spec.layout(), r.normals(spec.param_count)) for _ in range(2))
     first = hvp(spec, op, batch, 0.0, v1).values
@@ -350,7 +350,7 @@ def test_operator_applications_do_not_depend_on_earlier_ones():
 def test_operator_does_not_see_later_edits_of_theta():
     spec, theta, batch = small_net(seed=2, widths=(6,), d=4, c=3, batch=20)
     v = ParamVector(spec.layout(), Rng(3).normals(spec.param_count))
-    op = hessian_operator(spec, theta, batch, 1e-3)
+    op = HessianOperator(spec, theta, batch, 1e-3)
     before = op.apply(v)
     theta.values *= 3.0
     assert np.array_equal(op.apply(v), before)
@@ -358,7 +358,7 @@ def test_operator_does_not_see_later_edits_of_theta():
 
 def test_operator_of_a_zero_hessian_returns_exact_zeros():
     spec, theta, batch = penalty_only_instance(seed=4)
-    op = hessian_operator(spec, theta, batch, 0.0)
+    op = HessianOperator(spec, theta, batch, 0.0)
     for seed in range(3):
         v = ParamVector(spec.layout(), Rng(seed).normals(spec.param_count))
         assert np.all(op.apply(v) == 0.0)
@@ -367,11 +367,11 @@ def test_operator_of_a_zero_hessian_returns_exact_zeros():
 def test_operator_checks_shapes_once_at_construction():
     spec, theta, batch = small_net()
     with pytest.raises(DimensionError, match="input dimension"):
-        hessian_operator(spec, theta, Batch(batch.X[:, :2], batch.y), 0.0)
+        HessianOperator(spec, theta, Batch(batch.X[:, :2], batch.y), 0.0)
     with pytest.raises(DimensionError, match="labels"):
-        hessian_operator(spec, theta, Batch(batch.X, np.full(batch.size, spec.num_classes)), 0.0)
+        HessianOperator(spec, theta, Batch(batch.X, np.full(batch.size, spec.num_classes)), 0.0)
     with pytest.raises(ParameterError):
-        hessian_operator(spec, theta, Batch(np.zeros((0, spec.input_dim)), np.zeros(0)), 0.0)
-    op = hessian_operator(spec, theta, batch, 0.0)
+        HessianOperator(spec, theta, Batch(np.zeros((0, spec.input_dim)), np.zeros(0)), 0.0)
+    op = HessianOperator(spec, theta, batch, 0.0)
     with pytest.raises(ParameterError, match="built for another"):
         hvp(spec, op, small_net()[2], 0.0, ParamVector.zeros(spec))
