@@ -1,8 +1,8 @@
-"""Per-layer timings of the RNG stream and the per-epoch evaluation, two trees side by side.
+"""Per-layer timings of the RNG stream, its consumers and the per-epoch evaluation, two trees side by side.
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_5.json]
+    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_10.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
@@ -11,6 +11,12 @@ both sides run on the same machine at nearly the same time; the record
 keeps every round's value and the median over rounds.  A metric a tree
 does not have is ``null`` there; ``measure`` itself needs the RNG jump
 table (``rng._table``) and an ``evaluate`` that takes a stack of models.
+
+The RNG's consumers are timed as the sweep calls them: ``mixup_probes``
+at the ``curvature_heavy`` workload's 4,000 probes, and
+``trace_hutchinson`` at that workload's settings (max_iter 50, rtol
+1e-12, so always 50 probes) on a one-hidden-layer net (P = 212, 200
+rows) and a two-hidden-layer net (P = 1,476, 1,000 rows).
 
 Each value is the median of ``REPS`` timed calls, in microseconds per
 call (the jump table's build in milliseconds).
@@ -30,7 +36,9 @@ from pathlib import Path
 
 REPS = 30
 STACKS = [(1, 1000), (2, 1000), (4, 1000)]
-RAW_SIZES = [212, 2000, 8000]
+RAW_SIZES = [212, 2000, 8000, 16384, 65536]
+MIXUP_PROBES = 4000
+HUTCHINSON_NETS = [((8, 16, 4), 200), ((8, 32, 32, 4), 1000)]  # P = 212 and 1,476
 HERE = Path(__file__).resolve()
 SRC = HERE.parent.parent / "src"
 
@@ -49,8 +57,9 @@ def measure() -> dict:
     import numpy as np
 
     from losslab import rng as rng_module
-    from losslab.datasets import gen_blobs
-    from losslab.model import ModelSpec, ParamVector, he_init
+    from losslab.curvature import CurvatureConfig, trace_hutchinson
+    from losslab.datasets import gen_blobs, mixup_probes
+    from losslab.model import Batch, ModelSpec, ParamVector, he_init
     from losslab.rng import Rng
     from losslab.train import epoch_batches, evaluate
 
@@ -67,6 +76,17 @@ def measure() -> dict:
     for n in RAW_SIZES:
         r = Rng(3)
         out[f"rng.raw.n{n}.us"] = _median_us(lambda: r._raw(n))
+    blobs = gen_blobs(1000, 4, 8, 0.15, seed=1)
+    out[f"datasets.mixup_probes.m{MIXUP_PROBES}.us"] = _median_us(
+        lambda: mixup_probes(blobs, m=MIXUP_PROBES, alpha=16.0, seed=5))
+    cfg = CurvatureConfig(max_iter=50, rtol=1e-12, seed=2)
+    for dims, rows in HUTCHINSON_NETS:
+        spec = ModelSpec(dims[0], tuple(dims[1:-1]), dims[-1])
+        theta = he_init(spec, Rng(4))
+        data = gen_blobs(rows, dims[-1], dims[0], 0.15, seed=3)
+        batch = Batch(data.X, data.y)
+        out[f"curvature.trace_hutchinson.P{spec.param_count}_B{rows}.us"] = _median_us(
+            lambda: trace_hutchinson(spec, theta, batch, 5e-4, cfg))
 
     # the evaluation after one epoch of 4 replicates: full train and test sets
     spec = ModelSpec(input_dim=8, hidden_widths=(16,), num_classes=4)
@@ -141,7 +161,7 @@ def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, 
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_5.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_10.json", argv)
 
 
 if __name__ == "__main__":

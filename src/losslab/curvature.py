@@ -6,6 +6,13 @@ local loss surface.  Each constructs one ``HessianOperator`` (the
 primal passes, once) and applies it through the module-level ``hvp``,
 one call per iteration or probe.  Stopping compares consecutive
 iterates against a relative tolerance.
+
+Hutchinson draws the Rademacher signs of ``PROBE_CHUNK`` probes in one
+``rademacher`` call, consecutive stretches of one stream, so each probe
+gets the signs a call per probe would give and the draw reaches the
+lanes of ``rng.raw_outputs`` even when one probe is shorter than
+``rng.CROSSOVER``.  The generator is local to the call, so the signs
+drawn past an early stop change nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from .datasets import Dataset
 from .errors import ParameterError
 from .model import Batch, HessianOperator, ModelSpec, ParamVector, hvp
 from .rng import Rng
+
+PROBE_CHUNK = 8  # Hutchinson probes whose signs are drawn in one call
 
 
 @dataclass(frozen=True)
@@ -100,14 +109,22 @@ def trace_hutchinson(
     weight_decay: float,
     cfg: CurvatureConfig,
 ) -> TraceResult:
-    """Hessian trace as the running mean of z^T H z over Rademacher probes."""
+    """Hessian trace as the running mean of z^T H z over Rademacher probes.
+
+    Probe k's signs are outputs ``(k-1)P`` to ``kP - 1`` of the
+    ``"hutchinson"`` stream, drawn ``PROBE_CHUNK`` probes at a time.
+    """
     op = HessianOperator(spec, theta, batch, weight_decay)
     rng = Rng(cfg.seed).split("hutchinson")
+    p = spec.param_count
     total = 0.0
     mean_prev = None
     mean = 0.0
     for k in range(1, cfg.max_iter + 1):
-        z = ParamVector(spec.layout(), rng.rademacher(spec.param_count))
+        row = (k - 1) % PROBE_CHUNK
+        if row == 0:
+            signs = rng.rademacher(min(PROBE_CHUNK, cfg.max_iter - k + 1) * p).reshape(-1, p)
+        z = ParamVector(spec.layout(), signs[row])
         hz = hvp(spec, op, batch, weight_decay, z).values
         total += float(z.values @ hz)
         mean = total / k

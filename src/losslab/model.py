@@ -321,7 +321,8 @@ class HessianOperator:
     """Pearlmutter Hessian-vector products at one fixed (theta, batch, weight decay).
 
     The constructor checks the shapes, then runs the primal pass once, on
-    a stack of one, and keeps views of its one model.  ``theta`` is
+    a stack of one, and keeps views of its one model, with the ReLU masks
+    converted once to float64 0/1 arrays.  ``theta`` is
     copied, so later in-place edits of it do not reach the operator.  Each
     ``apply`` runs only the tangent passes, into ``(B, width)`` and
     weight-shaped workspaces the operator owns, and returns a fresh
@@ -351,7 +352,8 @@ class HessianOperator:
             spec, ParamVector(theta.layout, theta.values[None]), X[None], y[None])
         self._weights = [w for w, _ in theta.views()]
         self._acts = [a[0] for a in acts]
-        self._masks = [m[0] for m in masks]
+        # float 0/1: x * 1.0 and x * 0.0 are the bool products bit for bit, and faster
+        self._masks = [m[0].astype(np.float64) for m in masks]
         self._p = p[0]
         self._signals = [g[0] for g in signals]
         n = batch.size

@@ -2,10 +2,15 @@
 
 Everything here is written straight from public algorithm descriptions
 or as naive per-element loops, deliberately sharing no code with the
-package so that agreement is evidence, not tautology.
+package so that agreement is evidence, not tautology.  The exceptions
+are the per-row draw loops at the end: they call the scalar ``Rng``
+methods one draw at a time, as the package once did, and are the
+reference its block draws must equal bit for bit.
 """
 
 import numpy as np
+
+from losslab.rng import Rng
 
 M64 = (1 << 64) - 1
 
@@ -178,3 +183,38 @@ def l2_loops(a, b):
     for x, y in zip(a, b):
         s += (float(x) - float(y)) ** 2
     return s**0.5
+
+
+def mixup_probes_loop(X, m, alpha, seed, fixed_lambda=None):
+    """Mixup probes from one scalar draw at a time: row a, row b != a, then lam."""
+    rng = Rng(seed)
+    n = X.shape[0]
+    out = np.empty((m, X.shape[1]), dtype=np.float64)
+    for i in range(m):
+        a = rng.integer(n)
+        b = rng.integer(n - 1)
+        if b >= a:
+            b += 1
+        lam = rng.beta(alpha) if fixed_lambda is None else fixed_lambda
+        out[i] = lam * X[a] + (1.0 - lam) * X[b]
+    return out
+
+
+def raw_probe_rows_loop(n, m, seed):
+    """Row indices of raw probes, one scalar ``integer`` draw per probe."""
+    rng = Rng(seed)
+    return np.array([rng.integer(n) for _ in range(m)])
+
+
+def randomize_labels_loop(y, num_classes, frac, seed):
+    """Labels after flipping round(frac*n) of them, one scalar draw per flipped row."""
+    y = np.array(y, dtype=np.int64)
+    k = round(frac * y.size)
+    if k:
+        rng = Rng(seed)
+        for i in rng.choose(y.size, k):
+            other = rng.integer(num_classes - 1)
+            if other >= y[i]:
+                other += 1
+            y[i] = other
+    return y

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from losslab.curvature import (
+    PROBE_CHUNK,
     CurvatureConfig,
     draw_metric_batch,
     top_eigenvalue,
@@ -10,7 +11,7 @@ from losslab.curvature import (
 from losslab.datasets import gen_blobs
 from losslab.errors import ParameterError
 from losslab.model import Batch, ModelSpec, exact_hessian, he_init, hvp, ParamVector
-from losslab.rng import Rng
+from losslab.rng import CROSSOVER, Rng
 
 from conftest import penalty_only_instance
 
@@ -156,3 +157,14 @@ def test_estimators_match_pinned_values():
     tr = trace_hutchinson(spec, theta, batch, 5e-4, cfg)
     assert (eig.value.hex(), eig.iterations, eig.degenerate) == ("0x1.4f0843b30dd1ap+2", 9, False)
     assert (tr.value.hex(), tr.probes) == ("0x1.5aee43762f2e5p+4", 22)
+
+
+def test_hutchinson_pinned_where_probes_are_shorter_than_the_crossover():
+    # P = 212 is below rng.CROSSOVER, so one probe's signs alone would come
+    # from the scalar loop; the run stops at probe 13, inside the second
+    # chunk of signs.  Pinned before signs were drawn in chunks.
+    spec, theta, batch = small_instance(seed=0, widths=(16,), d=8, c=4, batch=200)
+    assert spec.param_count < CROSSOVER < PROBE_CHUNK * spec.param_count
+    tr = trace_hutchinson(spec, theta, batch, 5e-4, CurvatureConfig(seed=2))
+    assert tr.probes % PROBE_CHUNK != 0
+    assert (tr.value.hex(), tr.probes) == ("0x1.4350e77deb5e2p+3", 13)

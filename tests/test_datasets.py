@@ -24,6 +24,8 @@ from losslab.rng import derive_seed
 from losslab.sweep import ProbeConfig, build_probes
 from losslab.train import TrainConfig, sgd_train
 
+from oracles import mixup_probes_loop, randomize_labels_loop, raw_probe_rows_loop
+
 
 def train_linear_probe(ds, epochs=200, lr=0.5):
     """Accuracy of a linear softmax classifier trained on ds."""
@@ -241,3 +243,38 @@ def test_generators_bit_deterministic():
     c = randomize_labels(a, 0.25, seed=5)
     d = randomize_labels(b, 0.25, seed=5)
     assert np.array_equal(c.y, d.y)
+
+
+# -- probe and label draws walk one stream in blocks ------------------------
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 16.0])
+@pytest.mark.parametrize("n", [2, 3, 1024, 1025])
+def test_mixup_equals_the_per_probe_loop(alpha, n):
+    # m = 255..257 probes end near the edge of the first 2,048-output block,
+    # and m = 4,000 walks several blocks
+    ds = gen_blobs(n=n, num_classes=2, dim=3, spread=0.3, seed=n)
+    for m in (2, 255, 256, 257, 4000):
+        got = mixup_probes(ds, m=m, alpha=alpha, seed=m).X
+        assert got.tobytes() == mixup_probes_loop(ds.X, m, alpha, m).tobytes(), m
+
+
+@pytest.mark.parametrize("n", [2, 1025])
+def test_mixup_fixed_lambda_equals_the_per_probe_loop(n):
+    ds = gen_blobs(n=n, num_classes=2, dim=3, spread=0.3, seed=n)
+    for lam in (1.0, 0.25):
+        got = mixup_probes(ds, m=3000, seed=5, _fixed_lambda=lam).X
+        assert got.tobytes() == mixup_probes_loop(ds.X, 3000, 16.0, 5, lam).tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 700), (1000, 640), (1025, 5000)])
+def test_raw_probes_equal_the_per_probe_loop(n, m):
+    ds = gen_blobs(n=n, num_classes=2, dim=3, spread=0.3, seed=n)
+    assert np.array_equal(raw_probes(ds, m=m, seed=m).X, ds.X[raw_probe_rows_loop(n, m, m)])
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4, 9])
+@pytest.mark.parametrize("frac", [0.1, 0.4, 1.0])
+def test_randomize_labels_equals_the_per_row_loop(classes, frac):
+    ds = gen_blobs(n=3000, num_classes=classes, dim=2, spread=0.3, seed=classes)
+    got = randomize_labels(ds, frac, seed=17)
+    assert np.array_equal(got.y, randomize_labels_loop(ds.y, classes, frac, 17))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from losslab import rng as rng_module
 from losslab.errors import ParameterError
-from losslab.rng import LANES, STRIDE, Rng, _splitmix64, derive_seed, permutations, raw_outputs
+from losslab.rng import (
+    LANES, STRIDE, BlockStream, Rng, _splitmix64, derive_seed, permutations, raw_outputs)
 from losslab.train import epoch_batches
 
 from oracles import splitmix64_stream, xoshiro256pp_stream
@@ -270,3 +271,39 @@ def test_normal_is_normals_of_one():
         assert Rng(seed).normal() == Rng(seed).normals(1)[0]
     r, ref = Rng(5), Rng(5)
     assert [r.normal() for _ in range(500)] == [ref.normals(1)[0] for _ in range(500)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+@pytest.mark.parametrize("n", [8 * BLOCK, 8 * BLOCK + 1, 20_000, 74_000])
+def test_multi_block_passes_match_reference_stream(count, n):
+    # one pass steps _PASS_LANES lanes over all streams: 64 blocks for one
+    # stream, 16 for four, so these lengths end inside a block, on a block
+    # edge and across passes
+    rngs, starts = streams(range(90, 90 + count))
+    out = raw_outputs(rngs, n)
+    for r, start, row in zip(rngs, starts, out):
+        ref = xoshiro256pp_stream(start, n + 2)
+        assert row.tolist() == ref[:n]
+        assert [r.next_u64(), r.next_u64()] == ref[n:]
+
+
+# -- walking one stream in blocks -------------------------------------------
+
+def test_block_stream_calls_equal_the_generator_calls(monkeypatch):
+    # the smallest blocks, so walks cross many block edges, including a
+    # normal whose two outputs straddle one
+    monkeypatch.setattr(rng_module, "WALK_BLOCK", 2 * STRIDE)
+    pick = Rng(1)
+    calls = [("next_u64",), ("uniform",), ("normal",), ("integer", 1), ("integer", 5),
+             ("integer", 1025), ("gamma", 0.3), ("gamma", 4.0), ("beta", 16.0),
+             ("beta", 0.001)]
+    for seed in range(20):
+        walk, ref = BlockStream(Rng(seed), 0), Rng(seed)
+        for _ in range(300):
+            name, *args = calls[pick.integer(len(calls))]
+            assert getattr(walk, name)(*args) == getattr(ref, name)(*args), (seed, name, args)
+
+
+def test_block_stream_beta_returns_half_when_both_gammas_underflow():
+    walk = BlockStream(Rng(4), 200)
+    assert 0.5 in [walk.beta(0.001) for _ in range(50)]
