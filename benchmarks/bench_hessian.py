@@ -1,8 +1,8 @@
-"""Per-layer timings of the Hessian-vector product, two trees side by side.
+"""Per-layer timings of the Hessian-vector product and the curvature estimators, two trees side by side.
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_hessian.py --parent DIR [--rounds 5] [--out BENCH_7.json]
+    python3 benchmarks/bench_hessian.py --parent DIR [--rounds 5] [--out BENCH_11.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
@@ -18,6 +18,13 @@ the median of ``REPS`` calls, in microseconds (``exact_hessian``: the
 median of 5, in milliseconds).  Page faults are the minor faults of
 ``FAULT_CALLS`` applications, per application, measured first in the
 process.
+
+The estimators ``top_eigenvalue`` and ``trace_hutchinson`` are timed as
+the ``curvature_heavy`` workload calls them (max_iter 50, rtol 1e-12) on
+an untrained one-hidden-layer net (P = 212, 200 rows) and a
+two-hidden-layer net (P = 1,476, 1,000 rows): microseconds per call
+(the median of ``ESTIMATOR_REPS``) and the Hessian products each call
+used.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ APPLY_SHAPES = [
 DENSE_SHAPES = [((8, 16, 4), 200), ((8, 16, 16, 4), 200)]  # P = 212 and 484
 FAULT_SHAPE = ((8, 32, 32, 4), 1000)
 FAULT_CALLS = 300
+ESTIMATOR_NETS = [((8, 16, 4), 200), ((8, 32, 32, 4), 1000)]  # P = 212 and 1,476
+ESTIMATOR_REPS = 10
 HERE = Path(__file__).resolve()
 
 
@@ -62,6 +71,8 @@ def measure() -> dict:
     """Every metric of the ``losslab`` on ``sys.path``, as one flat dict."""
     import numpy as np
 
+    from losslab.curvature import CurvatureConfig, top_eigenvalue, trace_hutchinson
+    from losslab.datasets import gen_blobs
     from losslab.model import (
         Batch, HessianOperator, ModelSpec, ParamVector, exact_hessian, he_init, hvp)
     from losslab.rng import Rng
@@ -103,11 +114,26 @@ def measure() -> dict:
         spec, theta, batch, _ = instance(dims, rows)
         out[f"exact_hessian.P{spec.param_count}.ms"] = _median(
             lambda: exact_hessian(spec, theta, batch, WEIGHT_DECAY), reps=5) * 1e3
+    cfg = CurvatureConfig(max_iter=50, rtol=1e-12, seed=2)
+    for dims, rows in ESTIMATOR_NETS:
+        spec = ModelSpec(dims[0], tuple(dims[1:-1]), dims[-1])
+        theta = he_init(spec, Rng(4))
+        data = gen_blobs(rows, dims[-1], dims[0], 0.15, seed=3)
+        batch = Batch(data.X, data.y)
+        eig = top_eigenvalue(spec, theta, batch, WEIGHT_DECAY, cfg)
+        tr = trace_hutchinson(spec, theta, batch, WEIGHT_DECAY, cfg)
+        name = f"P{spec.param_count}_B{rows}"
+        out[f"curvature.top_eigenvalue.{name}.us"] = _median(
+            lambda: top_eigenvalue(spec, theta, batch, WEIGHT_DECAY, cfg), ESTIMATOR_REPS) * 1e6
+        out[f"curvature.top_eigenvalue.{name}.products"] = float(eig.iterations)
+        out[f"curvature.trace_hutchinson.{name}.us"] = _median(
+            lambda: trace_hutchinson(spec, theta, batch, WEIGHT_DECAY, cfg), ESTIMATOR_REPS) * 1e6
+        out[f"curvature.trace_hutchinson.{name}.products"] = float(tr.probes)
     return out
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_7.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_11.json", argv)
 
 
 if __name__ == "__main__":

@@ -140,10 +140,10 @@ def cmd_hessian(args) -> int:
     record = {
         "metric": "hessian",
         "lambda_max": eig.value,
-        "power_iterations": eig.iterations,
+        "lanczos_steps": eig.iterations,
+        "lambda_residual": eig.residual,
         "degenerate": eig.degenerate,
         "hessian_trace": tr.value,
-        "trace_probes": tr.probes,
         "weight_decay": wd,
     }
     if args.exact:
@@ -151,12 +151,11 @@ def cmd_hessian(args) -> int:
         vals = np.linalg.eigvalsh(0.5 * (dense + dense.T))
         exact_lam = float(vals[np.argmax(np.abs(vals))])
         rel = abs(eig.value - exact_lam) / max(abs(exact_lam), 1e-300)
-        record["exact_lambda_max"] = exact_lam
-        record["exact_rel_err"] = rel
-        record["exact_trace"] = float(np.trace(dense))
+        record.update(exact_lambda_max=exact_lam, exact_rel_err=rel,
+                      exact_trace=float(np.trace(dense)))
     _write_record(record, args.out)
     if record.get("exact_rel_err", 0.0) >= 1e-3:
-        raise NumericError(f"power iteration off by {rel:.2e} relative to the dense eigensolver")
+        raise NumericError(f"Lanczos off by {rel:.2e} relative to the dense eigensolver")
     return _finish(args, [args.out], cfg, {"metrics": curvature.seed})
 
 

@@ -3,15 +3,17 @@
 The network structure is hard-wired (dense layers + ReLU, softmax
 cross-entropy with an L2 penalty on all parameters), so derivatives are
 written out by construction instead of going through a general autodiff
-graph.  The Hessian-vector product is the Pearlmutter R-operator:
+graph.  Every net is ReLU, and the exact Hessian trace in ``curvature``
+relies on it: with the masks fixed, each output is linear in any one
+parameter.  The Hessian-vector product is the Pearlmutter R-operator:
 tangents are pushed through the forward pass and the backward pass is
 differentiated once more, with no finite differences anywhere.
 
 The primal pass is written once, in ``_primal``, for a stack of models:
 the forward activations, the ReLU masks (bool), the softmax, the mean
 cross-entropy and every layer's backward signal.  ``loss_grad`` forms
-the gradient from those signals.  The curvature estimators apply one
-Hessian, at a fixed (theta, batch), 50 to 100 times, so it is a
+the gradient from those signals.  Lanczos applies one Hessian, at a
+fixed (theta, batch), up to ``max_iter`` times, so it is a
 ``HessianOperator``: its constructor checks the shapes, runs the primal
 pass once on a stack of one and caches it; each application then
 runs only the tangent passes, into ``(B, width)`` workspaces the operator
@@ -66,7 +68,6 @@ class ModelSpec:
     input_dim: int
     hidden_widths: tuple[int, ...]
     num_classes: int
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -76,8 +77,6 @@ class ModelSpec:
             raise ParameterError("all hidden widths must be >= 1")
         if self.num_classes < 2:
             raise ParameterError("num_classes must be >= 2")
-        if self.activation != "relu":
-            raise ParameterError("only relu activation is supported")
         dims = self.layer_dims
         entries: list[LayoutEntry] = []
         for layer in range(self.num_layers):
@@ -317,6 +316,22 @@ def _stacked_loss_grad(spec, theta, X, y, weight_decay, grad) -> np.ndarray:
     return losses
 
 
+def check_one_model(spec: ModelSpec, theta: ParamVector, batch: Batch) -> None:
+    """Raise unless ``theta`` is one model of ``spec`` and ``batch`` a 2-D batch it can read."""
+    if batch.size == 0:
+        raise ParameterError("empty batch")
+    require_matching(spec, theta)
+    X, y = batch.X, batch.y
+    if theta.values.ndim != 1 or X.ndim != 2:
+        raise DimensionError("the Hessian takes one model and a 2-D batch, not a stack")
+    if X.shape[1] != spec.input_dim:
+        raise DimensionError(f"batch input dimension {X.shape[1]} != input_dim {spec.input_dim}")
+    # a Batch declares no class count, so only the spec bounds the labels
+    if y.min() < 0 or y.max() >= spec.num_classes:
+        raise DimensionError(f"batch labels span {y.min()}..{y.max()}, outside the "
+                             f"model's {spec.num_classes} classes")
+
+
 class HessianOperator:
     """Pearlmutter Hessian-vector products at one fixed (theta, batch, weight decay).
 
@@ -330,26 +345,14 @@ class HessianOperator:
     """
 
     def __init__(self, spec: ModelSpec, theta: ParamVector, batch: Batch, weight_decay: float):
-        if batch.size == 0:
-            raise ParameterError("empty batch")
-        require_matching(spec, theta)
-        X, y = batch.X, batch.y
-        if theta.values.ndim != 1 or X.ndim != 2:
-            raise DimensionError("the Hessian operator takes one model and a 2-D batch, not a stack")
-        if X.shape[1] != spec.input_dim:
-            raise DimensionError(f"batch input dimension {X.shape[1]} != input_dim {spec.input_dim}")
-        # a Batch declares no class count, so only the spec bounds the labels
-        if y.min() < 0 or y.max() >= spec.num_classes:
-            raise DimensionError(f"batch labels span {y.min()}..{y.max()}, outside the "
-                                 f"model's {spec.num_classes} classes")
-
+        check_one_model(spec, theta, batch)
         self.spec = spec
         self.layout = spec.layout()
         self.batch = batch
         self.weight_decay = weight_decay
         theta = theta.copy()
         acts, masks, p, _, signals = _primal(
-            spec, ParamVector(theta.layout, theta.values[None]), X[None], y[None])
+            spec, ParamVector(theta.layout, theta.values[None]), batch.X[None], batch.y[None])
         self._weights = [w for w, _ in theta.views()]
         self._acts = [a[0] for a in acts]
         # float 0/1: x * 1.0 and x * 0.0 are the bool products bit for bit, and faster
@@ -442,7 +445,7 @@ def exact_hessian(
 ) -> np.ndarray:
     """Dense Hessian assembled column by column, one operator application per basis vector.
 
-    Test oracle for the iterative curvature estimators; guarded so it is
+    Test oracle for the curvature estimators; guarded so it is
     never called on more than ``MAX_DENSE_PARAMS`` parameters.
     """
     p = spec.param_count

@@ -25,6 +25,7 @@ from itertools import repeat
 import numpy as np
 
 from .cka import cka_between_models
+# trace_hutchinson is the exact trace; the benchmark's tracer rebinds it by this name
 from .curvature import CurvatureConfig, draw_metric_batch, top_eigenvalue, trace_hutchinson
 from .curves import CurveTrainConfig, curve_profile, init_curve, mode_connectivity, train_curve
 from .datasets import (
@@ -294,11 +295,7 @@ def cell_model_spec(grid: GridSpec, load_value) -> ModelSpec:
     if grid.load_axis.kind != "width":
         return base
     width = _axis_value("width", load_value)
-    return ModelSpec(
-        input_dim=base.input_dim,
-        hidden_widths=tuple(width for _ in base.hidden_widths),
-        num_classes=base.num_classes,
-    )
+    return replace(base, hidden_widths=tuple(width for _ in base.hidden_widths))
 
 
 def cell_train_config(grid: GridSpec, temp_value, seed: int) -> TrainConfig:

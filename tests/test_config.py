@@ -114,6 +114,7 @@ ERRORS = [
     ("grid.temp", {"kind": "lr", "values": ["0.1"]}, "grid.temp"),
     ("train.linear_scale_lr", True, "train.linear_scale_lr"),
     ("train.reference_batch", 64, "train.reference_batch"),
+    ("model.activation", "relu", "model.activation"),
 ]
 
 

@@ -29,8 +29,8 @@ from losslab.sweep import (
 )
 from losslab.train import TrainConfig
 
-RESULTS_SHA256 = "6e33cbbe0d1c9caea65c668408a4025a7e68751c0adff021c8ca8e885170f744"
-PHASES_SHA256 = "4a14b980cccd4d6c5e4427217dd6ddd7f0b8c683472377797466806f60901fa1"
+RESULTS_SHA256 = "666531d142015f12a9695904eaabed0334baa2635f8e39e23f6b83ae01ed8d4c"
+PHASES_SHA256 = "134f043f57d850b3f085d7cf248c8dcef8b5637e63176546f2d3ad0fd5c1fc14"
 
 
 def tiny_grid() -> GridSpec:
@@ -141,9 +141,9 @@ WORKLOADS = {
 }
 
 WORKLOAD_SHA256 = {
-    "small_batch": "75605b2301264cca8ea322c772f3d70647fc2487f09f8851ef44d13859183057",
-    "large_batch_noisy": "e6f0c41810fe79bd461268c313b59e94541f5eced720a53577d2abab83923535",
-    "curvature_heavy": "2972c46db73200c15f39705762a06667451c27d2b40ab507688d2cda88e6707b",
+    "small_batch": "6b66cb0fae482c90ae91fe80adc450c3a00357c192916964fb25a8bcf148c49e",
+    "large_batch_noisy": "50f1924ec5b4678f59656a8bbcc94c8710adf03cba1c41c350c0e9f53b3c478d",
+    "curvature_heavy": "baba7594c1a8bbbd9a691857e69973819edda7d3c03d289c7e218eb245edc303",
 }
 
 
