@@ -1,19 +1,8 @@
 """Scalar curvature summaries: dominant Hessian eigenvalue and trace.
 
 Both read one frozen batch per measured model and describe the Hessian
-of ``mean_CE + wd * ||theta||^2`` with the ReLU masks held fixed.
-
-The trace is exact.  With the masks fixed every logit is linear in any
-one parameter, so diag H is the diagonal of the Gauss-Newton matrix.
-Writing the softmax cross-entropy's Hessian in the logits as
-``diag(p_b) - p_b p_b^T = sum_c s_bc s_bc^T``, ``s_bc = sqrt(p_bc)(e_c - p_b)``,
-
-    tr H = (1/B) sum_l sum_c sum_b (||a_lb||^2 + 1) ||delta^c_lb||^2 + 2 wd P,
-
-where ``a_lb`` is row b's input to layer l and ``delta^c_lb`` is
-``s_bc`` pushed back through the ``W^T`` products and masks to layer l's
-pre-activation (weight ``W_l[i, j]`` gives ``a_lb[i]^2 delta^c_lb[j]^2``,
-the bias ``delta^c_lb[j]^2``): one primal pass and C backward passes.
+of ``mean_CE + wd * ||theta||^2`` with the ReLU masks held fixed.  The
+trace is exact: ``model.HessianOperator.trace``.
 
 lambda_max is Lanczos with full reorthogonalization, every product
 through the module-level ``hvp``.  For a Ritz pair ``(theta_i, s_i)`` of
@@ -32,7 +21,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ParameterError
-from .model import Batch, HessianOperator, ModelSpec, ParamVector, _primal, check_one_model, hvp
+from .model import Batch, HessianOperator, ModelSpec, ParamVector, hvp
 from .rng import Rng
 
 
@@ -114,22 +103,10 @@ def trace_hutchinson(
     weight_decay: float,
     cfg: CurvatureConfig,
 ) -> TraceResult:
-    """The exact Hessian trace, from one primal pass and C backward passes.
+    """The exact Hessian trace, ``HessianOperator.trace``.
 
     Exact, not a Hutchinson estimate: the name stays because the
     benchmark's tracer rebinds ``sweep.trace_hutchinson``.  ``cfg`` is
     not read; ``probes`` is 0, as no Hessian product is used.
     """
-    check_one_model(spec, theta, batch)
-    one = ParamVector(theta.layout, theta.values[None])
-    acts, masks, p, _, _ = _primal(spec, one, batch.X[None], batch.y[None])
-    n, c = p.shape[1:]
-    # delta[c, b] = sqrt(p_bc) (e_c - p_b), then pushed back layer by layer
-    delta = np.sqrt(p[0].T)[:, :, None] * (np.eye(c)[:, None, :] - p)
-    total = 0.0
-    for l in range(spec.num_layers - 1, -1, -1):
-        sq_acts = np.einsum("bi,bi->b", acts[l][0], acts[l][0]) + 1.0
-        total += float(sq_acts @ np.einsum("cbj,cbj->b", delta, delta))
-        if l > 0:
-            delta = (delta @ theta.views()[l][0].T) * masks[l - 1]
-    return TraceResult(total / n + 2.0 * weight_decay * spec.param_count, probes=0)
+    return TraceResult(HessianOperator(spec, theta, batch, weight_decay).trace(), probes=0)

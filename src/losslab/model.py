@@ -1,25 +1,21 @@
-"""ReLU MLP forward pass, exact gradients, and Hessian-vector products.
+"""ReLU MLP forward pass, exact gradients, Hessian-vector products and trace.
 
 The network structure is hard-wired (dense layers + ReLU, softmax
 cross-entropy with an L2 penalty on all parameters), so derivatives are
 written out by construction instead of going through a general autodiff
-graph.  Every net is ReLU, and the exact Hessian trace in ``curvature``
-relies on it: with the masks fixed, each output is linear in any one
-parameter.  The Hessian-vector product is the Pearlmutter R-operator:
+graph.  The Hessian-vector product is the Pearlmutter R-operator:
 tangents are pushed through the forward pass and the backward pass is
 differentiated once more, with no finite differences anywhere.
 
 The primal pass is written once, in ``_primal``, for a stack of models:
 the forward activations, the ReLU masks (bool), the softmax, the mean
 cross-entropy and every layer's backward signal.  ``loss_grad`` forms
-the gradient from those signals.  Lanczos applies one Hessian, at a
-fixed (theta, batch), up to ``max_iter`` times, so it is a
-``HessianOperator``: its constructor checks the shapes, runs the primal
-pass once on a stack of one and caches it; each application then
-runs only the tangent passes, into ``(B, width)`` workspaces the operator
-owns, and returns a fresh vector.  ``hvp`` and ``exact_hessian`` build
-one and apply it; every result is bitwise what the full
-forward-over-reverse pass gives.
+the gradient from those signals.  The curvature of one model at a fixed
+(theta, batch) is a ``HessianOperator``, which runs the primal pass once
+and caches it: ``apply`` runs only the tangent passes, and ``trace``
+reads the exact trace from the cached pass alone.  ``hvp`` and
+``exact_hessian`` build one and apply it; every product is bitwise what
+the full forward-over-reverse pass gives.
 
 The one loss is ``mean_CE + wd * ||theta||^2``: every gradient, Hessian
 product and curvature estimate in the package is of this objective.
@@ -273,12 +269,19 @@ def loss_grad(
     if weight_decay < 0:
         raise ParameterError("weight_decay must be >= 0")
     grad = ParamVector(theta.layout, np.empty_like(theta.values)) if out is None else out
-    if theta.values.ndim == 1:  # one model is a stack of one
-        losses = _stacked_loss_grad(
-            spec, ParamVector(theta.layout, theta.values[None]), batch.X[None], batch.y[None],
-            weight_decay, ParamVector(grad.layout, grad.values[None]))
-        return float(losses[0]), grad
-    return _stacked_loss_grad(spec, theta, batch.X, batch.y, weight_decay, grad), grad
+    X, y, stack, stack_grad = batch.X, batch.y, theta, grad
+    one = theta.values.ndim == 1
+    if one:  # one model is a stack of one
+        X, y = X[None], y[None]
+        stack = ParamVector(theta.layout, theta.values[None])
+        stack_grad = ParamVector(grad.layout, grad.values[None])
+    acts, _, _, losses, signals = _primal(spec, stack, X, y)
+    losses += weight_decay * sq_norms(stack.values)
+    for l, (gw, gb) in enumerate(stack_grad.views()):
+        np.matmul(acts[l].swapaxes(1, 2), signals[l], out=gw)
+        signals[l].sum(axis=1, out=gb)
+    stack_grad.values += (2.0 * weight_decay) * stack.values
+    return (float(losses[0]) if one else losses), grad
 
 
 def _primal(spec, theta, X, y):
@@ -305,54 +308,39 @@ def _primal(spec, theta, X, y):
     return acts, masks, p, ce, signals
 
 
-def _stacked_loss_grad(spec, theta, X, y, weight_decay, grad) -> np.ndarray:
-    """Per-model losses of a stack; the stacked gradient goes into ``grad``."""
-    acts, _, _, losses, signals = _primal(spec, theta, X, y)
-    losses += weight_decay * sq_norms(theta.values)
-    for l, (gw, gb) in enumerate(grad.views()):
-        np.matmul(acts[l].swapaxes(1, 2), signals[l], out=gw)
-        signals[l].sum(axis=1, out=gb)
-    grad.values += (2.0 * weight_decay) * theta.values
-    return losses
-
-
-def check_one_model(spec: ModelSpec, theta: ParamVector, batch: Batch) -> None:
-    """Raise unless ``theta`` is one model of ``spec`` and ``batch`` a 2-D batch it can read."""
-    if batch.size == 0:
-        raise ParameterError("empty batch")
-    require_matching(spec, theta)
-    X, y = batch.X, batch.y
-    if theta.values.ndim != 1 or X.ndim != 2:
-        raise DimensionError("the Hessian takes one model and a 2-D batch, not a stack")
-    if X.shape[1] != spec.input_dim:
-        raise DimensionError(f"batch input dimension {X.shape[1]} != input_dim {spec.input_dim}")
-    # a Batch declares no class count, so only the spec bounds the labels
-    if y.min() < 0 or y.max() >= spec.num_classes:
-        raise DimensionError(f"batch labels span {y.min()}..{y.max()}, outside the "
-                             f"model's {spec.num_classes} classes")
-
-
 class HessianOperator:
-    """Pearlmutter Hessian-vector products at one fixed (theta, batch, weight decay).
+    """Pearlmutter Hessian-vector products, and the trace, at one fixed (theta, batch, weight decay).
 
-    The constructor checks the shapes, then runs the primal pass once, on
+    The constructor checks that ``theta`` is one model of ``spec`` and
+    ``batch`` a 2-D batch it can read, then runs the primal pass once, on
     a stack of one, and keeps views of its one model, with the ReLU masks
     converted once to float64 0/1 arrays.  ``theta`` is
     copied, so later in-place edits of it do not reach the operator.  Each
     ``apply`` runs only the tangent passes, into ``(B, width)`` and
     weight-shaped workspaces the operator owns, and returns a fresh
-    ``(P,)`` array.
+    ``(P,)`` array.  ``trace`` reads only the cached pass.
     """
 
     def __init__(self, spec: ModelSpec, theta: ParamVector, batch: Batch, weight_decay: float):
-        check_one_model(spec, theta, batch)
+        if batch.size == 0:
+            raise ParameterError("empty batch")
+        require_matching(spec, theta)
+        X, y = batch.X, batch.y
+        if theta.values.ndim != 1 or X.ndim != 2:
+            raise DimensionError("the Hessian takes one model and a 2-D batch, not a stack")
+        if X.shape[1] != spec.input_dim:
+            raise DimensionError(f"batch input dimension {X.shape[1]} != input_dim {spec.input_dim}")
+        # a Batch declares no class count, so only the spec bounds the labels
+        if y.min() < 0 or y.max() >= spec.num_classes:
+            raise DimensionError(f"batch labels span {y.min()}..{y.max()}, outside the "
+                                 f"model's {spec.num_classes} classes")
         self.spec = spec
         self.layout = spec.layout()
         self.batch = batch
         self.weight_decay = weight_decay
         theta = theta.copy()
         acts, masks, p, _, signals = _primal(
-            spec, ParamVector(theta.layout, theta.values[None]), batch.X[None], batch.y[None])
+            spec, ParamVector(theta.layout, theta.values[None]), X[None], y[None])
         self._weights = [w for w, _ in theta.views()]
         self._acts = [a[0] for a in acts]
         # float 0/1: x * 1.0 and x * 0.0 are the bool products bit for bit, and faster
@@ -415,6 +403,33 @@ class HessianOperator:
                 rs[l - 1] *= masks[l - 1]
 
         return self._out + (2.0 * self.weight_decay) * v.values
+
+    def trace(self) -> float:
+        """The exact trace of H, from the cached primal pass and C backward passes.
+
+        Every net is ReLU: with the masks fixed every logit is linear in
+        any one parameter, so diag H is the diagonal of the Gauss-Newton
+        matrix.  Writing the softmax cross-entropy's Hessian in the logits as
+        ``diag(p_b) - p_b p_b^T = sum_c s_bc s_bc^T``, ``s_bc = sqrt(p_bc)(e_c - p_b)``,
+
+            tr H = (1/B) sum_l sum_c sum_b (||a_lb||^2 + 1) ||delta^c_lb||^2 + 2 wd P,
+
+        where ``a_lb`` is row b's input to layer l and ``delta^c_lb`` is
+        ``s_bc`` pushed back through the ``W^T`` products and masks to
+        layer l's pre-activation (weight ``W_l[i, j]`` gives
+        ``a_lb[i]^2 delta^c_lb[j]^2``, the bias ``delta^c_lb[j]^2``).
+        """
+        p, acts, ws = self._p, self._acts, self._weights
+        n, c = p.shape
+        # delta[c, b] = sqrt(p_bc) (e_c - p_b), then pushed back layer by layer
+        delta = np.sqrt(p.T)[:, :, None] * (np.eye(c)[:, None, :] - p)
+        total = 0.0
+        for l in range(len(ws) - 1, -1, -1):
+            sq_acts = np.einsum("bi,bi->b", acts[l], acts[l]) + 1.0
+            total += float(sq_acts @ np.einsum("cbj,cbj->b", delta, delta))
+            if l > 0:
+                delta = (delta @ ws[l].T) * self._masks[l - 1]
+        return total / n + 2.0 * self.weight_decay * self.spec.param_count
 
 
 def hvp(

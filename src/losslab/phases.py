@@ -45,6 +45,13 @@ DIVERGING_METRICS = ("mc_mean", "beta_hat")
 
 @dataclass(frozen=True)
 class PhaseThresholds:
+    """The classifier's settings.
+
+    ``loss_converged`` is parsed and validated but read by no rule.  It
+    stays because the bundled and the benchmark's configs set it, until a
+    loss rule is wired in or the field is dropped.
+    """
+
     eps_mc: float = 2.0
     sharp_quantile: float = 0.5
     tau_cka: float = 0.9
@@ -61,39 +68,20 @@ class PhaseThresholds:
             raise ParameterError("loss_converged must exceed 1")
 
 
-@dataclass
-class GridContext:
-    """Grid-relative reference values the classifier compares against."""
-
-    trace_threshold: float
-    min_train_loss: float | None  # None when no converged row has a train loss
-
-
 def _converged(row: dict) -> bool:
     return row.get("n_converged", 0) > 0
 
 
-def build_context(rows: list[dict], thresholds: PhaseThresholds) -> GridContext:
+def trace_threshold(rows: list[dict], thresholds: PhaseThresholds) -> float:
+    """The ``sharp_quantile`` of the converged rows' mean Hessian traces."""
     traces = [r["hessian_trace_mean"] for r in rows
               if _converged(r) and r.get("hessian_trace_mean") is not None]
-    losses = [r["train_loss_mean"] for r in rows
-              if _converged(r) and r.get("train_loss_mean") is not None]
     if not traces:
-        raise ParameterError("no converged cells to build a grid context from")
-    threshold = float(np.quantile(np.asarray(traces), thresholds.sharp_quantile))
-    return GridContext(trace_threshold=threshold,
-                       min_train_loss=float(min(losses)) if losses else None)
+        raise ParameterError("no converged cells to take a trace quantile of")
+    return float(np.quantile(np.asarray(traces), thresholds.sharp_quantile))
 
 
-def is_low_loss(row: dict, ctx: GridContext, thresholds: PhaseThresholds) -> bool:
-    """Whether the cell trained to within loss_converged x the grid minimum."""
-    loss = row.get("train_loss_mean")
-    if loss is None or ctx.min_train_loss is None:
-        return False
-    return loss <= thresholds.loss_converged * ctx.min_train_loss
-
-
-def classify_cell(row: dict, ctx: GridContext, thresholds: PhaseThresholds) -> str:
+def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> str:
     """One of I, II, III, IV-A, IV-B for a converged cell, NC otherwise."""
     if not _converged(row):
         return "NC"
@@ -102,7 +90,7 @@ def classify_cell(row: dict, ctx: GridContext, thresholds: PhaseThresholds) -> s
     mu = row.get("mu_hat")
     if trace is None or beta is None or mu is None:
         return "NC"
-    sharp = trace > ctx.trace_threshold
+    sharp = trace > threshold
     poor = beta < -thresholds.eps_mc
     if sharp:
         return "I" if poor else "II"
@@ -112,9 +100,9 @@ def classify_cell(row: dict, ctx: GridContext, thresholds: PhaseThresholds) -> s
 
 
 def label_rows(rows: list[dict], thresholds: PhaseThresholds) -> list[str]:
-    """Classify every row against the grid-wide context."""
-    ctx = build_context(rows, thresholds)
-    return [classify_cell(row, ctx, thresholds) for row in rows]
+    """Classify every row against the grid-wide trace threshold."""
+    threshold = trace_threshold(rows, thresholds)
+    return [classify_cell(row, threshold, thresholds) for row in rows]
 
 
 # -- SVG rendering -------------------------------------------------------

@@ -221,19 +221,7 @@ class Rng:
         return Rng(derive_seed(self.seed, *key))
 
     def next_u64(self) -> int:
-        # one step of ``_loop``, inlined: routed through ``_loop(1)`` it costs 30% more
-        s0, s1, s2, s3 = self._s
-        tmp = (s0 + s3) & _MASK64
-        result = (((tmp << 23) | (tmp >> 41)) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s = [s0, s1, s2, s3]
-        return result
+        return self._loop(1)[0]
 
     def _loop(self, n: int) -> list[int]:
         """n raw 64-bit outputs from the scalar loop; state hoisted into locals."""

@@ -108,6 +108,12 @@ class ProbeConfig:
     def __post_init__(self):
         if self.source not in ("mixup", "pixel_noise", "raw"):
             raise ParameterError(f"unknown probe source {self.source!r}")
+        if self.m < 2:
+            raise ParameterError("probe count m must be >= 2")
+        if not self.alpha > 0:
+            raise ParameterError("alpha must be > 0")
+        if not self.noise >= 0:
+            raise ParameterError("noise must be >= 0")
 
 
 @dataclass(frozen=True)

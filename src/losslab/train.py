@@ -80,6 +80,10 @@ class TrainConfig:
             raise ConfigError("train.weight_decay", "must be >= 0")
         if self.max_epochs < 1:
             raise ConfigError("train.max_epochs", "must be >= 1")
+        if self.plateau_epochs < 1:
+            raise ConfigError("train.plateau_epochs", "must be >= 1")
+        if not self.plateau_eps >= 0:
+            raise ConfigError("train.plateau_eps", "must be >= 0")
 
 
 def schedule_lr(epoch: int, base_lr: float, schedule: LinearDecay | None) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import losslab
-from losslab import cli
+from losslab import cli, sweep
 from losslab.config import (
     load_config,
     parse_data,
@@ -115,6 +115,11 @@ ERRORS = [
     ("train.linear_scale_lr", True, "train.linear_scale_lr"),
     ("train.reference_batch", 64, "train.reference_batch"),
     ("model.activation", "relu", "model.activation"),
+    ("metrics.probes.m", 1, "metrics.probes"),
+    ("metrics.probes.alpha", 0, "metrics.probes"),
+    ("metrics.probes.noise", -0.1, "metrics.probes"),
+    ("train.plateau_epochs", 0, "train.plateau_epochs"),
+    ("train.plateau_eps", -1.0, "train.plateau_eps"),
 ]
 
 
@@ -168,6 +173,30 @@ def test_sweep_with_bad_config_exits_2(sweep_cfg, tmp_path, capsys):
                      "--workers", "1"])
     assert code == 2
     assert "train.lr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({"metrics.probes.m": 1}, "metrics.probes: probe count m must be >= 2"),
+    ({"metrics.probes.alpha": -2.0}, "metrics.probes: alpha must be > 0"),
+    ({"metrics.probes.noise": -0.5}, "metrics.probes: noise must be >= 0"),
+    ({"train.plateau_epochs": 0, "train.plateau_eps": -1}, "train.plateau_epochs: must be >= 1"),
+    ({"train.plateau_eps": -1}, "train.plateau_eps: must be >= 0"),
+])
+def test_sweep_with_bad_settings_exits_2_before_any_cell(sweep_cfg, tmp_path, capsys,
+                                                         monkeypatch, edits, message):
+    def refuse(*args):
+        raise AssertionError("a cell ran before the config was checked")
+
+    monkeypatch.setattr(sweep, "run_cell", refuse)
+    cfg = sweep_cfg
+    for path, value in edits.items():
+        cfg = edited(cfg, path, value)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                     "--workers", "1"])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_axis_values_are_kept_as_given(sweep_cfg):

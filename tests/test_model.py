@@ -364,6 +364,21 @@ def test_operator_of_a_zero_hessian_returns_exact_zeros():
         assert np.all(op.apply(v) == 0.0)
 
 
+@pytest.mark.parametrize("wd", [0.0, 5e-4])
+def test_trace_after_applications_equals_a_fresh_operators(wd):
+    # the trace reads the cached primal pass, which lives beside apply's workspaces
+    for seed in range(30):
+        spec, theta, batch = random_instance(seed)
+        op = HessianOperator(spec, theta, batch, wd)
+        r = Rng(seed).split("directions")
+        for _ in range(3):
+            op.apply(ParamVector(spec.layout(), r.normals(spec.param_count)))
+        value = op.trace()
+        assert value == HessianOperator(spec, theta, batch, wd).trace(), seed
+        exact = float(np.trace(exact_hessian(spec, theta, batch, wd)))
+        assert abs(value - exact) <= 1e-12 * abs(exact), seed
+
+
 def test_operator_checks_shapes_once_at_construction():
     spec, theta, batch = small_net()
     with pytest.raises(DimensionError, match="input dimension"):
