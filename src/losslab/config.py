@@ -8,6 +8,15 @@ fields and type hints of its dataclass, where every default lives.  An
 absent key takes the default; null means None for an Optional field,
 else the default.  A key that names no field or section is an error, so
 a misspelled setting cannot silently fall back to its default.
+
+A sweep replaces some settings in every cell, so in a sweep config they
+apply only to the single-model commands (train, hessian, modeconn):
+``train.seed``, ``curve.seed`` and ``metrics.seed`` are derived per cell
+and replicate from ``grid.base_seed``, and ``curve.batch_size`` becomes
+the cell's training batch size.  The grid axes replace the fields they
+name (a width axis every hidden width, a batch-size axis
+``train.batch_size``), and every axis value is checked when the grid is
+parsed, before any cell runs.
 """
 
 from __future__ import annotations

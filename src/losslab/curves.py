@@ -26,9 +26,17 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import DivergenceError, ParameterError
-from .model import Batch, ModelSpec, ParamVector, loss_grad, require_matching, require_same_layout
+from .model import (
+    Batch,
+    ModelSpec,
+    ParamVector,
+    evaluate,
+    loss_grad,
+    require_matching,
+    require_same_layout,
+)
 from .rng import Rng
-from .train import LinearDecay, check_dataset, epoch_batches, evaluate, schedule_lr
+from .train import LinearDecay, check_dataset, epoch_batches, schedule_lr
 
 DEFAULT_T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 

@@ -7,22 +7,24 @@ graph.  The Hessian-vector product is the Pearlmutter R-operator:
 tangents are pushed through the forward pass and the backward pass is
 differentiated once more, with no finite differences anywhere.
 
-The primal pass is written once, in ``_primal``, for a stack of models:
-the forward activations, the ReLU masks (bool), the softmax, the mean
-cross-entropy and every layer's backward signal.  ``loss_grad`` forms
-the gradient from those signals.  The curvature of one model at a fixed
-(theta, batch) is a ``HessianOperator``, which runs the primal pass once
-and caches it: ``apply`` runs only the tangent passes, and ``trace``
-reads the exact trace from the cached pass alone.  ``hvp`` and
+The primal pass is written once, in ``_primal``: the forward
+activations, the ReLU masks (bool), the softmax, the mean cross-entropy
+and every layer's backward signal.  ``loss_grad`` forms the gradient
+from those signals.  The curvature of one model at a fixed (theta,
+batch) is a ``HessianOperator``, which runs the primal pass once and
+caches it: ``apply`` runs only the tangent passes, and ``trace`` reads
+the exact trace from the cached pass alone.  ``hvp`` and
 ``exact_hessian`` build one and apply it; every product is bitwise what
 the full forward-over-reverse pass gives.
 
-The one loss is ``mean_CE + wd * ||theta||^2``: every gradient, Hessian
-product and curvature estimate in the package is of this objective.
+The one loss is ``mean_CE + wd * ||theta||^2``, and only this module
+computes it: every gradient, Hessian product, curvature estimate and
+``evaluate`` result in the package is of this objective.
 
 ``ParamVector`` and ``Batch`` may carry a leading model axis: R models'
 parameters as one ``(R, P)`` array and their minibatches as ``(R, B, d)``.
-``loss_grad`` takes either form; each model's loss and gradient in a stack
+The primal pass reads only the trailing axes, so ``loss_grad`` and
+``evaluate`` take either form as given; each model's results in a stack
 are bitwise what it gets alone, because stacked ``matmul`` and the row
 reductions run the same BLAS call and summation order per model.
 """
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import Dataset
 from .errors import DimensionError, ParameterError
 from .rng import Rng
 
@@ -229,24 +232,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray):
-    """Per-model mean cross-entropy of ``(R, N, C)`` logits; ``y`` is ``(N,)`` or ``(R, N)``.
+    """Mean cross-entropy of ``(N, C)`` logits, or per model of ``(R, N, C)``;
+    ``y`` is ``(N,)`` or, for a stack, ``(R, N)``.
 
     Also returns what the softmax and its gradient reuse: the exp of the
-    shifted logits, its row sums, and the index of every row's label.
+    shifted logits, its row sums, and every row's label as a flat index
+    into a C-ordered array of the logits' shape (one index array, cheaper
+    to build and to apply than a tuple of broadcast axis indices).
     """
     shifted, e, s = _shifted_exp(logits)
-    r, n = logits.shape[:2]
-    pick = (np.arange(r)[:, None], np.arange(n), y)
-    return (np.log(s) - shifted[pick]).mean(axis=1), e, s, pick
+    pick = np.arange(0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1]) + y
+    return (np.log(s) - shifted.reshape(-1)[pick]).mean(axis=-1), e, s, pick
 
 
-def sq_norms(values: np.ndarray) -> np.ndarray:
-    """``(R,)`` squared norms of ``(R, P)`` rows, one BLAS dot each.
+def _sq_norms(values: np.ndarray) -> np.ndarray:
+    """Squared norm of a ``(P,)`` vector, or the ``(R,)`` norms of ``(R, P)`` rows,
+    one BLAS dot each.
 
     Each equals ``values[r] @ values[r]``; einsum or ``(V * V).sum(1)``
     would round differently.
     """
-    return (values[:, None, :] @ values[:, :, None])[:, 0, 0]
+    return (values[..., None, :] @ values[..., :, None])[..., 0, 0]
 
 
 def loss_grad(
@@ -269,41 +275,58 @@ def loss_grad(
     if weight_decay < 0:
         raise ParameterError("weight_decay must be >= 0")
     grad = ParamVector(theta.layout, np.empty_like(theta.values)) if out is None else out
-    X, y, stack, stack_grad = batch.X, batch.y, theta, grad
-    one = theta.values.ndim == 1
-    if one:  # one model is a stack of one
-        X, y = X[None], y[None]
-        stack = ParamVector(theta.layout, theta.values[None])
-        stack_grad = ParamVector(grad.layout, grad.values[None])
-    acts, _, _, losses, signals = _primal(spec, stack, X, y)
-    losses += weight_decay * sq_norms(stack.values)
-    for l, (gw, gb) in enumerate(stack_grad.views()):
-        np.matmul(acts[l].swapaxes(1, 2), signals[l], out=gw)
-        signals[l].sum(axis=1, out=gb)
-    stack_grad.values += (2.0 * weight_decay) * stack.values
-    return (float(losses[0]) if one else losses), grad
+    acts, _, _, losses, signals = _primal(spec, theta, batch.X, batch.y)
+    losses += weight_decay * _sq_norms(theta.values)
+    for l, (gw, gb) in enumerate(grad.views()):
+        np.matmul(acts[l].swapaxes(-1, -2), signals[l], out=gw)
+        signals[l].sum(axis=-2, out=gb)
+    grad.values += (2.0 * weight_decay) * theta.values
+    return (float(losses) if theta.values.ndim == 1 else losses), grad
+
+
+@dataclass
+class EvalResult:
+    loss: float
+    err01: float
+    acc: float
+
+
+def evaluate(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: float = 0.0) -> EvalResult:
+    """Mean cross-entropy plus ``weight_decay * ||theta||^2``, and accuracy in percent.
+
+    Argmax ties break toward the lowest class index.  For a stack of R
+    models (``theta`` values ``(R, P)``) the fields are ``(R,)`` arrays
+    from one forward pass, entry r bitwise what model r alone gives.
+    """
+    logits = forward(spec, theta, ds.X)
+    loss = _cross_entropy(logits, ds.y)[0] + weight_decay * _sq_norms(theta.values)
+    acc = 100.0 * (np.argmax(logits, axis=-1) == ds.y).mean(axis=-1)
+    if theta.values.ndim == 1:
+        return EvalResult(loss=float(loss), err01=100.0 - float(acc), acc=float(acc))
+    return EvalResult(loss=loss, err01=100.0 - acc, acc=acc)
 
 
 def _primal(spec, theta, X, y):
-    """The primal pass of a stack of R models, shared by the gradient and the Hessian.
+    """The primal pass of one model or a stack, shared by the gradient and the Hessian.
 
-    ``X`` is ``(R, B, d)`` and ``y`` is ``(R, B)``.  Returns the forward
-    activations (``acts[0]`` is ``X``), the ReLU masks (bool), the
-    softmax, the ``(R,)`` mean cross-entropies, and every layer's backward
-    signal: ``signals[l]`` is the data loss's gradient with respect to
-    layer l's pre-activation.
+    ``theta`` is one model with ``X`` ``(B, d)`` and ``y`` ``(B,)``, or a
+    stack of R models with ``X`` ``(R, B, d)`` and ``y`` ``(R, B)``.
+    Returns the forward activations (``acts[0]`` is ``X``), the ReLU masks
+    (bool), the softmax, the mean cross-entropy (``(R,)`` for a stack),
+    and every layer's backward signal: ``signals[l]`` is the data loss's
+    gradient with respect to layer l's pre-activation.
     """
     acts, zs, logits = _forward_trace(spec, theta, X)
     masks = [z > 0.0 for z in zs[:-1]]
     ce, e, s, pick = _cross_entropy(logits, y)
     p = e / s[..., None]
     g = p.copy()
-    g[pick] -= 1.0
-    g /= y.shape[1]
+    g.reshape(-1)[pick] -= 1.0
+    g /= y.shape[-1]
     signals = [g]
     wpairs = theta.views()
     for l in range(spec.num_layers - 1, 0, -1):
-        g = (g @ wpairs[l][0].swapaxes(1, 2)) * masks[l - 1]
+        g = (g @ wpairs[l][0].swapaxes(-1, -2)) * masks[l - 1]
         signals.insert(0, g)
     return acts, masks, p, ce, signals
 
@@ -312,13 +335,12 @@ class HessianOperator:
     """Pearlmutter Hessian-vector products, and the trace, at one fixed (theta, batch, weight decay).
 
     The constructor checks that ``theta`` is one model of ``spec`` and
-    ``batch`` a 2-D batch it can read, then runs the primal pass once, on
-    a stack of one, and keeps views of its one model, with the ReLU masks
-    converted once to float64 0/1 arrays.  ``theta`` is
-    copied, so later in-place edits of it do not reach the operator.  Each
-    ``apply`` runs only the tangent passes, into ``(B, width)`` and
-    weight-shaped workspaces the operator owns, and returns a fresh
-    ``(P,)`` array.  ``trace`` reads only the cached pass.
+    ``batch`` a 2-D batch it can read, then runs the primal pass once and
+    keeps its arrays, with the ReLU masks converted once to float64 0/1
+    arrays.  ``theta`` is copied, so later in-place edits of it do not
+    reach the operator.  Each ``apply`` runs only the tangent passes, into
+    ``(B, width)`` and weight-shaped workspaces the operator owns, and
+    returns a fresh ``(P,)`` array.  ``trace`` reads only the cached pass.
     """
 
     def __init__(self, spec: ModelSpec, theta: ParamVector, batch: Batch, weight_decay: float):
@@ -339,14 +361,10 @@ class HessianOperator:
         self.batch = batch
         self.weight_decay = weight_decay
         theta = theta.copy()
-        acts, masks, p, _, signals = _primal(
-            spec, ParamVector(theta.layout, theta.values[None]), X[None], y[None])
+        self._acts, masks, self._p, _, self._signals = _primal(spec, theta, X, y)
         self._weights = [w for w, _ in theta.views()]
-        self._acts = [a[0] for a in acts]
         # float 0/1: x * 1.0 and x * 0.0 are the bool products bit for bit, and faster
-        self._masks = [m[0].astype(np.float64) for m in masks]
-        self._p = p[0]
-        self._signals = [g[0] for g in signals]
+        self._masks = [m.astype(np.float64) for m in masks]
         n = batch.size
         dims = spec.layer_dims
         # _tangents[l] holds layer l's output tangent on the way forward and

@@ -40,12 +40,12 @@ from .datasets import (
     raw_probes,
     subsample,
 )
-from .errors import DegenerateOutputError, DivergenceError, FormatError, ParameterError
-from .model import ModelSpec, ParamVector, require_same_layout
-from .rng import derive_seed
+from .errors import ConfigError, DegenerateOutputError, DivergenceError, FormatError, ParameterError
 # evaluate is not called here, but the benchmark's tracer rebinds
 # sweep.evaluate, so the name must stay bound
-from .train import TrainConfig, evaluate, sgd_train  # noqa: F401
+from .model import ModelSpec, ParamVector, evaluate, require_same_layout  # noqa: F401
+from .rng import derive_seed
+from .train import TrainConfig, sgd_train
 
 LOAD_KINDS = ("width", "n_samples", "noise_frac", "pixel_noise")
 TEMP_KINDS = ("batch_size", "lr", "weight_decay")
@@ -96,6 +96,17 @@ class DataRecipe:
             raise ParameterError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ParameterError("csv recipe needs a path")
+        if not 0.0 <= self.noise_frac <= 1.0:
+            raise ParameterError("noise_frac must lie in [0, 1]")
+        if not self.pixel_noise >= 0:
+            raise ParameterError("pixel_noise must be >= 0")
+        if self.subsample_n is not None:
+            if self.subsample_n < 1:
+                raise ParameterError("subsample_n must be >= 1")
+            # a csv file's training rows are known only once it is read
+            if self.kind != "csv" and self.subsample_n > self.n_train:
+                raise ParameterError(
+                    f"subsample_n {self.subsample_n} exceeds n_train {self.n_train}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +125,8 @@ class ProbeConfig:
             raise ParameterError("alpha must be > 0")
         if not self.noise >= 0:
             raise ParameterError("noise must be >= 0")
+        if self.noise != 0 and self.source != "pixel_noise":
+            raise ParameterError(f"noise applies only to source 'pixel_noise', not {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,21 @@ class GridSpec:
             raise ParameterError(f"temperature axis kind must be one of {TEMP_KINDS}")
         if self.replicates < 2:
             raise ParameterError("pairing requires at least 2 replicates")
+        # build every cell's settings once, so a bad axis value fails
+        # here and not after the cells before it have trained
+        load, temp = self.load_axis.kind, self.temp_axis.kind
+        for v in self.load_axis.values:
+            try:
+                cell_model_spec(self, v)
+                cell_recipe(self, v)
+            except ParameterError as exc:
+                raise ConfigError("grid.load", f"{load} {_axis_value(load, v)}: {exc}") from None
+        for v in self.temp_axis.values:
+            try:
+                cell_train_config(self, v, seed=0)
+            except ConfigError as exc:
+                message = f"{temp} {_axis_value(temp, v)}: {exc.message}"
+                raise ConfigError("grid.temp", message) from None
 
 
 @dataclass
@@ -267,10 +295,11 @@ def datasets_from_recipe(recipe: DataRecipe) -> tuple[Dataset, Dataset]:
     """
     train = _base_dataset(recipe, "train")
     test = _base_dataset(recipe, "test")
-    if recipe.subsample_n is not None and recipe.subsample_n < train.n:
-        train = subsample(
-            train, recipe.subsample_n, derive_seed(recipe.seed, "subsample", recipe.subsample_n)
-        )
+    n_keep = recipe.subsample_n
+    if n_keep is not None and n_keep > train.n:
+        raise ParameterError(f"subsample_n {n_keep} exceeds the {train.n} training rows")
+    if n_keep is not None and n_keep < train.n:
+        train = subsample(train, n_keep, derive_seed(recipe.seed, "subsample", n_keep))
     if recipe.noise_frac > 0.0:
         train = randomize_labels(
             train, recipe.noise_frac, derive_seed(recipe.seed, "labels", recipe.noise_frac)
@@ -282,18 +311,20 @@ def datasets_from_recipe(recipe: DataRecipe) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def build_cell_dataset(grid: GridSpec, load_value) -> tuple[Dataset, Dataset]:
-    """Datasets for one grid column: the load axis overrides its recipe field."""
-    recipe = grid.recipe
+def cell_recipe(grid: GridSpec, load_value) -> DataRecipe:
+    """The data recipe of one grid column: the load axis overrides its recipe field."""
     kind = grid.load_axis.kind
     value = _axis_value(kind, load_value)
     if kind == "n_samples":
-        recipe = replace(recipe, subsample_n=value)
-    elif kind == "noise_frac":
-        recipe = replace(recipe, noise_frac=float(value))
-    elif kind == "pixel_noise":
-        recipe = replace(recipe, pixel_noise=float(value))
-    return datasets_from_recipe(recipe)
+        return replace(grid.recipe, subsample_n=value)
+    if kind in ("noise_frac", "pixel_noise"):
+        return replace(grid.recipe, **{kind: value})
+    return grid.recipe
+
+
+def build_cell_dataset(grid: GridSpec, load_value) -> tuple[Dataset, Dataset]:
+    """Datasets for one grid column."""
+    return datasets_from_recipe(cell_recipe(grid, load_value))
 
 
 def cell_model_spec(grid: GridSpec, load_value) -> ModelSpec:

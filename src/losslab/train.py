@@ -1,4 +1,4 @@
-"""Minibatch SGD with plateau stopping, plus evaluation and checkpoints.
+"""Minibatch SGD with plateau stopping, plus checkpoints.
 
 One training run is a pure function of (model spec, datasets, config):
 initialization, shuffling, and the update sequence all come from the
@@ -27,17 +27,10 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigError, DimensionError, DivergenceError, FormatError, ParameterError
-from .model import (
-    Batch,
-    ModelSpec,
-    ParamVector,
-    _cross_entropy,
-    forward,
-    he_init,
-    loss_grad,
-    require_matching,
-    sq_norms,
-)
+from .model import Batch, ModelSpec, ParamVector, evaluate, he_init, loss_grad, require_matching
+# forward is not called here, but the benchmark's tracer rebinds
+# train.forward, so the name must stay bound
+from .model import forward  # noqa: F401
 from .rng import Rng, permutations
 
 CHECKPOINT_MAGIC = b"LLAB"
@@ -140,32 +133,6 @@ class StackHistory(list):
     @property
     def stopped_by_plateau(self) -> int:
         return sum(history.stopped_by_plateau for history in self)
-
-
-@dataclass
-class EvalResult:
-    loss: float
-    err01: float
-    acc: float
-
-
-def evaluate(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: float = 0.0) -> EvalResult:
-    """Mean cross-entropy plus ``weight_decay * ||theta||^2``, and accuracy in percent.
-
-    Argmax ties break toward the lowest class index.  For a stack of R
-    models (``theta`` values ``(R, P)``) the fields are ``(R,)`` arrays
-    from one forward pass, entry r bitwise what model r alone gives.
-    """
-    one = theta.values.ndim == 1
-    if one:  # one model is a stack of one
-        theta = ParamVector(theta.layout, theta.values[None])
-    logits = forward(spec, theta, ds.X)
-    loss = _cross_entropy(logits, ds.y)[0]
-    loss += weight_decay * sq_norms(theta.values)
-    acc = 100.0 * (np.argmax(logits, axis=-1) == ds.y).mean(axis=1)
-    if one:
-        return EvalResult(loss=float(loss[0]), err01=100.0 - float(acc[0]), acc=float(acc[0]))
-    return EvalResult(loss=loss, err01=100.0 - acc, acc=acc)
 
 
 def epoch_batches(n: int, batch_size: int, rngs: Sequence[Rng]) -> list[np.ndarray]:

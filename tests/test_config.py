@@ -120,6 +120,11 @@ ERRORS = [
     ("metrics.probes.noise", -0.1, "metrics.probes"),
     ("train.plateau_epochs", 0, "train.plateau_epochs"),
     ("train.plateau_eps", -1.0, "train.plateau_eps"),
+    ("metrics.probes.noise", 5.0, "metrics.probes"),
+    ("data.noise_frac", 1.5, "data"),
+    ("data.pixel_noise", -1.0, "data"),
+    ("data.subsample_n", 0, "data"),
+    ("data.subsample_n", 1001, "data"),
 ]
 
 
@@ -181,6 +186,18 @@ def test_sweep_with_bad_config_exits_2(sweep_cfg, tmp_path, capsys):
     ({"metrics.probes.noise": -0.5}, "metrics.probes: noise must be >= 0"),
     ({"train.plateau_epochs": 0, "train.plateau_eps": -1}, "train.plateau_epochs: must be >= 1"),
     ({"train.plateau_eps": -1}, "train.plateau_eps: must be >= 0"),
+    ({"grid.temp": {"kind": "batch_size", "values": [16, 4, 0]}},
+     "grid.temp: batch_size 0: must be >= 1"),
+    ({"grid.temp": {"kind": "weight_decay", "values": [0.0, -1.0]}},
+     "grid.temp: weight_decay -1.0: must be >= 0"),
+    ({"grid.load": {"kind": "noise_frac", "values": [0.0, 1.5]}},
+     "grid.load: noise_frac 1.5: noise_frac must lie in [0, 1]"),
+    ({"grid.load": {"kind": "pixel_noise", "values": [0.0, -0.5]}},
+     "grid.load: pixel_noise -0.5: pixel_noise must be >= 0"),
+    ({"grid.load": {"kind": "width", "values": [2, 0]}},
+     "grid.load: width 0: all hidden widths must be >= 1"),
+    ({"grid.load": {"kind": "n_samples", "values": [500, 2000]}},
+     "grid.load: n_samples 2000: subsample_n 2000 exceeds n_train 1000"),
 ])
 def test_sweep_with_bad_settings_exits_2_before_any_cell(sweep_cfg, tmp_path, capsys,
                                                          monkeypatch, edits, message):

@@ -18,9 +18,9 @@ from losslab.curves import (
 )
 from losslab.datasets import Dataset, gen_blobs
 from losslab.errors import DimensionError, DivergenceError, ParameterError
-from losslab.model import ModelSpec, ParamVector, he_init
+from losslab.model import ModelSpec, ParamVector, evaluate, he_init
 from losslab.rng import Rng
-from losslab.train import LinearDecay, TrainConfig, epoch_batches, evaluate, sgd_train
+from losslab.train import LinearDecay, TrainConfig, epoch_batches, sgd_train
 
 from conftest import penalty_only_instance
 

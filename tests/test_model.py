@@ -141,6 +141,25 @@ def test_gradient_matches_central_differences():
         assert np.allclose(grad.values, fd, rtol=1e-6, atol=1e-9), trial
 
 
+@pytest.mark.parametrize("wd", [0.0, 5e-4])
+def test_one_model_loss_grad_is_its_row_in_a_stack(wd):
+    for seed in range(60):
+        spec, theta, batch = random_instance(seed)
+        # two more models of the same spec, each on its own minibatch
+        others = [he_init(spec, Rng(seed).split("stack", k)) for k in (1, 2)]
+        stack = ParamVector(spec.layout(), np.stack([theta.values] + [t.values for t in others]))
+        X = np.stack([batch.X, batch.X[::-1], 0.5 * batch.X])
+        y = np.stack([batch.y, batch.y[::-1], batch.y])
+        out = ParamVector(spec.layout(), np.empty_like(stack.values))
+        losses, grads = loss_grad(spec, stack, Batch(X, y), wd, out)
+        assert grads is out
+        for r, model in enumerate([theta] + others):
+            loss, grad = loss_grad(spec, model, Batch(X[r], y[r]), wd)
+            assert isinstance(loss, float)
+            assert loss == losses[r], (seed, r)
+            assert grad.values.tobytes() == grads.values[r].tobytes(), (seed, r)
+
+
 def test_softmax_shift_invariance():
     spec, theta, batch = small_net(seed=9)
     loss0, grad0 = loss_grad(spec, theta, batch, weight_decay=0.0)

@@ -10,18 +10,21 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from losslab import cli
 from losslab.config import load_config, parse_grid
 from losslab.curvature import CurvatureConfig
 from losslab.curves import CurveTrainConfig
+from losslab.errors import ParameterError
 from losslab.model import ModelSpec
 from losslab.sweep import (
     Axis,
     DataRecipe,
     GridSpec,
     ProbeConfig,
+    datasets_from_recipe,
     read_results_csv,
     results_to_csv,
     rows_to_csv,
@@ -165,3 +168,18 @@ def test_workload_results_csv_pinned(name, tmp_path):
     path.write_text(json.dumps(workload_config(name, 1)))
     cells, _ = run_sweep(parse_grid(load_config(path)), workers=1)
     assert sha256(results_to_csv(cells).encode()) == WORKLOAD_SHA256[name]
+
+
+def test_csv_subsample_of_more_rows_than_the_file_trains_on_raises(tmp_path):
+    # a csv file's training rows are known only once it is read: 8 rows,
+    # n_train 10, so the front 7 train and the last one tests
+    path = tmp_path / "rows.csv"
+    path.write_text("# d=2 classes=2\n" + "".join(f"{i},{-i},{i % 2}\n" for i in range(8)))
+    recipe = DataRecipe(kind="csv", path=str(path), n_train=10)
+    full, _ = datasets_from_recipe(recipe)
+    assert full.n == 7
+    same, _ = datasets_from_recipe(replace(recipe, subsample_n=7))
+    assert np.array_equal(same.X, full.X) and np.array_equal(same.y, full.y)
+    assert datasets_from_recipe(replace(recipe, subsample_n=3))[0].n == 3
+    with pytest.raises(ParameterError, match="subsample_n 8 exceeds the 7 training rows"):
+        datasets_from_recipe(replace(recipe, subsample_n=8))

@@ -13,13 +13,12 @@ from losslab.errors import (
     FormatError,
     ParameterError,
 )
-from losslab.model import ModelSpec, ParamVector, forward, he_init, require_matching
+from losslab.model import ModelSpec, ParamVector, evaluate, forward, he_init, require_matching
 from losslab.rng import Rng
 from losslab.train import (
     LinearDecay,
     TrainConfig,
     epoch_batches,
-    evaluate,
     load_checkpoint,
     save_checkpoint,
     schedule_lr,
