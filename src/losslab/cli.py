@@ -238,8 +238,9 @@ def cmd_phase(args) -> int:
 def cmd_plot(args) -> int:
     """render a metric heatmap as SVG"""
     rows = read_results_csv(args.csv)
-    if args.metric not in CSV_COLUMNS:
-        raise ConfigError("metric", f"unknown metric {args.metric!r}")
+    # the axis kinds are text; phase_label is the one text column with a heatmap
+    if args.metric not in CSV_COLUMNS or args.metric in ("load_kind", "temp_kind"):
+        raise ConfigError("metric", f"not a plottable metric {args.metric!r}")
     emit_heatmap(rows, args.metric, args.out, orientation=args.orientation)
     print(f"heatmap written to {args.out}")
     return _finish(args, [args.out])

@@ -1,31 +1,34 @@
 """Bezier-curve mode connectivity between two trained parameter vectors.
 
-The curve is a Bernstein combination of k+1 control points whose two
-endpoints stay frozen; training draws one t per minibatch, evaluates
-the penalized loss at the curve point, and moves only the interior
-bends with the Bernstein coefficient as the chain-rule factor.  The
-``mc`` statistic compares the endpoint mean of the 0-1 training error
+A curve is one ``ParamVector`` whose values are ``(k+1, P)``: row 0 and
+row k are the two endpoints, rows 1..k-1 the interior bends.  A point on
+it is the Bernstein combination of the rows.  Training draws one t per
+minibatch, evaluates the penalized loss at the curve point, and moves
+only the bends, with the Bernstein coefficient as the chain-rule factor;
+the endpoint rows stay bitwise copies of the two vectors the curve joins.
+The ``mc`` statistic compares the endpoint mean of the 0-1 training error
 against the largest deviation along the curve: negative means a
 barrier, near zero means well-connected, positive means the endpoints
 themselves were never at a reasonable optimum.
 
 ``train_curve`` trains a list of curves, one per replicate pair, as one
-stack: each step evaluates all C curve points as one ``(C, B, d)``
-``loss_grad`` call, with a ``(C, k+1)`` array of Bernstein coefficients.
-Each pair keeps its own generator (shuffle and t draws) and divergence
-check, so its curve is bitwise what it gets in a list of one.
+``(C, k+1, P)`` stack: each step evaluates all C curve points as one
+``(C, B, d)`` ``loss_grad`` call, with a ``(C, k+1)`` array of Bernstein
+coefficients.  Each pair keeps its own generator (shuffle and t draws)
+and divergence check, so its curve is bitwise what it gets in a list of
+one.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import Dataset
-from .errors import DivergenceError, ParameterError
+from .errors import DimensionError, DivergenceError, ParameterError
 from .model import (
     Batch,
     ModelSpec,
@@ -36,26 +39,9 @@ from .model import (
     require_same_layout,
 )
 from .rng import Rng
-from .train import LinearDecay, check_dataset, epoch_batches, schedule_lr
+from .train import LinearDecay, check_dataset, epoch_batches, schedule_lr, stack_config
 
 DEFAULT_T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-@dataclass
-class BezierCurve:
-    """k+1 control points sharing one layout; controls[0] and controls[-1] are frozen."""
-
-    controls: list[ParamVector]
-
-    def __post_init__(self):
-        if len(self.controls) < 2:
-            raise ParameterError("a curve needs at least two control points")
-        for c in self.controls[1:]:
-            require_same_layout(self.controls[0], c)
-
-    @property
-    def k(self) -> int:
-        return len(self.controls) - 1
 
 
 def bernstein(k: int, t: float) -> np.ndarray:
@@ -65,43 +51,38 @@ def bernstein(k: int, t: float) -> np.ndarray:
     )
 
 
-def curve_point(curve: BezierCurve, t: float) -> ParamVector:
+def curve_point(curve: ParamVector, t: float) -> ParamVector:
     """Bernstein-weighted combination; endpoints are reproduced bit-exactly."""
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t={t} outside [0, 1]")
-    if t == 0.0:
-        return curve.controls[0].copy()
-    if t == 1.0:
-        return curve.controls[-1].copy()
-    values = np.empty_like(curve.controls[0].values)
-    _combine(bernstein(curve.k, t), [c.values for c in curve.controls], values)
-    return ParamVector(curve.controls[0].layout, values)
+    if t in (0.0, 1.0):
+        return ParamVector(curve.layout, curve.values[0 if t == 0.0 else -1].copy())
+    values = np.empty_like(curve.values[0])
+    _combine(bernstein(len(curve.values) - 1, t), curve.values, values)
+    return ParamVector(curve.layout, values)
 
 
-def _combine(coeffs: np.ndarray, controls: list[np.ndarray], out: np.ndarray) -> None:
-    """``out`` = sum over j of ``coeffs[..., j]`` times ``controls[j]``, added in j order.
+def _combine(coeffs: np.ndarray, controls: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = sum over j of ``coeffs[..., j]`` times ``controls[..., j, :]``, added in j order.
 
-    ``coeffs`` is ``(k+1,)`` for one curve or ``(C, k+1)`` for a stack of
-    C curves whose control points are ``(C, P)`` arrays.
+    ``coeffs`` is ``(k+1,)`` with ``(k+1, P)`` controls for one curve, or
+    ``(C, k+1)`` with ``(C, k+1, P)`` controls for a stack of C curves.
     """
     out[...] = 0.0
-    for j, ctrl in enumerate(controls):
-        out += coeffs[..., j, None] * ctrl
+    for j in range(coeffs.shape[-1]):
+        out += coeffs[..., j, None] * controls[..., j, :]
 
 
-def init_curve(theta_a: ParamVector, theta_b: ParamVector, k: int = 2) -> BezierCurve:
-    """Interior bends placed on the straight line between the endpoints."""
+def init_curve(theta_a: ParamVector, theta_b: ParamVector, k: int = 2) -> ParamVector:
+    """The ``(k+1, P)`` curve from ``theta_a`` to ``theta_b`` with its bends on the straight line."""
     require_same_layout(theta_a, theta_b)
+    if theta_a.values.ndim != 1 or theta_b.values.ndim != 1:
+        raise DimensionError("a curve joins two single models, not stacks")
     if k < 1:
         raise ParameterError("bend degree k must be >= 1")
-    controls = [theta_a]
-    for j in range(1, k):
-        frac = j / k
-        controls.append(
-            ParamVector(theta_a.layout, theta_a.values + frac * (theta_b.values - theta_a.values))
-        )
-    controls.append(theta_b)
-    return BezierCurve(controls)
+    a, b = theta_a.values, theta_b.values
+    bends = [a + (j / k) * (b - a) for j in range(1, k)]
+    return ParamVector(theta_a.layout, np.stack([a, *bends, b]))
 
 
 @dataclass(frozen=True)
@@ -131,7 +112,7 @@ class CurveTrainConfig:
 
 def train_curve(
     spec: ModelSpec,
-    curves: Sequence[BezierCurve],
+    curves: Sequence[ParamVector],
     ds: Dataset,
     cfgs: Sequence[CurveTrainConfig],
     weight_decay: float = 0.0,
@@ -139,38 +120,32 @@ def train_curve(
     """Minimize the loss along each curve over its interior bends only.
 
     One fresh t ~ Uniform[0,1] per minibatch; the gradient at gamma(t)
-    reaches bend j scaled by its Bernstein coefficient.  Endpoint
-    objects are passed through untouched.
+    reaches bend j scaled by its Bernstein coefficient.  The endpoint
+    rows of each trained curve are bitwise copies of the input's.
 
     The curves train as one stack, one config each; the configs must
-    differ only in ``seed``.  Returns, per curve, the trained curve or the
+    differ only in ``seed``, and the curves share one bend degree.
+    Returns, per curve, the trained ``(k+1, P)`` curve or the
     DivergenceError that ended it on a non-finite loss.
     """
     check_dataset(spec, ds, "curve data")
-    cfg = cfgs[0] if cfgs else None
-    if (cfg is None or len(curves) != len(cfgs)
-            or any(replace(c, seed=cfg.seed) != cfg for c in cfgs)):
-        raise ParameterError("curves trained together need one config each, "
-                             "sharing every setting but the seed")
-    k = curves[0].k
+    cfg = stack_config(cfgs, "curves")
+    if len(curves) != len(cfgs):
+        raise ParameterError("curves trained together need one config each")
+    shape = curves[0].values.shape
     for curve in curves:
-        require_matching(spec, curve.controls[0])
-        if curve.k != k:
+        require_matching(spec, curve)
+        if curve.values.ndim != 2 or len(curve.values) < 2 or curve.values.shape != shape:
             raise ParameterError("curves trained together must share the bend degree")
-    results: list = [
-        BezierCurve([c.controls[0], *(b.copy() for b in c.controls[1:-1]), c.controls[-1]])
-        for c in curves
-    ]
-    if k == 1:
-        return results
+    k = shape[0] - 1
     rngs = [Rng(c.seed) for c in cfgs]
     layout = spec.layout()
+    results: list = [None] * len(curves)
     active = list(range(len(curves)))  # curve of each stack row
-    # controls[j] is control point j of every active curve, one row each
-    controls = [np.stack([results[c].controls[j].values for c in active]) for j in range(k + 1)]
-    for epoch in range(cfg.epochs):
-        gamma = ParamVector(layout, np.empty_like(controls[0]))
-        grad = ParamVector(layout, np.empty_like(controls[0]))
+    controls = np.stack([c.values for c in curves])  # (C, k+1, P)
+    for epoch in range(cfg.epochs if k > 1 else 0):  # k = 1 has no bends to train
+        gamma = ParamVector(layout, np.empty_like(controls[:, 0]))
+        grad = ParamVector(layout, np.empty_like(gamma.values))
         finite = np.ones(len(active), dtype=bool)
         lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -181,22 +156,16 @@ def train_curve(
                 losses, _ = loss_grad(spec, gamma, batch, weight_decay, grad)
                 # a diverged curve rides along until the epoch ends; rows never mix
                 finite &= np.isfinite(losses)
-                for j in range(1, k):
-                    controls[j] -= (lr_t * coeffs[:, j])[:, None] * grad.values
-        keep = []
-        for i, c in enumerate(active):
-            if finite[i]:
-                keep.append(i)
-            else:
-                results[c] = DivergenceError(epoch)
-        if len(keep) < len(active):
-            controls = [ctrl[keep] for ctrl in controls]
-            active = [active[i] for i in keep]
-        if not active:
-            break
+                controls[:, 1:k] -= (lr_t * coeffs[:, 1:k, None]) * grad.values[:, None]
+        if not finite.all():
+            for i in np.flatnonzero(~finite):
+                results[active[i]] = DivergenceError(epoch)
+            controls = controls[finite]
+            active = [c for c, ok in zip(active, finite) if ok]
+            if not active:
+                break
     for i, c in enumerate(active):
-        for j in range(1, k):
-            results[c].controls[j].values[...] = controls[j][i]
+        results[c] = ParamVector(layout, controls[i])
     return results
 
 
@@ -230,7 +199,7 @@ class CurveProfile:
 
 def curve_profile(
     spec: ModelSpec,
-    curve: BezierCurve,
+    curve: ParamVector,
     ds: Dataset,
     t_grid: tuple[float, ...] = DEFAULT_T_GRID,
 ) -> CurveProfile:

@@ -104,8 +104,9 @@ class ModelSpec:
 class ParamVector:
     """Flat float64 parameter vector plus the layout that interprets it.
 
-    ``values`` is one model's ``(P,)`` vector or a stack of R models'
-    vectors, ``(R, P)``; the views then carry the same leading axis.  The
+    ``values`` is one model's ``(P,)`` vector or a stack of R vectors,
+    ``(R, P)``: R models, or one Bezier curve's k+1 control points (see
+    ``curves``); the views then carry the same leading axis.  The
     per-layer ``(W, b)`` views are sliced once here, so ``values`` must
     only ever be updated in place, never rebound.
     """

@@ -214,7 +214,6 @@ class CellResult:
     n_replicates: int
     replicates: list[ReplicateMetrics] = field(default_factory=list)
     pairs: list[PairMetrics] = field(default_factory=list)
-    phase_label: str = ""
 
     @property
     def n_converged(self) -> int:
@@ -261,7 +260,7 @@ class CellResult:
             "temp_kind": self.temp_kind, "temp_value": self.temp_value,
             "n_replicates": self.n_replicates, "n_converged": self.n_converged,
             **self.aggregate(),
-            "phase_label": self.phase_label,
+            "phase_label": "",  # filled by ``losslab phase``
         }
 
 

@@ -154,6 +154,15 @@ def check_dataset(spec: ModelSpec, ds: Dataset, which: str) -> None:
         raise DimensionError(f"{which} classes {ds.num_classes} != num_classes {spec.num_classes}")
 
 
+def stack_config(cfgs: Sequence, what: str):
+    """The one config of a stack: ``cfgs[0]``, once every config is known
+    to differ from it only in ``seed``.  ``what`` names the stack's items
+    in the ParameterError raised otherwise."""
+    if not cfgs or any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
+        raise ParameterError(f"{what} trained together must share every setting but the seed")
+    return cfgs[0]
+
+
 @dataclass
 class _Replicate:
     """One replicate's own state while it trains in a stack."""
@@ -181,9 +190,7 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfgs: Sequence[Tra
     """
     check_dataset(spec, train, "train")
     check_dataset(spec, test, "test")
-    cfg = cfgs[0] if cfgs else None
-    if cfg is None or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ParameterError("replicates trained together must share every setting but the seed")
+    cfg = stack_config(cfgs, "replicates")
     layout = spec.layout()
     wd = cfg.weight_decay
     reps = []

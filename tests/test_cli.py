@@ -189,9 +189,11 @@ def test_config_error_exits_2(workdir, monkeypatch, command, edit, message):
 
 
 def test_plot_unknown_metric_exits_2(workdir, monkeypatch):
-    code, _, err = in_workdir(workdir, monkeypatch, ["plot", "--csv", "phases.csv",
-                                                     "--metric", "nope", "--out", "nope.svg"])
-    assert code == 2 and "nope" in err
+    # the axis kinds are CSV columns too, but text: no heatmap of them
+    for metric in ("nope", "load_kind", "temp_kind"):
+        code, _, err = in_workdir(workdir, monkeypatch, ["plot", "--csv", "phases.csv",
+                                                         "--metric", metric, "--out", "nope.svg"])
+        assert code == 2 and metric in err
 
 
 def test_diverging_training_exits_3(workdir, monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from losslab import rng as rng_module
 from losslab.curves import (
     DEFAULT_T_GRID,
-    BezierCurve,
     CurveProfile,
     CurveTrainConfig,
     bernstein,
@@ -51,8 +50,8 @@ def test_curve_point_quadratic_coefficients():
     assert np.allclose(bernstein(2, 0.5), [0.25, 0.5, 0.25], atol=0)
     _, a, b = make_endpoints(seed=3)
     curve = init_curve(a, b, k=2)
-    bend = curve.controls[1]
-    expected = 0.25 * a.values + 0.5 * bend.values + 0.25 * b.values
+    bend = curve.values[1]
+    expected = 0.25 * a.values + 0.5 * bend + 0.25 * b.values
     assert np.allclose(curve_point(curve, 0.5).values, expected, rtol=1e-15, atol=0)
 
 
@@ -68,10 +67,10 @@ def test_curve_point_rejects_out_of_range():
 def test_init_curve_straight_line():
     _, a, b = make_endpoints(seed=4)
     curve = init_curve(a, b, k=2)
-    assert np.array_equal(curve.controls[1].values, a.values + 0.5 * (b.values - a.values))
+    assert np.array_equal(curve.values[1], a.values + 0.5 * (b.values - a.values))
     same = init_curve(a, a, k=3)
-    for c in same.controls:
-        assert np.array_equal(c.values, a.values)
+    for c in same.values:
+        assert np.array_equal(c, a.values)
 
 
 def test_init_curve_layout_mismatch():
@@ -88,11 +87,11 @@ def test_train_curve_preserves_endpoints_bitwise():
     ds = gen_blobs(n=60, num_classes=3, dim=3, spread=0.2, seed=6)
     cfg = CurveTrainConfig(epochs=8, lr=0.05, schedule=None, batch_size=20, seed=7)
     [trained] = train_curve(spec, [init_curve(a, b, k=2)], ds, [cfg], weight_decay=1e-3)
-    assert np.array_equal(trained.controls[0].values, a_snapshot)
-    assert np.array_equal(trained.controls[-1].values, b_snapshot)
+    assert np.array_equal(trained.values[0], a_snapshot)
+    assert np.array_equal(trained.values[-1], b_snapshot)
     # and the interior actually moved
     straight = a_snapshot + 0.5 * (b_snapshot - a_snapshot)
-    assert not np.array_equal(trained.controls[1].values, straight)
+    assert not np.array_equal(trained.values[1], straight)
 
 
 def test_train_curve_zero_lr_keeps_bends():
@@ -100,9 +99,9 @@ def test_train_curve_zero_lr_keeps_bends():
     ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=9)
     cfg = CurveTrainConfig(epochs=3, lr=0.0, schedule=None, batch_size=10, seed=10)
     curve = init_curve(a, b, k=2)
-    before = curve.controls[1].values.copy()
+    before = curve.values[1].copy()
     [trained] = train_curve(spec, [curve], ds, [cfg])
-    assert np.array_equal(trained.controls[1].values, before)
+    assert np.array_equal(trained.values[1], before)
 
 
 def test_train_curve_lowers_midpoint_loss_on_quadratic():
@@ -126,13 +125,13 @@ def test_train_curve_lowers_midpoint_loss_on_quadratic():
     assert mid_loss(trained) < initial
 
     rng = Rng(cfg.seed)
-    bend = curve.controls[1].values.copy()
+    bend = curve.values[1].copy()
     for _ in range(cfg.epochs):
         for _ in epoch_batches(ds.n, cfg.batch_size, [rng]):
             c = bernstein(2, rng.uniform())
             gamma = c[0] * a.values + c[1] * bend + c[2] * b.values
             bend -= (cfg.lr * c[1]) * ((2.0 * wd) * gamma)
-    assert np.array_equal(trained.controls[1].values, bend)
+    assert np.array_equal(trained.values[1], bend)
 
 
 def test_train_curve_divergence():
@@ -167,7 +166,7 @@ def test_profile_random_bend_hurts_perfect_model():
     [theta], _ = sgd_train(spec, train, train, [cfg])
     assert evaluate(spec, theta, train).err01 == 0.0
     wild = ParamVector(spec.layout(), 5.0 * Rng(22).normals(spec.param_count))
-    curve = BezierCurve([theta, wild, theta.copy()])
+    curve = ParamVector(spec.layout(), np.stack([theta.values, wild.values, theta.values]))
     profile = curve_profile(spec, curve, train)
     mid = profile.t_values.index(0.5)
     assert profile.err01[mid] >= profile.err01[0]
@@ -243,10 +242,9 @@ def train_stack_and_alone(spec, curves, ds, cfgs, **kw):
         if isinstance(alone, DivergenceError):
             assert isinstance(trained, DivergenceError) and trained.epoch == alone.epoch
             continue
-        assert trained.controls[0] is curve.controls[0]
-        assert trained.controls[-1] is curve.controls[-1]
-        for a, b in zip(alone.controls, trained.controls):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(trained.values[0], curve.values[0])
+        assert np.array_equal(trained.values[-1], curve.values[-1])
+        assert np.array_equal(alone.values, trained.values)
     return stacked
 
 
@@ -294,3 +292,26 @@ def test_stacked_curves_must_share_all_but_the_seed():
         train_curve(spec, curves, ds, [cfg, CurveTrainConfig(epochs=2, batch_size=10, seed=2)])
     with pytest.raises(ParameterError):
         train_curve(spec, curves, ds, [cfg])
+
+
+def test_curves_of_different_bend_degrees_cannot_train_together():
+    spec, a, b = make_endpoints(seed=50)
+    ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=51)
+    cfgs = [CurveTrainConfig(epochs=1, schedule=None, batch_size=10, seed=s) for s in (1, 2)]
+    with pytest.raises(ParameterError):
+        train_curve(spec, [init_curve(a, b, k=2), init_curve(a, b, k=3)], ds, cfgs)
+
+
+def test_one_model_is_not_a_curve():
+    spec, a, _ = make_endpoints(seed=52)
+    ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=53)
+    cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=10, seed=1)
+    with pytest.raises(ParameterError):
+        train_curve(spec, [a], ds, [cfg])
+
+
+def test_init_curve_rejects_a_stack_of_models():
+    spec, a, b = make_endpoints(seed=54)
+    stack = ParamVector(spec.layout(), np.stack([a.values, b.values]))
+    with pytest.raises(DimensionError):
+        init_curve(stack, stack.copy())
