@@ -35,7 +35,7 @@ from .config import (
     parse_weight_decay,
 )
 from .curvature import draw_metric_batch, top_eigenvalue, trace_hutchinson
-from .curves import CurveProfile, curve_profile, init_curve, mode_connectivity, train_curve
+from .curves import CurveProfile, curve_profile, mode_connectivity, train_curve
 from .errors import (
     ConfigError,
     DegenerateOutputError,
@@ -181,8 +181,7 @@ def cmd_modeconn(args) -> int:
     wd = parse_weight_decay(cfg)
     spec, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
     train_ds, _ = datasets_from_recipe(recipe)
-    [curve] = train_curve(spec, [init_curve(theta_a, theta_b, ccfg.k)], train_ds, [ccfg],
-                          weight_decay=wd)
+    [curve] = train_curve(spec, [(theta_a, theta_b)], train_ds, [ccfg], weight_decay=wd)
     if isinstance(curve, DivergenceError):
         raise curve
     profile = curve_profile(spec, curve, train_ds, ccfg.t_grid)

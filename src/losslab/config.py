@@ -96,12 +96,6 @@ def _build(cls, sec, path: str, **given):
         return cls(**kwargs)
     except ParameterError as exc:
         raise ConfigError(path, str(exc)) from None
-    except ConfigError as exc:
-        # a section used under several names (LinearDecay) reports at its
-        # own field name; give it the path it was parsed at
-        if exc.path != path.rpartition(".")[2]:
-            raise
-        raise ConfigError(path, exc.message) from None
 
 
 def load_config(path) -> dict:

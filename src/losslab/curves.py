@@ -11,12 +11,12 @@ against the largest deviation along the curve: negative means a
 barrier, near zero means well-connected, positive means the endpoints
 themselves were never at a reasonable optimum.
 
-``train_curve`` trains a list of curves, one per replicate pair, as one
-``(C, k+1, P)`` stack: each step evaluates all C curve points as one
-``(C, B, d)`` ``loss_grad`` call, with a ``(C, k+1)`` array of Bernstein
-coefficients.  Each pair keeps its own generator (shuffle and t draws)
-and divergence check, so its curve is bitwise what it gets in a list of
-one.
+``train_curve`` builds each replicate pair's curve from its endpoints at
+its config's bend degree ``k`` and trains them as one ``(C, k+1, P)``
+stack: each step evaluates all C curve points as one ``(C, B, d)``
+``loss_grad`` call, with a ``(C, k+1)`` array of Bernstein coefficients.
+Each pair keeps its own generator (shuffle and t draws) and divergence
+check, so its curve is bitwise what it gets in a list of one.
 """
 
 from __future__ import annotations
@@ -112,37 +112,35 @@ class CurveTrainConfig:
 
 def train_curve(
     spec: ModelSpec,
-    curves: Sequence[ParamVector],
+    ends: Sequence[tuple[ParamVector, ParamVector]],
     ds: Dataset,
     cfgs: Sequence[CurveTrainConfig],
     weight_decay: float = 0.0,
 ) -> list:
-    """Minimize the loss along each curve over its interior bends only.
+    """Build the curve joining each ``(theta_a, theta_b)`` pair and train its bends.
 
-    One fresh t ~ Uniform[0,1] per minibatch; the gradient at gamma(t)
-    reaches bend j scaled by its Bernstein coefficient.  The endpoint
-    rows of each trained curve are bitwise copies of the input's.
+    Each curve starts as ``init_curve(theta_a, theta_b, cfg.k)``, its
+    bends on the straight line.  One fresh t ~ Uniform[0,1] per
+    minibatch; the gradient at gamma(t) reaches bend j scaled by its
+    Bernstein coefficient.  The endpoint rows of each trained curve are
+    bitwise copies of ``theta_a`` and ``theta_b``.
 
     The curves train as one stack, one config each; the configs must
-    differ only in ``seed``, and the curves share one bend degree.
-    Returns, per curve, the trained ``(k+1, P)`` curve or the
-    DivergenceError that ended it on a non-finite loss.
+    differ only in ``seed``.  Returns, per pair, the trained ``(k+1, P)``
+    curve or the DivergenceError that ended it on a non-finite loss.
     """
     check_dataset(spec, ds, "curve data")
     cfg = stack_config(cfgs, "curves")
-    if len(curves) != len(cfgs):
+    if len(ends) != len(cfgs):
         raise ParameterError("curves trained together need one config each")
-    shape = curves[0].values.shape
-    for curve in curves:
-        require_matching(spec, curve)
-        if curve.values.ndim != 2 or len(curve.values) < 2 or curve.values.shape != shape:
-            raise ParameterError("curves trained together must share the bend degree")
-    k = shape[0] - 1
+    for a, _ in ends:
+        require_matching(spec, a)
+    k = cfg.k
     rngs = [Rng(c.seed) for c in cfgs]
     layout = spec.layout()
-    results: list = [None] * len(curves)
-    active = list(range(len(curves)))  # curve of each stack row
-    controls = np.stack([c.values for c in curves])  # (C, k+1, P)
+    results: list = [None] * len(ends)
+    active = list(range(len(ends)))  # curve of each stack row
+    controls = np.stack([init_curve(a, b, k).values for a, b in ends])  # (C, k+1, P)
     for epoch in range(cfg.epochs if k > 1 else 0):  # k = 1 has no bends to train
         gamma = ParamVector(layout, np.empty_like(controls[:, 0]))
         grad = ParamVector(layout, np.empty_like(gamma.values))
@@ -207,7 +205,7 @@ def curve_profile(
     ces = []
     for t in sorted(t_grid):
         res = evaluate(spec, curve_point(curve, t), ds)
-        errs.append(res.err01)
+        errs.append(100.0 - res.acc)
         ces.append(res.loss)
     return CurveProfile(tuple(sorted(t_grid)), errs, ces)
 

@@ -288,7 +288,6 @@ def loss_grad(
 @dataclass
 class EvalResult:
     loss: float
-    err01: float
     acc: float
 
 
@@ -303,8 +302,8 @@ def evaluate(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: flo
     loss = _cross_entropy(logits, ds.y)[0] + weight_decay * _sq_norms(theta.values)
     acc = 100.0 * (np.argmax(logits, axis=-1) == ds.y).mean(axis=-1)
     if theta.values.ndim == 1:
-        return EvalResult(loss=float(loss), err01=100.0 - float(acc), acc=float(acc))
-    return EvalResult(loss=loss, err01=100.0 - acc, acc=acc)
+        return EvalResult(loss=float(loss), acc=float(acc))
+    return EvalResult(loss=loss, acc=acc)
 
 
 def _primal(spec, theta, X, y):

@@ -6,7 +6,8 @@ when its mean mode connectivity sits below ``-eps_mc``.  Sharp + poor
 is phase I, sharp otherwise II, flat + poor III, and flat + connected
 IV, with IV split by mean CKA into IV-A (dissimilar replicas) and IV-B
 (similar replicas, the "globally nice" corner).  Cells whose replicates
-all diverged stay NC.
+all diverged stay NC, and a grid in which every cell diverged labels
+every cell NC.
 """
 
 from __future__ import annotations
@@ -72,15 +73,6 @@ def _converged(row: dict) -> bool:
     return row.get("n_converged", 0) > 0
 
 
-def trace_threshold(rows: list[dict], thresholds: PhaseThresholds) -> float:
-    """The ``sharp_quantile`` of the converged rows' mean Hessian traces."""
-    traces = [r["hessian_trace_mean"] for r in rows
-              if _converged(r) and r.get("hessian_trace_mean") is not None]
-    if not traces:
-        raise ParameterError("no converged cells to take a trace quantile of")
-    return float(np.quantile(np.asarray(traces), thresholds.sharp_quantile))
-
-
 def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> str:
     """One of I, II, III, IV-A, IV-B for a converged cell, NC otherwise."""
     if not _converged(row):
@@ -100,8 +92,12 @@ def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> s
 
 
 def label_rows(rows: list[dict], thresholds: PhaseThresholds) -> list[str]:
-    """Classify every row against the grid-wide trace threshold."""
-    threshold = trace_threshold(rows, thresholds)
+    """Classify every row against the ``sharp_quantile`` of the converged mean traces, if any."""
+    traces = [r["hessian_trace_mean"] for r in rows
+              if _converged(r) and r.get("hessian_trace_mean") is not None]
+    if not traces:
+        return ["NC"] * len(rows)
+    threshold = float(np.quantile(np.asarray(traces), thresholds.sharp_quantile))
     return [classify_cell(row, threshold, thresholds) for row in rows]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .cka import cka_between_models
 # trace_hutchinson is the exact trace; the benchmark's tracer rebinds it by this name
 from .curvature import CurvatureConfig, draw_metric_batch, top_eigenvalue, trace_hutchinson
-from .curves import CurveTrainConfig, curve_profile, init_curve, mode_connectivity, train_curve
+from .curves import CurveTrainConfig, curve_profile, mode_connectivity, train_curve
 from .datasets import (
     Dataset,
     ProbeSet,
@@ -66,6 +66,7 @@ CSV_COLUMNS = [
 ]
 _TEXT_COLUMNS = ("load_kind", "temp_kind", "phase_label")
 _COUNT_COLUMNS = ("n_replicates", "n_converged")
+_AXIS_COLUMNS = ("load_value", "temp_value")
 
 
 def l2_distance(theta_a: ParamVector, theta_b: ParamVector) -> float:
@@ -168,6 +169,8 @@ class GridSpec:
             raise ParameterError(f"temperature axis kind must be one of {TEMP_KINDS}")
         if self.replicates < 2:
             raise ParameterError("pairing requires at least 2 replicates")
+        if self.load_axis.kind == "width" and not self.base_model.hidden_widths:
+            raise ConfigError("grid.load", "a width axis needs a model with hidden layers")
         # build every cell's settings once, so a bad axis value fails
         # here and not after the cells before it have trained
         load, temp = self.load_axis.kind, self.temp_axis.kind
@@ -395,9 +398,8 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
                 seed=derive_seed(grid.base_seed, "curve", *key, p.replica_a, p.replica_b))
         for p in pairs
     ]
-    curves = train_curve(
-        spec, [init_curve(thetas[p.replica_a], thetas[p.replica_b], grid.curve.k) for p in pairs],
-        train_ds, curve_cfgs, weight_decay=wd)
+    curves = train_curve(spec, [(thetas[p.replica_a], thetas[p.replica_b]) for p in pairs],
+                         train_ds, curve_cfgs, weight_decay=wd)
     for pair, curve in zip(pairs, curves):
         theta_a, theta_b = thetas[pair.replica_a], thetas[pair.replica_b]
         pair.l2 = l2_distance(theta_a, theta_b)
@@ -463,7 +465,8 @@ def read_results_csv(path) -> list[dict]:
     """Rows as dicts; numeric fields parsed, absent metrics become None.
 
     An empty file, a header without every ``CSV_COLUMNS`` name, or a
-    malformed line is a FormatError naming the file and line.
+    malformed line (a blank axis value among them) is a FormatError
+    naming the file and line.
     """
     with open(path, "r") as fh:
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -487,7 +490,7 @@ def read_results_csv(path) -> list[dict]:
                 elif name in _COUNT_COLUMNS:
                     row[name] = int(value)
                 else:
-                    row[name] = float(value) if value else None
+                    row[name] = float(value) if value or name in _AXIS_COLUMNS else None
             except ValueError:
                 raise FormatError(f"{path}:{n}: {name} is not a number: {value!r}") from None
         rows.append(row)

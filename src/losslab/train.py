@@ -47,9 +47,9 @@ class LinearDecay:
 
     def __post_init__(self):
         if self.start_epoch >= self.end_epoch:
-            raise ConfigError("schedule", "start_epoch must precede end_epoch")
+            raise ParameterError("start_epoch must precede end_epoch")
         if not 0.0 <= self.final_fraction <= 1.0:
-            raise ConfigError("schedule", "final_fraction must lie in [0, 1]")
+            raise ParameterError("final_fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -286,14 +286,14 @@ def test_modeconn_on_data_the_checkpoints_do_not_fit_exits_2(workdir, monkeypatc
     assert code == 2 and message in err, err
 
 
-def write_broken_results_csv(root: Path) -> None:
-    """``sweep/results.csv`` with a non-integer ``n_converged`` on its third line."""
+def write_results_csv_with(root: Path, name: str, column: str, value: str) -> None:
+    """``sweep/results.csv`` with ``value`` as its ``column`` field on its third line."""
     lines = (root / "sweep" / "results.csv").read_text().splitlines()
     header = lines[0].split(",")
     parts = lines[2].split(",")
-    parts[header.index("n_converged")] = "two"
+    parts[header.index(column)] = value
     lines[2] = ",".join(parts)
-    (root / "broken.csv").write_text("\n".join(lines) + "\n")
+    (root / name).write_text("\n".join(lines) + "\n")
 
 
 def write_narrow_results_csv(root: Path) -> None:
@@ -323,11 +323,15 @@ def write_profile_with(root: Path, name: str, value) -> None:
      "narrow.csv:1: header lacks the column(s) load_value"),
     (["profile-plot", "--profile", "text.json", "--out", "x.svg"], "text.json"),
     (["profile-plot", "--profile", "null.json", "--out", "x.svg"], "null.json"),
+    (["phase", "--csv", "blank.csv", "--out", "x.csv"], "blank.csv:3: load_value"),
+    (["plot", "--csv", "blank.csv", "--metric", "mc_mean", "--out", "x.svg"],
+     "blank.csv:3: load_value"),
 ])
 def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     root = workdir[0]
     (root / "empty.csv").write_text("")
-    write_broken_results_csv(root)
+    write_results_csv_with(root, "broken.csv", "n_converged", "two")
+    write_results_csv_with(root, "blank.csv", "load_value", "")
     write_narrow_results_csv(root)
     (root / "short.json").write_text('{"t": [0.0]}')
     write_profile_with(root, "text.json", "a")

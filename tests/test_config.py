@@ -125,6 +125,7 @@ ERRORS = [
     ("data.pixel_noise", -1.0, "data"),
     ("data.subsample_n", 0, "data"),
     ("data.subsample_n", 1001, "data"),
+    ("model.hidden_widths", [], "grid.load"),
 ]
 
 

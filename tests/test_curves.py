@@ -86,7 +86,7 @@ def test_train_curve_preserves_endpoints_bitwise():
     b_snapshot = b.values.copy()
     ds = gen_blobs(n=60, num_classes=3, dim=3, spread=0.2, seed=6)
     cfg = CurveTrainConfig(epochs=8, lr=0.05, schedule=None, batch_size=20, seed=7)
-    [trained] = train_curve(spec, [init_curve(a, b, k=2)], ds, [cfg], weight_decay=1e-3)
+    [trained] = train_curve(spec, [(a, b)], ds, [cfg], weight_decay=1e-3)
     assert np.array_equal(trained.values[0], a_snapshot)
     assert np.array_equal(trained.values[-1], b_snapshot)
     # and the interior actually moved
@@ -98,10 +98,8 @@ def test_train_curve_zero_lr_keeps_bends():
     spec, a, b = make_endpoints(seed=8)
     ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=9)
     cfg = CurveTrainConfig(epochs=3, lr=0.0, schedule=None, batch_size=10, seed=10)
-    curve = init_curve(a, b, k=2)
-    before = curve.values[1].copy()
-    [trained] = train_curve(spec, [curve], ds, [cfg])
-    assert np.array_equal(trained.values[1], before)
+    [trained] = train_curve(spec, [(a, b)], ds, [cfg])
+    assert np.array_equal(trained.values, init_curve(a, b, k=2).values)
 
 
 def test_train_curve_lowers_midpoint_loss_on_quadratic():
@@ -121,7 +119,7 @@ def test_train_curve_lowers_midpoint_loss_on_quadratic():
     curve = init_curve(a, b, k=2)
     initial = mid_loss(curve)
     cfg = CurveTrainConfig(epochs=20, lr=0.05, schedule=None, batch_size=10, seed=12)
-    [trained] = train_curve(spec, [curve], ds, [cfg], weight_decay=wd)
+    [trained] = train_curve(spec, [(a, b)], ds, [cfg], weight_decay=wd)
     assert mid_loss(trained) < initial
 
     rng = Rng(cfg.seed)
@@ -138,7 +136,7 @@ def test_train_curve_divergence():
     spec, a, b = make_endpoints(seed=13)
     ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=14)
     cfg = CurveTrainConfig(epochs=10, lr=1e200, schedule=None, batch_size=10, seed=15)
-    [trained] = train_curve(spec, [init_curve(a, b, k=2)], ds, [cfg])
+    [trained] = train_curve(spec, [(a, b)], ds, [cfg])
     assert isinstance(trained, DivergenceError) and trained.epoch == 0
 
 
@@ -154,8 +152,8 @@ def test_profile_endpoints_match_evaluate():
     spec, a, b = make_endpoints(seed=18)
     ds = gen_blobs(n=40, num_classes=3, dim=3, spread=0.3, seed=19)
     profile = curve_profile(spec, init_curve(a, b, k=2), ds)
-    assert profile.err01[0] == evaluate(spec, a, ds).err01
-    assert profile.err01[-1] == evaluate(spec, b, ds).err01
+    assert profile.err01[0] == 100.0 - evaluate(spec, a, ds).acc
+    assert profile.err01[-1] == 100.0 - evaluate(spec, b, ds).acc
 
 
 def test_profile_random_bend_hurts_perfect_model():
@@ -164,7 +162,7 @@ def test_profile_random_bend_hurts_perfect_model():
     cfg = TrainConfig(batch_size=16, lr=0.05, weight_decay=5e-4, max_epochs=100,
                       plateau_eps=1e-4, plateau_epochs=5, seed=21)
     [theta], _ = sgd_train(spec, train, train, [cfg])
-    assert evaluate(spec, theta, train).err01 == 0.0
+    assert 100.0 - evaluate(spec, theta, train).acc == 0.0
     wild = ParamVector(spec.layout(), 5.0 * Rng(22).normals(spec.param_count))
     curve = ParamVector(spec.layout(), np.stack([theta.values, wild.values, theta.values]))
     profile = curve_profile(spec, curve, train)
@@ -227,39 +225,39 @@ def test_profile_requires_endpoints():
         CurveTrainConfig(t_grid=(0.0, 0.5))
 
 
-def train_stack_and_alone(spec, curves, ds, cfgs, **kw):
-    """Train ``curves`` as one stack and check each against training it alone.
+def train_stack_and_alone(spec, ends, ds, cfgs, **kw):
+    """Train the curves joining ``ends`` as one stack and check each against training it alone.
 
     Alone, every draw comes from the scalar loop; a stack whose shuffles
     are long enough draws them from the numpy lanes.
     """
-    stacked = train_curve(spec, curves, ds, cfgs, **kw)
-    assert len(stacked) == len(curves)
-    for curve, cfg, trained in zip(curves, cfgs, stacked):
+    stacked = train_curve(spec, ends, ds, cfgs, **kw)
+    assert len(stacked) == len(ends)
+    for (a, b), cfg, trained in zip(ends, cfgs, stacked):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rng_module, "CROSSOVER", float("inf"))
-            [alone] = train_curve(spec, [curve], ds, [cfg], **kw)
+            [alone] = train_curve(spec, [(a, b)], ds, [cfg], **kw)
         if isinstance(alone, DivergenceError):
             assert isinstance(trained, DivergenceError) and trained.epoch == alone.epoch
             continue
-        assert np.array_equal(trained.values[0], curve.values[0])
-        assert np.array_equal(trained.values[-1], curve.values[-1])
+        assert trained.values.shape == (cfg.k + 1, spec.param_count)
+        assert np.array_equal(trained.values[0], a.values)
+        assert np.array_equal(trained.values[cfg.k], b.values)
         assert np.array_equal(alone.values, trained.values)
     return stacked
 
 
-def stack_pairs(count, k):
+def stack_pairs(count):
     spec = ModelSpec(input_dim=3, hidden_widths=(4,), num_classes=3)
-    curves = [init_curve(he_init(spec, Rng(2 * i)), he_init(spec, Rng(2 * i + 1)), k=k)
-              for i in range(count)]
-    return spec, curves, gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=14)
+    ends = [(he_init(spec, Rng(2 * i)), he_init(spec, Rng(2 * i + 1))) for i in range(count)]
+    return spec, ends, gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=14)
 
 
 def test_stacked_curves_match_alone():
-    spec, curves, ds = stack_pairs(3, k=3)
+    spec, ends, ds = stack_pairs(3)
     cfgs = [CurveTrainConfig(epochs=6, lr=0.05, schedule=LinearDecay(2, 5, 0.1),
                              batch_size=7, k=3, seed=30 + i) for i in range(3)]
-    stacked = train_stack_and_alone(spec, curves, ds, cfgs, weight_decay=1e-3)
+    stacked = train_stack_and_alone(spec, ends, ds, cfgs, weight_decay=1e-3)
     assert not any(isinstance(c, DivergenceError) for c in stacked)
 
 
@@ -267,47 +265,45 @@ def test_stacked_curves_match_alone():
 def test_stacked_curves_on_lane_draws_match_scalar_alone(n):
     # two pairs of n rows cross CROSSOVER, so each shuffle comes from the
     # lanes and each t is then drawn from where its stream's lanes stopped
-    spec, curves, _ = stack_pairs(2, k=2)
+    spec, ends, _ = stack_pairs(2)
     ds = gen_blobs(n=n, num_classes=3, dim=3, spread=0.2, seed=15)
     assert 2 * n >= rng_module.CROSSOVER
     cfgs = [CurveTrainConfig(epochs=3, lr=0.05, schedule=None, batch_size=128, seed=40 + i)
             for i in range(2)]
-    train_stack_and_alone(spec, curves, ds, cfgs)
+    train_stack_and_alone(spec, ends, ds, cfgs)
 
 
 def test_stacked_curve_divergence_leaves_the_others_training():
     # lr 1e28: pair 0 overflows in epoch 2, pairs 1 and 2 stay finite
-    spec, curves, ds = stack_pairs(3, k=2)
+    spec, ends, ds = stack_pairs(3)
     cfgs = [CurveTrainConfig(epochs=4, lr=1e28, schedule=None, batch_size=10, seed=20 + i)
             for i in range(3)]
-    stacked = train_stack_and_alone(spec, curves, ds, cfgs)
+    stacked = train_stack_and_alone(spec, ends, ds, cfgs)
     assert [isinstance(c, DivergenceError) for c in stacked] == [True, False, False]
     assert stacked[0].epoch == 2
 
 
 def test_stacked_curves_must_share_all_but_the_seed():
-    spec, curves, ds = stack_pairs(2, k=2)
+    spec, ends, ds = stack_pairs(2)
     cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=10, seed=1)
     with pytest.raises(ParameterError):
-        train_curve(spec, curves, ds, [cfg, CurveTrainConfig(epochs=2, batch_size=10, seed=2)])
+        train_curve(spec, ends, ds, [cfg, CurveTrainConfig(epochs=2, batch_size=10, seed=2)])
     with pytest.raises(ParameterError):
-        train_curve(spec, curves, ds, [cfg])
+        train_curve(spec, ends, ds, [cfg])
 
 
-def test_curves_of_different_bend_degrees_cannot_train_together():
+def test_train_curve_endpoints_must_be_single_models_of_the_spec():
     spec, a, b = make_endpoints(seed=50)
+    other, c, d = make_endpoints(seed=52, spec=ModelSpec(input_dim=3, hidden_widths=(5,),
+                                                         num_classes=3))
     ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=51)
-    cfgs = [CurveTrainConfig(epochs=1, schedule=None, batch_size=10, seed=s) for s in (1, 2)]
-    with pytest.raises(ParameterError):
-        train_curve(spec, [init_curve(a, b, k=2), init_curve(a, b, k=3)], ds, cfgs)
-
-
-def test_one_model_is_not_a_curve():
-    spec, a, _ = make_endpoints(seed=52)
-    ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=53)
     cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=10, seed=1)
-    with pytest.raises(ParameterError):
-        train_curve(spec, [a], ds, [cfg])
+    for ends in ([(c, d)], [(a, d)]):
+        with pytest.raises(DimensionError):
+            train_curve(spec, ends, ds, [cfg])
+    stack = ParamVector(spec.layout(), np.stack([a.values, b.values]))
+    with pytest.raises(DimensionError):
+        train_curve(spec, [(stack, stack.copy())], ds, [cfg])
 
 
 def test_init_curve_rejects_a_stack_of_models():

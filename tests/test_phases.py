@@ -3,9 +3,8 @@
 import pytest
 
 from losslab import cli
-from losslab.errors import ParameterError
 from losslab.phases import PhaseThresholds, label_rows
-from losslab.sweep import rows_to_csv
+from losslab.sweep import read_results_csv, rows_to_csv
 
 THRESHOLDS = PhaseThresholds(eps_mc=2.0, sharp_quantile=0.5, tau_cka=0.9)
 
@@ -65,17 +64,17 @@ def test_phase_mapping(sharp, beta, mu, label):
     assert label_rows([probe, other], THRESHOLDS)[0] == label
 
 
-def test_no_converged_rows_is_a_parameter_error():
-    with pytest.raises(ParameterError):
-        label_rows([row(n_converged=0), row(n_converged=0)], THRESHOLDS)
+def test_no_converged_rows_label_nc():
+    assert label_rows([row(n_converged=0), row(n_converged=0)], THRESHOLDS) == ["NC", "NC"]
 
 
-def test_phase_command_without_converged_rows_exits_2(tmp_path, capsys):
+def test_phase_command_without_converged_rows_labels_nc(tmp_path, capsys):
     csv_path = tmp_path / "results.csv"
     csv_path.write_text(rows_to_csv([row(n_converged=0), row(n_converged=0, load=1.0)]))
     code = cli.main(["phase", "--csv", str(csv_path), "--out", str(tmp_path / "phases.csv")])
-    assert code == 2
-    assert "no converged cells" in capsys.readouterr().err
+    assert code == 0
+    assert '{"labels": {"NC": 2}}' in capsys.readouterr().out
+    assert [r["phase_label"] for r in read_results_csv(tmp_path / "phases.csv")] == ["NC", "NC"]
 
 
 def test_converged_rows_without_train_loss_still_label(tmp_path):

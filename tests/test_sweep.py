@@ -13,12 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from losslab import cli
+from losslab import cli, sweep
 from losslab.config import load_config, parse_grid
 from losslab.curvature import CurvatureConfig
 from losslab.curves import CurveTrainConfig
-from losslab.errors import ParameterError
+from losslab.errors import DegenerateOutputError, DivergenceError, ParameterError
 from losslab.model import ModelSpec
+from losslab.phases import PhaseThresholds, label_rows
 from losslab.sweep import (
     Axis,
     DataRecipe,
@@ -28,6 +29,7 @@ from losslab.sweep import (
     read_results_csv,
     results_to_csv,
     rows_to_csv,
+    run_cell,
     run_sweep,
 )
 from losslab.train import TrainConfig
@@ -183,3 +185,45 @@ def test_csv_subsample_of_more_rows_than_the_file_trains_on_raises(tmp_path):
     assert datasets_from_recipe(replace(recipe, subsample_n=3))[0].n == 3
     with pytest.raises(ParameterError, match="subsample_n 8 exceeds the 7 training rows"):
         datasets_from_recipe(replace(recipe, subsample_n=8))
+
+
+def diverge_replicates(monkeypatch, diverged):
+    """Make ``sweep.sgd_train`` report the replicates in ``diverged`` as diverged at epoch 0."""
+    real = sweep.sgd_train
+
+    def sgd_train(*args):
+        trained, histories = real(*args)
+        return [DivergenceError(0) if r in diverged else theta
+                for r, theta in enumerate(trained)], histories
+
+    monkeypatch.setattr(sweep, "sgd_train", sgd_train)
+
+
+def test_diverged_replicate_is_skipped_and_the_rest_pair_in_order(monkeypatch):
+    diverge_replicates(monkeypatch, {1})
+    cell = run_cell(replace(tiny_grid(), replicates=4), 0, 0)
+    assert cell.n_converged == 3
+    assert [(p.replica_a, p.replica_b) for p in cell.pairs] == [(0, 2)]
+    assert cell.replicates[1].lambda_max is None and cell.replicates[1].hessian_trace is None
+    # replicate 3 is measured but, the odd one out, in no pair
+    assert cell.replicates[3].lambda_max is not None
+    assert cell.replicates[3].hessian_trace is not None
+
+
+def test_fewer_than_two_converged_replicates_leave_the_pair_columns_blank(monkeypatch):
+    diverge_replicates(monkeypatch, {0})
+    row = run_cell(tiny_grid(), 0, 0).row()
+    assert row["n_converged"] == 1 and row["hessian_trace_mean"] is not None
+    for name in ("mc", "cka", "l2"):
+        assert row[f"{name}_mean"] is None and row[f"{name}_sd"] is None
+    assert label_rows([row], PhaseThresholds()) == ["NC"]
+
+
+def test_degenerate_cka_leaves_only_the_cka_columns_blank(monkeypatch):
+    def cka_between_models(*args):
+        raise DegenerateOutputError("constant outputs")
+
+    monkeypatch.setattr(sweep, "cka_between_models", cka_between_models)
+    row = run_cell(tiny_grid(), 0, 0).row()
+    assert row["cka_mean"] is None and row["mu_hat"] is None
+    assert row["mc_mean"] is not None and row["l2_mean"] is not None

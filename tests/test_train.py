@@ -7,7 +7,6 @@ import pytest
 from losslab import rng as rng_module
 from losslab.datasets import Dataset, gen_blobs
 from losslab.errors import (
-    ConfigError,
     DimensionError,
     DivergenceError,
     FormatError,
@@ -150,7 +149,7 @@ def test_linear_decay_schedule_values():
     assert abs(schedule_lr(60, 0.01, sched) - 0.01 * 0.01) < 1e-18
     mid = schedule_lr(35, 0.01, sched)
     assert abs(mid - 0.505 * 0.01) < 1e-15
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         LinearDecay(start_epoch=45, end_epoch=45, final_fraction=0.01)
     # without a schedule every epoch runs at the base rate
     assert [schedule_lr(e, 0.01, None) for e in (0, 35, 60)] == [0.01] * 3
@@ -163,7 +162,6 @@ def test_evaluate_zero_theta_argmax_ties_to_class_zero():
     res = evaluate(spec, theta, ds)
     class0_freq = float(np.mean(ds.y == 0))
     assert res.acc == 100.0 * class0_freq
-    assert res.err01 == 100.0 - res.acc
 
 
 def test_evaluate_perfect_logits():
@@ -193,7 +191,7 @@ def test_stacked_evaluate_is_each_model_alone():
     stacked = evaluate(spec, stack, train, weight_decay=1e-3)
     for i, theta in enumerate(thetas):
         alone = evaluate(spec, theta, train, weight_decay=1e-3)
-        assert (stacked.loss[i], stacked.err01[i], stacked.acc[i]) == (alone.loss, alone.err01, alone.acc)
+        assert (stacked.loss[i], stacked.acc[i]) == (alone.loss, alone.acc)
         logits = forward(spec, theta, train.X)
         assert alone.acc == pytest.approx(100.0 * count_correct_loops(logits.tolist(), train.y.tolist()) / train.n)
 
