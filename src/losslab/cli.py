@@ -9,6 +9,13 @@ line, the full config, the seeds involved, and wall-clock time.
 
 Exit codes: 0 success, 2 usage or config problem, 3 numeric divergence,
 4 I/O failure or a malformed input file.
+
+Only ``config``, ``errors`` and ``phases`` are imported here, and none of
+them loads numpy.  Each command that trains or measures imports what it
+needs in its own body, so ``phase`` and ``plot``, which only read and
+write tables, start without numpy or the training stack, whose imports
+cost several times the work these commands do.  Every other command
+loads numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .cka import cka_between_models
 from .config import (
     load_config,
     parse_curve,
@@ -34,8 +40,6 @@ from .config import (
     parse_train,
     parse_weight_decay,
 )
-from .curvature import draw_metric_batch, top_eigenvalue, trace_hutchinson
-from .curves import CurveProfile, curve_profile, mode_connectivity, train_curve
 from .errors import (
     ConfigError,
     DegenerateOutputError,
@@ -45,23 +49,15 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .model import exact_hessian
-from .phases import emit_heatmap, label_rows, render_curve_profile
-from .rng import derive_seed
-from .sweep import (
+from .phases import (
     CSV_COLUMNS,
-    build_probes,
-    datasets_from_recipe,
-    l2_distance,
+    emit_heatmap,
+    label_rows,
     read_results_csv,
-    results_to_csv,
+    render_curve_profile,
     rows_to_csv,
-    run_sweep,
     write_manifest,
 )
-from .train import load_checkpoint, save_checkpoint, sgd_train
-
-import numpy as np
 
 
 def _finish(args, outputs: list, config: dict | None = None, seeds: dict | None = None,
@@ -81,6 +77,8 @@ def _finish(args, outputs: list, config: dict | None = None, seeds: dict | None 
 
 
 def _load_pair(path_a, path_b):
+    from .train import load_checkpoint
+
     theta_a, spec_a, _ = load_checkpoint(path_a)
     theta_b, spec_b, _ = load_checkpoint(path_b)
     if spec_a != spec_b:
@@ -97,6 +95,9 @@ def _write_record(record: dict, path) -> None:
 
 def cmd_train(args) -> int:
     """train one model from a JSON config"""
+    from .sweep import datasets_from_recipe
+    from .train import save_checkpoint, sgd_train
+
     cfg = load_config(args.config)
     spec = parse_model(cfg)
     recipe = parse_data(cfg)
@@ -128,6 +129,13 @@ def cmd_train(args) -> int:
 
 def cmd_hessian(args) -> int:
     """curvature metrics of one checkpoint"""
+    import numpy as np
+
+    from .curvature import draw_metric_batch, top_eigenvalue, trace_hutchinson
+    from .model import exact_hessian
+    from .sweep import datasets_from_recipe
+    from .train import load_checkpoint
+
     cfg = load_config(args.config)
     recipe = parse_data(cfg)
     curvature, _ = parse_metrics(cfg)
@@ -161,6 +169,10 @@ def cmd_hessian(args) -> int:
 
 def cmd_cka(args) -> int:
     """output similarity of two checkpoints"""
+    from .cka import cka_between_models
+    from .rng import derive_seed
+    from .sweep import build_probes, datasets_from_recipe
+
     cfg = load_config(args.config)
     recipe = parse_data(cfg)
     _, probes_cfg = parse_metrics(cfg)
@@ -175,6 +187,9 @@ def cmd_cka(args) -> int:
 
 def cmd_modeconn(args) -> int:
     """train a connecting curve and report mc"""
+    from .curves import curve_profile, mode_connectivity, train_curve
+    from .sweep import datasets_from_recipe
+
     cfg = load_config(args.config)
     recipe = parse_data(cfg)
     ccfg = parse_curve(cfg)
@@ -201,6 +216,8 @@ def cmd_modeconn(args) -> int:
 
 def cmd_l2(args) -> int:
     """parameter-space distance of two checkpoints"""
+    from .sweep import l2_distance
+
     _, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
     _write_record({"metric": "l2", "l2": l2_distance(theta_a, theta_b)}, args.out)
     return _finish(args, [args.out])
@@ -208,6 +225,8 @@ def cmd_l2(args) -> int:
 
 def cmd_sweep(args) -> int:
     """run the full load-temperature grid"""
+    from .sweep import results_to_csv, run_sweep
+
     cfg = load_config(args.config)
     grid = parse_grid(cfg)
     cells, manifest = run_sweep(grid, workers=max(1, args.workers))
@@ -247,6 +266,8 @@ def cmd_plot(args) -> int:
 
 def cmd_profile_plot(args) -> int:
     """render a curve profile as SVG"""
+    from .curves import CurveProfile
+
     try:
         with open(args.profile) as fh:
             profile = CurveProfile.from_dict(json.load(fh))

@@ -17,6 +17,12 @@ the cell's training batch size.  The grid axes replace the fields they
 name (a width axis every hidden width, a batch-size axis
 ``train.batch_size``), and every axis value is checked when the grid is
 parsed, before any cell runs.
+
+Each ``parse_*`` function imports its section's dataclass from the
+owning module when it is called, and ``REQUIRED`` and ``NESTED`` are
+keyed by class name, so importing this module loads no other part of
+the package.  ``load_config`` and ``parse_phase`` need only the standard
+library, which keeps ``losslab phase`` free of numpy.
 """
 
 from __future__ import annotations
@@ -25,27 +31,29 @@ import json
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
-from .curvature import CurvatureConfig
-from .curves import CurveTrainConfig
 from .errors import ConfigError, ParameterError
-from .model import ModelSpec
-from .phases import PhaseThresholds
-from .sweep import Axis, DataRecipe, GridSpec, ProbeConfig
-from .train import TrainConfig
+
+if typing.TYPE_CHECKING:
+    from .curvature import CurvatureConfig
+    from .curves import CurveTrainConfig
+    from .model import ModelSpec
+    from .phases import PhaseThresholds
+    from .sweep import DataRecipe, GridSpec, ProbeConfig
+    from .train import TrainConfig
 
 SCHEMA_VERSION = 1
 SECTIONS = ("schema", "model", "data", "train", "curve", "metrics", "grid", "phase")
 
-# Fields a config must give even though the dataclass has a default.
+# Fields a config must give even though the dataclass has a default, by class name.
 REQUIRED = {
-    DataRecipe: ("kind",),
-    TrainConfig: ("batch_size", "lr", "weight_decay", "max_epochs"),
+    "DataRecipe": ("kind",),
+    "TrainConfig": ("batch_size", "lr", "weight_decay", "max_epochs"),
 }
 
-# Keys of a section that hold a nested section parsed on its own.
+# Keys of a section that hold a nested section parsed on its own, by class name.
 NESTED = {
-    CurvatureConfig: ("probes",),
-    GridSpec: ("load", "temp"),
+    "CurvatureConfig": ("probes",),
+    "GridSpec": ("load", "temp"),
 }
 
 
@@ -76,7 +84,8 @@ def _build(cls, sec, path: str, **given):
     """The dataclass ``cls`` from the config object ``sec``; ``given`` fields are used as is."""
     if not isinstance(sec, dict):
         raise ConfigError(path, f"expected an object, got {sec!r}")
-    known = {f.name for f in fields(cls) if f.name not in given} | set(NESTED.get(cls, ()))
+    nested = NESTED.get(cls.__name__, ())
+    known = {f.name for f in fields(cls) if f.name not in given} | set(nested)
     for key in sec:
         if key not in known:
             raise ConfigError(f"{path}.{key}", "unknown field")
@@ -88,7 +97,7 @@ def _build(cls, sec, path: str, **given):
         value = sec.get(f.name)
         optional = type(None) in typing.get_args(hints[f.name])
         if value is None and (f.name not in sec or not optional):
-            if f.default is MISSING or f.name in REQUIRED.get(cls, ()):
+            if f.default is MISSING or f.name in REQUIRED.get(cls.__name__, ()):
                 raise ConfigError(f"{path}.{f.name}", "missing required field")
             continue
         kwargs[f.name] = _convert(hints[f.name], value, f"{path}.{f.name}")
@@ -116,19 +125,27 @@ def load_config(path) -> dict:
 
 
 def parse_model(cfg: dict) -> ModelSpec:
+    from .model import ModelSpec
+
     return _build(ModelSpec, cfg.get("model"), "model")
 
 
 def parse_data(cfg: dict) -> DataRecipe:
+    from .sweep import DataRecipe
+
     return _build(DataRecipe, cfg.get("data"), "data")
 
 
 def parse_train(cfg: dict) -> TrainConfig:
+    from .train import TrainConfig
+
     return _build(TrainConfig, cfg.get("train"), "train")
 
 
 def parse_weight_decay(cfg: dict) -> float:
     """``train.weight_decay`` alone, checked as ``parse_train`` checks it; 0.0 when absent."""
+    from .train import TrainConfig
+
     sec = cfg.get("train", {})
     if not isinstance(sec, dict):
         raise ConfigError("train", f"expected an object, got {sec!r}")
@@ -139,16 +156,23 @@ def parse_weight_decay(cfg: dict) -> float:
 
 
 def parse_curve(cfg: dict) -> CurveTrainConfig:
+    from .curves import CurveTrainConfig
+
     return _build(CurveTrainConfig, cfg.get("curve", {}), "curve")
 
 
 def parse_metrics(cfg: dict) -> tuple[CurvatureConfig, ProbeConfig]:
+    from .curvature import CurvatureConfig
+    from .sweep import ProbeConfig
+
     sec = cfg.get("metrics", {})
     curvature = _build(CurvatureConfig, sec, "metrics")
     return curvature, _build(ProbeConfig, sec.get("probes") or {}, "metrics.probes")
 
 
 def parse_grid(cfg: dict) -> GridSpec:
+    from .sweep import Axis, GridSpec
+
     sec = cfg.get("grid")
     if not isinstance(sec, dict):
         raise ConfigError("grid", f"expected an object, got {sec!r}")
@@ -163,4 +187,6 @@ def parse_grid(cfg: dict) -> GridSpec:
 
 
 def parse_phase(cfg: dict | None) -> PhaseThresholds:
+    from .phases import PhaseThresholds
+
     return _build(PhaseThresholds, (cfg or {}).get("phase", {}), "phase")

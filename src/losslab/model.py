@@ -340,7 +340,8 @@ class HessianOperator:
     arrays.  ``theta`` is copied, so later in-place edits of it do not
     reach the operator.  Each ``apply`` runs only the tangent passes, into
     ``(B, width)`` and weight-shaped workspaces the operator owns, and
-    returns a fresh ``(P,)`` array.  ``trace`` reads only the cached pass.
+    returns a fresh ``(P,)`` array; the first ``apply`` allocates the
+    workspaces.  ``trace`` reads only the cached pass and allocates none.
     """
 
     def __init__(self, spec: ModelSpec, theta: ParamVector, batch: Batch, weight_decay: float):
@@ -365,20 +366,24 @@ class HessianOperator:
         self._weights = [w for w, _ in theta.views()]
         # float 0/1: x * 1.0 and x * 0.0 are the bool products bit for bit, and faster
         self._masks = [m.astype(np.float64) for m in masks]
-        n = batch.size
-        dims = spec.layer_dims
+        self._out = None  # apply's workspaces, allocated by the first apply
+
+    def _allocate(self) -> None:
+        n, dims = self.batch.size, self.spec.layer_dims
         # _tangents[l] holds layer l's output tangent on the way forward and
         # its backward tangent signal on the way back
         self._tangents = [np.empty((n, d)) for d in dims[1:]]
         self._partials = [np.empty((n, d)) for d in dims[1:]]
         self._weight_partials = [np.empty(w.shape) for w in self._weights]
         self._row_sums = np.empty((n, 1))
-        self._out = np.empty(spec.param_count)
+        self._out = np.empty(self.spec.param_count)
         self._out_views = ParamVector(self.layout, self._out).views()
 
     def apply(self, v: ParamVector) -> np.ndarray:
         """``H v`` as a new ``(P,)`` array."""
         require_matching(self.spec, v)
+        if self._out is None:
+            self._allocate()
         acts, ws, masks = self._acts, self._weights, self._masks
         rs, ts = self._tangents, self._partials
         vpairs = v.views()

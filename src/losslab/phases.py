@@ -1,4 +1,4 @@
-"""Phase classification of grid cells and SVG heatmap rendering.
+"""Phase classification of grid cells, the results table, and SVG rendering.
 
 A converged cell is locally sharp or flat by comparing its Hessian
 trace with a grid-relative quantile, and globally poorly-connected
@@ -6,18 +6,25 @@ when its mean mode connectivity sits below ``-eps_mc``.  Sharp + poor
 is phase I, sharp otherwise II, flat + poor III, and flat + connected
 IV, with IV split by mean CKA into IV-A (dissimilar replicas) and IV-B
 (similar replicas, the "globally nice" corner).  Cells whose replicates
-all diverged stay NC, and a grid in which every cell diverged labels
-every cell NC.
+all diverged, or whose mean training loss exceeds ``loss_converged``,
+stay NC, and a grid in which no cell converged labels every cell NC.
+
+The module reads and writes ``results.csv`` and ``phases.csv`` and
+imports neither numpy nor any training or measuring module, so the
+table-only commands (``losslab phase`` and ``losslab plot``) start fast.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import FormatError, ParameterError
 
-from .curves import CurveProfile
-from .errors import ParameterError
+if TYPE_CHECKING:
+    from .curves import CurveProfile
 
 PHASE_LABELS = ("I", "II", "III", "IV-A", "IV-B", "NC")
 
@@ -48,9 +55,10 @@ DIVERGING_METRICS = ("mc_mean", "beta_hat")
 class PhaseThresholds:
     """The classifier's settings.
 
-    ``loss_converged`` is parsed and validated but read by no rule.  It
-    stays because the bundled and the benchmark's configs set it, until a
-    loss rule is wired in or the field is dropped.
+    A cell whose mean training loss exceeds ``loss_converged`` did not
+    train: its weights can have blown up while the loss stayed finite.
+    It is labelled NC and left out of the sharp quantile, like a cell
+    whose replicates all diverged.  A blank training loss does not count.
     """
 
     eps_mc: float = 2.0
@@ -69,13 +77,31 @@ class PhaseThresholds:
             raise ParameterError("loss_converged must exceed 1")
 
 
-def _converged(row: dict) -> bool:
+def _converged(row: dict, thresholds: PhaseThresholds) -> bool:
+    loss = row.get("train_loss_mean")
+    if loss is not None and loss > thresholds.loss_converged:
+        return False
     return row.get("n_converged", 0) > 0
+
+
+def _quantile(values: list[float], q: float) -> float:
+    """``float(np.quantile(values, q))`` for finite values, bit for bit, without numpy.
+
+    numpy's default ``linear`` method: the sorted values interpolated at
+    ``(n - 1) * q``, from the upper neighbour when the weight is 0.5 or
+    more.  Only a zero result can differ, in its sign, since numpy orders
+    tied zeros of opposite sign its own way.
+    """
+    v = sorted(values)
+    idx = (len(v) - 1) * q
+    lo = math.floor(idx)
+    a, b, g = v[lo], v[min(lo + 1, len(v) - 1)], idx - lo
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> str:
     """One of I, II, III, IV-A, IV-B for a converged cell, NC otherwise."""
-    if not _converged(row):
+    if not _converged(row, thresholds):
         return "NC"
     trace = row.get("hessian_trace_mean")
     beta = row.get("beta_hat")
@@ -94,11 +120,96 @@ def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> s
 def label_rows(rows: list[dict], thresholds: PhaseThresholds) -> list[str]:
     """Classify every row against the ``sharp_quantile`` of the converged mean traces, if any."""
     traces = [r["hessian_trace_mean"] for r in rows
-              if _converged(r) and r.get("hessian_trace_mean") is not None]
+              if _converged(r, thresholds) and r.get("hessian_trace_mean") is not None]
     if not traces:
         return ["NC"] * len(rows)
-    threshold = float(np.quantile(np.asarray(traces), thresholds.sharp_quantile))
+    threshold = _quantile(traces, thresholds.sharp_quantile)
     return [classify_cell(row, threshold, thresholds) for row in rows]
+
+
+# -- the results table ---------------------------------------------------
+
+CSV_COLUMNS = [
+    "load_kind", "load_value", "temp_kind", "temp_value",
+    "n_replicates", "n_converged",
+    "train_loss_mean", "train_loss_sd",
+    "test_acc_mean", "test_acc_sd",
+    "lambda_max_mean", "lambda_max_sd",
+    "hessian_trace_mean", "hessian_trace_sd",
+    "mc_mean", "mc_sd",
+    "cka_mean", "cka_sd",
+    "l2_mean", "l2_sd",
+    "mu_hat", "beta_hat",
+    "phase_label",
+]
+_TEXT_COLUMNS = ("load_kind", "temp_kind", "phase_label")
+_COUNT_COLUMNS = ("n_replicates", "n_converged")
+_AXIS_COLUMNS = ("load_value", "temp_value")
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    return "%.10g" % value
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    """One CSV line per row dict (from ``CellResult.row`` or ``read_results_csv``)."""
+    lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        parts = []
+        for name in CSV_COLUMNS:
+            value = row.get(name)
+            if name in _TEXT_COLUMNS:
+                parts.append(value or "")
+            elif name in _COUNT_COLUMNS:
+                parts.append(str(value))
+            else:
+                parts.append(_fmt(value))
+        lines.append(",".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def read_results_csv(path) -> list[dict]:
+    """Rows as dicts; numeric fields parsed, absent metrics become None.
+
+    An empty file, a header without every ``CSV_COLUMNS`` name, or a
+    malformed line (a blank axis value among them) is a FormatError
+    naming the file and line.
+    """
+    with open(path, "r") as fh:
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines:
+        raise FormatError(f"{path}: empty file, expected a header line")
+    n, header_line = lines[0]
+    header = header_line.split(",")
+    missing = [name for name in CSV_COLUMNS if name not in header]
+    if missing:
+        raise FormatError(f"{path}:{n}: header lacks the column(s) {', '.join(missing)}")
+    rows = []
+    for n, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(header):
+            raise FormatError(f"{path}:{n}: expected {len(header)} fields, got {len(parts)}")
+        row = {}
+        for name, value in zip(header, parts):
+            try:
+                if name in _TEXT_COLUMNS:
+                    row[name] = value
+                elif name in _COUNT_COLUMNS:
+                    row[name] = int(value)
+                else:
+                    row[name] = float(value) if value or name in _AXIS_COLUMNS else None
+            except ValueError:
+                raise FormatError(f"{path}:{n}: {name} is not a number: {value!r}") from None
+        rows.append(row)
+    return rows
+
+
+def write_manifest(manifest: dict, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 # -- SVG rendering -------------------------------------------------------

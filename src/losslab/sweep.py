@@ -16,7 +16,6 @@ any existing cell's numbers.
 from __future__ import annotations
 
 import dataclasses
-import json
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -40,34 +39,18 @@ from .datasets import (
     raw_probes,
     subsample,
 )
-from .errors import ConfigError, DegenerateOutputError, DivergenceError, FormatError, ParameterError
+from .errors import ConfigError, DegenerateOutputError, DivergenceError, ParameterError
 # evaluate is not called here, but the benchmark's tracer rebinds
 # sweep.evaluate, so the name must stay bound
 from .model import ModelSpec, ParamVector, evaluate, require_same_layout  # noqa: F401
+# read_results_csv is not called here; the benchmark reads it as sweep.read_results_csv
+from .phases import read_results_csv, rows_to_csv  # noqa: F401
 from .rng import derive_seed
 from .train import TrainConfig, sgd_train
 
 LOAD_KINDS = ("width", "n_samples", "noise_frac", "pixel_noise")
 TEMP_KINDS = ("batch_size", "lr", "weight_decay")
 _INT_KINDS = {"width", "n_samples", "batch_size"}
-
-CSV_COLUMNS = [
-    "load_kind", "load_value", "temp_kind", "temp_value",
-    "n_replicates", "n_converged",
-    "train_loss_mean", "train_loss_sd",
-    "test_acc_mean", "test_acc_sd",
-    "lambda_max_mean", "lambda_max_sd",
-    "hessian_trace_mean", "hessian_trace_sd",
-    "mc_mean", "mc_sd",
-    "cka_mean", "cka_sd",
-    "l2_mean", "l2_sd",
-    "mu_hat", "beta_hat",
-    "phase_label",
-]
-_TEXT_COLUMNS = ("load_kind", "temp_kind", "phase_label")
-_COUNT_COLUMNS = ("n_replicates", "n_converged")
-_AXIS_COLUMNS = ("load_value", "temp_value")
-
 
 def l2_distance(theta_a: ParamVector, theta_b: ParamVector) -> float:
     """Euclidean distance between two parameter vectors."""
@@ -257,7 +240,7 @@ class CellResult:
         return out
 
     def row(self) -> dict:
-        """This cell as one ``results.csv`` row, keyed by ``CSV_COLUMNS``."""
+        """This cell as one ``results.csv`` row, keyed by ``phases.CSV_COLUMNS``."""
         return {
             "load_kind": self.load_kind, "load_value": self.load_value,
             "temp_kind": self.temp_kind, "temp_value": self.temp_value,
@@ -434,70 +417,5 @@ def run_sweep(grid: GridSpec, workers: int = 1) -> tuple[list[CellResult], dict]
     return cells, manifest
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return "%.10g" % value
-
-
 def results_to_csv(cells: list[CellResult]) -> str:
     return rows_to_csv([cell.row() for cell in cells])
-
-
-def rows_to_csv(rows: list[dict]) -> str:
-    """One CSV line per row dict (from ``CellResult.row`` or ``read_results_csv``)."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        parts = []
-        for name in CSV_COLUMNS:
-            value = row.get(name)
-            if name in _TEXT_COLUMNS:
-                parts.append(value or "")
-            elif name in _COUNT_COLUMNS:
-                parts.append(str(value))
-            else:
-                parts.append(_fmt(value))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def read_results_csv(path) -> list[dict]:
-    """Rows as dicts; numeric fields parsed, absent metrics become None.
-
-    An empty file, a header without every ``CSV_COLUMNS`` name, or a
-    malformed line (a blank axis value among them) is a FormatError
-    naming the file and line.
-    """
-    with open(path, "r") as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty file, expected a header line")
-    n, header_line = lines[0]
-    header = header_line.split(",")
-    missing = [name for name in CSV_COLUMNS if name not in header]
-    if missing:
-        raise FormatError(f"{path}:{n}: header lacks the column(s) {', '.join(missing)}")
-    rows = []
-    for n, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise FormatError(f"{path}:{n}: expected {len(header)} fields, got {len(parts)}")
-        row = {}
-        for name, value in zip(header, parts):
-            try:
-                if name in _TEXT_COLUMNS:
-                    row[name] = value
-                elif name in _COUNT_COLUMNS:
-                    row[name] = int(value)
-                else:
-                    row[name] = float(value) if value or name in _AXIS_COLUMNS else None
-            except ValueError:
-                raise FormatError(f"{path}:{n}: {name} is not a number: {value!r}") from None
-        rows.append(row)
-    return rows
-
-
-def write_manifest(manifest: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")

@@ -13,9 +13,9 @@ import pytest
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-@pytest.mark.parametrize("name", ["bench_rng", "bench_hessian"])
+@pytest.mark.parametrize("name", ["bench_rng", "bench_hessian", "bench_startup"])
 def test_measure_reports_a_finite_number_for_every_metric(name, monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCHMARKS))  # bench_hessian imports bench_rng
+    monkeypatch.syspath_prepend(str(BENCHMARKS))  # the others import bench_rng
     spec = importlib.util.spec_from_file_location(f"benchmarks_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

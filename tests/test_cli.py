@@ -12,6 +12,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -345,3 +348,31 @@ def test_eps_mc_is_set_only_in_the_config(workdir, monkeypatch):
         in_workdir(workdir, monkeypatch, ["phase", "--csv", "sweep/results.csv",
                                           "--eps-mc", "1.0", "--out", "x.csv"])
     assert info.value.code == 2
+
+
+def run_python(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this ``losslab``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(losslab.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_no_numpy():
+    proc = run_python("import sys\nimport losslab.cli\nprint('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_phase_and_plot_run_without_numpy(workdir):
+    root = workdir[0]
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
+        "from losslab import cli\n"
+        "codes = [cli.main(['phase', '--csv', 'sweep/results.csv', '--config', 'sweep.json',\n"
+        "                   '--out', 'bare_phases.csv']),\n"
+        "         cli.main(['plot', '--csv', 'bare_phases.csv', '--metric', 'phase_label',\n"
+        "                   '--out', 'bare_phases.svg'])]\n"
+        "print(codes)\n", cwd=root)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "[0, 0]", proc.stderr
+    assert (root / "bare_phases.csv").read_bytes() == (root / "phases.csv").read_bytes()
+    assert (root / "bare_phases.svg").read_bytes() == (root / "phases.svg").read_bytes()

@@ -1,12 +1,21 @@
 """Phase classification on hand-built rows, independent of any sweep."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslab import cli
-from losslab.phases import PhaseThresholds, label_rows
-from losslab.sweep import read_results_csv, rows_to_csv
+from losslab.phases import PhaseThresholds, _quantile, label_rows, read_results_csv, rows_to_csv
 
 THRESHOLDS = PhaseThresholds(eps_mc=2.0, sharp_quantile=0.5, tau_cka=0.9)
+
+# The width-4, batch-128 cell of a 2x2 quickstart-derived sweep at train.lr 1e30
+# (n_train 200, 2 epochs, 2 replicates): both replicates' weights blew up while
+# their loss stayed finite, so the cell counts 2 converged replicates.
+BLOWN_UP_ROW = ("width,4,batch_size,128,2,2,2.466554864e+115,1.170952644e+115,13.5,16.26345597,"
+                "0.7189964369,0.02112235173,0.056,0,-12.25,0,0.5784262597,0,2.619247783e+59,0,"
+                "0.5784262597,-12.25,")
 
 
 def row(trace=1.0, beta=0.0, mu=0.5, n_converged=2, load=0.0):
@@ -84,3 +93,36 @@ def test_converged_rows_without_train_loss_still_label(tmp_path):
     csv_path = tmp_path / "results.csv"
     csv_path.write_text(rows_to_csv([blank]))
     assert cli.main(["phase", "--csv", str(csv_path), "--out", str(tmp_path / "phases.csv")]) == 0
+
+
+def test_cell_whose_train_loss_exceeds_loss_converged_is_nc(tmp_path):
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(rows_to_csv([]) + BLOWN_UP_ROW + "\n")
+    [blown_up] = read_results_csv(csv_path)
+    assert blown_up["n_converged"] == 2
+    assert label_rows([blown_up], THRESHOLDS) == ["NC"]
+    # its trace stays out of the quantile: with it the threshold would be 1.5 and 2.0 sharp
+    rows = [row(trace=t) for t in (1.0, 2.0, 3.0)] + [blown_up]
+    assert label_rows(rows, THRESHOLDS) == ["IV-A", "IV-A", "II", "NC"]
+
+
+@pytest.mark.parametrize("loss,label", [(9.99, "IV-A"), (10.0, "IV-A"), (10.01, "NC"),
+                                        (float("inf"), "NC")])
+def test_loss_converged_bounds_the_mean_train_loss(loss, label):
+    probe = row(trace=1.0)
+    probe["train_loss_mean"] = loss
+    assert label_rows([probe, row(trace=3.0)], THRESHOLDS)[0] == label
+
+
+_SIGNED = st.tuples(st.floats(min_value=1e-300, max_value=1e300), st.booleans()).map(
+    lambda m: -m[0] if m[1] else m[0])
+_VALUES = st.lists(_SIGNED, min_size=1, max_size=64)
+_TIED = _VALUES.flatmap(lambda vs: st.lists(st.sampled_from(vs), min_size=1, max_size=64))
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.one_of(_VALUES, _TIED),
+       q=st.one_of(st.just(0.5), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_quantile_is_numpys_default_bit_for_bit(values, q):
+    # runs against whichever numpy is installed, so each CI job checks its own
+    assert _quantile(values, q).hex() == float(np.quantile(np.asarray(values), q)).hex()
