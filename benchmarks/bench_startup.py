@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_startup.py --parent DIR [--rounds 5] [--out BENCH_16.json]
+    python3 benchmarks/bench_startup.py --parent DIR [--rounds 5] [--out BENCH_17.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  The command
@@ -10,8 +10,8 @@ line is ``bench_rng.py``'s: each round measures the parent tree and then
 this tree, each in a fresh process.
 
 Every timing is of a fresh ``python3`` process, as a user pays it, with
-the environment this script runs in (bytecode caching included, so run
-both trees under the same setting):
+the environment this script runs in (bytecode caching and BLAS thread
+variables included, so run both trees under the same setting):
 
 - ``python``: an interpreter that runs ``pass``, the floor of the others;
 - ``import_cli``: ``import losslab.cli``;
@@ -19,16 +19,31 @@ both trees under the same setting):
 - ``sweep``: ``losslab sweep --workers 1`` on a one-cell grid (the
   bundled quickstart trimmed to 200 rows, 3 epochs and 2 replicates).
 
-Each is the median of ``REPS`` processes: ``.ms`` the wall time and
-``.cpu_ms`` the user plus system CPU time of the child.
+Each is the median of ``REPS`` processes: ``.ms`` the wall time,
+``.cpu_ms`` the user plus system CPU time of the child and
+``.peak_rss_mb`` its largest resident set (``ru_maxrss`` from ``wait4``).
 ``import_cli.loads_numpy`` is 1.0 when importing the CLI loads numpy.
+
+``apply.8-32-32-4_B1000`` times ``HessianOperator.apply`` at
+8→32→32→4 on 1,000 rows, the ``curvature_heavy`` workload's largest net,
+in fresh processes.  Each first runs ``losslab phase`` through
+``cli.main``, so numpy loads as a ``losslab`` process loads it, and then
+takes the median of ``APPLY_CALLS`` applications.  ``.alone`` runs
+``REPS`` such processes one after another; ``.two_at_once`` runs
+``REPS`` pairs of them side by side, as the two workers of ``sweep
+--workers 2`` run.  ``.process_median_us`` is the median of the
+per-process medians, ``.slowest_process_us`` the largest, and
+``.slow_process_frac`` the share of processes more than twice as slow
+as the median process of ``.alone``.  A process whose BLAS helper
+threads fight other threads for the cores stays slow for its whole
+life, so the tail shows only over many processes: run ``--rounds 3`` or
+more (30 processes alone and 60 in pairs per tree).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -39,6 +54,7 @@ from pathlib import Path
 from bench_rng import compare_trees
 
 REPS = 10
+APPLY_CALLS = 200
 HERE = Path(__file__).resolve()
 HEADER = ("load_kind,load_value,temp_kind,temp_value,n_replicates,n_converged,"
           "train_loss_mean,train_loss_sd,test_acc_mean,test_acc_sd,lambda_max_mean,lambda_max_sd,"
@@ -72,15 +88,53 @@ def one_cell_config(src: Path) -> dict:
     return cfg
 
 
-def _timed(argv, cwd, env) -> tuple[float, float]:
-    """Wall and CPU seconds of one child process, which must exit 0."""
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+# a losslab process as the command line sets it up, then timed applications
+APPLY_CHILD = """\
+import statistics, time
+from losslab import cli
+cli.main(["phase", "--csv", "results.csv", "--out", "{out}"])  # numpy not yet loaded
+from losslab.model import Batch, HessianOperator, ModelSpec, ParamVector, he_init
+from losslab.rng import Rng
+r = Rng(0)
+spec = ModelSpec(8, (32, 32), 4)
+X = r.split("X").normals(1000 * 8).reshape(1000, 8)
+y = r.split("y").choose(1000, 1000) % 4
+op = HessianOperator(spec, he_init(spec, r.split("theta")), Batch(X, y), 5e-4)
+v = ParamVector(spec.layout(), r.split("v").normals(spec.param_count))
+times = []
+for _ in range({calls}):
     start = time.perf_counter()
-    subprocess.run([sys.executable, *argv], cwd=cwd, env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    op.apply(v)
+    times.append(time.perf_counter() - start)
+print(statistics.median(times) * 1e6)
+"""
+
+
+def _apply_medians(work: Path, env: dict, at_once: int) -> list[float]:
+    """Per-process median ``apply`` microseconds of ``REPS`` groups of ``at_once`` processes."""
+    medians = []
+    for _ in range(REPS):
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", APPLY_CHILD.format(calls=APPLY_CALLS, out=f"apply_{i}.csv")],
+            cwd=work, env=env, stdout=subprocess.PIPE, text=True) for i in range(at_once)]
+        for proc in procs:
+            stdout, _ = proc.communicate()
+            if proc.returncode:
+                raise subprocess.CalledProcessError(proc.returncode, proc.args)
+            medians.append(float(stdout.splitlines()[-1]))
+    return medians
+
+
+def _run(argv, cwd, env) -> tuple[float, float, float]:
+    """Wall seconds, CPU seconds and peak RSS (MB) of one child process, which must exit 0."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return wall, (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
 def measure() -> dict:
@@ -104,18 +158,26 @@ def measure() -> dict:
                       "--workers", "1"],
         }
         for name, argv in commands.items():
-            runs = [_timed(argv, work, env) for _ in range(REPS)]
-            out[f"startup.{name}.ms"] = statistics.median(w for w, _ in runs) * 1e3
-            out[f"startup.{name}.cpu_ms"] = statistics.median(c for _, c in runs) * 1e3
+            runs = [_run(argv, work, env) for _ in range(REPS)]
+            out[f"startup.{name}.ms"] = statistics.median(r[0] for r in runs) * 1e3
+            out[f"startup.{name}.cpu_ms"] = statistics.median(r[1] for r in runs) * 1e3
+            out[f"startup.{name}.peak_rss_mb"] = statistics.median(r[2] for r in runs)
         probe = subprocess.run(
             [sys.executable, "-c", "import sys, losslab.cli; print('numpy' in sys.modules)"],
             cwd=work, env=env, check=True, capture_output=True, text=True)
         out["startup.import_cli.loads_numpy"] = float(probe.stdout.strip() == "True")
+        alone = _apply_medians(work, env, 1)
+        typical = statistics.median(alone)
+        for label, medians in (("alone", alone), ("two_at_once", _apply_medians(work, env, 2))):
+            key = f"apply.8-32-32-4_B1000.{label}"
+            out[f"{key}.process_median_us"] = statistics.median(medians)
+            out[f"{key}.slowest_process_us"] = max(medians)
+            out[f"{key}.slow_process_frac"] = sum(t > 2 * typical for t in medians) / len(medians)
     return out
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_16.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_17.json", argv)
 
 
 if __name__ == "__main__":

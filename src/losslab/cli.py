@@ -12,10 +12,22 @@ Exit codes: 0 success, 2 usage or config problem, 3 numeric divergence,
 
 Only ``config``, ``errors`` and ``phases`` are imported here, and none of
 them loads numpy.  Each command that trains or measures imports what it
-needs in its own body, so ``phase`` and ``plot``, which only read and
-write tables, start without numpy or the training stack, whose imports
-cost several times the work these commands do.  Every other command
-loads numpy.
+needs in its own body, so ``phase``, ``plot`` and ``profile-plot``, which
+only read and render files, start without numpy or the training stack,
+whose imports cost several times the work these commands do.  Every
+other command loads numpy.
+
+BLAS runs one thread.  Before it dispatches, ``main`` sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
+``1``; the BLAS library reads them when numpy first loads it, and the
+workers of ``sweep --workers N`` inherit them.  The package's arrays (at
+most ``metric_batch`` rows by a hidden width) are too small for helper
+threads to help: the threads spin on the cores the cells need, and in
+about one process in eight a Hessian product ran many times slower for
+the whole life of the process.  To choose another thread count, set any
+of the three variables: ``main`` then leaves all three as they are.  It
+also leaves them alone when numpy is already imported, as in a program
+that calls ``main`` in-process, since the setting could no longer apply.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from .errors import (
 )
 from .phases import (
     CSV_COLUMNS,
+    CurveProfile,
     emit_heatmap,
     label_rows,
     read_results_csv,
@@ -266,8 +279,6 @@ def cmd_plot(args) -> int:
 
 def cmd_profile_plot(args) -> int:
     """render a curve profile as SVG"""
-    from .curves import CurveProfile
-
     try:
         with open(args.profile) as fh:
             profile = CurveProfile.from_dict(json.load(fh))
@@ -312,8 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
     args.t0 = time.time()
     try:
         return args.func(args)

@@ -38,6 +38,7 @@ from .model import (
     require_matching,
     require_same_layout,
 )
+from .phases import CurveProfile
 from .rng import Rng
 from .train import LinearDecay, check_dataset, epoch_batches, schedule_lr, stack_config
 
@@ -165,34 +166,6 @@ def train_curve(
     for i, c in enumerate(active):
         results[c] = ParamVector(layout, controls[i])
     return results
-
-
-@dataclass
-class CurveProfile:
-    """Training error (percent) and cross-entropy sampled along the curve."""
-
-    t_values: tuple[float, ...]
-    err01: list[float]
-    cross_entropy: list[float]
-
-    def __post_init__(self):
-        if 0.0 not in self.t_values or 1.0 not in self.t_values:
-            raise ParameterError("profile must include both endpoints")
-        if not (len(self.t_values) == len(self.err01) == len(self.cross_entropy)):
-            raise ParameterError("profile arrays must share one length")
-
-    def to_dict(self) -> dict:
-        return {
-            "t": list(self.t_values),
-            "err01": list(self.err01),
-            "cross_entropy": list(self.cross_entropy),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CurveProfile":
-        """The profile ``to_dict`` wrote; every value must convert with ``float``."""
-        return cls(tuple(float(t) for t in d["t"]), [float(v) for v in d["err01"]],
-                   [float(v) for v in d["cross_entropy"]])
 
 
 def curve_profile(

@@ -9,9 +9,11 @@ IV, with IV split by mean CKA into IV-A (dissimilar replicas) and IV-B
 all diverged, or whose mean training loss exceeds ``loss_converged``,
 stay NC, and a grid in which no cell converged labels every cell NC.
 
-The module reads and writes ``results.csv`` and ``phases.csv`` and
-imports neither numpy nor any training or measuring module, so the
-table-only commands (``losslab phase`` and ``losslab plot``) start fast.
+The module reads and writes ``results.csv`` and ``phases.csv``, holds
+the curve profile that ``losslab modeconn`` writes, and imports neither
+numpy nor any training or measuring module, so the commands that only
+read and render (``losslab phase``, ``plot`` and ``profile-plot``) start
+fast.
 """
 
 from __future__ import annotations
@@ -19,12 +21,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import FormatError, ParameterError
-
-if TYPE_CHECKING:
-    from .curves import CurveProfile
 
 PHASE_LABELS = ("I", "II", "III", "IV-A", "IV-B", "NC")
 
@@ -365,6 +363,34 @@ def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto")
         out.append(_text(lx + 18, MARGIN_TOP + 10, _fmt_tick(top_val)))
         out.append(_text(lx + 18, MARGIN_TOP + bar_h, _fmt_tick(bot_val)))
     _write_svg(path, width, height, out)
+
+
+@dataclass
+class CurveProfile:
+    """Training error (percent) and cross-entropy sampled along the curve."""
+
+    t_values: tuple[float, ...]
+    err01: list[float]
+    cross_entropy: list[float]
+
+    def __post_init__(self):
+        if 0.0 not in self.t_values or 1.0 not in self.t_values:
+            raise ParameterError("profile must include both endpoints")
+        if not (len(self.t_values) == len(self.err01) == len(self.cross_entropy)):
+            raise ParameterError("profile arrays must share one length")
+
+    def to_dict(self) -> dict:
+        return {
+            "t": list(self.t_values),
+            "err01": list(self.err01),
+            "cross_entropy": list(self.cross_entropy),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CurveProfile":
+        """The profile ``to_dict`` wrote; every value must convert with ``float``."""
+        return cls(tuple(float(t) for t in d["t"]), [float(v) for v in d["err01"]],
+                   [float(v) for v in d["cross_entropy"]])
 
 
 PROFILE_W = 400

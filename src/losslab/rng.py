@@ -44,9 +44,9 @@ generator's outputs from blocks of at most ``WALK_BLOCK`` drawn by
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
+from _blake2 import blake2b  # hashlib.blake2b itself, without loading OpenSSL
 from collections.abc import Sequence
 
 import numpy as np
@@ -84,7 +84,7 @@ def derive_seed(base: int, *key: SeedPart) -> int:
     and ``derive_seed(s, 2.0)`` differ, and string tags never collide
     with numeric ones.
     """
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     h.update(int(base).to_bytes(8, "little", signed=False))
     for part in key:
         if isinstance(part, bool):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -404,6 +403,8 @@ def run_sweep(grid: GridSpec, workers: int = 1) -> tuple[list[CellResult], dict]
              for j in range(len(grid.temp_axis.values))]
     args = (repeat(grid), *zip(*tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(run_cell, *args))
     else:

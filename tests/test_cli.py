@@ -350,9 +350,10 @@ def test_eps_mc_is_set_only_in_the_config(workdir, monkeypatch):
     assert info.value.code == 2
 
 
-def run_python(code: str, cwd=None) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter that imports this ``losslab``."""
-    env = dict(os.environ, PYTHONPATH=str(Path(losslab.__file__).parent.parent))
+def run_python(code: str, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this ``losslab``, in ``env`` (default ours)."""
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=str(Path(losslab.__file__).parent.parent))
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True)
 
@@ -362,7 +363,7 @@ def test_importing_the_cli_loads_no_numpy():
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
-def test_phase_and_plot_run_without_numpy(workdir):
+def test_phase_plot_and_profile_plot_run_without_numpy(workdir):
     root = workdir[0]
     proc = run_python(
         "import sys\n"
@@ -371,8 +372,36 @@ def test_phase_and_plot_run_without_numpy(workdir):
         "codes = [cli.main(['phase', '--csv', 'sweep/results.csv', '--config', 'sweep.json',\n"
         "                   '--out', 'bare_phases.csv']),\n"
         "         cli.main(['plot', '--csv', 'bare_phases.csv', '--metric', 'phase_label',\n"
-        "                   '--out', 'bare_phases.svg'])]\n"
+        "                   '--out', 'bare_phases.svg']),\n"
+        "         cli.main(['profile-plot', '--profile', 'modeconn.profile.json',\n"
+        "                   '--out', 'bare_profile.svg'])]\n"
         "print(codes)\n", cwd=root)
-    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "[0, 0]", proc.stderr
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "[0, 0, 0]", proc.stderr
     assert (root / "bare_phases.csv").read_bytes() == (root / "phases.csv").read_bytes()
     assert (root / "bare_phases.svg").read_bytes() == (root / "phases.svg").read_bytes()
+    assert (root / "bare_profile.svg").read_bytes() == (root / "profile.svg").read_bytes()
+
+
+# as this process found them, before any test ran a command in-process
+BLAS_ENV = {v: os.environ.get(v) for v in cli.BLAS_THREAD_VARIABLES}
+
+
+@pytest.mark.parametrize("prelude, user, expected", [
+    ("", {}, ["1", "1", "1"]),
+    ("", {"OMP_NUM_THREADS": "3"}, [None, "3", None]),  # the user's choice wins
+    ("import numpy\n", {}, [None, None, None]),  # too late to apply
+])
+def test_main_runs_blas_on_one_thread_unless_told_otherwise(workdir, prelude, user, expected):
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES} | user
+    proc = run_python(
+        f"{prelude}import os\n"
+        "from losslab import cli\n"
+        "code = cli.main(['l2', '--checkpoint-a', 'run_a/model.ckpt',\n"
+        "                 '--checkpoint-b', 'run_b/model.ckpt', '--out', 'blas_l2.json'])\n"
+        "print(code, [os.environ.get(v) for v in cli.BLAS_THREAD_VARIABLES])\n",
+        cwd=workdir[0], env=env)
+    assert proc.stdout.splitlines()[-1] == f"0 {expected}", proc.stderr
+
+
+def test_in_process_commands_leave_the_blas_variables_as_they_were(workdir):
+    assert {v: os.environ.get(v) for v in cli.BLAS_THREAD_VARIABLES} == BLAS_ENV

@@ -73,6 +73,16 @@ def test_split_streams_are_reproducible_and_distinct():
     assert derive_seed(42, "a", 1) != derive_seed(42, "a", 1.0)
 
 
+@pytest.mark.parametrize("key, seed", [
+    ((7, 3), 8261051171445316480),
+    ((7, 0.25), 5209394394650186118),
+    ((7, "probes"), 8958757700547550161),
+    ((2**64 - 1, "cell", -2, 1.5, True), 9260171542551566758),
+])
+def test_derive_seed_values_are_pinned(key, seed):
+    assert derive_seed(*key) == seed
+
+
 def test_split_independent_of_parent_position():
     a = Rng(42)
     a.uniforms(100)

@@ -8,11 +8,17 @@ alters any number or its formatting fails here.
 import copy
 import hashlib
 import json
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import losslab
 from losslab import cli, sweep
 from losslab.config import load_config, parse_grid
 from losslab.curvature import CurvatureConfig
@@ -73,6 +79,18 @@ def test_results_csv_pinned(serial_csv):
 def test_parallel_sweep_matches_serial(serial_csv):
     cells, _ = run_sweep(tiny_grid(), workers=2)
     assert results_to_csv(cells) == serial_csv
+
+
+def test_a_one_worker_sweep_loads_no_process_pool_and_no_openssl():
+    loads = ("_hashlib", "concurrent.futures.process", "multiprocessing")
+    code = ("import pickle\n"
+            "import sys\n"
+            "import losslab.sweep\n"
+            f"losslab.sweep.run_sweep(pickle.loads({pickle.dumps(tiny_grid())!r}), workers=1)\n"
+            f"print([m for m in {loads!r} if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(losslab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 def test_extending_an_axis_leaves_old_cells_unchanged(serial_csv):
