@@ -2,15 +2,17 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_10.json]
+    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_18.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
 measures the parent tree and then this tree, each in a fresh process, so
 both sides run on the same machine at nearly the same time; the record
 keeps every round's value and the median over rounds.  A metric a tree
-does not have is ``null`` there; ``measure`` itself needs the RNG jump
-table (``rng._table``) and an ``evaluate`` that takes a stack of models.
+does not have is ``null`` there: the jump table's build time exists only
+in a tree whose stream steps xoshiro lanes (``rng._table``).  ``measure``
+itself needs ``rng.raw_outputs`` and an ``evaluate`` that takes a stack
+of models.
 
 The RNG's consumer is timed as the sweep calls it: ``mixup_probes`` at
 the ``curvature_heavy`` workload's 4,000 probes.  The curvature
@@ -18,7 +20,8 @@ estimators draw no more than one start vector, and ``bench_hessian.py``
 times them.
 
 Each value is the median of ``REPS`` timed calls, in microseconds per
-call (the jump table's build in milliseconds).
+call (the jump table's build in milliseconds; the scalar ``uniform`` per
+call from loops of ``SCALAR_LOOP`` calls).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ REPS = 30
 STACKS = [(1, 1000), (2, 1000), (4, 1000)]
 RAW_SIZES = [212, 2000, 8000, 16384, 65536]
 MIXUP_PROBES = 4000
+SCALAR_LOOP = 1000
 HERE = Path(__file__).resolve()
 SRC = HERE.parent.parent / "src"
 
@@ -57,14 +61,20 @@ def measure() -> dict:
     from losslab import rng as rng_module
     from losslab.datasets import gen_blobs, mixup_probes
     from losslab.model import ModelSpec, ParamVector, he_init
-    from losslab.rng import Rng
+    from losslab.rng import Rng, raw_outputs
     from losslab.train import epoch_batches, evaluate
 
     out = {}
-    rng_module._jump_table = None
-    start = time.perf_counter()
-    rng_module._table()
-    out["rng.jump_table.build_ms"] = (time.perf_counter() - start) * 1e3
+    if hasattr(rng_module, "_table"):
+        rng_module._jump_table = None
+        start = time.perf_counter()
+        rng_module._table()
+        out["rng.jump_table.build_ms"] = (time.perf_counter() - start) * 1e3
+    r = Rng(3)
+    out["rng.uniform.us"] = _median_us(
+        lambda: [r.uniform() for _ in range(SCALAR_LOOP)]) / SCALAR_LOOP
+    r = Rng(3)
+    out["rng.permutation.n1000.us"] = _median_us(lambda: r.permutation(1000))
     for count, n in STACKS:
         rngs = [Rng(s) for s in range(count)]
         # one stack epoch's shuffle, as the trainers draw it
@@ -72,7 +82,7 @@ def measure() -> dict:
             lambda: epoch_batches(n, n, rngs))
     for n in RAW_SIZES:
         r = Rng(3)
-        out[f"rng.raw.n{n}.us"] = _median_us(lambda: r._raw(n))
+        out[f"rng.raw.n{n}.us"] = _median_us(lambda: raw_outputs([r], n))
     blobs = gen_blobs(1000, 4, 8, 0.15, seed=1)
     out[f"datasets.mixup_probes.m{MIXUP_PROBES}.us"] = _median_us(
         lambda: mixup_probes(blobs, m=MIXUP_PROBES, alpha=16.0, seed=5))
@@ -133,7 +143,7 @@ def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, 
         rounds["parent"].append(run_side(script, args.parent.resolve()))
         rounds["change"].append(run_side(script, SRC))
     metrics = {}
-    for name in rounds["change"][0]:
+    for name in {**rounds["parent"][0], **rounds["change"][0]}:
         entry = {}
         for side, runs in rounds.items():
             values = [run.get(name) for run in runs]
@@ -150,7 +160,7 @@ def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, 
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_10.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_18.json", argv)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .rng import BlockStream, Rng
+from .rng import Rng
 
 # Arm geometry for gen_spirals: radius r = R0 + (R1 - R0) * phi / PHI_MAX
 # along angle phi in [0, PHI_MAX], rotated by 2*pi*c/C per class.
@@ -161,10 +161,8 @@ def randomize_labels(ds: Dataset, frac: float, seed: int) -> Dataset:
     k = round(frac * ds.n)
     if k:
         rng = Rng(seed)
-        picked = rng.choose(ds.n, k)
-        draws = BlockStream(rng, 2 * k)
-        for i in picked:
-            other = draws.integer(ds.num_classes - 1)
+        for i in rng.choose(ds.n, k):
+            other = rng.integer(ds.num_classes - 1)
             if other >= y[i]:
                 other += 1
             y[i] = other
@@ -192,8 +190,8 @@ def raw_probes(ds: Dataset, m: int, seed: int) -> ProbeSet:
     """m training rows sampled with replacement, unmodified."""
     if m < 2:
         raise ParameterError("probe count must be >= 2")
-    draws = BlockStream(Rng(seed), 2 * m)
-    idx = np.array([draws.integer(ds.n) for _ in range(m)])
+    rng = Rng(seed)
+    idx = np.array([rng.integer(ds.n) for _ in range(m)])
     return ProbeSet(ds.X[idx].copy(), "raw")
 
 
@@ -207,9 +205,8 @@ def mixup_probes(
     """Convex combinations of distinct training-row pairs, Beta(alpha, alpha) weights.
 
     Probe i takes row a, then row b != a, then its weight lam from one
-    stream, as ``Rng(seed).integer`` and ``.beta`` calls in that order
-    would; the stream is walked in bounded blocks (``rng.BlockStream``)
-    and the m rows ``lam * X[a] + (1 - lam) * X[b]`` are formed at once.
+    stream, by ``Rng(seed).integer`` and ``.beta`` calls in that order;
+    the m rows ``lam * X[a] + (1 - lam) * X[b]`` are formed at once.
     """
     if ds.n < 2:
         raise ParameterError("mixup needs at least two rows")
@@ -217,16 +214,14 @@ def mixup_probes(
         raise ParameterError("probe count must be >= 2")
     if alpha <= 0:
         raise ParameterError("alpha must be > 0")
-    # two row draws of at most 2 outputs each on average, and two gammas of
-    # about 3 each (4 below alpha 1); a low guess only makes later blocks short
-    draws = BlockStream(Rng(seed), m * (4 if _fixed_lambda is not None else 12))
+    rng = Rng(seed)
     n = ds.n
     a = np.empty(m, dtype=np.intp)
     b = np.empty(m, dtype=np.intp)
     lam = np.empty((m, 1))
     for i in range(m):
-        a[i] = draws.integer(n)
-        b[i] = draws.integer(n - 1)
-        lam[i] = draws.beta(alpha) if _fixed_lambda is None else _fixed_lambda
+        a[i] = rng.integer(n)
+        b[i] = rng.integer(n - 1)
+        lam[i] = rng.beta(alpha) if _fixed_lambda is None else _fixed_lambda
     b += b >= a
     return ProbeSet(lam * ds.X[a] + (1.0 - lam) * ds.X[b], f"mixup(alpha={alpha:g})")

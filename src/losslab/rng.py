@@ -1,45 +1,17 @@
 """Deterministic random number generation.
 
-Every stochastic choice in this package flows through :class:`Rng`, a
-xoshiro256++ generator seeded from splitmix64.  The algorithm is fixed:
-given the same seed, the output stream is bit-identical across runs and
-platforms, which is what makes replicate checksums and byte-identical
-sweep outputs possible.  Substreams are derived from the *seed* (not the
-current position), so ``rng.split("probes", 3)`` is reproducible no
-matter how much the parent has already generated.
+Every stochastic choice in this package flows through :class:`Rng`.  Word
+i (0-based) of ``Rng(seed)`` is ``mix64(seed + (i + 1) * GAMMA mod 2**64)``:
+the splitmix64 sequence started from state ``seed`` (Steele, Lea & Flood
+2014), read as a counter.  Word i depends on i alone, so a generator's state
+is one position, n words of R generators are one uint64 array expression,
+and the same seed gives bit-identical words on every run and platform.
+Substreams are derived from the seed, not the position, so
+``rng.split("probes", 3)`` is reproducible however far the parent has read.
 
-Long draws come from numpy lanes instead of a Python loop.  The xoshiro
-state update is linear over GF(2) (Blackman & Vigna 2018), so the state
-``j * STRIDE`` steps ahead of any state ``s`` is the XOR of the jumped
-unit states of the bits set in ``s``.  One jump table, built on first use
-by stepping the 256 unit states together as lanes, holds those jumped
-states for the ``LANES`` offsets ``0, STRIDE, ..., (LANES-1) * STRIDE``
-(256 x 4 x 64 words, 512 KB, about 10 ms to build).  :func:`raw_outputs`
-expands each of R streams into lanes, one block of ``LANES * STRIDE``
-(1,024) outputs per ``LANES`` lanes, steps all the lanes of a pass STRIDE
-times as ``(4, lanes)`` uint64 arrays, and reads lane j's outputs as
-stream positions ``j * STRIDE`` to ``j * STRIDE + STRIDE - 1``.  A pass
-holds several blocks: the next block starts STRIDE steps past the
-current block's last lane, one more jump with the same table, so a
-1,024-step jump costs two table jumps and no stepping.  ``_PASS_LANES``
-caps the lanes of one pass over all streams (4,096 lanes keep its
-buffers near 2 MB); longer draws chain passes.  On 2 cores a one-block
-draw costs about 105 us, and a 16,384- to 65,536-output draw 33-36 ns
-per output, against 104 ns with one block per pass.  Every generator is
-left at exactly the state its own n steps reach, so later scalar draws
-continue the same stream.
-
-Below ``CROSSOVER`` outputs over all streams the scalar loop is faster.
-On 2 cores with numpy 2.4 a block cost 125-290 us almost whatever its
-length (16 steps of 7 array operations, plus the expansion), and the
-loop 0.8-1.0 us per output, so the two broke even between 160 and 330
-outputs for 1, 2 and 4 streams.  ``CROSSOVER`` sits above every measured
-break-even point.
-
-Draws whose count is not known ahead (bitmask rejection, Marsaglia-Tsang
-gamma) come from a :class:`BlockStream`, which hands out one
-generator's outputs from blocks of at most ``WALK_BLOCK`` drawn by
-``raw_outputs``, and applies ``Rng``'s own rules to them.
+Array draws start at the first word not yet handed out.  Scalar draws read
+a block of the next ``BLOCK`` words computed ahead; the Box-Muller normal at
+each offset of a block is computed on first use.
 """
 
 from __future__ import annotations
@@ -55,26 +27,14 @@ from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
 _INV53 = 2.0 ** -53
+GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment, 2**64 over the golden ratio
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
-STRIDE = 16  # steps each lane takes per block
-LANES = 64  # lanes per stream, so one block is 1,024 outputs
-CROSSOVER = 384  # fewer outputs than this, over all streams, come from the scalar loop
-_PASS_LANES = 4096  # most lanes stepped together in one pass, over all streams
-WALK_BLOCK = 2048  # most outputs a BlockStream holds at once
+BLOCK = 256  # words a scalar draw computes ahead
 _PACKED_MAX = 1 << 11  # a permutation this long packs key and index into one word
 
 SeedPart = int | float | str | bool
-
-_jump_table: np.ndarray | None = None
-
-
-def _splitmix64(state: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, (z ^ (z >> 31)) & _MASK64
 
 
 def derive_seed(base: int, *key: SeedPart) -> int:
@@ -101,85 +61,30 @@ def derive_seed(base: int, *key: SeedPart) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _advance(states: np.ndarray, t: np.ndarray) -> None:
-    """Fill ``states[1:]`` of a ``(steps + 1, 4, N)`` array by stepping row 0's N lanes."""
-    for a, b in zip(states[:-1], states[1:]):
-        np.bitwise_xor(a[2:], a[:2], out=b[2:])  # s2 ^= s0, s3 ^= s1
-        np.bitwise_xor(a[1::-1], b[2:], out=b[1::-1])  # s1 ^= s2, s0 ^= s3
-        np.left_shift(a[1], 17, out=t)
-        np.bitwise_xor(b[2], t, out=b[2])
-        np.left_shift(b[3], 45, out=t)  # s3 = rotl(s3, 45)
-        np.right_shift(b[3], 19, out=b[3])
-        np.bitwise_or(b[3], t, out=b[3])
-
-
-def _table() -> np.ndarray:
-    """``(256, 4, LANES)``: entry ``[i, :, j]`` is unit state i advanced ``j * STRIDE`` steps.
-
-    Unit state i has bit ``i % 64`` of word ``i // 64`` set.
-    """
-    global _jump_table
-    if _jump_table is None:
-        bit = np.arange(256)
-        lanes = np.zeros((STRIDE + 1, 4, 256), dtype=np.uint64)
-        lanes[0, bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-        table = np.empty((256, 4, LANES), dtype=np.uint64)
-        t = np.empty(256, dtype=np.uint64)
-        table[:, :, 0] = lanes[0].T
-        for j in range(1, LANES):
-            _advance(lanes, t)
-            lanes[0] = lanes[STRIDE]
-            table[:, :, j] = lanes[0].T
-        _jump_table = table
-    return _jump_table
-
-
-def _bits(states: np.ndarray) -> np.ndarray:
-    """``(R, 256)`` bools: the bits of R ``(4,)`` uint64 states, word 0's lowest first."""
-    return np.unpackbits(states.astype("<u8", copy=False).view(np.uint8), axis=1,
-                         bitorder="little").view(bool)
+def _words(states: list[int], n: int) -> np.ndarray:
+    """``(R, n)`` uint64: row r is the n splitmix64 outputs after state ``states[r]``."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z = z + np.array(states, dtype=np.uint64)[:, None]  # uint64 arrays wrap mod 2**64
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def raw_outputs(rngs: Sequence["Rng"], n: int) -> np.ndarray:
-    """``(R, n)`` raw 64-bit outputs; row r is what ``rngs[r]`` alone gives.
+    """``(R, n)`` raw 64-bit words; row r is what ``rngs[r]`` alone gives.
 
-    Each generator advances exactly n steps, as n scalar draws would.
+    Each generator advances exactly n words, as n scalar draws would.
     """
-    count = len(rngs)
-    if count * n < CROSSOVER:
-        return np.array([r._loop(n) for r in rngs], dtype=np.uint64).reshape(count, n)
-    table = _table()
-    per_pass = max(1, _PASS_LANES // (count * LANES)) * LANES * STRIDE
-    states = np.array([r._s for r in rngs], dtype=np.uint64)
-    out = np.empty((count, n), dtype=np.uint64)
-    for start in range(0, n, per_pass):
-        m = min(n - start, per_pass)
-        lanes = -(-m // STRIDE)
-        buf = np.empty((STRIDE + 1, 4, count, lanes), dtype=np.uint64)
-        first = states  # each stream's state at the start of the block
-        for lane0 in range(0, lanes, LANES):
-            width = min(LANES, lanes - lane0)
-            bits = _bits(first)
-            for r in range(count):
-                np.bitwise_xor.reduce(table[bits[r], :, :width], axis=0,
-                                      out=buf[0, :, r, lane0 : lane0 + width])
-            if lane0 + LANES < lanes:
-                # the next block starts STRIDE steps past this block's last lane
-                bits = _bits(np.ascontiguousarray(buf[0, :, :, lane0 + LANES - 1].T))
-                first = np.array([np.bitwise_xor.reduce(table[b, :, 1], axis=0) for b in bits])
-        _advance(buf.reshape(STRIDE + 1, 4, count * lanes), np.empty(count * lanes, np.uint64))
-        s0 = buf[:STRIDE, 0]
-        block = s0 + buf[:STRIDE, 3]  # rotl(s0 + s3, 23) + s0
-        t = block >> np.uint64(41)
-        block <<= np.uint64(23)
-        block |= t
-        block += s0
-        out[:, start : start + m] = block.transpose(1, 2, 0).reshape(count, lanes * STRIDE)[:, :m]
-        # the state after m steps: lane ``last`` after ``m - last * STRIDE`` of its steps
-        last = (m - 1) // STRIDE
-        states = np.ascontiguousarray(buf[m - last * STRIDE, :, :, last].T)
-    for r, s in zip(rngs, states.tolist()):
-        r._s = s
+    out = _words([r._state() for r in rngs], n)
+    for r in rngs:
+        r._pos += n
     return out
 
 
@@ -199,50 +104,43 @@ def permutations(rngs: Sequence["Rng"], n: int) -> np.ndarray:
 
 
 class Rng:
-    """xoshiro256++ stream with the distribution helpers the lab needs.
+    """A splitmix64 counter stream with the distribution helpers the lab needs."""
 
-    State is four 64-bit words initialized from four successive
-    splitmix64 outputs of the seed.
-    """
-
-    __slots__ = ("seed", "_s")
+    __slots__ = ("seed", "_pos", "_start", "_block", "_ints", "_z")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        sm = self.seed
-        s = []
-        for _ in range(4):
-            sm, out = _splitmix64(sm)
-            s.append(out)
-        self._s = s
+        self._pos = 0  # words handed out
+        self._start = 0  # stream position of the block's first word
+        self._block = np.empty(0, dtype=np.uint64)
+        self._ints: list[int] = []  # the block as Python ints
+        self._z: list[float] | None = None  # the block's normals, once one is asked for
+
+    def _state(self) -> int:
+        """The splitmix64 state whose next output is word ``_pos``."""
+        return (self.seed + self._pos * GAMMA) & _MASK64
+
+    def _fill(self) -> None:
+        """Compute the block of ``BLOCK`` words from ``_pos`` on."""
+        self._block = _words([self._state()], BLOCK)[0]
+        self._ints = self._block.tolist()
+        self._start = self._pos
+        self._z = None
 
     def split(self, *key: SeedPart) -> "Rng":
         """Independent substream keyed by value; position-independent."""
         return Rng(derive_seed(self.seed, *key))
 
     def next_u64(self) -> int:
-        return self._loop(1)[0]
-
-    def _loop(self, n: int) -> list[int]:
-        """n raw 64-bit outputs from the scalar loop; state hoisted into locals."""
-        s0, s1, s2, s3 = self._s
-        out = []
-        append = out.append
-        for _ in range(n):
-            tmp = (s0 + s3) & _MASK64
-            append((((tmp << 23) | (tmp >> 41)) + s0) & _MASK64)
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s = [s0, s1, s2, s3]
-        return out
+        i = self._pos - self._start
+        if i >= len(self._ints):
+            self._fill()
+            i = 0
+        self._pos += 1
+        return self._ints[i]
 
     def _raw(self, n: int) -> np.ndarray:
-        """n raw 64-bit outputs as a uint64 array."""
+        """n raw 64-bit words as a uint64 array."""
         return raw_outputs([self], n)[0]
 
     # -- distributions -------------------------------------------------
@@ -266,14 +164,20 @@ class Rng:
         return z[:n]
 
     def normal(self) -> float:
-        """``normals(1)[0]`` from two scalar draws.
+        """``normals(1)[0]``: the Box-Muller normal of the next two words.
 
-        numpy's scalar ufuncs run the same loops as its array ones; the
-        ``math`` functions round differently.
+        The block's normals come from array ufuncs, as ``normals`` does;
+        the ``math`` functions round differently.
         """
-        u = np.float64((self.next_u64() >> 11) * _INV53)
-        ang = np.float64((2.0 * math.pi) * ((self.next_u64() >> 11) * _INV53))
-        return float(np.sqrt(-2.0 * np.log1p(-u)) * np.cos(ang))
+        i = self._pos - self._start
+        if i + 1 >= len(self._ints):
+            self._fill()
+            i = 0
+        if self._z is None:
+            u = (self._block >> np.uint64(11)) * _INV53
+            self._z = (np.sqrt(-2.0 * np.log1p(-u[:-1])) * np.cos((2.0 * math.pi) * u[1:])).tolist()
+        self._pos += 2
+        return self._z[i]
 
     def integer(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via bitmask rejection."""
@@ -331,63 +235,3 @@ class Rng:
         if x == 0.0 and y == 0.0:
             return 0.5
         return x / (x + y)
-
-
-class BlockStream:
-    """One generator's outputs, drawn ahead in blocks and handed out one at a time.
-
-    ``next_u64`` and ``normal`` return what the same calls on the generator
-    return, in the same order.  ``uniform``, ``integer``, ``gamma`` and
-    ``beta`` are ``Rng``'s own functions, so they apply the same bitmask
-    rejection and Marsaglia-Tsang rules to the same outputs.  Each block
-    comes from :func:`raw_outputs`; the Box-Muller normal at every offset
-    of a block (from that output and the next) is computed with array
-    ufuncs on first use.  Blocks hold at most ``WALK_BLOCK`` outputs,
-    sized by ``expect``, the caller's estimate of the outputs it will use.
-
-    The generator ends up to a block past the outputs handed out, so walk
-    only a generator that is discarded afterwards.
-    """
-
-    __slots__ = ("_rng", "_left", "_block", "_raw", "_z", "_i")
-
-    def __init__(self, rng: Rng, expect: int):
-        self._rng = rng
-        self._left = expect
-        self._block = np.empty(0, dtype=np.uint64)
-        self._raw: list[int] = []
-        self._z: list[float] | None = None
-        self._i = 0
-
-    def _refill(self) -> None:
-        """Draw a block after the one output, if any, not yet handed out."""
-        size = min(WALK_BLOCK, max(self._left, 2 * STRIDE))
-        self._left -= size
-        self._block = np.concatenate([self._block[self._i :], raw_outputs([self._rng], size)[0]])
-        self._raw = self._block.tolist()
-        self._z = None
-        self._i = 0
-
-    def next_u64(self) -> int:
-        i = self._i
-        if i >= len(self._raw):
-            self._refill()
-            i = 0
-        self._i = i + 1
-        return self._raw[i]
-
-    def normal(self) -> float:
-        i = self._i
-        if i + 1 >= len(self._raw):
-            self._refill()
-            i = 0
-        if self._z is None:
-            u = (self._block >> np.uint64(11)) * _INV53
-            self._z = (np.sqrt(-2.0 * np.log1p(-u[:-1])) * np.cos((2.0 * math.pi) * u[1:])).tolist()
-        self._i = i + 2
-        return self._z[i]
-
-    uniform = Rng.uniform
-    integer = Rng.integer
-    gamma = Rng.gamma
-    beta = Rng.beta

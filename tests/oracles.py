@@ -4,8 +4,8 @@ Everything here is written straight from public algorithm descriptions
 or as naive per-element loops, deliberately sharing no code with the
 package so that agreement is evidence, not tautology.  The exceptions
 are the per-row draw loops at the end: they call the scalar ``Rng``
-methods one draw at a time, as the package once did, and are the
-reference its block draws must equal bit for bit.
+methods one draw at a time, and are the reference the package's
+vectorised consumers must equal bit for bit.
 """
 
 import numpy as np
@@ -25,26 +25,6 @@ def splitmix64_stream(seed, n):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
         out.append((z ^ (z >> 31)) & M64)
-    return out
-
-
-def _rotl(x, k):
-    return ((x << k) | (x >> (64 - k))) & M64
-
-
-def xoshiro256pp_stream(state4, n):
-    """Reference xoshiro256++ advanced from an explicit 4-word state."""
-    s = list(state4)
-    out = []
-    for _ in range(n):
-        out.append((_rotl((s[0] + s[3]) & M64, 23) + s[0]) & M64)
-        t = (s[1] << 17) & M64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
     return out
 
 

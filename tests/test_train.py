@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from losslab import rng as rng_module
 from losslab.datasets import Dataset, gen_blobs
 from losslab.errors import (
     DimensionError,
@@ -245,15 +244,12 @@ def test_checkpoint_spec_mismatch_guard(tmp_path):
 def train_stack_and_alone(spec, train, test, cfgs):
     """Train ``cfgs`` as one stack and check each replicate against training it alone.
 
-    Alone, every draw comes from the scalar loop; a stack whose shuffles
-    are long enough draws them from the numpy lanes.
+    A stack draws its shuffles for all replicates in one array expression.
     """
     thetas, histories = sgd_train(spec, train, test, cfgs)
     assert len(thetas) == len(histories) == len(cfgs)
     for cfg, theta, history in zip(cfgs, thetas, histories):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng_module, "CROSSOVER", float("inf"))
-            [alone], [alone_history] = sgd_train(spec, train, test, [cfg])
+        [alone], [alone_history] = sgd_train(spec, train, test, [cfg])
         if isinstance(alone, DivergenceError):
             assert isinstance(theta, DivergenceError) and theta.epoch == alone.epoch
             continue
@@ -269,14 +265,14 @@ def test_stacked_replicates_stop_on_plateau_at_their_own_epochs():
                        plateau_eps=1e-2, plateau_epochs=2)
     cfgs = [replace(base, seed=s) for s in range(4)]
     _, histories = train_stack_and_alone(spec, train, test, cfgs)
-    assert [len(h.records) for h in histories] == [20, 21, 19, 18]
+    assert [len(h.records) for h in histories] == [16, 13, 22, 21]
     assert all(h.stopped_by_plateau for h in histories)
-    assert len(histories.records) == 78 and histories.stopped_by_plateau == 4
+    assert len(histories.records) == 72 and histories.stopped_by_plateau == 4
 
 
 def test_stacked_replicates_on_lane_draws_match_scalar_alone():
-    # three replicates of 400 rows cross CROSSOVER: their shuffles come
-    # from the lanes, and each epoch's starts where the last one stopped
+    # three replicates of 400 rows: each epoch's shuffle starts where the
+    # last one stopped
     train, test = tiny_task(n=400)
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     base = TrainConfig(batch_size=64, lr=0.05, weight_decay=1e-3, max_epochs=3, plateau_eps=0.0)
@@ -284,12 +280,11 @@ def test_stacked_replicates_on_lane_draws_match_scalar_alone():
 
 
 def test_stacked_replicate_divergence_leaves_the_others_training():
-    # at lr 1e40 the first steps kill every ReLU unit of seeds 0-2, so
-    # they stay finite, while seed 3 overflows in epoch 0
+    # at lr 1e40 seeds 9-11 stay finite, while seed 12 overflows in epoch 0
     train, test = tiny_task()
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     base = TrainConfig(batch_size=8, lr=1e40, weight_decay=0.0, max_epochs=6, plateau_eps=0.0)
-    cfgs = [replace(base, seed=s) for s in range(4)]
+    cfgs = [replace(base, seed=s) for s in range(9, 13)]
     thetas, histories = train_stack_and_alone(spec, train, test, cfgs)
     assert [isinstance(t, DivergenceError) for t in thetas] == [False, False, False, True]
     assert thetas[3].epoch == 0
@@ -310,14 +305,14 @@ def test_stacked_replicates_must_share_all_but_the_seed():
     # every replicate stops on a plateau
     TrainConfig(batch_size=8, lr=0.05, weight_decay=1e-3, max_epochs=40,
                 plateau_eps=1e-2, plateau_epochs=2),
-    # seed 3 diverges in epoch 0; the others' best epochs (4, 1, 3) precede their last
+    # seed 12 diverges in epoch 0; the others' best epochs (4, 4, 4) precede their last
     TrainConfig(batch_size=8, lr=1e40, weight_decay=0.0, max_epochs=6, plateau_eps=0.0),
 ])
 def test_best_epoch_record_is_the_evaluation_of_the_returned_weights(base):
     # a cell reads its replicates' train loss and test accuracy from here
     train, test = tiny_task()
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
-    cfgs = [replace(base, seed=s) for s in range(4)]
+    cfgs = [replace(base, seed=s) for s in range(9, 13)]
     thetas, histories = train_stack_and_alone(spec, train, test, cfgs)
     assert histories.stopped_by_plateau or any(isinstance(t, DivergenceError) for t in thetas)
     for theta, history in zip(thetas, histories):
