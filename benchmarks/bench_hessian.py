@@ -33,6 +33,7 @@ import resource
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from bench_rng import compare_trees
@@ -74,7 +75,7 @@ def measure() -> dict:
     from losslab.curvature import CurvatureConfig, top_eigenvalue, trace_hutchinson
     from losslab.datasets import gen_blobs
     from losslab.model import (
-        Batch, HessianOperator, ModelSpec, ParamVector, exact_hessian, he_init, hvp)
+        Batch, HessianOperator, ModelSpec, exact_hessian, he_init, hvp)
     from losslab.rng import Rng
 
     def instance(dims, rows):
@@ -83,7 +84,8 @@ def measure() -> dict:
         theta = he_init(spec, r.split("theta"))
         X = r.split("X").normals(rows * dims[0]).reshape(rows, dims[0])
         y = r.split("y").choose(rows, rows) % dims[-1]
-        v = ParamVector(spec.layout(), r.split("v").normals(spec.param_count))
+        # ``replace`` keeps whatever first field the tree's ParamVector has
+        v = replace(theta, values=r.split("v").normals(spec.param_count))
         return spec, theta, Batch(X, y), v
 
     def application(spec, theta, batch, v):

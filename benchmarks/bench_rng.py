@@ -9,10 +9,12 @@ example ``git archive`` of the parent commit, unpacked).  Each round
 measures the parent tree and then this tree, each in a fresh process, so
 both sides run on the same machine at nearly the same time; the record
 keeps every round's value and the median over rounds.  A metric a tree
-does not have is ``null`` there: the jump table's build time exists only
-in a tree whose stream steps xoshiro lanes (``rng._table``).  ``measure``
-itself needs ``rng.raw_outputs`` and an ``evaluate`` that takes a stack
-of models.
+does not have is ``null`` there.  ``measure`` itself needs
+``rng.raw_outputs`` and an ``evaluate`` that takes a stack of models.
+
+The per-epoch evaluation is timed first in the process, before any
+random draw: the RNG timings' large temporaries change what the
+allocator holds, and with it the cost of ``evaluate``'s temporaries.
 
 The RNG's consumer is timed as the sweep calls it: ``mixup_probes`` at
 the ``curvature_heavy`` workload's 4,000 probes.  The curvature
@@ -20,8 +22,8 @@ estimators draw no more than one start vector, and ``bench_hessian.py``
 times them.
 
 Each value is the median of ``REPS`` timed calls, in microseconds per
-call (the jump table's build in milliseconds; the scalar ``uniform`` per
-call from loops of ``SCALAR_LOOP`` calls).
+call (the scalar ``uniform`` per call from loops of ``SCALAR_LOOP``
+calls).
 """
 
 from __future__ import annotations
@@ -56,20 +58,31 @@ def _median_us(fn) -> float:
 
 def measure() -> dict:
     """Every metric of the ``losslab`` on ``sys.path``, as one flat dict."""
+    from dataclasses import replace
+
     import numpy as np
 
-    from losslab import rng as rng_module
     from losslab.datasets import gen_blobs, mixup_probes
-    from losslab.model import ModelSpec, ParamVector, he_init
+    from losslab.model import ModelSpec, he_init
     from losslab.rng import Rng, raw_outputs
     from losslab.train import epoch_batches, evaluate
 
     out = {}
-    if hasattr(rng_module, "_table"):
-        rng_module._jump_table = None
-        start = time.perf_counter()
-        rng_module._table()
-        out["rng.jump_table.build_ms"] = (time.perf_counter() - start) * 1e3
+    # the evaluation after one epoch of 4 replicates: full train and test sets
+    spec = ModelSpec(input_dim=8, hidden_widths=(16,), num_classes=4)
+    train = gen_blobs(1000, 4, 8, 0.15, seed=1)
+    test = gen_blobs(200, 4, 8, 0.15, seed=2)
+    thetas = [he_init(spec, Rng(s)) for s in range(4)]
+    out["train.epoch_evaluate.per_model.us"] = _median_us(
+        lambda: [evaluate(spec, t, ds) for t in thetas for ds in (train, test)])
+    # ``replace`` keeps whatever first field the tree's ParamVector has
+    stack = replace(thetas[0], values=np.stack([t.values for t in thetas]))
+    alone = [evaluate(spec, t, train).loss for t in thetas]
+    if evaluate(spec, stack, train).loss.tolist() != alone:
+        raise SystemExit("stacked evaluate differs from per-model evaluate")
+    out["train.epoch_evaluate.stacked.us"] = _median_us(
+        lambda: [evaluate(spec, stack, ds) for ds in (train, test)])
+
     r = Rng(3)
     out["rng.uniform.us"] = _median_us(
         lambda: [r.uniform() for _ in range(SCALAR_LOOP)]) / SCALAR_LOOP
@@ -86,20 +99,6 @@ def measure() -> dict:
     blobs = gen_blobs(1000, 4, 8, 0.15, seed=1)
     out[f"datasets.mixup_probes.m{MIXUP_PROBES}.us"] = _median_us(
         lambda: mixup_probes(blobs, m=MIXUP_PROBES, alpha=16.0, seed=5))
-
-    # the evaluation after one epoch of 4 replicates: full train and test sets
-    spec = ModelSpec(input_dim=8, hidden_widths=(16,), num_classes=4)
-    train = gen_blobs(1000, 4, 8, 0.15, seed=1)
-    test = gen_blobs(200, 4, 8, 0.15, seed=2)
-    thetas = [he_init(spec, Rng(s)) for s in range(4)]
-    out["train.epoch_evaluate.per_model.us"] = _median_us(
-        lambda: [evaluate(spec, t, ds) for t in thetas for ds in (train, test)])
-    stack = ParamVector(spec.layout(), np.stack([t.values for t in thetas]))
-    alone = [evaluate(spec, t, train).loss for t in thetas]
-    if evaluate(spec, stack, train).loss.tolist() != alone:
-        raise SystemExit("stacked evaluate differs from per-model evaluate")
-    out["train.epoch_evaluate.stacked.us"] = _median_us(
-        lambda: [evaluate(spec, stack, ds) for ds in (train, test)])
     return out
 
 

@@ -93,14 +93,16 @@ APPLY_CHILD = """\
 import statistics, time
 from losslab import cli
 cli.main(["phase", "--csv", "results.csv", "--out", "{out}"])  # numpy not yet loaded
-from losslab.model import Batch, HessianOperator, ModelSpec, ParamVector, he_init
+from dataclasses import replace
+from losslab.model import Batch, HessianOperator, ModelSpec, he_init
 from losslab.rng import Rng
 r = Rng(0)
 spec = ModelSpec(8, (32, 32), 4)
 X = r.split("X").normals(1000 * 8).reshape(1000, 8)
 y = r.split("y").choose(1000, 1000) % 4
-op = HessianOperator(spec, he_init(spec, r.split("theta")), Batch(X, y), 5e-4)
-v = ParamVector(spec.layout(), r.split("v").normals(spec.param_count))
+theta = he_init(spec, r.split("theta"))
+op = HessianOperator(spec, theta, Batch(X, y), 5e-4)
+v = replace(theta, values=r.split("v").normals(spec.param_count))  # either tree's ParamVector
 times = []
 for _ in range({calls}):
     start = time.perf_counter()

@@ -82,7 +82,7 @@ def top_eigenvalue(
     start = Rng(cfg.seed).split("power_iteration").normals(spec.param_count)
     basis[0] = start / np.linalg.norm(start)
     for k in range(1, steps + 1):
-        w = hvp(spec, op, batch, weight_decay, ParamVector(op.layout, basis[k - 1])).values
+        w = hvp(spec, op, batch, weight_decay, ParamVector(spec, basis[k - 1])).values
         tri[k - 1, k - 1] = basis[k - 1] @ w
         for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal to rounding
             w -= (basis[:k] @ w) @ basis[:k]

@@ -29,15 +29,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import DimensionError, DivergenceError, ParameterError
-from .model import (
-    Batch,
-    ModelSpec,
-    ParamVector,
-    evaluate,
-    loss_grad,
-    require_matching,
-    require_same_layout,
-)
+from .model import Batch, ModelSpec, ParamVector, evaluate, loss_grad, require_matching
 from .phases import CurveProfile
 from .rng import Rng
 from .train import LinearDecay, check_dataset, epoch_batches, schedule_lr, stack_config
@@ -57,10 +49,10 @@ def curve_point(curve: ParamVector, t: float) -> ParamVector:
     if not 0.0 <= t <= 1.0:
         raise ParameterError(f"t={t} outside [0, 1]")
     if t in (0.0, 1.0):
-        return ParamVector(curve.layout, curve.values[0 if t == 0.0 else -1].copy())
+        return ParamVector(curve.spec, curve.values[0 if t == 0.0 else -1].copy())
     values = np.empty_like(curve.values[0])
     _combine(bernstein(len(curve.values) - 1, t), curve.values, values)
-    return ParamVector(curve.layout, values)
+    return ParamVector(curve.spec, values)
 
 
 def _combine(coeffs: np.ndarray, controls: np.ndarray, out: np.ndarray) -> None:
@@ -76,14 +68,14 @@ def _combine(coeffs: np.ndarray, controls: np.ndarray, out: np.ndarray) -> None:
 
 def init_curve(theta_a: ParamVector, theta_b: ParamVector, k: int = 2) -> ParamVector:
     """The ``(k+1, P)`` curve from ``theta_a`` to ``theta_b`` with its bends on the straight line."""
-    require_same_layout(theta_a, theta_b)
+    require_matching(theta_a.spec, theta_b)
     if theta_a.values.ndim != 1 or theta_b.values.ndim != 1:
         raise DimensionError("a curve joins two single models, not stacks")
     if k < 1:
         raise ParameterError("bend degree k must be >= 1")
     a, b = theta_a.values, theta_b.values
     bends = [a + (j / k) * (b - a) for j in range(1, k)]
-    return ParamVector(theta_a.layout, np.stack([a, *bends, b]))
+    return ParamVector(theta_a.spec, np.stack([a, *bends, b]))
 
 
 @dataclass(frozen=True)
@@ -138,13 +130,12 @@ def train_curve(
         require_matching(spec, a)
     k = cfg.k
     rngs = [Rng(c.seed) for c in cfgs]
-    layout = spec.layout()
     results: list = [None] * len(ends)
     active = list(range(len(ends)))  # curve of each stack row
     controls = np.stack([init_curve(a, b, k).values for a, b in ends])  # (C, k+1, P)
     for epoch in range(cfg.epochs if k > 1 else 0):  # k = 1 has no bends to train
-        gamma = ParamVector(layout, np.empty_like(controls[:, 0]))
-        grad = ParamVector(layout, np.empty_like(gamma.values))
+        gamma = ParamVector(spec, np.empty_like(controls[:, 0]))
+        grad = ParamVector(spec, np.empty_like(gamma.values))
         finite = np.ones(len(active), dtype=bool)
         lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -164,7 +155,7 @@ def train_curve(
             if not active:
                 break
     for i, c in enumerate(active):
-        results[c] = ParamVector(layout, controls[i])
+        results[c] = ParamVector(spec, controls[i])
     return results
 
 

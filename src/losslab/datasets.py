@@ -195,13 +195,7 @@ def raw_probes(ds: Dataset, m: int, seed: int) -> ProbeSet:
     return ProbeSet(ds.X[idx].copy(), "raw")
 
 
-def mixup_probes(
-    ds: Dataset,
-    m: int = 640,
-    alpha: float = 16.0,
-    seed: int = 0,
-    _fixed_lambda: float | None = None,
-) -> ProbeSet:
+def mixup_probes(ds: Dataset, m: int = 640, alpha: float = 16.0, seed: int = 0) -> ProbeSet:
     """Convex combinations of distinct training-row pairs, Beta(alpha, alpha) weights.
 
     Probe i takes row a, then row b != a, then its weight lam from one
@@ -222,6 +216,6 @@ def mixup_probes(
     for i in range(m):
         a[i] = rng.integer(n)
         b[i] = rng.integer(n - 1)
-        lam[i] = rng.beta(alpha) if _fixed_lambda is None else _fixed_lambda
+        lam[i] = rng.beta(alpha)
     b += b >= a
     return ProbeSet(lam * ds.X[a] + (1.0 - lam) * ds.X[b], f"mixup(alpha={alpha:g})")

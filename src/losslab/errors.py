@@ -6,7 +6,7 @@ class LosslabError(Exception):
 
 
 class DimensionError(LosslabError):
-    """Shapes or layouts do not conform."""
+    """Shapes or model specs do not conform."""
 
 
 class ParameterError(LosslabError):

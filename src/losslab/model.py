@@ -21,6 +21,9 @@ The one loss is ``mean_CE + wd * ||theta||^2``, and only this module
 computes it: every gradient, Hessian product, curvature estimate and
 ``evaluate`` result in the package is of this objective.
 
+A ``ParamVector`` carries the ``ModelSpec`` it belongs to.  The spec is
+the layout: its layer dims fix the flat offsets, so one spec comparison
+(``require_matching``) is the only check that a vector fits a model.
 ``ParamVector`` and ``Batch`` may carry a leading model axis: R models'
 parameters as one ``(R, P)`` array and their minibatches as ``(R, B, d)``.
 The primal pass reads only the trailing axes, so ``loss_grad`` and
@@ -40,29 +43,18 @@ from .datasets import Dataset
 from .errors import DimensionError, ParameterError
 from .rng import Rng
 
-LayoutEntry = tuple[int, str, tuple[int, ...]]
-
 # Most parameters ``exact_hessian`` assembles a dense Hessian for.
 MAX_DENSE_PARAMS = 2000
 
 
-class Layout(tuple):
-    """The (layer, kind, shape) entries of a flat parameter vector, with the
-    flat offsets between entries (``bounds``) and the total ``size``."""
-
-    def __new__(cls, entries):
-        self = super().__new__(cls, entries)
-        bounds = [0]
-        for _, _, shape in self:
-            bounds.append(bounds[-1] + math.prod(shape))
-        self.bounds = tuple(bounds)
-        self.size = bounds[-1]
-        return self
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture of one MLP; the parameter layout is a pure function of it."""
+    """Architecture of one MLP; the flat parameter layout is a pure function of it.
+
+    The flat vector holds layer 0's ``(d_in, d_out)`` weight, then its
+    bias, then layer 1's, and so on.  ``_offsets`` holds each layer's
+    weight start, bias start, bias end and weight shape, computed once.
+    """
 
     input_dim: int
     hidden_widths: tuple[int, ...]
@@ -76,12 +68,11 @@ class ModelSpec:
             raise ParameterError("all hidden widths must be >= 1")
         if self.num_classes < 2:
             raise ParameterError("num_classes must be >= 2")
-        dims = self.layer_dims
-        entries: list[LayoutEntry] = []
-        for layer in range(self.num_layers):
-            entries.append((layer, "weight", (dims[layer], dims[layer + 1])))
-            entries.append((layer, "bias", (dims[layer + 1],)))
-        object.__setattr__(self, "_layout", Layout(entries))
+        offsets, end = [], 0
+        for d_in, d_out in zip(self.layer_dims, self.layer_dims[1:]):
+            offsets.append((end, end + d_in * d_out, end + d_in * d_out + d_out, (d_in, d_out)))
+            end = offsets[-1][2]
+        object.__setattr__(self, "_offsets", tuple(offsets))
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -91,18 +82,19 @@ class ModelSpec:
     def num_layers(self) -> int:
         return len(self.hidden_widths) + 1
 
-    def layout(self) -> Layout:
-        """The layout built with the spec; every call returns the same object."""
-        return self._layout
+    def layout(self) -> "ModelSpec":
+        """The spec itself, which is the layout.  Kept only for the benchmark's
+        ``ParamVector(spec.layout(), ...)``; pass the spec."""
+        return self
 
     @property
     def param_count(self) -> int:
-        return self._layout.size
+        return self._offsets[-1][2]
 
 
 @dataclass
 class ParamVector:
-    """Flat float64 parameter vector plus the layout that interprets it.
+    """Flat float64 parameter vector of one ``ModelSpec``, which is its layout.
 
     ``values`` is one model's ``(P,)`` vector or a stack of R vectors,
     ``(R, P)``: R models, or one Bezier curve's k+1 control points (see
@@ -111,48 +103,40 @@ class ParamVector:
     only ever be updated in place, never rebound.
     """
 
-    layout: Layout
+    spec: ModelSpec
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.layout.size:
+        self.values = values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.spec.param_count:
             raise DimensionError(
-                f"value shape {self.values.shape} does not match layout size {self.layout.size}"
+                f"value shape {values.shape} does not match parameter count {self.spec.param_count}"
             )
-        lead = self.values.shape[:-1]
-        bounds = self.layout.bounds
-        self._views = []
-        for i in range(0, len(self.layout), 2):
-            w = self.values[..., bounds[i] : bounds[i + 1]].reshape(lead + self.layout[i][2])
-            b = self.values[..., bounds[i + 1] : bounds[i + 2]]
-            self._views.append((w, b))
+        lead = values.shape[:-1]
+        self._views = [(values[..., w0:b0].reshape(lead + shape), values[..., b0:end])
+                       for w0, b0, end, shape in self.spec._offsets]
 
     @classmethod
     def zeros(cls, spec: ModelSpec) -> "ParamVector":
-        return cls(spec.layout(), np.zeros(spec.param_count))
+        return cls(spec, np.zeros(spec.param_count))
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.layout, self.values.copy())
+        return ParamVector(self.spec, self.values.copy())
 
     def __reduce__(self):
         # rebuild through __init__ so the views of a pickled or deep-copied
         # vector alias its own new buffer
-        return ParamVector, (self.layout, self.values)
+        return ParamVector, (self.spec, self.values)
 
     def views(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W, b) views into the flat buffer, one pair per layer."""
         return self._views
 
 
-def require_same_layout(a: ParamVector, b: ParamVector) -> None:
-    if a.layout is not b.layout and a.layout != b.layout:
-        raise DimensionError("parameter layouts do not match")
-
-
 def require_matching(spec: ModelSpec, theta: ParamVector) -> None:
-    if theta.layout is not spec.layout() and theta.layout != spec.layout():
-        raise DimensionError("parameter layout does not match the model spec")
+    # equal specs have equal layer dims, so equal layouts: no other check is needed
+    if theta.spec is not spec and theta.spec != spec:
+        raise DimensionError("parameter vector is of another model spec")
 
 
 @dataclass
@@ -275,7 +259,7 @@ def loss_grad(
         raise ParameterError("empty batch")
     if weight_decay < 0:
         raise ParameterError("weight_decay must be >= 0")
-    grad = ParamVector(theta.layout, np.empty_like(theta.values)) if out is None else out
+    grad = ParamVector(spec, np.empty_like(theta.values)) if out is None else out
     acts, _, _, losses, signals = _primal(spec, theta, batch.X, batch.y)
     losses += weight_decay * _sq_norms(theta.values)
     for l, (gw, gb) in enumerate(grad.views()):
@@ -358,7 +342,6 @@ class HessianOperator:
             raise DimensionError(f"batch labels span {y.min()}..{y.max()}, outside the "
                                  f"model's {spec.num_classes} classes")
         self.spec = spec
-        self.layout = spec.layout()
         self.batch = batch
         self.weight_decay = weight_decay
         theta = theta.copy()
@@ -377,7 +360,7 @@ class HessianOperator:
         self._weight_partials = [np.empty(w.shape) for w in self._weights]
         self._row_sums = np.empty((n, 1))
         self._out = np.empty(self.spec.param_count)
-        self._out_views = ParamVector(self.layout, self._out).views()
+        self._out_views = ParamVector(self.spec, self._out).views()
 
     def apply(self, v: ParamVector) -> np.ndarray:
         """``H v`` as a new ``(P,)`` array."""
@@ -472,7 +455,7 @@ def hvp(
         theta = HessianOperator(spec, theta, batch, weight_decay)
     elif theta.spec != spec or theta.batch is not batch or theta.weight_decay != weight_decay:
         raise ParameterError("the operator was built for another spec, batch or weight decay")
-    return ParamVector(theta.layout, theta.apply(v))
+    return ParamVector(spec, theta.apply(v))
 
 
 def exact_hessian(

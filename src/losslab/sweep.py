@@ -41,7 +41,7 @@ from .datasets import (
 from .errors import ConfigError, DegenerateOutputError, DivergenceError, ParameterError
 # evaluate is not called here, but the benchmark's tracer rebinds
 # sweep.evaluate, so the name must stay bound
-from .model import ModelSpec, ParamVector, evaluate, require_same_layout  # noqa: F401
+from .model import ModelSpec, ParamVector, evaluate, require_matching  # noqa: F401
 # read_results_csv is not called here; the benchmark reads it as sweep.read_results_csv
 from .phases import read_results_csv, rows_to_csv  # noqa: F401
 from .rng import derive_seed
@@ -53,7 +53,7 @@ _INT_KINDS = {"width", "n_samples", "batch_size"}
 
 def l2_distance(theta_a: ParamVector, theta_b: ParamVector) -> float:
     """Euclidean distance between two parameter vectors."""
-    require_same_layout(theta_a, theta_b)
+    require_matching(theta_a.spec, theta_b)
     return float(np.linalg.norm(theta_a.values - theta_b.values))
 
 
@@ -196,9 +196,12 @@ class CellResult:
     load_value: float
     temp_kind: str
     temp_value: float
-    n_replicates: int
     replicates: list[ReplicateMetrics] = field(default_factory=list)
     pairs: list[PairMetrics] = field(default_factory=list)
+
+    @property
+    def n_replicates(self) -> int:
+        return len(self.replicates)
 
     @property
     def n_converged(self) -> int:
@@ -346,9 +349,7 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
     train_ds, test_ds = build_cell_dataset(grid, load_value)
     cell = CellResult(
         load_kind=grid.load_axis.kind, load_value=load_value,
-        temp_kind=grid.temp_axis.kind, temp_value=temp_value,
-        n_replicates=grid.replicates,
-    )
+        temp_kind=grid.temp_axis.kind, temp_value=temp_value)
 
     cfgs = [cell_train_config(grid, temp_value, derive_seed(grid.base_seed, "train", *key, r))
              for r in range(grid.replicates)]

@@ -191,17 +191,16 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfgs: Sequence[Tra
     check_dataset(spec, train, "train")
     check_dataset(spec, test, "test")
     cfg = stack_config(cfgs, "replicates")
-    layout = spec.layout()
     wd = cfg.weight_decay
     reps = []
     for c in cfgs:
         rng = Rng(c.seed)
         reps.append(_Replicate(rng, he_init(spec, rng)))
     active = list(reps)  # the replicate of each stack row
-    theta = ParamVector(layout, np.stack([rep.result.values for rep in reps]))
+    theta = ParamVector(spec, np.stack([rep.result.values for rep in reps]))
 
     for epoch in range(cfg.max_epochs):
-        grad = ParamVector(layout, np.empty_like(theta.values))
+        grad = ParamVector(spec, np.empty_like(theta.values))
         finite = np.ones(len(active), dtype=bool)
         lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
         # overflow on the way to a non-finite loss is expected and ends
@@ -229,7 +228,7 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfgs: Sequence[Tra
 
                 if epoch_loss < rep.best_loss:
                     rep.best_loss = epoch_loss
-                    rep.result = ParamVector(layout, theta.values[i].copy())
+                    rep.result = ParamVector(spec, theta.values[i].copy())
 
                 if rep.prev_loss is not None and abs(epoch_loss - rep.prev_loss) < cfg.plateau_eps:
                     rep.streak += 1
@@ -243,7 +242,7 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfgs: Sequence[Tra
         if not keep:
             break
         if len(keep) < len(active):
-            theta = ParamVector(layout, theta.values[keep])
+            theta = ParamVector(spec, theta.values[keep])
             active = [active[i] for i in keep]
 
     return [rep.result for rep in reps], StackHistory(rep.history for rep in reps)
@@ -274,20 +273,29 @@ def save_checkpoint(theta: ParamVector, spec: ModelSpec, meta: dict, path) -> No
 
 def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
     if offset + count > len(buf):
-        raise FormatError(f"checkpoint truncated while reading {what}")
+        raise FormatError(f"truncated while reading {what}")
     return buf[offset : offset + count], offset + count
 
 
 def load_checkpoint(path) -> tuple[ParamVector, ModelSpec, dict]:
+    """The (theta, spec, meta) saved at ``path``; malformed content raises a
+    FormatError that names the file."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    try:
+        return _parse_checkpoint(buf)
+    except FormatError as exc:
+        raise FormatError(f"malformed checkpoint {path}: {exc}") from None
+
+
+def _parse_checkpoint(buf: bytes) -> tuple[ParamVector, ModelSpec, dict]:
     raw, off = _take(buf, 0, 4, "magic")
     if raw != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {raw!r}")
+        raise FormatError(f"bad magic {raw!r}")
     raw, off = _take(buf, off, 4, "version")
     version = struct.unpack("<I", raw)[0]
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
+        raise FormatError(f"unsupported version {version}")
     raw, off = _take(buf, off, 4, "input_dim")
     input_dim = struct.unpack("<I", raw)[0]
     raw, off = _take(buf, off, 4, "hidden count")
@@ -298,7 +306,10 @@ def load_checkpoint(path) -> tuple[ParamVector, ModelSpec, dict]:
         widths.append(struct.unpack("<I", raw)[0])
     raw, off = _take(buf, off, 4, "num_classes")
     num_classes = struct.unpack("<I", raw)[0]
-    spec = ModelSpec(input_dim=input_dim, hidden_widths=tuple(widths), num_classes=num_classes)
+    try:
+        spec = ModelSpec(input_dim=input_dim, hidden_widths=tuple(widths), num_classes=num_classes)
+    except ParameterError as exc:
+        raise FormatError(str(exc)) from None
     raw, off = _take(buf, off, 8, "parameter count")
     count = struct.unpack("<Q", raw)[0]
     if count != spec.param_count:
@@ -308,5 +319,10 @@ def load_checkpoint(path) -> tuple[ParamVector, ModelSpec, dict]:
     raw, off = _take(buf, off, 4, "meta length")
     meta_len = struct.unpack("<I", raw)[0]
     raw, off = _take(buf, off, meta_len, "meta")
-    meta = json.loads(raw.decode("utf-8"))
-    return ParamVector(spec.layout(), values), spec, meta
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise FormatError(f"meta: {exc}") from None
+    if off != len(buf):
+        raise FormatError(f"trailing bytes after the meta: {len(buf) - off}")
+    return ParamVector(spec, values), spec, meta

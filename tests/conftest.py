@@ -32,7 +32,7 @@ def random_instance(seed, max_hidden_layers=3, max_width=16, max_batch=32):
 
 
 def _relu_pattern(spec, values, batch):
-    _, zs, _ = _forward_trace(spec, ParamVector(spec.layout(), values), batch.X)
+    _, zs, _ = _forward_trace(spec, ParamVector(spec, values), batch.X)
     return [z > 0.0 for z in zs[:-1]]
 
 

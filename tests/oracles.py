@@ -165,7 +165,7 @@ def l2_loops(a, b):
     return s**0.5
 
 
-def mixup_probes_loop(X, m, alpha, seed, fixed_lambda=None):
+def mixup_probes_loop(X, m, alpha, seed):
     """Mixup probes from one scalar draw at a time: row a, row b != a, then lam."""
     rng = Rng(seed)
     n = X.shape[0]
@@ -175,7 +175,7 @@ def mixup_probes_loop(X, m, alpha, seed, fixed_lambda=None):
         b = rng.integer(n - 1)
         if b >= a:
             b += 1
-        lam = rng.beta(alpha) if fixed_lambda is None else fixed_lambda
+        lam = rng.beta(alpha)
         out[i] = lam * X[a] + (1.0 - lam) * X[b]
     return out
 

@@ -329,6 +329,8 @@ def write_profile_with(root: Path, name: str, value) -> None:
     (["phase", "--csv", "blank.csv", "--out", "x.csv"], "blank.csv:3: load_value"),
     (["plot", "--csv", "blank.csv", "--metric", "mc_mean", "--out", "x.svg"],
      "blank.csv:3: load_value"),
+    (["l2", "--checkpoint-a", "trailing.ckpt", "--checkpoint-b", "run_b/model.ckpt",
+      "--out", "x.json"], "trailing.ckpt: trailing bytes after the meta"),
 ])
 def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     root = workdir[0]
@@ -339,6 +341,7 @@ def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     (root / "short.json").write_text('{"t": [0.0]}')
     write_profile_with(root, "text.json", "a")
     write_profile_with(root, "null.json", None)
+    (root / "trailing.ckpt").write_bytes((root / "run_a" / "model.ckpt").read_bytes() + b"\x00")
     code, _, err = in_workdir(workdir, monkeypatch, argv)
     assert code == 4 and message in err
 

@@ -112,7 +112,7 @@ def test_hutchinson_probe_values_match_dense_quadratic_form():
     rng = Rng(123)
     for _ in range(10):
         z = rng.rademacher(spec.param_count)
-        via_hvp = float(z @ hvp(spec, theta, batch, wd, ParamVector(spec.layout(), z)).values)
+        via_hvp = float(z @ hvp(spec, theta, batch, wd, ParamVector(spec, z)).values)
         dense = float(z @ h @ z)
         assert abs(via_hvp - dense) / max(abs(dense), 1e-12) < 1e-8
 
@@ -136,12 +136,12 @@ def test_rayleigh_sequence_nondecreasing_for_positive_dominant():
     rng = Rng(cfg.seed).split("power_iteration")
     v = rng.normals(spec.param_count)
     v /= np.linalg.norm(v)
-    work = ParamVector(spec.layout(), v)
+    work = ParamVector(spec, v)
     values = []
     for _ in range(30):
         hv = hvp(spec, theta, batch, wd, work).values
         values.append(float(work.values @ hv))
-        work = ParamVector(spec.layout(), hv / np.linalg.norm(hv))
+        work = ParamVector(spec, hv / np.linalg.norm(hv))
     diffs = np.diff(values)
     assert np.all(diffs > -1e-10)
 

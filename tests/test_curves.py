@@ -73,10 +73,11 @@ def test_init_curve_straight_line():
 
 
 def test_init_curve_layout_mismatch():
-    spec_a = ModelSpec(input_dim=3, hidden_widths=(4,), num_classes=3)
-    spec_b = ModelSpec(input_dim=3, hidden_widths=(5,), num_classes=3)
-    with pytest.raises(DimensionError):
-        init_curve(he_init(spec_a, Rng(0)), he_init(spec_b, Rng(1)))
+    # the second pair has one parameter count, P = 26: a size check would pass it
+    for dims_a, dims_b in [((3, 4, 3), (3, 5, 3)), ((3, 4, 2), (5, 3, 2))]:
+        spec_a, spec_b = (ModelSpec(d[0], d[1:-1], d[-1]) for d in (dims_a, dims_b))
+        with pytest.raises(DimensionError):
+            init_curve(he_init(spec_a, Rng(0)), he_init(spec_b, Rng(1)))
 
 
 def test_train_curve_preserves_endpoints_bitwise():
@@ -162,8 +163,8 @@ def test_profile_random_bend_hurts_perfect_model():
                       plateau_eps=1e-4, plateau_epochs=5, seed=21)
     [theta], _ = sgd_train(spec, train, train, [cfg])
     assert 100.0 - evaluate(spec, theta, train).acc == 0.0
-    wild = ParamVector(spec.layout(), 5.0 * Rng(22).normals(spec.param_count))
-    curve = ParamVector(spec.layout(), np.stack([theta.values, wild.values, theta.values]))
+    wild = ParamVector(spec, 5.0 * Rng(22).normals(spec.param_count))
+    curve = ParamVector(spec, np.stack([theta.values, wild.values, theta.values]))
     profile = curve_profile(spec, curve, train)
     mid = profile.t_values.index(0.5)
     assert profile.err01[mid] >= profile.err01[0]
@@ -296,13 +297,13 @@ def test_train_curve_endpoints_must_be_single_models_of_the_spec():
     for ends in ([(c, d)], [(a, d)]):
         with pytest.raises(DimensionError):
             train_curve(spec, ends, ds, [cfg])
-    stack = ParamVector(spec.layout(), np.stack([a.values, b.values]))
+    stack = ParamVector(spec, np.stack([a.values, b.values]))
     with pytest.raises(DimensionError):
         train_curve(spec, [(stack, stack.copy())], ds, [cfg])
 
 
 def test_init_curve_rejects_a_stack_of_models():
     spec, a, b = make_endpoints(seed=54)
-    stack = ParamVector(spec.layout(), np.stack([a.values, b.values]))
+    stack = ParamVector(spec, np.stack([a.values, b.values]))
     with pytest.raises(DimensionError):
         init_curve(stack, stack.copy())

@@ -20,7 +20,7 @@ from losslab.datasets import (
 )
 from losslab.errors import FormatError, ParameterError
 from losslab.model import ModelSpec
-from losslab.rng import derive_seed
+from losslab.rng import Rng, derive_seed
 from losslab.sweep import ProbeConfig, build_probes
 from losslab.train import TrainConfig, sgd_train
 
@@ -192,9 +192,15 @@ def test_perturb_uniform_codomain_and_mean():
         perturb_uniform(ds.X, -0.1, seed=0)
 
 
-def test_mixup_fixed_lambda_returns_rows():
+def fix_lambda(monkeypatch, lam):
+    """Make every ``Rng.beta`` draw return ``lam`` without reading the stream."""
+    monkeypatch.setattr(Rng, "beta", lambda self, alpha: lam)
+
+
+def test_mixup_fixed_lambda_returns_rows(monkeypatch):
     ds = gen_blobs(n=20, num_classes=2, dim=3, spread=0.2, seed=23)
-    probes = mixup_probes(ds, m=16, alpha=16.0, seed=24, _fixed_lambda=1.0)
+    fix_lambda(monkeypatch, 1.0)
+    probes = mixup_probes(ds, m=16, alpha=16.0, seed=24)
     for row in probes.X:
         assert any(np.array_equal(row, x) for x in ds.X)
 
@@ -259,11 +265,12 @@ def test_mixup_equals_the_per_probe_loop(alpha, n):
 
 
 @pytest.mark.parametrize("n", [2, 1025])
-def test_mixup_fixed_lambda_equals_the_per_probe_loop(n):
+def test_mixup_fixed_lambda_equals_the_per_probe_loop(n, monkeypatch):
     ds = gen_blobs(n=n, num_classes=2, dim=3, spread=0.3, seed=n)
     for lam in (1.0, 0.25):
-        got = mixup_probes(ds, m=3000, seed=5, _fixed_lambda=lam).X
-        assert got.tobytes() == mixup_probes_loop(ds.X, 3000, 16.0, 5, lam).tobytes()
+        fix_lambda(monkeypatch, lam)
+        got = mixup_probes(ds, m=3000, seed=5).X
+        assert got.tobytes() == mixup_probes_loop(ds.X, 3000, 16.0, 5).tobytes()
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 700), (1000, 640), (1025, 5000)])

@@ -48,8 +48,13 @@ def small_net(seed=0, widths=(5,), d=3, c=3, batch=8):
 def test_param_count_and_layout():
     spec = ModelSpec(input_dim=4, hidden_widths=(8, 3), num_classes=2)
     assert spec.param_count == 4 * 8 + 8 + 8 * 3 + 3 + 3 * 2 + 2
-    assert spec.layout()[0] == (0, "weight", (4, 8))
-    assert spec.layout()[-1] == (2, "bias", (2,))
+    theta = ParamVector(spec, np.arange(spec.param_count, dtype=np.float64))
+    views = theta.views()
+    shapes = [(w.shape, b.shape) for w, b in views]
+    assert shapes == [((4, 8), (8,)), ((8, 3), (3,)), ((3, 2), (2,))]
+    # the views tile the flat vector: each layer's weight, then its bias
+    tiles = [part.ravel() for w, b in views for part in (w, b)]
+    assert np.array_equal(np.concatenate(tiles), theta.values)
 
 
 def test_flatten_unflatten_roundtrip_bit_exact():
@@ -123,8 +128,8 @@ def test_empty_batch_rejected():
         loss_grad(spec, theta, empty, weight_decay=0.0)
 
 
-def grad_flat(spec, batch, wd, values, layout):
-    theta = ParamVector(layout, values)
+def grad_flat(spec, batch, wd, values):
+    theta = ParamVector(spec, values)
     return loss_grad(spec, theta, batch, wd)[1].values
 
 
@@ -135,7 +140,7 @@ def test_gradient_matches_central_differences():
         _, grad = loss_grad(spec, theta, batch, wd)
 
         def f(values):
-            return loss_grad(spec, ParamVector(spec.layout(), values), batch, wd)[0]
+            return loss_grad(spec, ParamVector(spec, values), batch, wd)[0]
 
         fd = central_diff_grad(f, theta.values, h=1e-5)
         assert np.allclose(grad.values, fd, rtol=1e-6, atol=1e-9), trial
@@ -147,10 +152,10 @@ def test_one_model_loss_grad_is_its_row_in_a_stack(wd):
         spec, theta, batch = random_instance(seed)
         # two more models of the same spec, each on its own minibatch
         others = [he_init(spec, Rng(seed).split("stack", k)) for k in (1, 2)]
-        stack = ParamVector(spec.layout(), np.stack([theta.values] + [t.values for t in others]))
+        stack = ParamVector(spec, np.stack([theta.values] + [t.values for t in others]))
         X = np.stack([batch.X, batch.X[::-1], 0.5 * batch.X])
         y = np.stack([batch.y, batch.y[::-1], batch.y])
-        out = ParamVector(spec.layout(), np.empty_like(stack.values))
+        out = ParamVector(spec, np.empty_like(stack.values))
         losses, grads = loss_grad(spec, stack, Batch(X, y), wd, out)
         assert grads is out
         for r, model in enumerate([theta] + others):
@@ -185,7 +190,7 @@ def test_hvp_pure_quadratic_penalty():
     # the data term's Hessian is exactly zero, so H v = 2 * wd * v bitwise
     spec, theta, batch = penalty_only_instance(seed=4)
     r = Rng(77)
-    v = ParamVector(spec.layout(), r.normals(spec.param_count))
+    v = ParamVector(spec, r.normals(spec.param_count))
     assert np.all(hvp(spec, theta, batch, weight_decay=0.0, v=v).values == 0.0)
     lam = 0.1
     out = hvp(spec, theta, batch, weight_decay=lam, v=v)
@@ -196,11 +201,11 @@ def test_hvp_matches_finite_difference_of_gradients():
     for trial in range(10):
         spec, theta, batch, v_flat = smooth_hvp_instance(2000 + 50 * trial, h=1e-4)
         wd = 5e-4
-        v = ParamVector(spec.layout(), v_flat)
+        v = ParamVector(spec, v_flat)
         hv = hvp(spec, theta, batch, wd, v).values
 
         def g(values):
-            return grad_flat(spec, batch, wd, values, spec.layout())
+            return grad_flat(spec, batch, wd, values)
 
         fd = central_diff_hvp(g, theta.values, v.values, h=1e-4)
         assert np.allclose(hv, fd, rtol=1e-4, atol=1e-8), trial
@@ -210,8 +215,8 @@ def test_hvp_symmetry_and_linearity():
     for trial in range(5):
         spec, theta, batch = random_instance(seed=3000 + trial)
         r = Rng(400 + trial)
-        u = ParamVector(spec.layout(), r.normals(spec.param_count))
-        v = ParamVector(spec.layout(), r.normals(spec.param_count))
+        u = ParamVector(spec, r.normals(spec.param_count))
+        v = ParamVector(spec, r.normals(spec.param_count))
         hu = hvp(spec, theta, batch, 1e-3, u).values
         hv = hvp(spec, theta, batch, 1e-3, v).values
         lhs = float(v.values @ hu)
@@ -219,7 +224,7 @@ def test_hvp_symmetry_and_linearity():
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30) < 1e-8
 
         a, b = 0.7, -1.3
-        combo = ParamVector(spec.layout(), a * u.values + b * v.values)
+        combo = ParamVector(spec, a * u.values + b * v.values)
         h_combo = hvp(spec, theta, batch, 1e-3, combo).values
         ref = a * hu + b * hv
         scale = float(np.linalg.norm(ref)) + 1e-30
@@ -227,11 +232,11 @@ def test_hvp_symmetry_and_linearity():
 
 
 def test_hvp_layout_mismatch():
-    spec, theta, batch = small_net()
-    other = ModelSpec(input_dim=spec.input_dim, hidden_widths=(9,), num_classes=3)
-    v = ParamVector.zeros(other)
-    with pytest.raises(DimensionError):
-        hvp(spec, theta, batch, 0.0, v)
+    # the second pair has one parameter count, P = 26: a size check would pass it
+    for (d, widths, c), other in [((3, (5,), 3), (3, (9,), 3)), ((3, (4,), 2), (5, (3,), 2))]:
+        spec, theta, batch = small_net(widths=widths, d=d, c=c)
+        with pytest.raises(DimensionError):
+            hvp(spec, theta, batch, 0.0, ParamVector.zeros(ModelSpec(*other)))
 
 
 def test_exact_hessian_symmetric_and_consistent():
@@ -268,8 +273,8 @@ def test_exact_hessian_guard():
 
 def test_layout_built_once_and_views_alias_values():
     spec = ModelSpec(input_dim=4, hidden_widths=(8, 3), num_classes=2)
-    assert spec.layout() is spec.layout()
-    theta = ParamVector(spec.layout(), np.arange(spec.param_count, dtype=np.float64))
+    theta = ParamVector(spec, np.arange(spec.param_count, dtype=np.float64))
+    assert theta.spec is spec
     assert theta.views() is theta.views()
     for w, b in theta.views():
         assert np.shares_memory(w, theta.values) and np.shares_memory(b, theta.values)
@@ -289,7 +294,7 @@ def test_copies_keep_views_aliasing_their_own_buffer():
 def test_param_vector_length_must_match_layout():
     spec = ModelSpec(input_dim=3, hidden_widths=(4,), num_classes=2)
     with pytest.raises(DimensionError):
-        ParamVector(spec.layout(), np.zeros(spec.param_count + 1))
+        ParamVector(spec, np.zeros(spec.param_count + 1))
 
 
 # Pinned before the Hessian operator replaced hvp's per-call primal passes:
@@ -323,7 +328,7 @@ def test_hvp_outputs_match_pinned_digest():
         spec, theta, batch = random_instance(seed)
         wd = 0.0 if seed % 2 else 5e-4
         for v in golden_vectors(spec, seed):
-            outputs.append(hvp(spec, theta, batch, wd, ParamVector(spec.layout(), v)).values)
+            outputs.append(hvp(spec, theta, batch, wd, ParamVector(spec, v)).values)
     assert digest(outputs) == HVP_GOLDEN_SHA256
 
 
@@ -345,7 +350,7 @@ def test_operator_equals_the_full_pass_bitwise(dims, rows):
     op = HessianOperator(spec, theta, batch, 5e-4)
     r = Rng(dims[1]).split("directions")
     for k in range(20):
-        v = ParamVector(spec.layout(), r.normals(spec.param_count) if k % 2
+        v = ParamVector(spec, r.normals(spec.param_count) if k % 2
                         else r.rademacher(spec.param_count))
         ref = hvp_full_pass(theta.views(), v.views(), batch.X, batch.y, 5e-4)
         assert np.array_equal(op.apply(v), ref), k
@@ -356,7 +361,7 @@ def test_operator_applications_do_not_depend_on_earlier_ones():
     # at wd 0 nothing is added to the tangent passes' output buffer
     op = HessianOperator(spec, theta, batch, 0.0)
     r = Rng(9)
-    v1, v2 = (ParamVector(spec.layout(), r.normals(spec.param_count)) for _ in range(2))
+    v1, v2 = (ParamVector(spec, r.normals(spec.param_count)) for _ in range(2))
     first = hvp(spec, op, batch, 0.0, v1).values
     held = first.copy()
     second = hvp(spec, op, batch, 0.0, v2).values
@@ -368,7 +373,7 @@ def test_operator_applications_do_not_depend_on_earlier_ones():
 
 def test_operator_does_not_see_later_edits_of_theta():
     spec, theta, batch = small_net(seed=2, widths=(6,), d=4, c=3, batch=20)
-    v = ParamVector(spec.layout(), Rng(3).normals(spec.param_count))
+    v = ParamVector(spec, Rng(3).normals(spec.param_count))
     op = HessianOperator(spec, theta, batch, 1e-3)
     before = op.apply(v)
     theta.values *= 3.0
@@ -379,7 +384,7 @@ def test_operator_of_a_zero_hessian_returns_exact_zeros():
     spec, theta, batch = penalty_only_instance(seed=4)
     op = HessianOperator(spec, theta, batch, 0.0)
     for seed in range(3):
-        v = ParamVector(spec.layout(), Rng(seed).normals(spec.param_count))
+        v = ParamVector(spec, Rng(seed).normals(spec.param_count))
         assert np.all(op.apply(v) == 0.0)
 
 
@@ -391,7 +396,7 @@ def test_trace_after_applications_equals_a_fresh_operators(wd):
         op = HessianOperator(spec, theta, batch, wd)
         r = Rng(seed).split("directions")
         for _ in range(3):
-            op.apply(ParamVector(spec.layout(), r.normals(spec.param_count)))
+            op.apply(ParamVector(spec, r.normals(spec.param_count)))
         value = op.trace()
         assert value == HessianOperator(spec, theta, batch, wd).trace(), seed
         exact = float(np.trace(exact_hessian(spec, theta, batch, wd)))

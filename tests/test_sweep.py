@@ -23,8 +23,8 @@ from losslab import cli, sweep
 from losslab.config import load_config, parse_grid
 from losslab.curvature import CurvatureConfig
 from losslab.curves import CurveTrainConfig
-from losslab.errors import DegenerateOutputError, DivergenceError, ParameterError
-from losslab.model import ModelSpec
+from losslab.errors import DegenerateOutputError, DimensionError, DivergenceError, ParameterError
+from losslab.model import ModelSpec, ParamVector
 from losslab.phases import PhaseThresholds, label_rows
 from losslab.sweep import (
     Axis,
@@ -245,3 +245,15 @@ def test_degenerate_cka_leaves_only_the_cka_columns_blank(monkeypatch):
     row = run_cell(tiny_grid(), 0, 0).row()
     assert row["cka_mean"] is None and row["mu_hat"] is None
     assert row["mc_mean"] is not None and row["l2_mean"] is not None
+
+
+# the second pair has one parameter count, P = 26: a size check would pass it
+@pytest.mark.parametrize("dims_a, dims_b", [((3, 4, 3), (3, 5, 3)), ((3, 4, 2), (5, 3, 2))])
+def test_l2_distance_rejects_a_vector_of_another_spec(dims_a, dims_b):
+    spec_a, spec_b = (ModelSpec(d[0], d[1:-1], d[-1]) for d in (dims_a, dims_b))
+    a = ParamVector.zeros(spec_a)
+    # an equal spec built apart passes: the check compares specs, not objects
+    ones = ParamVector(ModelSpec(dims_a[0], dims_a[1:-1], dims_a[-1]), np.ones(spec_a.param_count))
+    assert sweep.l2_distance(a, ones) == np.sqrt(spec_a.param_count)
+    with pytest.raises(DimensionError):
+        sweep.l2_distance(a, ParamVector.zeros(spec_b))

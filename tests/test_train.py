@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -186,7 +187,7 @@ def test_stacked_evaluate_is_each_model_alone():
     train, _ = tiny_task(n=300)
     spec = ModelSpec(input_dim=4, hidden_widths=(8, 5), num_classes=3)
     thetas = [he_init(spec, Rng(s)) for s in range(3)]
-    stack = ParamVector(spec.layout(), np.stack([t.values for t in thetas]))
+    stack = ParamVector(spec, np.stack([t.values for t in thetas]))
     stacked = evaluate(spec, stack, train, weight_decay=1e-3)
     for i, theta in enumerate(thetas):
         alone = evaluate(spec, theta, train, weight_decay=1e-3)
@@ -227,6 +228,26 @@ def test_checkpoint_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+# edits of a checkpoint of 2 -> 4 -> 2 saved with meta {}, whose last two
+# bytes are the meta "{}" and whose bytes 16-19 are the hidden width
+MALFORMED_CHECKPOINTS = {
+    "meta not utf-8": lambda blob: blob[:-2] + b"\xff\xfe",
+    "meta not json": lambda blob: blob[:-2] + b"{]",
+    "hidden width 0": lambda blob: blob[:16] + struct.pack("<I", 0) + blob[20:],
+    "trailing bytes": lambda blob: blob + b"\x00",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_raises_a_format_error_naming_the_file(tmp_path, name):
+    spec = ModelSpec(input_dim=2, hidden_widths=(4,), num_classes=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(he_init(spec, Rng(1)), spec, {}, path)
+    path.write_bytes(MALFORMED_CHECKPOINTS[name](path.read_bytes()))
+    with pytest.raises(FormatError, match="model.ckpt"):
         load_checkpoint(path)
 
 
