@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_startup.py --parent DIR [--rounds 5] [--out BENCH_17.json]
+    python3 benchmarks/bench_startup.py --parent DIR [--rounds 5] [--out BENCH_20.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  The command
@@ -17,11 +17,18 @@ variables included, so run both trees under the same setting):
 - ``import_cli``: ``import losslab.cli``;
 - ``phase``: ``losslab phase`` on a fixed 16-row ``results.csv``;
 - ``sweep``: ``losslab sweep --workers 1`` on a one-cell grid (the
-  bundled quickstart trimmed to 200 rows, 3 epochs and 2 replicates).
+  bundled quickstart trimmed to 200 rows, 3 epochs and 2 replicates);
+- ``sweep_<workload>``: ``losslab sweep`` on each benchmark workload at
+  seed 1, the config ``perfbench/workloads.make_config`` gives, with the
+  ``--workers`` count the benchmark runs it with.
 
 Each is the median of ``REPS`` processes: ``.ms`` the wall time,
-``.cpu_ms`` the user plus system CPU time of the child and
-``.peak_rss_mb`` its largest resident set (``ru_maxrss`` from ``wait4``).
+``.cpu_ms`` the user plus system CPU time of the child, ``.peak_rss_mb``
+its largest resident set and ``.minflt`` its minor page faults
+(``ru_maxrss`` and ``ru_minflt`` from ``wait4``).  The CPU time and the
+faults include those of the pool workers a sweep waits for.  A child's
+``ru_maxrss`` starts at the high-water mark of the process that spawns
+it, so the measuring process loads no numpy: the peaks are the children's.
 ``import_cli.loads_numpy`` is 1.0 when importing the CLI loads numpy.
 
 ``apply.8-32-32-4_B1000`` times ``HessianOperator.apply`` at
@@ -42,6 +49,7 @@ more (30 processes alone and 60 in pairs per tree).
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import statistics
@@ -127,8 +135,9 @@ def _apply_medians(work: Path, env: dict, at_once: int) -> list[float]:
     return medians
 
 
-def _run(argv, cwd, env) -> tuple[float, float, float]:
-    """Wall seconds, CPU seconds and peak RSS (MB) of one child process, which must exit 0."""
+def _run(argv, cwd, env) -> tuple[float, float, float, float]:
+    """Wall seconds, CPU seconds, peak RSS (MB) and minor faults of one child process,
+    which must exit 0."""
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -136,7 +145,16 @@ def _run(argv, cwd, env) -> tuple[float, float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, proc.args)
-    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, float(usage.ru_minflt)
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path: the benchmark's sweep configs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", HERE.parent.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def measure() -> dict:
@@ -159,11 +177,17 @@ def measure() -> dict:
             "sweep": [*cli, "sweep", "--config", "sweep.json", "--out-dir", "sweep",
                       "--workers", "1"],
         }
+        workloads = _perfbench_workloads()
+        for name, workload in workloads.WORKLOADS.items():
+            (work / f"{name}.json").write_text(json.dumps(workloads.make_config(name, 1)))
+            commands[f"sweep_{name}"] = [*cli, "sweep", "--config", f"{name}.json",
+                                         "--out-dir", name, "--workers", str(workload["workers"])]
         for name, argv in commands.items():
             runs = [_run(argv, work, env) for _ in range(REPS)]
             out[f"startup.{name}.ms"] = statistics.median(r[0] for r in runs) * 1e3
             out[f"startup.{name}.cpu_ms"] = statistics.median(r[1] for r in runs) * 1e3
             out[f"startup.{name}.peak_rss_mb"] = statistics.median(r[2] for r in runs)
+            out[f"startup.{name}.minflt"] = statistics.median(r[3] for r in runs)
         probe = subprocess.run(
             [sys.executable, "-c", "import sys, losslab.cli; print('numpy' in sys.modules)"],
             cwd=work, env=env, check=True, capture_output=True, text=True)
@@ -179,7 +203,7 @@ def measure() -> dict:
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_17.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_20.json", argv)
 
 
 if __name__ == "__main__":

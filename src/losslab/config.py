@@ -167,7 +167,8 @@ def parse_metrics(cfg: dict) -> tuple[CurvatureConfig, ProbeConfig]:
 
     sec = cfg.get("metrics", {})
     curvature = _build(CurvatureConfig, sec, "metrics")
-    return curvature, _build(ProbeConfig, sec.get("probes") or {}, "metrics.probes")
+    probes = sec.get("probes")  # absent or null: the defaults; any other non-object: an error
+    return curvature, _build(ProbeConfig, {} if probes is None else probes, "metrics.probes")
 
 
 def parse_grid(cfg: dict) -> GridSpec:

@@ -200,7 +200,7 @@ def mixup_probes(ds: Dataset, m: int = 640, alpha: float = 16.0, seed: int = 0) 
 
     Probe i takes row a, then row b != a, then its weight lam from one
     stream, by ``Rng(seed).integer`` and ``.beta`` calls in that order;
-    the m rows ``lam * X[a] + (1 - lam) * X[b]`` are formed at once.
+    the m rows ``lam * X[a] + (1 - lam) * X[b]`` are formed in place on X[a], X[b].
     """
     if ds.n < 2:
         raise ParameterError("mixup needs at least two rows")
@@ -218,4 +218,9 @@ def mixup_probes(ds: Dataset, m: int = 640, alpha: float = 16.0, seed: int = 0) 
         b[i] = rng.integer(n - 1)
         lam[i] = rng.beta(alpha)
     b += b >= a
-    return ProbeSet(lam * ds.X[a] + (1.0 - lam) * ds.X[b], f"mixup(alpha={alpha:g})")
+    X = ds.X[a]
+    X *= lam
+    Xb = ds.X[b]
+    Xb *= 1.0 - lam
+    X += Xb
+    return ProbeSet(X, f"mixup(alpha={alpha:g})")

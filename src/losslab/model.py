@@ -17,6 +17,11 @@ the exact trace from the cached pass alone.  ``hvp`` and
 ``exact_hessian`` build one and apply it; every product is bitwise what
 the full forward-over-reverse pass gives.
 
+Each layer of the forward, backward and trace passes allocates one
+array and computes in place on it, so no pre-activation is kept and the
+ReLU masks are read from the activations; every value is made by the
+same ufunc from the same operands as the out-of-place form would.
+
 The one loss is ``mean_CE + wd * ||theta||^2``, and only this module
 computes it: every gradient, Hessian product, curvature estimate and
 ``evaluate`` result in the package is of this objective.
@@ -175,23 +180,23 @@ def he_init(spec: ModelSpec, rng: Rng) -> ParamVector:
 
 
 def _forward_trace(spec, theta, X):
-    """Returns (activations, preacts, logits); activations[0] is X.
+    """Returns (activations, logits); activations[0] is X.
 
     Works on one model or, with a leading model axis on ``theta`` and ``X``,
-    on a stack of them.
+    on a stack of them.  Each layer allocates one array, ``a @ W``, and adds
+    the bias and takes the ReLU in place on it.  ``a > 0.0`` is exactly
+    ``z > 0.0`` (NaN and -0.0 included), so masks come from activations.
     """
     acts = [X]
-    zs = []
     a = X
-    pairs = theta.views()
     last = spec.num_layers - 1
-    for l, (w, b) in enumerate(pairs):
-        z = a @ w + b[..., None, :]
-        zs.append(z)
+    for l, (w, b) in enumerate(theta.views()):
+        a = np.matmul(a, w)
+        a += b[..., None, :]
         if l < last:
-            a = np.maximum(z, 0.0)
+            np.maximum(a, 0.0, out=a)
             acts.append(a)
-    return acts, zs, zs[-1]
+    return acts, a
 
 
 def forward(spec: ModelSpec, theta: ParamVector, X: np.ndarray) -> np.ndarray:
@@ -200,8 +205,7 @@ def forward(spec: ModelSpec, theta: ParamVector, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
         raise DimensionError(f"input shape {X.shape} does not match input_dim {spec.input_dim}")
-    _, _, logits = _forward_trace(spec, theta, X)
-    return logits
+    return _forward_trace(spec, theta, X)[1]
 
 
 def _shifted_exp(logits: np.ndarray):
@@ -298,10 +302,12 @@ def _primal(spec, theta, X, y):
     Returns the forward activations (``acts[0]`` is ``X``), the ReLU masks
     (bool), the softmax, the mean cross-entropy (``(R,)`` for a stack),
     and every layer's backward signal: ``signals[l]`` is the data loss's
-    gradient with respect to layer l's pre-activation.
+    gradient with respect to layer l's pre-activation.  The masks are read
+    from the activations (``a > 0.0``), and each layer's signal is one
+    array, ``g @ W^T``, masked in place.
     """
-    acts, zs, logits = _forward_trace(spec, theta, X)
-    masks = [z > 0.0 for z in zs[:-1]]
+    acts, logits = _forward_trace(spec, theta, X)
+    masks = [a > 0.0 for a in acts[1:]]
     ce, e, s, pick = _cross_entropy(logits, y)
     p = e / s[..., None]
     g = p.copy()
@@ -310,7 +316,8 @@ def _primal(spec, theta, X, y):
     signals = [g]
     wpairs = theta.views()
     for l in range(spec.num_layers - 1, 0, -1):
-        g = (g @ wpairs[l][0].swapaxes(-1, -2)) * masks[l - 1]
+        g = g @ wpairs[l][0].swapaxes(-1, -2)
+        g *= masks[l - 1]
         signals.insert(0, g)
     return acts, masks, p, ce, signals
 
@@ -434,7 +441,8 @@ class HessianOperator:
             sq_acts = np.einsum("bi,bi->b", acts[l], acts[l]) + 1.0
             total += float(sq_acts @ np.einsum("cbj,cbj->b", delta, delta))
             if l > 0:
-                delta = (delta @ ws[l].T) * self._masks[l - 1]
+                delta = delta @ ws[l].T
+                delta *= self._masks[l - 1]
         return total / n + 2.0 * self.weight_decay * self.spec.param_count
 
 

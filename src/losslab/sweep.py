@@ -403,6 +403,7 @@ def run_sweep(grid: GridSpec, workers: int = 1) -> tuple[list[CellResult], dict]
     tasks = [(i, j) for i in range(len(grid.load_axis.values))
              for j in range(len(grid.temp_axis.values))]
     args = (repeat(grid), *zip(*tasks))
+    workers = min(workers, len(tasks))  # a pool starts all its workers up front
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -32,8 +32,8 @@ def random_instance(seed, max_hidden_layers=3, max_width=16, max_batch=32):
 
 
 def _relu_pattern(spec, values, batch):
-    _, zs, _ = _forward_trace(spec, ParamVector(spec, values), batch.X)
-    return [z > 0.0 for z in zs[:-1]]
+    acts, _ = _forward_trace(spec, ParamVector(spec, values), batch.X)
+    return [a > 0.0 for a in acts[1:]]
 
 
 def _patterns_equal(a, b):

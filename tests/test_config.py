@@ -235,3 +235,29 @@ def test_phase_with_bad_eps_mc_exits_2(sweep_cfg, tmp_path, capsys, eps_mc):
                      "--out", str(tmp_path / "phases.csv")])
     assert code == 2
     assert "phase" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [[], 0, False, ""])
+def test_falsy_non_object_probes_are_an_error(sweep_cfg, value):
+    with pytest.raises(ConfigError) as info:
+        parse_grid(edited(sweep_cfg, "metrics.probes", value))
+    assert info.value.path == "metrics.probes"
+
+
+def test_absent_or_null_probes_take_the_defaults(sweep_cfg):
+    for cfg in (edited(sweep_cfg, "metrics.probes", None),
+                edited(sweep_cfg, "metrics.probes", delete=True)):
+        assert parse_grid(cfg).probes == ProbeConfig()
+
+
+def test_sweep_with_non_object_probes_exits_2(sweep_cfg, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cell ran before the config was checked")
+
+    monkeypatch.setattr(sweep, "run_cell", refuse)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edited(sweep_cfg, "metrics.probes", [])))
+    code = cli.main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--workers", "1"])
+    assert code == 2
+    assert "metrics.probes: expected an object, got []" in capsys.readouterr().err

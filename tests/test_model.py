@@ -2,16 +2,19 @@ import copy
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from losslab.datasets import gen_blobs
 from losslab.errors import DimensionError, ParameterError
 from losslab.model import (
     Batch,
     HessianOperator,
     ModelSpec,
     ParamVector,
+    evaluate,
     exact_hessian,
     forward,
     he_init,
@@ -414,3 +417,40 @@ def test_operator_checks_shapes_once_at_construction():
     op = HessianOperator(spec, theta, batch, 0.0)
     with pytest.raises(ParameterError, match="built for another"):
         hvp(spec, op, small_net()[2], 0.0, ParamVector.zeros(spec))
+
+
+def test_forward_allocates_one_array_per_layer():
+    """A forward pass holds about one (rows, width) array per layer at its peak."""
+    r = Rng(0)
+    spec = ModelSpec(input_dim=8, hidden_widths=(32, 32), num_classes=4)
+    theta = he_init(spec, r.split("theta"))
+    X = r.split("X").normals(1000 * 8).reshape(1000, 8)
+    forward(spec, theta, X)  # anything numpy sets up on a first call is not counted
+    one_array_per_layer = X.shape[0] * sum(spec.layer_dims[1:]) * X.itemsize
+    tracemalloc.start()
+    try:
+        forward(spec, theta, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * one_array_per_layer
+
+
+def test_passes_leave_their_inputs_unchanged():
+    r = Rng(1)
+    spec = ModelSpec(input_dim=8, hidden_widths=(16, 8), num_classes=4)
+    ds = gen_blobs(200, 4, 8, 0.15, seed=1)
+    theta = he_init(spec, r.split("theta"))
+    stack = ParamVector(spec, np.stack([theta.values, he_init(spec, r.split("b")).values]))
+    batch = Batch(ds.X[:50], ds.y[:50])
+    stacked = Batch(np.stack([ds.X[:50], ds.X[50:100]]), np.stack([ds.y[:50], ds.y[50:100]]))
+    inputs = [ds.X, ds.y, batch.X, batch.y, stacked.X, stacked.y, theta.values, stack.values]
+    before = [a.copy() for a in inputs]
+    forward(spec, theta, ds.X)
+    forward(spec, stack, ds.X)
+    evaluate(spec, theta, ds, 5e-4)
+    evaluate(spec, stack, ds, 5e-4)
+    loss_grad(spec, theta, batch, 5e-4)
+    loss_grad(spec, stack, stacked, 5e-4)
+    for now, then in zip(inputs, before):
+        assert np.array_equal(now, then)

@@ -102,6 +102,46 @@ def test_extending_an_axis_leaves_old_cells_unchanged(serial_csv):
     assert results_to_csv(old_cells) == serial_csv
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces ``ProcessPoolExecutor`` with a stub that runs the cells in this process;
+    returns the list of ``max_workers`` values the stub was built with."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_a_pool_gets_no_more_workers_than_cells(serial_csv, in_process_pool):
+    cells, manifest = run_sweep(tiny_grid(), workers=64)
+    assert in_process_pool == [4] and manifest["workers"] == 4
+    assert results_to_csv(cells) == serial_csv
+
+
+def test_a_one_cell_grid_runs_serially_at_any_worker_count(serial_csv, in_process_pool):
+    grid = tiny_grid()
+    one_cell = replace(grid, load_axis=Axis("width", grid.load_axis.values[:1]),
+                       temp_axis=Axis("batch_size", grid.temp_axis.values[:1]))
+    cells, manifest = run_sweep(one_cell, workers=64)
+    assert in_process_pool == [] and manifest["workers"] == 1
+    assert results_to_csv(cells) == "".join(serial_csv.splitlines(keepends=True)[:2])
+
+
 def test_read_then_rows_to_csv_round_trips(serial_csv, tmp_path):
     path = tmp_path / "results.csv"
     path.write_text(serial_csv)
