@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_hessian.py --parent DIR [--rounds 5] [--out BENCH_11.json]
+    python3 benchmarks/bench_hessian.py --parent DIR [--rounds 5] [--out BENCH_22.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
@@ -25,6 +25,11 @@ an untrained one-hidden-layer net (P = 212, 200 rows) and a
 two-hidden-layer net (P = 1,476, 1,000 rows): microseconds per call
 (the median of ``ESTIMATOR_REPS``) and the Hessian products each call
 used.
+
+The exact trace is timed alone, as ``trace()`` on a prebuilt operator
+over 1,000 rows at 8-32-32-4, 8-32-32-10 and 8-128-128-10, so that the
+class count and the width move one at a time: microseconds per call
+(the median of ``REPS``) and the tracemalloc peak of one call, in KB.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +58,7 @@ FAULT_SHAPE = ((8, 32, 32, 4), 1000)
 FAULT_CALLS = 300
 ESTIMATOR_NETS = [((8, 16, 4), 200), ((8, 32, 32, 4), 1000)]  # P = 212 and 1,476
 ESTIMATOR_REPS = 10
+TRACE_NETS = [((8, 32, 32, 4), 1000), ((8, 32, 32, 10), 1000), ((8, 128, 128, 10), 1000)]
 HERE = Path(__file__).resolve()
 
 
@@ -116,6 +123,13 @@ def measure() -> dict:
         spec, theta, batch, _ = instance(dims, rows)
         out[f"exact_hessian.P{spec.param_count}.ms"] = _median(
             lambda: exact_hessian(spec, theta, batch, WEIGHT_DECAY), reps=5) * 1e3
+    for dims, rows in TRACE_NETS:
+        op = HessianOperator(*instance(dims, rows)[:3], WEIGHT_DECAY)
+        out[f"trace.{_name(dims, rows)}.us"] = _median(op.trace) * 1e6
+        tracemalloc.start()
+        op.trace()
+        out[f"trace.{_name(dims, rows)}.peak_kb"] = tracemalloc.get_traced_memory()[1] / 1024
+        tracemalloc.stop()
     cfg = CurvatureConfig(max_iter=50, rtol=1e-12, seed=2)
     for dims, rows in ESTIMATOR_NETS:
         spec = ModelSpec(dims[0], tuple(dims[1:-1]), dims[-1])
@@ -135,7 +149,7 @@ def measure() -> dict:
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_11.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_22.json", argv)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ library, which keeps ``losslab phase`` free of numpy.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -68,8 +69,8 @@ def _convert(hint, value, path: str):
         if not isinstance(value, list):
             raise ConfigError(path, f"expected list, got {value!r}")
         return tuple(_convert(args[0], v, path) for v in value) if args else tuple(value)
-    try:
-        if hint is float:
+    try:  # a string may spell inf (phase.eps_mc); a JSON NaN or Infinity is an error
+        if hint is float and (isinstance(value, str) or math.isfinite(value)):
             return float(value)
         if hint is int and not isinstance(value, bool) and int(value) == value:
             return int(value)

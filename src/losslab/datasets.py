@@ -179,8 +179,8 @@ def subsample(ds: Dataset, n_keep: int, seed: int) -> Dataset:
 
 def perturb_uniform(X: np.ndarray, magnitude: float, seed: int) -> np.ndarray:
     """A new array: ``X`` plus independent Uniform[0, magnitude] noise on every entry."""
-    if magnitude < 0:
-        raise ParameterError("magnitude must be >= 0")
+    if not 0 <= magnitude < math.inf:
+        raise ParameterError(f"magnitude must be finite and >= 0, got {magnitude!r}")
     if magnitude == 0:
         return X.copy()
     return X + Rng(seed).uniforms(X.size).reshape(X.shape) * magnitude

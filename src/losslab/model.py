@@ -431,18 +431,26 @@ class HessianOperator:
         ``s_bc`` pushed back through the ``W^T`` products and masks to
         layer l's pre-activation (weight ``W_l[i, j]`` gives
         ``a_lb[i]^2 delta^c_lb[j]^2``, the bias ``delta^c_lb[j]^2``).
+
+        The classes are pushed back one at a time into an ``(L, B)`` sum, so
+        the working memory is O(B x widest layer), not C times it.
         """
         p, acts, ws = self._p, self._acts, self._weights
         n, c = p.shape
-        # delta[c, b] = sqrt(p_bc) (e_c - p_b), then pushed back layer by layer
-        delta = np.sqrt(p.T)[:, :, None] * (np.eye(c)[:, None, :] - p)
+        eye, sq_deltas = np.eye(c), np.zeros((len(ws), n))
+        for k in range(c):
+            # delta_b = sqrt(p_bk) (e_k - p_b), then pushed back layer by layer
+            delta = eye[k] - p
+            delta *= np.sqrt(p[:, k:k + 1])
+            for l in range(len(ws) - 1, -1, -1):
+                sq_deltas[l] += np.einsum("bj,bj->b", delta, delta)
+                if l > 0:
+                    delta = delta @ ws[l].T
+                    delta *= self._masks[l - 1]
         total = 0.0
         for l in range(len(ws) - 1, -1, -1):
             sq_acts = np.einsum("bi,bi->b", acts[l], acts[l]) + 1.0
-            total += float(sq_acts @ np.einsum("cbj,cbj->b", delta, delta))
-            if l > 0:
-                delta = delta @ ws[l].T
-                delta *= self._masks[l - 1]
+            total += float(sq_acts @ sq_deltas[l])
         return total / n + 2.0 * self.weight_decay * self.spec.param_count
 
 

@@ -124,6 +124,8 @@ class Axis:
         for v in self.values:
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ParameterError(f"axis values must be numbers, got {v!r}")
+            if not -np.inf < v < np.inf:  # np.isfinite on a scalar adds ~0.1 MB of RSS
+                raise ParameterError(f"axis values must be finite, got {v!r}")
             if self.kind in _INT_KINDS and not float(v).is_integer():
                 raise ParameterError(f"{self.kind} axis values must be integers, got {v!r}")
         diffs = np.diff(np.asarray(self.values, dtype=np.float64))

@@ -15,13 +15,18 @@ def rng():
     return Rng(20240817)
 
 
-def random_instance(seed, max_hidden_layers=3, max_width=16, max_batch=32):
-    """A random (spec, theta, batch) triple for derivative checks."""
+def random_instance(seed, max_hidden_layers=3, max_width=16, max_batch=32,
+                    hidden_layers=None, num_classes=None):
+    """A random (spec, theta, batch) triple for derivative checks.
+
+    ``hidden_layers`` and ``num_classes``, when given, replace the drawn
+    depth and class count.
+    """
     r = Rng(seed)
-    n_hidden = r.integer(max_hidden_layers + 1)
+    n_hidden = r.integer(max_hidden_layers + 1) if hidden_layers is None else hidden_layers
     widths = tuple(1 + r.integer(max_width) for _ in range(n_hidden))
     d = 1 + r.integer(6)
-    c = 2 + r.integer(4)
+    c = 2 + r.integer(4) if num_classes is None else num_classes
     spec = ModelSpec(input_dim=d, hidden_widths=widths, num_classes=c)
     theta = he_init(spec, r.split("init"))
     b = 1 + r.integer(max_batch)

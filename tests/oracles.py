@@ -105,6 +105,38 @@ def hvp_full_pass(layers, tangents, X, y, wd):
     return np.concatenate(parts) + (2.0 * wd) * v
 
 
+def exact_trace_stacked(layers, X, wd):
+    """Exact trace of the Hessian of a ReLU net, all C classes pushed back as one stack.
+
+    ``layers`` are per-layer ``(W, b)`` pairs.  With the masks fixed every
+    logit is linear in any one parameter, so the trace is the Gauss-Newton
+    matrix's: the softmax cross-entropy's Hessian in the logits is
+    ``sum_c s_bc s_bc^T``, ``s_bc = sqrt(p_bc) (e_c - p_b)``, and each
+    ``s_bc`` is carried back through the ``W^T`` products and masks as
+    one ``(C, B, width)`` array, whose squared norms are summed over c and
+    j at once.  The labels do not enter.
+    """
+    n, c = X.shape[0], layers[-1][0].shape[1]
+    acts, zs, a = [X], [], X
+    for l, (w, b) in enumerate(layers):
+        z = a @ w + b
+        zs.append(z)
+        if l < len(layers) - 1:
+            a = np.maximum(z, 0.0)
+            acts.append(a)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1)[:, None]
+    delta = np.sqrt(p.T)[:, :, None] * (np.eye(c)[:, None, :] - p)
+    total = 0.0
+    for l in range(len(layers) - 1, -1, -1):
+        sq_acts = np.einsum("bi,bi->b", acts[l], acts[l]) + 1.0
+        total += float(sq_acts @ np.einsum("cbj,cbj->b", delta, delta))
+        if l > 0:
+            delta = (delta @ layers[l][0].T) * (zs[l - 1] > 0.0)
+    count = sum(w.size + b.size for w, b in layers)
+    return total / n + 2.0 * wd * count
+
+
 def jacobi_eigenvalues(a, sweeps=100, tol=1e-14):
     """Cyclic Jacobi rotation eigensolver for symmetric matrices."""
     a = np.array(a, dtype=np.float64)

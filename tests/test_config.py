@@ -126,6 +126,14 @@ ERRORS = [
     ("data.subsample_n", 0, "data"),
     ("data.subsample_n", 1001, "data"),
     ("model.hidden_widths", [], "grid.load"),
+    # json.dumps writes NaN, Infinity and -Infinity, which json.load reads back
+    ("train.lr", math.nan, "train.lr"),
+    ("train.weight_decay", math.inf, "train.weight_decay"),
+    ("data.spread", math.nan, "data.spread"),
+    ("metrics.probes.alpha", math.inf, "metrics.probes.alpha"),
+    ("data.pixel_noise", math.inf, "data.pixel_noise"),
+    ("curve.lr", -math.inf, "curve.lr"),
+    ("grid.temp", {"kind": "lr", "values": [math.nan]}, "grid.temp"),
 ]
 
 
@@ -165,7 +173,7 @@ def test_weight_decay_alone(cfg, expected):
     assert parse_weight_decay(cfg) == expected
 
 
-@pytest.mark.parametrize("value", ["abc", None, -1.0])
+@pytest.mark.parametrize("value", ["abc", None, -1.0, math.inf])
 def test_weight_decay_alone_is_checked_as_in_train(value):
     with pytest.raises(ConfigError) as info:
         parse_weight_decay({"train": {"weight_decay": value}})
@@ -199,6 +207,7 @@ def test_sweep_with_bad_config_exits_2(sweep_cfg, tmp_path, capsys):
      "grid.load: width 0: all hidden widths must be >= 1"),
     ({"grid.load": {"kind": "n_samples", "values": [500, 2000]}},
      "grid.load: n_samples 2000: subsample_n 2000 exceeds n_train 1000"),
+    ({"train.lr": math.nan}, "train.lr: expected float, got nan"),
 ])
 def test_sweep_with_bad_settings_exits_2_before_any_cell(sweep_cfg, tmp_path, capsys,
                                                          monkeypatch, edits, message):

@@ -192,6 +192,13 @@ def test_perturb_uniform_codomain_and_mean():
         perturb_uniform(ds.X, -0.1, seed=0)
 
 
+@pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+def test_perturb_uniform_rejects_a_non_finite_magnitude(magnitude):
+    ds = gen_blobs(n=20, num_classes=2, dim=2, spread=0.3, seed=19)
+    with pytest.raises(ParameterError, match="finite"):
+        perturb_uniform(ds.X, magnitude, seed=0)
+
+
 def fix_lambda(monkeypatch, lam):
     """Make every ``Rng.beta`` draw return ``lam`` without reading the stream."""
     monkeypatch.setattr(Rng, "beta", lambda self, alpha: lam)

@@ -32,6 +32,7 @@ from conftest import (
 from oracles import (
     central_diff_grad,
     central_diff_hvp,
+    exact_trace_stacked,
     hvp_full_pass,
     jacobi_eigenvalues,
     mlp_forward_loops,
@@ -404,6 +405,50 @@ def test_trace_after_applications_equals_a_fresh_operators(wd):
         assert value == HessianOperator(spec, theta, batch, wd).trace(), seed
         exact = float(np.trace(exact_hessian(spec, theta, batch, wd)))
         assert abs(value - exact) <= 1e-12 * abs(exact), seed
+
+
+def _wide_instance(widths, c, rows=1000):
+    r = Rng(0)
+    spec = ModelSpec(input_dim=8, hidden_widths=widths, num_classes=c)
+    X = r.split("X").normals(rows * 8).reshape(rows, 8)
+    y = r.split("y").choose(rows, rows) % c
+    return spec, he_init(spec, r.split("theta")), Batch(X, y)
+
+
+@pytest.mark.parametrize("wd", [0.0, 5e-4])
+@pytest.mark.parametrize("hidden_layers", [1, 2, 3])
+@pytest.mark.parametrize("c", [2, 4, 10])
+def test_streamed_trace_equals_the_stacked_formula_bit_for_bit(c, hidden_layers, wd):
+    # one class at a time into a zero sum adds in the stacked einsum's order,
+    # except on one row, where the einsum folds the class and unit axes into
+    # one sum and so adds in another order: there the two agree to a few ulp
+    for seed in range(10):
+        spec, theta, batch = random_instance(seed, hidden_layers=hidden_layers, num_classes=c)
+        ref = exact_trace_stacked(theta.views(), batch.X, wd)
+        value = HessianOperator(spec, theta, batch, wd).trace()
+        if batch.size == 1:
+            assert abs(value - ref) <= 8 * math.ulp(ref), seed
+        else:
+            assert value.hex() == ref.hex(), seed
+    spec, theta, batch = _wide_instance((32,) * hidden_layers, c)
+    ref = exact_trace_stacked(theta.views(), batch.X, wd)
+    assert HessianOperator(spec, theta, batch, wd).trace().hex() == ref.hex()
+
+
+@pytest.mark.parametrize("c", [4, 10])
+def test_trace_memory_does_not_grow_with_the_class_count(c):
+    """The trace holds about two (rows, width) arrays at its peak, whatever C is."""
+    spec, theta, batch = _wide_instance((32, 32), c)
+    op = HessianOperator(spec, theta, batch, 5e-4)
+    op.trace()  # anything numpy sets up on a first call is not counted
+    one_array = batch.size * 32 * batch.X.itemsize
+    tracemalloc.start()
+    try:
+        op.trace()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * one_array
 
 
 def test_operator_checks_shapes_once_at_construction():
