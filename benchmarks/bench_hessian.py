@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_hessian.py --parent DIR [--rounds 5] [--out BENCH_22.json]
+    python3 benchmarks/bench_hessian.py --parent DIR [--rounds 5] [--out BENCH_23.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
@@ -30,6 +30,14 @@ The exact trace is timed alone, as ``trace()`` on a prebuilt operator
 over 1,000 rows at 8-32-32-4, 8-32-32-10 and 8-128-128-10, so that the
 class count and the width move one at a time: microseconds per call
 (the median of ``REPS``) and the tracemalloc peak of one call, in KB.
+
+The memory the sweep's peak is set by: the tracemalloc peak, in KB, of
+building an operator and applying it once, at each 1,000-row net of
+``APPLY_SHAPES``; and ``cka_between_models`` of two untrained 8-32-32-4
+replicates over the ``curvature_heavy`` workload's 4,000 mixup probes,
+in microseconds per call (the median of ``REPS``) and its tracemalloc
+peak in KB.  Each peak is taken after one untraced call, so what numpy
+sets up on a first call is not counted.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ FAULT_CALLS = 300
 ESTIMATOR_NETS = [((8, 16, 4), 200), ((8, 32, 32, 4), 1000)]  # P = 212 and 1,476
 ESTIMATOR_REPS = 10
 TRACE_NETS = [((8, 32, 32, 4), 1000), ((8, 32, 32, 10), 1000), ((8, 128, 128, 10), 1000)]
+CKA_NET, CKA_PROBES = (8, 32, 32, 4), 4000
 HERE = Path(__file__).resolve()
 
 
@@ -71,6 +80,17 @@ def _median(fn, reps=None) -> float:
     return statistics.median(times)
 
 
+def _peak_kb(fn) -> float:
+    """The tracemalloc peak of one call of ``fn``, after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def _name(dims, rows) -> str:
     return "-".join(map(str, dims)) + f"_B{rows}"
 
@@ -79,8 +99,9 @@ def measure() -> dict:
     """Every metric of the ``losslab`` on ``sys.path``, as one flat dict."""
     import numpy as np
 
+    from losslab.cka import cka_between_models
     from losslab.curvature import CurvatureConfig, top_eigenvalue, trace_hutchinson
-    from losslab.datasets import gen_blobs
+    from losslab.datasets import gen_blobs, mixup_probes
     from losslab.model import (
         Batch, HessianOperator, ModelSpec, exact_hessian, he_init, hvp)
     from losslab.rng import Rng
@@ -119,6 +140,9 @@ def measure() -> dict:
         out[f"hvp.apply.{_name(dims, rows)}.us"] = _median(apply) * 1e6
         out[f"hvp.build.{_name(dims, rows)}.us"] = _median(
             lambda: HessianOperator(spec, theta, batch, WEIGHT_DECAY)) * 1e6
+        if rows == 1000:
+            out[f"operator.{_name(dims, rows)}.peak_kb"] = _peak_kb(
+                lambda: HessianOperator(spec, theta, batch, WEIGHT_DECAY).apply(v))
     for dims, rows in DENSE_SHAPES:
         spec, theta, batch, _ = instance(dims, rows)
         out[f"exact_hessian.P{spec.param_count}.ms"] = _median(
@@ -126,10 +150,15 @@ def measure() -> dict:
     for dims, rows in TRACE_NETS:
         op = HessianOperator(*instance(dims, rows)[:3], WEIGHT_DECAY)
         out[f"trace.{_name(dims, rows)}.us"] = _median(op.trace) * 1e6
-        tracemalloc.start()
-        op.trace()
-        out[f"trace.{_name(dims, rows)}.peak_kb"] = tracemalloc.get_traced_memory()[1] / 1024
-        tracemalloc.stop()
+        out[f"trace.{_name(dims, rows)}.peak_kb"] = _peak_kb(op.trace)
+    spec = ModelSpec(CKA_NET[0], CKA_NET[1:-1], CKA_NET[-1])
+    theta_a, theta_b = (he_init(spec, Rng(s)) for s in (1, 2))
+    probes = mixup_probes(gen_blobs(1000, CKA_NET[-1], CKA_NET[0], 0.15, seed=1),
+                          m=CKA_PROBES, alpha=16.0, seed=5)
+    name = f"cka.{'-'.join(map(str, CKA_NET))}_m{CKA_PROBES}"
+    cka_pair = lambda: cka_between_models(spec, theta_a, theta_b, probes)
+    out[f"{name}.us"] = _median(cka_pair) * 1e6
+    out[f"{name}.peak_kb"] = _peak_kb(cka_pair)
     cfg = CurvatureConfig(max_iter=50, rtol=1e-12, seed=2)
     for dims, rows in ESTIMATOR_NETS:
         spec = ModelSpec(dims[0], tuple(dims[1:-1]), dims[-1])
@@ -149,7 +178,7 @@ def measure() -> dict:
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_22.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_23.json", argv)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,11 @@ example ``git archive`` of the parent commit, unpacked).  Each round
 measures the parent tree and then this tree, each in a fresh process, so
 both sides run on the same machine at nearly the same time; the record
 keeps every round's value and the median over rounds.  A metric a tree
-does not have is ``null`` there.  ``measure`` itself needs
-``rng.raw_outputs`` and an ``evaluate`` that takes a stack of models.
+does not have is ``null`` there.  As the ``losslab`` command line does,
+each side runs with one BLAS thread unless the caller set one of
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``.
+``measure`` itself needs ``rng.raw_outputs`` and an ``evaluate`` that
+takes a stack of models.
 
 The per-epoch evaluation is timed first in the process, before any
 random draw: the RNG timings' large temporaries change what the
@@ -43,6 +46,7 @@ STACKS = [(1, 1000), (2, 1000), (4, 1000)]
 RAW_SIZES = [212, 2000, 8000, 16384, 65536]
 MIXUP_PROBES = 4000
 SCALAR_LOOP = 1000
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HERE = Path(__file__).resolve()
 SRC = HERE.parent.parent / "src"
 
@@ -102,8 +106,17 @@ def measure() -> dict:
     return out
 
 
-def run_side(script: Path, src: Path) -> dict:
+def side_env(src: Path) -> dict:
+    """The environment of one measured side: ``src`` on the path and, as
+    ``losslab.cli.main`` sets them, one BLAS thread unless the caller set a count."""
     env = dict(os.environ, PYTHONPATH=str(src))
+    if not any(v in env for v in BLAS_THREAD_VARIABLES):
+        env.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    return env
+
+
+def run_side(script: Path, src: Path) -> dict:
+    env = side_env(src)
     proc = subprocess.run([sys.executable, str(script), "--measure"], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -121,7 +134,7 @@ def environment() -> dict:
     return {"machine": platform.machine(), "processor": platform.processor(),
             "cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+            "openblas_num_threads": side_env(SRC).get("OPENBLAS_NUM_THREADS")}
 
 
 def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, argv=None) -> int:

@@ -5,6 +5,18 @@ matrix ``H = I - (1/m) 11^T``; it is computed here by centering columns
 and taking ``||Xc^T Yc||_F^2 / (m-1)^2``, which is the same quantity
 without materializing any m-by-m matrix (asserted against the literal
 formula in tests).
+
+The forward over m probes holds every hidden activation, O(m x width)
+memory, so the softmax outputs are computed in row blocks: up to
+``WHOLE_ROWS`` probes as one block, larger sets in ``BLOCK_ROWS``-row
+blocks whose logits fill one ``(m, C)`` array.  A block is never one row:
+numpy sends a one-row matmul to gemv, which rounds differently from gemm,
+so a one-row tail joins the block before it.  Each block is a call of the
+module-level ``forward``.  A matmul's bits can depend on its row count:
+on the sweep's nets (width 16-32, 4 classes) a block's rows are bitwise
+the whole forward's, but on some other nets (10 or 12 classes after a
+width-32 layer, for one) a set of more than ``WHOLE_ROWS`` probes can
+differ from the whole forward in its last bits.
 """
 
 from __future__ import annotations
@@ -16,9 +28,27 @@ from .errors import DegenerateOutputError, DimensionError
 from .model import ModelSpec, ParamVector, forward, softmax
 
 
+WHOLE_ROWS = 1024
+BLOCK_ROWS = 512
+
+
+def row_blocks(m: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` row ranges ``softmax_outputs`` runs, none of one row unless m is 1."""
+    if m <= WHOLE_ROWS:
+        return [(0, m)]
+    edges = [*range(0, m, BLOCK_ROWS), m]
+    if edges[-1] - edges[-2] == 1:  # a one-row tail joins the block before it
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
+
+
 def softmax_outputs(spec: ModelSpec, theta: ParamVector, probes: ProbeSet) -> np.ndarray:
-    """Row-wise softmax probabilities of the model on the probe inputs."""
-    return softmax(forward(spec, theta, probes.X))
+    """Row-wise softmax probabilities of the model on the probe inputs, forward in row blocks."""
+    X = probes.X
+    logits = np.empty((X.shape[0], spec.num_classes))
+    for start, stop in row_blocks(X.shape[0]):
+        logits[start:stop] = forward(spec, theta, X[start:stop])
+    return softmax(logits)
 
 
 def hsic_cov(x: np.ndarray, y: np.ndarray) -> float:

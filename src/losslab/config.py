@@ -7,7 +7,9 @@ train, curve, metrics, grid, phase.  Each section is built from the
 fields and type hints of its dataclass, where every default lives.  An
 absent key takes the default; null means None for an Optional field,
 else the default.  A key that names no field or section is an error, so
-a misspelled setting cannot silently fall back to its default.
+a misspelled setting cannot silently fall back to its default.  A float
+field takes a finite number, or a string that spells one; only
+``phase.eps_mc`` may be infinite, as the string ``"inf"``.
 
 A sweep replaces some settings in every cell, so in a sweep config they
 apply only to the single-model commands (train, hessian, modeconn):
@@ -58,6 +60,10 @@ NESTED = {
 }
 
 
+# The float fields a string may set to infinity ("inf"), by config path.
+UNBOUNDED = ("phase.eps_mc",)
+
+
 def _convert(hint, value, path: str):
     """``value`` as the type ``hint`` names, or a ConfigError at ``path``."""
     args = typing.get_args(hint)
@@ -69,9 +75,11 @@ def _convert(hint, value, path: str):
         if not isinstance(value, list):
             raise ConfigError(path, f"expected list, got {value!r}")
         return tuple(_convert(args[0], v, path) for v in value) if args else tuple(value)
-    try:  # a string may spell inf (phase.eps_mc); a JSON NaN or Infinity is an error
+    try:  # JSON's NaN and Infinity are errors; a string may spell inf only at an UNBOUNDED path
         if hint is float and (isinstance(value, str) or math.isfinite(value)):
-            return float(value)
+            number = float(value)
+            if math.isfinite(number) or (math.isinf(number) and path in UNBOUNDED):
+                return number
         if hint is int and not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):

@@ -327,12 +327,18 @@ class HessianOperator:
 
     The constructor checks that ``theta`` is one model of ``spec`` and
     ``batch`` a 2-D batch it can read, then runs the primal pass once and
-    keeps its arrays, with the ReLU masks converted once to float64 0/1
-    arrays.  ``theta`` is copied, so later in-place edits of it do not
+    keeps only what ``apply`` and ``trace`` read: the forward activations,
+    the bool ReLU masks, the softmax and the backward signals of layers 1
+    and up (layer 0's is never read).  ``x *= mask`` with a bool mask
+    gives the bits of the float 0/1 product, so no float copy of a mask
+    is kept.  ``theta`` is copied, so later in-place edits of it do not
     reach the operator.  Each ``apply`` runs only the tangent passes, into
-    ``(B, width)`` and weight-shaped workspaces the operator owns, and
-    returns a fresh ``(P,)`` array; the first ``apply`` allocates the
-    workspaces.  ``trace`` reads only the cached pass and allocates none.
+    workspaces the operator owns: one ``(B, width)`` tangent per layer,
+    weight-shaped partials, and one ``(B, widest)`` scratch buffer whose
+    leading ``B * width`` entries serve every layer's partial product, as
+    no two are live at once.  It returns a fresh ``(P,)`` array; the first
+    ``apply`` allocates the workspaces.  ``trace`` reads only the cached
+    pass and allocates none.
     """
 
     def __init__(self, spec: ModelSpec, theta: ParamVector, batch: Batch, weight_decay: float):
@@ -352,10 +358,9 @@ class HessianOperator:
         self.batch = batch
         self.weight_decay = weight_decay
         theta = theta.copy()
-        self._acts, masks, self._p, _, self._signals = _primal(spec, theta, X, y)
+        self._acts, self._masks, self._p, _, self._signals = _primal(spec, theta, X, y)
+        self._signals[0] = None  # apply reads the signals of layers 1 and up only
         self._weights = [w for w, _ in theta.views()]
-        # float 0/1: x * 1.0 and x * 0.0 are the bool products bit for bit, and faster
-        self._masks = [m.astype(np.float64) for m in masks]
         self._out = None  # apply's workspaces, allocated by the first apply
 
     def _allocate(self) -> None:
@@ -363,7 +368,8 @@ class HessianOperator:
         # _tangents[l] holds layer l's output tangent on the way forward and
         # its backward tangent signal on the way back
         self._tangents = [np.empty((n, d)) for d in dims[1:]]
-        self._partials = [np.empty((n, d)) for d in dims[1:]]
+        scratch = np.empty(n * max(dims[1:]))
+        self._partials = [scratch[:n * d].reshape(n, d) for d in dims[1:]]
         self._weight_partials = [np.empty(w.shape) for w in self._weights]
         self._row_sums = np.empty((n, 1))
         self._out = np.empty(self.spec.param_count)

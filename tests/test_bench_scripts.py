@@ -25,3 +25,24 @@ def test_measure_reports_a_finite_number_for_every_metric(name, monkeypatch):
     bad = {k: v for k, v in metrics.items()
            if not isinstance(v, float) or not math.isfinite(v)}
     assert not bad, bad
+
+
+@pytest.mark.parametrize("given,expected", [
+    ({}, "1"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+])
+def test_each_side_runs_one_blas_thread_unless_the_caller_set_a_count(given, expected,
+                                                                        monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import bench_rng
+
+    for var in bench_rng.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in given.items():
+        monkeypatch.setenv(var, value)
+    env = bench_rng.side_env(Path("src"))
+    assert env["PYTHONPATH"] == "src"
+    assert env.get("OPENBLAS_NUM_THREADS") == expected
+    if not given:
+        assert all(env[var] == "1" for var in bench_rng.BLAS_THREAD_VARIABLES)

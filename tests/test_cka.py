@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losslab.cka import cka, cka_between_models, hsic_cov, softmax_outputs
+from losslab import cka as cka_module
+from losslab.cka import cka, cka_between_models, hsic_cov, row_blocks, softmax_outputs
 from losslab.datasets import ProbeSet, gen_blobs, mixup_probes, randomize_labels
 from losslab.errors import DegenerateOutputError, DimensionError
-from losslab.model import ModelSpec, ParamVector, he_init, softmax
+from losslab.model import ModelSpec, ParamVector, forward, he_init, softmax
 from losslab.rng import Rng
 from losslab.train import TrainConfig, sgd_train
 
@@ -174,3 +177,54 @@ def test_trained_models_more_aligned_on_clean_labels():
         return cka_between_models(spec, ta, tb, probes)
 
     assert train_pair(clean, 1, 2) > train_pair(noisy, 1, 2)
+
+
+@pytest.mark.parametrize("m,blocks", [
+    (2, [(0, 2)]),
+    (1024, [(0, 1024)]),
+    (1025, [(0, 512), (512, 1025)]),
+    (1026, [(0, 512), (512, 1024), (1024, 1026)]),
+    (2049, [(0, 512), (512, 1024), (1024, 1536), (1536, 2049)]),
+    (4000, [(0, 512), (512, 1024), (1024, 1536), (1536, 2048), (2048, 2560), (2560, 3072),
+            (3072, 3584), (3584, 4000)]),
+])
+def test_row_blocks(m, blocks):
+    assert row_blocks(m) == blocks
+
+
+def test_row_blocks_tile_the_rows_and_none_has_one_row():
+    # a one-row block would be a gemv, which rounds differently from gemm
+    for m in range(2, 5000):
+        blocks = row_blocks(m)
+        assert blocks[0][0] == 0 and blocks[-1][1] == m, m
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:])), m
+        assert all(stop - start >= 2 for start, stop in blocks), m
+
+
+@pytest.mark.parametrize("widths", [(16,), (32,), (16, 16), (24, 24), (32, 32)])
+@pytest.mark.parametrize("m", [1025, 1026, 2049, 4000])
+def test_blocked_softmax_outputs_equal_the_whole_forward_bitwise(widths, m, monkeypatch):
+    spec = ModelSpec(input_dim=8, hidden_widths=widths, num_classes=4)
+    theta = he_init(spec, Rng(m).split("theta"))
+    probes = mixup_probes(gen_blobs(1000, 4, 8, 0.15, seed=1), m=m, alpha=16.0, seed=5)
+    whole = softmax(forward(spec, theta, probes.X))
+    calls = []
+    monkeypatch.setattr(cka_module, "forward", lambda *a: calls.append(a) or forward(*a))
+    blocked = softmax_outputs(spec, theta, probes)
+    assert len(calls) == len(row_blocks(m))
+    assert [x.hex() for x in blocked.ravel()] == [x.hex() for x in whole.ravel()]
+
+
+def test_cka_memory_does_not_grow_with_the_probes_hidden_activations():
+    """At 16,000 probes the whole forward's activations alone would take 8 MB."""
+    spec = ModelSpec(input_dim=8, hidden_widths=(32, 32), num_classes=4)
+    theta_a, theta_b = (he_init(spec, Rng(s)) for s in (1, 2))
+    probes = probes_for(spec, seed=3, m=16_000)
+    cka_between_models(spec, theta_a, theta_b, probes)  # numpy's first-call setup is not counted
+    tracemalloc.start()
+    try:
+        cka_between_models(spec, theta_a, theta_b, probes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

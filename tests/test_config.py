@@ -134,6 +134,21 @@ ERRORS = [
     ("data.pixel_noise", math.inf, "data.pixel_noise"),
     ("curve.lr", -math.inf, "curve.lr"),
     ("grid.temp", {"kind": "lr", "values": [math.nan]}, "grid.temp"),
+    ("phase.eps_mc", math.inf, "phase.eps_mc"),
+] + [
+    # a string spelling NaN is an error everywhere, one spelling inf but at phase.eps_mc;
+    # quoted ids keep them apart from the JSON NaN and Infinity cases
+    pytest.param(path, value, path, id=f"{path}-'{value}'-{path}")
+    for path, value in [
+        ("train.lr", "nan"),
+        ("train.weight_decay", "inf"),
+        ("curve.lr", "-inf"),
+        ("data.spread", "NaN"),
+        ("metrics.probes.alpha", "Infinity"),
+        ("phase.tau_cka", "nan"),
+        ("phase.loss_converged", "inf"),
+        ("phase.eps_mc", "nan"),
+    ]
 ]
 
 
@@ -173,7 +188,8 @@ def test_weight_decay_alone(cfg, expected):
     assert parse_weight_decay(cfg) == expected
 
 
-@pytest.mark.parametrize("value", ["abc", None, -1.0, math.inf])
+@pytest.mark.parametrize("value", ["abc", None, -1.0, math.inf,
+                                   pytest.param("inf", id="'inf'"), pytest.param("nan", id="'nan'")])
 def test_weight_decay_alone_is_checked_as_in_train(value):
     with pytest.raises(ConfigError) as info:
         parse_weight_decay({"train": {"weight_decay": value}})

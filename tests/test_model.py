@@ -451,6 +451,21 @@ def test_trace_memory_does_not_grow_with_the_class_count(c):
     assert peak < 2.5 * one_array
 
 
+def test_operator_keeps_only_what_it_reads():
+    """Building an operator and one apply hold under eight (rows, width) arrays at their peak."""
+    spec, theta, batch = _wide_instance((32, 32), 4)
+    v = ParamVector(spec, Rng(1).normals(spec.param_count))
+    HessianOperator(spec, theta, batch, 5e-4).apply(v)  # numpy's first-call setup is not counted
+    one_array = batch.size * 32 * batch.X.itemsize
+    tracemalloc.start()
+    try:
+        HessianOperator(spec, theta, batch, 5e-4).apply(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * one_array
+
+
 def test_operator_checks_shapes_once_at_construction():
     spec, theta, batch = small_net()
     with pytest.raises(DimensionError, match="input dimension"):
