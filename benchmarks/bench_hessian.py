@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_hessian.py --parent DIR [--rounds 5] [--out BENCH_23.json]
+    python3 benchmarks/bench_hessian.py --parent DIR [--rounds 5] [--out BENCH_24.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
@@ -24,7 +24,13 @@ the ``curvature_heavy`` workload calls them (max_iter 50, rtol 1e-12) on
 an untrained one-hidden-layer net (P = 212, 200 rows) and a
 two-hidden-layer net (P = 1,476, 1,000 rows): microseconds per call
 (the median of ``ESTIMATOR_REPS``) and the Hessian products each call
-used.
+used.  ``curvature.top_eigenvalue.P1476_B1000.rss_file_kb`` is the growth
+of the process's file-backed resident memory (``RssFile`` in
+``/proc/self/status``, Linux only) across the first ``top_eigenvalue``
+call: the library code that call pages in, such as LAPACK's.  It is
+taken right after the page faults, before anything else in the process
+calls ``numpy.linalg``; the applications the faults count load the BLAS
+code the estimator shares with them, so it is not counted.
 
 The exact trace is timed alone, as ``trace()`` on a prebuilt operator
 over 1,000 rows at 8-32-32-4, 8-32-32-10 and 8-128-128-10, so that the
@@ -91,6 +97,11 @@ def _peak_kb(fn) -> float:
         tracemalloc.stop()
 
 
+def _rss_file_kb() -> float:
+    with open("/proc/self/status") as fh:
+        return next(float(line.split()[1]) for line in fh if line.startswith("RssFile:"))
+
+
 def _name(dims, rows) -> str:
     return "-".join(map(str, dims)) + f"_B{rows}"
 
@@ -116,6 +127,11 @@ def measure() -> dict:
         v = replace(theta, values=r.split("v").normals(spec.param_count))
         return spec, theta, Batch(X, y), v
 
+    def estimator_instance(dims, rows):
+        spec = ModelSpec(dims[0], tuple(dims[1:-1]), dims[-1])
+        data = gen_blobs(rows, dims[-1], dims[0], 0.15, seed=3)
+        return spec, he_init(spec, Rng(4)), Batch(data.X, data.y)
+
     def application(spec, theta, batch, v):
         op = HessianOperator(spec, theta, batch, WEIGHT_DECAY)
         return lambda: hvp(spec, op, batch, WEIGHT_DECAY, v)
@@ -131,6 +147,12 @@ def measure() -> dict:
         apply()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     out[f"hvp.apply.{_name(*FAULT_SHAPE)}.minflt_per_call"] = faults / FAULT_CALLS
+    cfg = CurvatureConfig(max_iter=50, rtol=1e-12, seed=2)
+    spec, theta, batch = estimator_instance(*ESTIMATOR_NETS[1])
+    before = _rss_file_kb()
+    top_eigenvalue(spec, theta, batch, WEIGHT_DECAY, cfg)
+    out[f"curvature.top_eigenvalue.P{spec.param_count}_B{batch.size}.rss_file_kb"] = (
+        _rss_file_kb() - before)
     for dims, rows in APPLY_SHAPES:
         spec, theta, batch, v = instance(dims, rows)
         apply = application(spec, theta, batch, v)
@@ -159,12 +181,8 @@ def measure() -> dict:
     cka_pair = lambda: cka_between_models(spec, theta_a, theta_b, probes)
     out[f"{name}.us"] = _median(cka_pair) * 1e6
     out[f"{name}.peak_kb"] = _peak_kb(cka_pair)
-    cfg = CurvatureConfig(max_iter=50, rtol=1e-12, seed=2)
     for dims, rows in ESTIMATOR_NETS:
-        spec = ModelSpec(dims[0], tuple(dims[1:-1]), dims[-1])
-        theta = he_init(spec, Rng(4))
-        data = gen_blobs(rows, dims[-1], dims[0], 0.15, seed=3)
-        batch = Batch(data.X, data.y)
+        spec, theta, batch = estimator_instance(dims, rows)
         eig = top_eigenvalue(spec, theta, batch, WEIGHT_DECAY, cfg)
         tr = trace_hutchinson(spec, theta, batch, WEIGHT_DECAY, cfg)
         name = f"P{spec.param_count}_B{rows}"
@@ -178,7 +196,7 @@ def measure() -> dict:
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_23.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_24.json", argv)
 
 
 if __name__ == "__main__":

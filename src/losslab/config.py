@@ -8,8 +8,9 @@ fields and type hints of its dataclass, where every default lives.  An
 absent key takes the default; null means None for an Optional field,
 else the default.  A key that names no field or section is an error, so
 a misspelled setting cannot silently fall back to its default.  A float
-field takes a finite number, or a string that spells one; only
-``phase.eps_mc`` may be infinite, as the string ``"inf"``.
+field takes a finite number (JSON ``true`` and ``false`` are not
+numbers), or a string that spells one; only ``phase.eps_mc`` may be
+infinite, as the string ``"inf"``.  ``schema`` is the integer 1.
 
 A sweep replaces some settings in every cell, so in a sweep config they
 apply only to the single-model commands (train, hessian, modeconn):
@@ -76,7 +77,8 @@ def _convert(hint, value, path: str):
             raise ConfigError(path, f"expected list, got {value!r}")
         return tuple(_convert(args[0], v, path) for v in value) if args else tuple(value)
     try:  # JSON's NaN and Infinity are errors; a string may spell inf only at an UNBOUNDED path
-        if hint is float and (isinstance(value, str) or math.isfinite(value)):
+        if hint is float and not isinstance(value, bool) and (
+                isinstance(value, str) or math.isfinite(value)):
             number = float(value)
             if math.isfinite(number) or (math.isinf(number) and path in UNBOUNDED):
                 return number
@@ -125,7 +127,7 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top level must be an object")
     schema = cfg.get("schema")
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"expected schema {SCHEMA_VERSION}, got {schema!r}")
     for key in cfg:
         if key not in SECTIONS:

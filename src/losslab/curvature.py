@@ -11,10 +11,19 @@ the k-step tridiagonal, ``beta_k |s_i[k-1]|`` bounds the distance from
 that bound for the Ritz value of largest magnitude is at most
 ``rtol * |theta_i|`` (always when ``beta_k`` is 0) or after
 ``min(max_iter, P)`` products, so ``max_iter`` caps the products.
+
+The Ritz pair comes from ``tridiagonal.dominant_ritz``, in plain Python
+floats: the first LAPACK call of a process pages about 0.6-0.8 MB of
+library code into it, and a sweep would make no other.  The stopping
+rule and the residual bound are those above; the Ritz pair can differ
+from a dense eigensolver's in its last bits.  ``losslab hessian
+--exact`` checks the result against ``np.linalg.eigvalsh`` of the dense
+Hessian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,25 +84,27 @@ def top_eigenvalue(
     the signed Ritz value of largest magnitude.  An exactly-zero Hessian
     is reported as value 0 with the degenerate flag set.
     """
+    from .tridiagonal import dominant_ritz
+
     op = HessianOperator(spec, theta, batch, weight_decay)
     steps = min(cfg.max_iter, spec.param_count)
     basis = np.empty((steps, spec.param_count))  # the orthonormal Lanczos vectors, by row
-    tri = np.zeros((steps, steps))
+    alpha, beta = [], []  # the diagonal and off-diagonal of the tridiagonal
+    top, low = -math.inf, math.inf
     start = Rng(cfg.seed).split("power_iteration").normals(spec.param_count)
     basis[0] = start / np.linalg.norm(start)
     for k in range(1, steps + 1):
         w = hvp(spec, op, batch, weight_decay, ParamVector(spec, basis[k - 1])).values
-        tri[k - 1, k - 1] = basis[k - 1] @ w
+        alpha.append(float(basis[k - 1] @ w))
         for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal to rounding
             w -= (basis[:k] @ w) @ basis[:k]
-        beta = float(np.linalg.norm(w))
-        ritz, vecs = np.linalg.eigh(tri[:k, :k])
-        top = np.argmax(np.abs(ritz))
-        value, residual = float(ritz[top]), beta * abs(float(vecs[k - 1, top]))
-        if residual <= cfg.rtol * abs(value) or k == steps:  # beta 0 gives residual 0
+        norm = float(np.linalg.norm(w))
+        value, last, top, low = dominant_ritz(alpha, beta, top, low)
+        residual = norm * last
+        if residual <= cfg.rtol * abs(value) or k == steps:  # a zero norm gives residual 0
             return LanczosResult(value, k, residual, degenerate=value == 0.0)
-        basis[k] = w / beta
-        tri[k - 1, k] = tri[k, k - 1] = beta
+        basis[k] = w / norm
+        beta.append(norm)
 
 
 def trace_hutchinson(

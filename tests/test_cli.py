@@ -24,7 +24,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "e0bb1273e4bd3fe73a44335ce906c490289c4c36239b24597a07fe68ef96323d"
+GOLDEN_SHA256 = "3ad16940e14d0c855da514cee5b3b53a27ac9349c78a734d8f4dcec3202dc7ef"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")

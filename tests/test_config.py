@@ -135,6 +135,13 @@ ERRORS = [
     ("curve.lr", -math.inf, "curve.lr"),
     ("grid.temp", {"kind": "lr", "values": [math.nan]}, "grid.temp"),
     ("phase.eps_mc", math.inf, "phase.eps_mc"),
+    # a JSON bool is no number, though True == 1 in Python
+    ("train.lr", True, "train.lr"),
+    ("train.weight_decay", False, "train.weight_decay"),
+    ("phase.eps_mc", True, "phase.eps_mc"),
+    ("curve.t_grid", [False, 0.5, True], "curve.t_grid"),
+    ("schema", True, "schema"),
+    ("schema", 1.0, "schema"),
 ] + [
     # a string spelling NaN is an error everywhere, one spelling inf but at phase.eps_mc;
     # quoted ids keep them apart from the JSON NaN and Infinity cases
@@ -188,7 +195,7 @@ def test_weight_decay_alone(cfg, expected):
     assert parse_weight_decay(cfg) == expected
 
 
-@pytest.mark.parametrize("value", ["abc", None, -1.0, math.inf,
+@pytest.mark.parametrize("value", ["abc", None, -1.0, math.inf, True,
                                    pytest.param("inf", id="'inf'"), pytest.param("nan", id="'nan'")])
 def test_weight_decay_alone_is_checked_as_in_train(value):
     with pytest.raises(ConfigError) as info:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from losslab.datasets import gen_blobs
 from losslab.errors import DimensionError, ParameterError
 from losslab.model import Batch, ModelSpec, exact_hessian, he_init, hvp, ParamVector
 from losslab.rng import Rng
+from losslab.tridiagonal import dominant_ritz
 
 from conftest import penalty_only_instance, random_instance
 
@@ -160,5 +163,101 @@ def test_estimators_match_pinned_values():
     eig = top_eigenvalue(spec, theta, batch, 5e-4, cfg)
     tr = trace_hutchinson(spec, theta, batch, 5e-4, cfg)
     assert (eig.value.hex(), eig.iterations, eig.residual.hex(), eig.degenerate) == (
-        "0x1.084e2f03fc27cp+2", 8, "0x1.9f72e7e4faa23p-9", False)
+        "0x1.084e2f03fc27dp+2", 8, "0x1.9f72e7e4faaa1p-9", False)
     assert (tr.value.hex(), tr.probes) == ("0x1.727f76ac50fd2p+4", 0)
+
+
+def ritz_chain(alpha, beta):
+    """``dominant_ritz`` of T's leading blocks in turn, as Lanczos calls it;
+    the (value, |s_k|) of T itself."""
+    top, low = -math.inf, math.inf
+    for k in range(1, len(alpha) + 1):
+        value, last, top, low = dominant_ritz(alpha[:k], beta[:k - 1], top, low)
+    return value, last
+
+
+def eigenvalues_above(alpha, beta, x):
+    """How many eigenvalues of the tridiagonal (alpha, beta) exceed the float x, exactly.
+
+    The leading principal minors of xI - T, in integers (every float
+    times one power of two), change sign once per eigenvalue above x.
+    """
+    scale = max(f.as_integer_ratio()[1] for f in (x, *alpha, *beta))
+
+    def exact(f):
+        numerator, denominator = f.as_integer_ratio()
+        return numerator * (scale // denominator)
+
+    before, minor, changes = 0, 1, 0
+    for i, a in enumerate(alpha):
+        off = exact(beta[i - 1]) ** 2 if i else 0
+        before, minor = minor, (exact(x) - exact(a)) * minor - off * before
+        assert minor != 0, "x is an eigenvalue of a leading block"
+        changes += (minor < 0) != (before < 0)
+    return changes
+
+
+def assert_matches_eigh(alpha, beta):
+    """The helper's Ritz pair against ``np.linalg.eigh``: the same end of the
+    spectrum, the value within 8 ulps of ||T||_inf of it and |s_k| within 1e-14.
+
+    eigh's own eigenvalue is more than 8 ulps off on some random
+    tridiagonals, so the value is certified by exact eigenvalue counts
+    instead of compared with it.
+    """
+    value, last = ritz_chain(alpha, beta)
+    a, b = np.array(alpha), np.array(beta)
+    t = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+    vals, vecs = np.linalg.eigh(t)
+    top = np.argmax(np.abs(vals))
+    assert (value < 0) == (vals[top] < 0)
+    tol = 8 * math.ulp(float(np.abs(t).sum(axis=1).max()))
+    # the smallest eigenvalue of T is minus the largest of -T
+    diagonal, end = (alpha, value) if value >= 0 else ([-x for x in alpha], -value)
+    assert eigenvalues_above(diagonal, beta, end + tol) == 0
+    assert eigenvalues_above(diagonal, beta, end - tol) >= 1
+    assert abs(last - abs(vecs[-1, top])) <= 1e-14
+    return value, last
+
+
+def test_ritz_pair_matches_eigh_on_random_tridiagonals():
+    r = Rng(24).split("tridiagonals")
+    for _ in range(400):
+        k = 1 + r.integer(60)
+        scale = 10.0 ** (6 * r.uniform() - 3)
+        alpha = [scale * x for x in r.normals(k)]
+        beta = [scale * 10.0 ** (7 * u - 6) for u in r.uniforms(k - 1)]
+        assert_matches_eigh(alpha, beta)
+
+
+@pytest.mark.parametrize("cut", [1e-40, 1e-60, 1e-150])
+@pytest.mark.parametrize("at", [1, 3, 5])
+def test_ritz_pair_of_a_nearly_reducible_tridiagonal(cut, at):
+    # the dominant eigenvector lives in the block above the tiny off-diagonal,
+    # so |s_k| is about ``cut``: the converged case, where Lanczos must stop
+    alpha = [4.0, 3.5, 3.0, 2.5, 2.0, 0.5, -0.3, 0.2, 0.1]
+    beta = [0.9, 0.7, 1.1, 0.6, 0.8, 0.4, 0.3, 0.5]
+    beta[at] = cut
+    _, last = assert_matches_eigh(alpha, beta)
+    assert last < 1e-30
+
+
+@pytest.mark.parametrize("beta", [[1.0], [1.0, 1.0], [0.5, 2.0, 0.25, 1.5]])
+def test_ritz_pair_takes_the_negative_end_on_a_tie(beta):
+    # a zero diagonal makes the spectrum symmetric about 0
+    alpha = [0.0] * (len(beta) + 1)
+    value, last = assert_matches_eigh(alpha, beta)
+    assert value < 0
+    assert ritz_chain([-0.0] * len(alpha), beta) == (value, last)
+
+
+@pytest.mark.parametrize("alpha", [[2.5], [-0.75], [0.0]])
+def test_ritz_pair_of_a_1x1_tridiagonal(alpha):
+    value, last = ritz_chain(alpha, [])
+    assert (value, math.copysign(1.0, value), last) == (alpha[0], math.copysign(1.0, alpha[0]), 1.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_ritz_pair_of_a_zero_matrix(k):
+    value, last = ritz_chain([0.0] * k, [0.0] * (k - 1))
+    assert (value, math.copysign(1.0, value), last) == (0.0, 1.0, 0.0)

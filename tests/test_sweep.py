@@ -93,6 +93,21 @@ def test_a_one_worker_sweep_loads_no_process_pool_and_no_openssl():
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
+# numpy.linalg's LAPACK entry points; the first call of one pages LAPACK's code in
+LAPACK = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "solve", "inv", "lstsq", "qr",
+          "cholesky", "det", "slogdet")
+
+
+def test_a_sweep_calls_no_lapack(serial_csv, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called LAPACK")
+
+    for name in LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cells, _ = run_sweep(tiny_grid(), workers=1)
+    assert results_to_csv(cells) == serial_csv
+
+
 def test_extending_an_axis_leaves_old_cells_unchanged(serial_csv):
     grid = tiny_grid()
     extended = replace(grid, temp_axis=Axis("batch_size", (*grid.temp_axis.values, 256)))
