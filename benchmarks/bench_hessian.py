@@ -6,9 +6,10 @@ Usage, from the repository root::
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
-measures the parent tree and then this tree, each in a fresh process, so
-both sides run on the same machine at nearly the same time; the record
-keeps every round's value and the median over rounds.  Both trees must
+measures both trees, each in a fresh process, so both sides run on the
+same machine at nearly the same time, and the tree that runs first
+alternates from round to round; the record keeps every round's value,
+the median over rounds and each round's change/parent ratio.  Both trees must
 construct the operator as ``model.HessianOperator(spec, theta, batch,
 weight_decay)``.  The command line is ``bench_rng.py``'s.
 

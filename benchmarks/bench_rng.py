@@ -2,14 +2,17 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_18.json]
+    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_25.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
-measures the parent tree and then this tree, each in a fresh process, so
-both sides run on the same machine at nearly the same time; the record
-keeps every round's value and the median over rounds.  A metric a tree
-does not have is ``null`` there.  As the ``losslab`` command line does,
+measures both trees, each in a fresh process, so both sides run on the
+same machine at nearly the same time.  The parent runs first in even
+rounds (0, 2, ...) and second in odd ones, so a host that drifts over the
+run does not read as a difference between the trees.  The record keeps
+every round's value, the median over rounds, each round's change/parent
+ratio and the number of rounds in which the change read lower.  A metric
+a tree does not have is ``null`` there.  As the ``losslab`` command line does,
 each side runs with one BLAS thread unless the caller set one of
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``.
 ``measure`` itself needs ``rng.raw_outputs`` and an ``evaluate`` that
@@ -20,7 +23,9 @@ random draw: the RNG timings' large temporaries change what the
 allocator holds, and with it the cost of ``evaluate``'s temporaries.
 
 The RNG's consumer is timed as the sweep calls it: ``mixup_probes`` at
-the ``curvature_heavy`` workload's 4,000 probes.  The curvature
+the ``curvature_heavy`` workload's 4,000 probes, and its Beta weights
+alone as ``rng.beta.n4000``, ``null`` on a tree whose ``beta`` draws one
+scalar at a time.  The curvature
 estimators draw no more than one start vector, and ``bench_hessian.py``
 times them.
 
@@ -100,6 +105,13 @@ def measure() -> dict:
     for n in RAW_SIZES:
         r = Rng(3)
         out[f"rng.raw.n{n}.us"] = _median_us(lambda: raw_outputs([r], n))
+    r = Rng(3)
+    try:
+        r.beta(16.0, MIXUP_PROBES)
+    except TypeError:  # a scalar ``beta(alpha)``
+        out[f"rng.beta.n{MIXUP_PROBES}.us"] = None
+    else:
+        out[f"rng.beta.n{MIXUP_PROBES}.us"] = _median_us(lambda: r.beta(16.0, MIXUP_PROBES))
     blobs = gen_blobs(1000, 4, 8, 0.15, seed=1)
     out[f"datasets.mixup_probes.m{MIXUP_PROBES}.us"] = _median_us(
         lambda: mixup_probes(blobs, m=MIXUP_PROBES, alpha=16.0, seed=5))
@@ -150,10 +162,11 @@ def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, 
         return 0
     if args.parent is None:
         ap.error("--parent is required")
+    srcs = {"parent": args.parent.resolve(), "change": SRC}
     rounds = {"parent": [], "change": []}
-    for _ in range(args.rounds):
-        rounds["parent"].append(run_side(script, args.parent.resolve()))
-        rounds["change"].append(run_side(script, SRC))
+    for k in range(args.rounds):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            rounds[side].append(run_side(script, srcs[side]))
     metrics = {}
     for name in {**rounds["parent"][0], **rounds["change"][0]}:
         entry = {}
@@ -161,10 +174,15 @@ def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, 
             values = [run.get(name) for run in runs]
             entry[side] = None if None in values else statistics.median(values)
             entry[f"{side}_rounds"] = values
+        pairs = list(zip(entry["parent_rounds"], entry["change_rounds"]))
+        entry["ratio_rounds"] = [c / p if p and c is not None else None for p, c in pairs]
+        entry["change_lower_rounds"] = sum(
+            1 for p, c in pairs if p is not None and c is not None and c < p)
         metrics[name] = entry
     record = {"command": f"python3 benchmarks/{script.name} --parent DIR --rounds "
                          f"{args.rounds}", "reps_per_value": reps,
-              "environment": environment(), "metrics": metrics}
+              "parent_first": "even rounds", "environment": environment(),
+              "metrics": metrics}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     for name, entry in metrics.items():
         print(f"{name:48s} parent {entry['parent']}  change {entry['change']}")
@@ -172,7 +190,7 @@ def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, 
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_18.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_25.json", argv)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ Usage, from the repository root::
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  The command
-line is ``bench_rng.py``'s: each round measures the parent tree and then
-this tree, each in a fresh process.
+line is ``bench_rng.py``'s: each round measures both trees, each in a
+fresh process, and the tree that runs first alternates from round to round.
 
 Every timing is of a fresh ``python3`` process, as a user pays it, with
 the environment this script runs in (bytecode caching and BLAS thread

@@ -187,20 +187,18 @@ def perturb_uniform(X: np.ndarray, magnitude: float, seed: int) -> np.ndarray:
 
 
 def raw_probes(ds: Dataset, m: int, seed: int) -> ProbeSet:
-    """m training rows sampled with replacement, unmodified."""
+    """m training rows sampled with replacement, unmodified: ``Rng(seed).integers(n, m)``."""
     if m < 2:
         raise ParameterError("probe count must be >= 2")
-    rng = Rng(seed)
-    idx = np.array([rng.integer(ds.n) for _ in range(m)])
-    return ProbeSet(ds.X[idx].copy(), "raw")
+    return ProbeSet(ds.X[Rng(seed).integers(ds.n, m)], "raw")
 
 
 def mixup_probes(ds: Dataset, m: int = 640, alpha: float = 16.0, seed: int = 0) -> ProbeSet:
     """Convex combinations of distinct training-row pairs, Beta(alpha, alpha) weights.
 
-    Probe i takes row a, then row b != a, then its weight lam from one
-    stream, by ``Rng(seed).integer`` and ``.beta`` calls in that order;
-    the m rows ``lam * X[a] + (1 - lam) * X[b]`` are formed in place on X[a], X[b].
+    ``Rng(seed)`` draws the m rows a, then the m rows b != a, then the m
+    weights lam, one array call each (``integers``, ``integers``, ``beta``);
+    the rows ``lam * X[a] + (1 - lam) * X[b]`` are formed in place on X[a], X[b].
     """
     if ds.n < 2:
         raise ParameterError("mixup needs at least two rows")
@@ -209,15 +207,10 @@ def mixup_probes(ds: Dataset, m: int = 640, alpha: float = 16.0, seed: int = 0) 
     if alpha <= 0:
         raise ParameterError("alpha must be > 0")
     rng = Rng(seed)
-    n = ds.n
-    a = np.empty(m, dtype=np.intp)
-    b = np.empty(m, dtype=np.intp)
-    lam = np.empty((m, 1))
-    for i in range(m):
-        a[i] = rng.integer(n)
-        b[i] = rng.integer(n - 1)
-        lam[i] = rng.beta(alpha)
+    a = rng.integers(ds.n, m)
+    b = rng.integers(ds.n - 1, m)
     b += b >= a
+    lam = rng.beta(alpha, m)[:, None]
     X = ds.X[a]
     X *= lam
     Xb = ds.X[b]

@@ -10,8 +10,9 @@ Substreams are derived from the seed, not the position, so
 ``rng.split("probes", 3)`` is reproducible however far the parent has read.
 
 Array draws start at the first word not yet handed out.  Scalar draws read
-a block of the next ``BLOCK`` words computed ahead; the Box-Muller normal at
-each offset of a block is computed on first use.
+a block of the next ``BLOCK`` words computed ahead.  The rejection
+samplers ``integers`` and ``gamma`` draw for all n entries first, then
+redraw only the rejected entries, in index order, round by round.
 """
 
 from __future__ import annotations
@@ -106,15 +107,13 @@ def permutations(rngs: Sequence["Rng"], n: int) -> np.ndarray:
 class Rng:
     """A splitmix64 counter stream with the distribution helpers the lab needs."""
 
-    __slots__ = ("seed", "_pos", "_start", "_block", "_ints", "_z")
+    __slots__ = ("seed", "_pos", "_start", "_ints")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._pos = 0  # words handed out
         self._start = 0  # stream position of the block's first word
-        self._block = np.empty(0, dtype=np.uint64)
         self._ints: list[int] = []  # the block as Python ints
-        self._z: list[float] | None = None  # the block's normals, once one is asked for
 
     def _state(self) -> int:
         """The splitmix64 state whose next output is word ``_pos``."""
@@ -122,10 +121,8 @@ class Rng:
 
     def _fill(self) -> None:
         """Compute the block of ``BLOCK`` words from ``_pos`` on."""
-        self._block = _words([self._state()], BLOCK)[0]
-        self._ints = self._block.tolist()
+        self._ints = _words([self._state()], BLOCK)[0].tolist()
         self._start = self._pos
-        self._z = None
 
     def split(self, *key: SeedPart) -> "Rng":
         """Independent substream keyed by value; position-independent."""
@@ -163,24 +160,8 @@ class Rng:
         z[1::2] = r * np.sin(ang)
         return z[:n]
 
-    def normal(self) -> float:
-        """``normals(1)[0]``: the Box-Muller normal of the next two words.
-
-        The block's normals come from array ufuncs, as ``normals`` does;
-        the ``math`` functions round differently.
-        """
-        i = self._pos - self._start
-        if i + 1 >= len(self._ints):
-            self._fill()
-            i = 0
-        if self._z is None:
-            u = (self._block >> np.uint64(11)) * _INV53
-            self._z = (np.sqrt(-2.0 * np.log1p(-u[:-1])) * np.cos((2.0 * math.pi) * u[1:])).tolist()
-        self._pos += 2
-        return self._z[i]
-
     def integer(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via bitmask rejection."""
+        """Uniform integer in [0, bound) by rejection on ``bound.bit_length()`` low bits."""
         if bound <= 0:
             raise ParameterError("bound must be positive")
         mask = (1 << int(bound).bit_length()) - 1
@@ -188,6 +169,20 @@ class Rng:
             r = self.next_u64() & mask
             if r < bound:
                 return r
+
+    def integers(self, bound: int, n: int) -> np.ndarray:
+        """n uniform integers in [0, bound) by rejection on ``(bound - 1).bit_length()``
+        low bits: n words, then a word per entry still out of range, round by round."""
+        if bound <= 0:
+            raise ParameterError("bound must be positive")
+        mask = np.uint64((1 << (int(bound) - 1).bit_length()) - 1)
+        # compared as intp: a uint64 comparison pages in 64 KB more of numpy's code
+        out = (self._raw(n) & mask).astype(np.intp)
+        redo = np.flatnonzero(out >= bound)
+        while redo.size:
+            out[redo] = self._raw(redo.size) & mask
+            redo = redo[out[redo] >= bound]
+        return out
 
     def rademacher(self, n: int) -> np.ndarray:
         """n entries in {-1.0, +1.0}, one generator draw per sign."""
@@ -206,32 +201,40 @@ class Rng:
             raise ParameterError(f"cannot choose {k} from {n}")
         return np.sort(self.permutation(n)[:k])
 
-    def gamma(self, alpha: float) -> float:
-        """Gamma(alpha, 1) via the Marsaglia-Tsang squeeze method."""
+    def gamma(self, alpha: float, n: int) -> np.ndarray:
+        """n draws from Gamma(alpha, 1) by the Marsaglia-Tsang squeeze method.
+
+        Each round draws ``normals(k)``, then ``uniforms(k)``, for the k entries
+        still pending.  Below alpha = 1, n draws at alpha + 1 come first, then
+        n uniforms u, and each draw is scaled by ``(1 - u) ** (1 / alpha)``.
+        """
         if alpha <= 0:
             raise ParameterError("gamma requires alpha > 0")
         if alpha < 1.0:
-            u = 1.0 - self.uniform()
-            return self.gamma(alpha + 1.0) * u ** (1.0 / alpha)
+            g = self.gamma(alpha + 1.0, n)
+            return g * (1.0 - self.uniforms(n)) ** (1.0 / alpha)
         d = alpha - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.normal()
-            v = (1.0 + c * x) ** 3
-            if v <= 0.0:
-                continue
-            u = 1.0 - self.uniform()
-            if u < 1.0 - 0.0331 * x**4:
-                return d * v
-            if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-                return d * v
+        out = np.empty(n)
+        pending = np.arange(n)
+        while pending.size:
+            x = self.normals(pending.size)
+            u = 1.0 - self.uniforms(pending.size)
+            v = 1.0 + c * x
+            v = v * v * v
+            x2 = x * x
+            ok = (v > 0.0) & (u < 1.0 - 0.0331 * (x2 * x2))
+            rest = np.flatnonzero((v > 0.0) & ~ok)  # the squeeze missed: the exact test
+            ok[rest] = np.log(u[rest]) < 0.5 * x2[rest] + d * (1.0 - v[rest] + np.log(v[rest]))
+            out[pending[ok]] = d * v[ok]
+            pending = pending[~ok]
+        return out
 
-    def beta(self, alpha: float) -> float:
-        """One draw from the symmetric Beta(alpha, alpha) in [0, 1]."""
+    def beta(self, alpha: float, n: int) -> np.ndarray:
+        """n draws from the symmetric Beta(alpha, alpha): x / (x + y) for
+        ``x = gamma(alpha, n)``, then ``y = gamma(alpha, n)``, or 0.5 where both are 0."""
         if alpha <= 0:
             raise ParameterError("beta requires alpha > 0")
-        x = self.gamma(alpha)
-        y = self.gamma(alpha)
-        if x == 0.0 and y == 0.0:
-            return 0.5
-        return x / (x + y)
+        x = self.gamma(alpha, n)
+        s = x + self.gamma(alpha, n)
+        return np.divide(x, s, out=np.full(n, 0.5), where=s > 0.0)

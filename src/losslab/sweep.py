@@ -10,7 +10,9 @@ training history, at the epoch whose weights training returned;
 curvature, CKA and curve profiles are measured per model and per pair.
 All randomness is derived from seeds keyed by axis *values*, never
 indices, so extending the grid or reordering cell execution cannot change
-any existing cell's numbers.
+any existing cell's numbers.  The CKA probes are keyed by the cell's data
+recipe alone, so every cell that trains on the same data compares its
+replicates on the same inputs; each cell builds its own copy of the set.
 """
 
 from __future__ import annotations
@@ -375,7 +377,8 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
     converged_ids = sorted(thetas)
     if len(converged_ids) < 2:
         return cell
-    probes = build_probes(train_ds, grid.probes, derive_seed(grid.base_seed, "probes", *key))
+    probe_seed = derive_seed(grid.base_seed, "probes", repr(cell_recipe(grid, load_value)))
+    probes = build_probes(train_ds, grid.probes, probe_seed)
     pairs = [PairMetrics(replica_a=a, replica_b=b)
              for a, b in zip(converged_ids[0::2], converged_ids[1::2])]
     curve_cfgs = [

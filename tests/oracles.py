@@ -3,10 +3,14 @@
 Everything here is written straight from public algorithm descriptions
 or as naive per-element loops, deliberately sharing no code with the
 package so that agreement is evidence, not tautology.  The exceptions
-are the per-row draw loops at the end: they call the scalar ``Rng``
-methods one draw at a time, and are the reference the package's
-vectorised consumers must equal bit for bit.
+are the draw loops at the end: they read ``Rng.next_u64`` one word at a
+time in the documented draw order, and are the reference the package's
+array draws and their consumers must equal bit for bit.  They take the
+logarithms, sines and powers from numpy on one value at a time, as
+``math`` rounds differently; +, -, * and / are Python floats.
 """
+
+import math
 
 import numpy as np
 
@@ -197,25 +201,88 @@ def l2_loops(a, b):
     return s**0.5
 
 
-def mixup_probes_loop(X, m, alpha, seed):
-    """Mixup probes from one scalar draw at a time: row a, row b != a, then lam."""
+def uniform_loop(rng):
+    return (rng.next_u64() >> 11) * 2.0**-53
+
+
+def integers_loop(rng, bound, n):
+    """``Rng.integers``: n masked words, then one word for each entry still
+    out of range, round by round in index order."""
+    mask = (1 << (bound - 1).bit_length()) - 1
+    out = [rng.next_u64() & mask for _ in range(n)]
+    redo = [i for i in range(n) if out[i] >= bound]
+    while redo:
+        for i in redo:
+            out[i] = rng.next_u64() & mask
+        redo = [i for i in redo if out[i] >= bound]
+    return out
+
+
+def normals_loop(rng, n):
+    """``Rng.normals``: ceil(n/2) radius words, then as many angle words;
+    pair i gives the cosine normal, then the sine one."""
+    m = (n + 1) // 2
+    u = [uniform_loop(rng) for _ in range(2 * m)]
+    out = []
+    for i in range(m):
+        r = float(np.sqrt(-2.0 * np.log1p(-u[i])))
+        ang = (2.0 * math.pi) * u[m + i]
+        out += [r * float(np.cos(ang)), r * float(np.sin(ang))]
+    return out[:n]
+
+
+def gamma_loop(rng, alpha, n):
+    """``Rng.gamma``: Marsaglia-Tsang rounds of k normals then k uniforms for
+    the k entries pending; below alpha = 1, the draws at alpha + 1, then n
+    boost uniforms."""
+    if alpha < 1.0:
+        g = gamma_loop(rng, alpha + 1.0, n)
+        u = [uniform_loop(rng) for _ in range(n)]
+        return [gi * float((np.array([1.0 - ui]) ** (1.0 / alpha))[0]) for gi, ui in zip(g, u)]
+    d = alpha - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = [None] * n
+    pending = list(range(n))
+    while pending:
+        xs = normals_loop(rng, len(pending))
+        us = [1.0 - uniform_loop(rng) for _ in pending]
+        still = []
+        for i, x, u in zip(pending, xs, us):
+            t = 1.0 + c * x
+            v = t * t * t
+            x2 = x * x
+            if v > 0.0 and (u < 1.0 - 0.0331 * (x2 * x2)
+                            or np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(v))):
+                out[i] = d * v
+            else:
+                still.append(i)
+        pending = still
+    return out
+
+
+def beta_loop(rng, alpha, n):
+    """``Rng.beta``: n gammas x, then n gammas y; x / (x + y), or 0.5 where both are 0."""
+    x = gamma_loop(rng, alpha, n)
+    y = gamma_loop(rng, alpha, n)
+    return [xi / (xi + yi) if xi + yi > 0.0 else 0.5 for xi, yi in zip(x, y)]
+
+
+def mixup_probes_loop(X, m, alpha, seed, beta=beta_loop):
+    """Mixup probes in the documented order: m rows a, m rows b != a, then m weights."""
     rng = Rng(seed)
     n = X.shape[0]
+    a = integers_loop(rng, n, m)
+    b = [bi + (bi >= ai) for ai, bi in zip(a, integers_loop(rng, n - 1, m))]
+    lam = beta(rng, alpha, m)
     out = np.empty((m, X.shape[1]), dtype=np.float64)
     for i in range(m):
-        a = rng.integer(n)
-        b = rng.integer(n - 1)
-        if b >= a:
-            b += 1
-        lam = rng.beta(alpha)
-        out[i] = lam * X[a] + (1.0 - lam) * X[b]
+        out[i] = lam[i] * X[a[i]] + (1.0 - lam[i]) * X[b[i]]
     return out
 
 
 def raw_probe_rows_loop(n, m, seed):
-    """Row indices of raw probes, one scalar ``integer`` draw per probe."""
-    rng = Rng(seed)
-    return np.array([rng.integer(n) for _ in range(m)])
+    """Row indices of raw probes: one ``integers_loop`` of m draws below n."""
+    return np.array(integers_loop(Rng(seed), n, m))
 
 
 def randomize_labels_loop(y, num_classes, frac, seed):

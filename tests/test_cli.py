@@ -24,7 +24,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "3ad16940e14d0c855da514cee5b3b53a27ac9349c78a734d8f4dcec3202dc7ef"
+GOLDEN_SHA256 = "a762456a36bc2410e5636cdfe4230311434040e8587c64defd0255128cae77d4"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")

@@ -201,7 +201,7 @@ def test_perturb_uniform_rejects_a_non_finite_magnitude(magnitude):
 
 def fix_lambda(monkeypatch, lam):
     """Make every ``Rng.beta`` draw return ``lam`` without reading the stream."""
-    monkeypatch.setattr(Rng, "beta", lambda self, alpha: lam)
+    monkeypatch.setattr(Rng, "beta", lambda self, alpha, n: np.full(n, lam))
 
 
 def test_mixup_fixed_lambda_returns_rows(monkeypatch):
@@ -258,13 +258,13 @@ def test_generators_bit_deterministic():
     assert np.array_equal(c.y, d.y)
 
 
-# -- probe and label draws walk one stream in blocks ------------------------
+# -- probe and label draws walk one stream in the documented order ----------
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 16.0])
 @pytest.mark.parametrize("n", [2, 3, 1024, 1025])
 def test_mixup_equals_the_per_probe_loop(alpha, n):
-    # m = 255..257 probes end near the edge of the first 2,048-output block,
-    # and m = 4,000 walks several blocks
+    # the oracle reads the stream through scalar blocks of 256 words: m =
+    # 255..257 ends the row draws near a block edge, and m = 4,000 walks many
     ds = gen_blobs(n=n, num_classes=2, dim=3, spread=0.3, seed=n)
     for m in (2, 255, 256, 257, 4000):
         got = mixup_probes(ds, m=m, alpha=alpha, seed=m).X
@@ -277,7 +277,8 @@ def test_mixup_fixed_lambda_equals_the_per_probe_loop(n, monkeypatch):
     for lam in (1.0, 0.25):
         fix_lambda(monkeypatch, lam)
         got = mixup_probes(ds, m=3000, seed=5).X
-        assert got.tobytes() == mixup_probes_loop(ds.X, 3000, 16.0, 5).tobytes()
+        want = mixup_probes_loop(ds.X, 3000, 16.0, 5, beta=lambda rng, alpha, m: [lam] * m)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 700), (1000, 640), (1025, 5000)])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,7 @@ from losslab.errors import ParameterError
 from losslab.rng import BLOCK, Rng, derive_seed, permutations, raw_outputs
 from losslab.train import epoch_batches
 
-from oracles import splitmix64_stream
+from oracles import beta_loop, gamma_loop, integers_loop, normals_loop, splitmix64_stream
 
 # First outputs of splitmix64 for seed 0, as published in the common
 # cross-implementation test vectors.
@@ -116,25 +114,57 @@ def test_choose_sorted_subset():
     assert np.all((idx >= 0) & (idx < 100))
 
 
+@pytest.mark.parametrize("bound", [1, 2, 64, 1024])
+def test_integers_below_a_power_of_two_take_one_word_each(bound):
+    r = Rng(12)
+    draws = r.integers(bound, 20_000)
+    assert draws.dtype == np.intp
+    assert r._pos == 20_000
+    assert set(draws.tolist()) == set(range(bound))
+    assert draws.tolist() == [w % bound for w in splitmix64_stream(12, 20_000)]
+
+
+@pytest.mark.parametrize("bound", [3, 5, 17, 65, 1025])
+def test_integers_redraw_only_out_of_range_entries(bound):
+    r, ref = Rng(13), Rng(13)
+    draws = r.integers(bound, 20_000)
+    assert set(draws.tolist()) == set(range(bound))
+    # the stream advanced by exactly the words the oracle read
+    assert draws.tolist() == integers_loop(ref, bound, 20_000)
+    assert r._pos == ref._pos > 20_000
+    assert r.next_u64() == ref.next_u64()
+
+
+def test_integers_are_uniform_just_above_a_power_of_two():
+    # 2**k + 1 rejects almost half of the candidates, the worst case of the mask
+    counts = np.bincount(Rng(14).integers(65, 650_000), minlength=65)
+    assert counts.size == 65
+    assert abs(counts - 10_000).max() < 500  # about 5 standard deviations
+
+
+def test_integers_reject_a_bound_below_one():
+    for bound in (0, -3):
+        with pytest.raises(ParameterError):
+            Rng(1).integers(bound, 4)
+
+
 def test_beta_mean_symmetric():
-    r = Rng(100)
-    draws = np.array([r.beta(16.0) for _ in range(100_000)])
+    draws = Rng(100).beta(16.0, 100_000)
+    assert draws.shape == (100_000,)
     assert abs(float(draws.mean()) - 0.5) < 0.01
     assert np.all((draws >= 0.0) & (draws <= 1.0))
 
 
 def test_beta_variance_alpha16():
     # Var Beta(a,a) = a^2 / ((2a)^2 (2a+1)) = 1/(4*(2a+1)); a=16 -> 1/132
-    r = Rng(101)
-    draws = np.array([r.beta(16.0) for _ in range(100_000)])
+    draws = Rng(101).beta(16.0, 100_000)
     expected = 1.0 / 132.0
     assert abs(float(draws.var()) - expected) < 0.1 * expected
 
 
 def test_beta_alpha1_is_uniform_by_ks():
-    r = Rng(102)
     n = 100_000
-    draws = np.sort([r.beta(1.0) for _ in range(n)])
+    draws = np.sort(Rng(102).beta(1.0, n))
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
     d = max(float(np.max(ecdf_hi - draws)), float(np.max(draws - ecdf_lo)))
@@ -143,17 +173,29 @@ def test_beta_alpha1_is_uniform_by_ks():
 
 
 def test_beta_rejects_bad_alpha():
-    with pytest.raises(ParameterError):
-        Rng(1).beta(0.0)
-    with pytest.raises(ParameterError):
-        Rng(1).beta(-2.0)
+    for alpha in (0.0, -2.0):
+        with pytest.raises(ParameterError):
+            Rng(1).beta(alpha, 4)
+        with pytest.raises(ParameterError):
+            Rng(1).gamma(alpha, 4)
 
 
 def test_gamma_mean_matches_alpha():
     r = Rng(103)
-    for alpha in (0.7, 1.0, 4.0, 16.0):
-        draws = np.array([r.gamma(alpha) for _ in range(20_000)])
+    for alpha in (0.5, 0.7, 1.0, 4.0, 16.0):
+        draws = r.gamma(alpha, 20_000)
+        assert np.all(draws >= 0.0)
         assert abs(float(draws.mean()) - alpha) < 0.05 * max(alpha, 1.0), alpha
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 16.0])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 3000])
+def test_gamma_and_beta_equal_their_oracles(alpha, n):
+    r, ref = Rng(n), Rng(n)
+    assert r.gamma(alpha, n).tolist() == gamma_loop(ref, alpha, n)
+    assert r.beta(alpha, n).tolist() == beta_loop(ref, alpha, n)
+    assert r._pos == ref._pos
+    assert r.next_u64() == ref.next_u64()
 
 
 # -- array draws against the reference stream -------------------------------
@@ -231,13 +273,6 @@ def test_permutations_break_key_ties_by_index(monkeypatch, n):
     assert np.array_equal(perms[1], np.argsort(tied[::-1], kind="stable"))
 
 
-def test_normal_is_normals_of_one():
-    for seed in range(2000):
-        assert Rng(seed).normal() == Rng(seed).normals(1)[0]
-    r, ref = Rng(5), Rng(5)
-    assert [r.normal() for _ in range(500)] == [ref.normals(1)[0] for _ in range(500)]
-
-
 @pytest.mark.parametrize("count", [1, 2, 4])
 @pytest.mark.parametrize("n", [8192, 8193, 20_000, 74_000])
 def test_multi_block_passes_match_reference_stream(count, n):
@@ -255,8 +290,8 @@ def test_multi_block_passes_match_reference_stream(count, n):
 class StreamReader:
     """Reads ``splitmix64_stream(seed, ...)`` word by word and applies ``Rng``'s transforms.
 
-    ``integer``, ``gamma`` and ``beta`` are ``Rng``'s own functions, run on
-    the words this reader hands out.
+    ``integer`` is ``Rng``'s own function, and ``integers``, ``normals``,
+    ``gamma`` and ``beta`` the oracles, run on the words this reader hands out.
     """
 
     def __init__(self, seed, words):
@@ -278,9 +313,17 @@ class StreamReader:
     def uniforms(self, n):
         return np.array([(w >> 11) * 2.0**-53 for w in self.take(n)])
 
-    def normal(self):
-        u = self.uniforms(2)
-        return float((np.sqrt(-2.0 * np.log1p(-u[:1])) * np.cos(2.0 * math.pi * u[1:]))[0])
+    def normals(self, n):
+        return np.array(normals_loop(self, n))
+
+    def integers(self, bound, n):
+        return np.array(integers_loop(self, bound, n))
+
+    def gamma(self, alpha, n):
+        return np.array(gamma_loop(self, alpha, n))
+
+    def beta(self, alpha, n):
+        return np.array(beta_loop(self, alpha, n))
 
     def rademacher(self, n):
         return np.array([1.0 if w >> 63 else -1.0 for w in self.take(n)])
@@ -289,12 +332,12 @@ class StreamReader:
         return np.argsort(self.uniforms(n), kind="stable")
 
     integer = Rng.integer
-    gamma = Rng.gamma
-    beta = Rng.beta
 
 
-CALLS = [("next_u64",), ("uniform",), ("normal",), ("integer", 1), ("integer", 5),
-         ("integer", 1025), ("gamma", 0.3), ("gamma", 4.0), ("beta", 16.0), ("beta", 0.001),
+CALLS = [("next_u64",), ("uniform",), ("normals", 1), ("normals", 5), ("integer", 1),
+         ("integer", 5), ("integer", 1025), ("integers", 1, 3), ("integers", 5, 40),
+         ("integers", 1025, 120), ("gamma", 0.3, 2), ("gamma", 4.0, 9), ("beta", 16.0, 1),
+         ("beta", 16.0, 64), ("beta", 0.001, 5),
          ("uniforms", 1), ("uniforms", 37), ("uniforms", 300), ("rademacher", 3),
          ("rademacher", 260), ("permutation", 2), ("permutation", 100)]
 
@@ -313,23 +356,23 @@ def test_scalar_and_array_draws_read_the_stream_in_order(block, seed, calls):
         mp.setattr(rng_module, "BLOCK", block)
         r = Rng(seed)
         got = [getattr(r, name)(*args) for name, *args in calls]
-    ref = StreamReader(seed, 200 * len(calls) + 600)
+    ref = StreamReader(seed, 400 * len(calls) + 1000)
     for (name, *args), value in zip(calls, got):
         assert same(value, getattr(ref, name)(*args)), (name, args)
     assert r.next_u64() == ref.next_u64()
 
 
 @pytest.mark.parametrize("lead", [BLOCK - 3, BLOCK - 2, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
-def test_a_normal_straddling_a_block_edge_reads_the_next_two_words(lead):
-    # the first scalar draw computes a block at word 0, the array draw moves
+def test_normals_after_a_partly_read_block_read_the_next_words(lead):
+    # the first scalar draw computes a block at word 0, the array draws move
     # on inside it, and the normal then reads words lead and lead + 1
     r, ref = Rng(3), StreamReader(3, lead + 5)
     assert r.next_u64() == ref.next_u64()
     assert np.array_equal(r.uniforms(lead - 1), ref.uniforms(lead - 1))
-    assert r.normal() == ref.normal()
-    assert [r.next_u64(), r.normal()] == [ref.next_u64(), ref.normal()]
+    assert np.array_equal(r.normals(1), ref.normals(1))
+    assert r.next_u64() == ref.next_u64()
+    assert np.array_equal(r.normals(1), ref.normals(1))
 
 
 def test_beta_returns_half_when_both_gammas_underflow():
-    r = Rng(4)
-    assert 0.5 in [r.beta(0.001) for _ in range(50)]
+    assert 0.5 in Rng(4).beta(0.001, 50).tolist()

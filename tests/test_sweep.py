@@ -40,8 +40,8 @@ from losslab.sweep import (
 )
 from losslab.train import TrainConfig
 
-RESULTS_SHA256 = "4cbad90d4a01cfb8e856337c3b321e2798435138d06f85e092a50642c22d2a06"
-PHASES_SHA256 = "d59584685a771060ce5710958818305d9aee4f4557d1e09ed3b8738eae98a289"
+RESULTS_SHA256 = "81e045c4b4ad442a58d2520bbf40f13150d1daf8ef7396fb48c5cb8e777d9120"
+PHASES_SHA256 = "d2cead490e23f5779d1cb60ad53e0d89967cc8da9b7e34855fe9ce49f9b14a08"
 
 
 def tiny_grid() -> GridSpec:
@@ -115,6 +115,46 @@ def test_extending_an_axis_leaves_old_cells_unchanged(serial_csv):
     assert len(cells) == 6
     old_cells = [cell for cell in cells if cell.temp_value != 256]
     assert results_to_csv(old_cells) == serial_csv
+
+
+def noise_grid(temps=(32, 128)) -> GridSpec:
+    """``tiny_grid`` with a label-noise load axis: three datasets, not one."""
+    return replace(tiny_grid(), load_axis=Axis("noise_frac", (0.0, 0.2, 0.4)),
+                   temp_axis=Axis("batch_size", temps))
+
+
+def probe_sets(grid, monkeypatch) -> list[tuple[int, bytes]]:
+    """Runs ``grid`` serially; per cell in grid order, the seed and rows of its mixup probes."""
+    built = []
+    original = sweep.mixup_probes
+
+    def record(ds, m, alpha, seed):
+        probes = original(ds, m, alpha, seed)
+        built.append((seed, probes.X.tobytes()))
+        return probes
+
+    monkeypatch.setattr(sweep, "mixup_probes", record)
+    run_sweep(grid, workers=1)
+    return built
+
+
+def test_every_cell_on_one_dataset_gets_the_same_probes(monkeypatch):
+    built = probe_sets(tiny_grid(), monkeypatch)
+    assert len(built) == 4 and len(set(built)) == 1
+
+
+def test_each_noise_frac_column_gets_its_own_probes(monkeypatch):
+    built = probe_sets(noise_grid(), monkeypatch)
+    # grid order: the two temperatures of column i are cells 2i and 2i + 1
+    assert len(built) == 6
+    assert [built[2 * i] == built[2 * i + 1] for i in range(3)] == [True] * 3
+    assert len({seed for seed, _ in built}) == len({rows for _, rows in built}) == 3
+
+
+def test_extending_the_temperature_axis_of_a_noise_grid_leaves_old_rows_unchanged():
+    old = results_to_csv(run_sweep(noise_grid(), workers=1)[0])
+    cells, _ = run_sweep(noise_grid(temps=(32, 128, 256)), workers=1)
+    assert results_to_csv([cell for cell in cells if cell.temp_value != 256]) == old
 
 
 @pytest.fixture
@@ -219,9 +259,9 @@ WORKLOADS = {
 }
 
 WORKLOAD_SHA256 = {
-    "small_batch": "42abfe562d9c59a452bd6514bcb3bc118059b6e847cf9a4136773c9b4a003e0d",
-    "large_batch_noisy": "00721f51094db3941722dc16c2422b76b3d2c171d1f53d3df9021ed11fc892e0",
-    "curvature_heavy": "0462799836dd4b3a94eb7ed6ae5b7a937693a748d034908384c8ca46b53769d9",
+    "small_batch": "8e37dfcede2e2c3f86dda6ac9181a47accadfe9d451812e7d3d8863f2ef4c871",
+    "large_batch_noisy": "2b7ff0bcc78edacf7f2f6e2e4d823b4b691de98c28868a2429be1e49f6d2f6ff",
+    "curvature_heavy": "3e3effc67adb24f41d7223694853b5225ac6ce8119b4bef141cf5cb0cc7a4c55",
 }
 
 
