@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_25.json]
+    python3 benchmarks/bench_rng.py --parent DIR [--rounds 5] [--out BENCH_26.json]
 
 ``DIR`` is the ``src`` directory of the tree to compare against (for
 example ``git archive`` of the parent commit, unpacked).  Each round
@@ -22,16 +22,15 @@ The per-epoch evaluation is timed first in the process, before any
 random draw: the RNG timings' large temporaries change what the
 allocator holds, and with it the cost of ``evaluate``'s temporaries.
 
-The RNG's consumer is timed as the sweep calls it: ``mixup_probes`` at
-the ``curvature_heavy`` workload's 4,000 probes, and its Beta weights
-alone as ``rng.beta.n4000``, ``null`` on a tree whose ``beta`` draws one
-scalar at a time.  The curvature
-estimators draw no more than one start vector, and ``bench_hessian.py``
-times them.
+The RNG's consumers are timed as the sweep calls them: ``mixup_probes``
+at the ``curvature_heavy`` workload's 4,000 probes, and its Beta weights
+alone as ``rng.beta.n4000``; ``randomize_labels`` at noise fraction 0.4
+on 1,000 rows of 4 classes; and one epoch of ``train_curve`` for two
+8->16->4 curves on 1,000 rows at batch 4, which draws each epoch's t
+values.  The curvature estimators draw no more than one start vector,
+and ``bench_hessian.py`` times them.
 
-Each value is the median of ``REPS`` timed calls, in microseconds per
-call (the scalar ``uniform`` per call from loops of ``SCALAR_LOOP``
-calls).
+Each value is the median of ``REPS`` timed calls, in microseconds per call.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ REPS = 30
 STACKS = [(1, 1000), (2, 1000), (4, 1000)]
 RAW_SIZES = [212, 2000, 8000, 16384, 65536]
 MIXUP_PROBES = 4000
-SCALAR_LOOP = 1000
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 HERE = Path(__file__).resolve()
 SRC = HERE.parent.parent / "src"
@@ -71,7 +69,8 @@ def measure() -> dict:
 
     import numpy as np
 
-    from losslab.datasets import gen_blobs, mixup_probes
+    from losslab.curves import CurveTrainConfig, train_curve
+    from losslab.datasets import gen_blobs, mixup_probes, randomize_labels
     from losslab.model import ModelSpec, he_init
     from losslab.rng import Rng, raw_outputs
     from losslab.train import epoch_batches, evaluate
@@ -93,9 +92,6 @@ def measure() -> dict:
         lambda: [evaluate(spec, stack, ds) for ds in (train, test)])
 
     r = Rng(3)
-    out["rng.uniform.us"] = _median_us(
-        lambda: [r.uniform() for _ in range(SCALAR_LOOP)]) / SCALAR_LOOP
-    r = Rng(3)
     out["rng.permutation.n1000.us"] = _median_us(lambda: r.permutation(1000))
     for count, n in STACKS:
         rngs = [Rng(s) for s in range(count)]
@@ -106,15 +102,15 @@ def measure() -> dict:
         r = Rng(3)
         out[f"rng.raw.n{n}.us"] = _median_us(lambda: raw_outputs([r], n))
     r = Rng(3)
-    try:
-        r.beta(16.0, MIXUP_PROBES)
-    except TypeError:  # a scalar ``beta(alpha)``
-        out[f"rng.beta.n{MIXUP_PROBES}.us"] = None
-    else:
-        out[f"rng.beta.n{MIXUP_PROBES}.us"] = _median_us(lambda: r.beta(16.0, MIXUP_PROBES))
-    blobs = gen_blobs(1000, 4, 8, 0.15, seed=1)
+    out[f"rng.beta.n{MIXUP_PROBES}.us"] = _median_us(lambda: r.beta(16.0, MIXUP_PROBES))
     out[f"datasets.mixup_probes.m{MIXUP_PROBES}.us"] = _median_us(
-        lambda: mixup_probes(blobs, m=MIXUP_PROBES, alpha=16.0, seed=5))
+        lambda: mixup_probes(train, m=MIXUP_PROBES, alpha=16.0, seed=5))
+    out["datasets.randomize_labels.f0.4.us"] = _median_us(
+        lambda: randomize_labels(train, 0.4, seed=6))
+    cfgs = [CurveTrainConfig(epochs=1, schedule=None, batch_size=4, seed=s) for s in (7, 8)]
+    ends = [(thetas[0], thetas[1]), (thetas[2], thetas[3])]
+    out["curves.train_curve.epoch_b4.us"] = _median_us(
+        lambda: train_curve(spec, ends, train, cfgs, 5e-4))
     return out
 
 
@@ -190,7 +186,7 @@ def compare_trees(script: Path, doc: str, measure, reps: int, default_out: str, 
 
 
 def main(argv=None) -> int:
-    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_25.json", argv)
+    return compare_trees(HERE, __doc__, measure, REPS, "BENCH_26.json", argv)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ themselves were never at a reasonable optimum.
 its config's bend degree ``k`` and trains them as one ``(C, k+1, P)``
 stack: each step evaluates all C curve points as one ``(C, B, d)``
 ``loss_grad`` call, with a ``(C, k+1)`` array of Bernstein coefficients.
-Each pair keeps its own generator (shuffle and t draws) and divergence
-check, so its curve is bitwise what it gets in a list of one.
+Each pair keeps its own generator and divergence check, so its curve is
+bitwise what it gets in a list of one.  A generator draws an epoch's
+shuffle, then that epoch's one t per step as one ``uniforms`` array.
 """
 
 from __future__ import annotations
@@ -139,8 +140,12 @@ def train_curve(
         finite = np.ones(len(active), dtype=bool)
         lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx in epoch_batches(ds.n, cfg.batch_size, [rngs[c] for c in active]):
-                coeffs = np.array([bernstein(k, rngs[c].uniform()) for c in active])
+            stack_rngs = [rngs[c] for c in active]
+            blocks = epoch_batches(ds.n, cfg.batch_size, stack_rngs)
+            # each step's t per curve; Python floats keep bernstein's pow bitwise
+            steps_t = zip(*(r.uniforms(len(blocks)).tolist() for r in stack_rngs))
+            for idx, ts in zip(blocks, steps_t):
+                coeffs = np.array([bernstein(k, t) for t in ts])
                 _combine(coeffs, controls, gamma.values)
                 batch = Batch(ds.X[idx], ds.y[idx])
                 losses, _ = loss_grad(spec, gamma, batch, weight_decay, grad)

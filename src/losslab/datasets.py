@@ -152,7 +152,9 @@ def load_csv(path) -> Dataset:
 
 
 def randomize_labels(ds: Dataset, frac: float, seed: int) -> Dataset:
-    """Flip exactly round(frac*n) labels to a uniformly drawn *different* class."""
+    """Flip exactly k = round(frac*n) labels to a uniformly drawn *different* class:
+    ``Rng(seed)`` picks the k rows by ``choose(n, k)``, then their classes by one
+    ``integers(num_classes - 1, k)``, skipping each row's own class."""
     if not 0.0 <= frac <= 1.0:
         raise ParameterError("frac must lie in [0, 1]")
     if ds.num_classes < 2:
@@ -161,11 +163,10 @@ def randomize_labels(ds: Dataset, frac: float, seed: int) -> Dataset:
     k = round(frac * ds.n)
     if k:
         rng = Rng(seed)
-        for i in rng.choose(ds.n, k):
-            other = rng.integer(ds.num_classes - 1)
-            if other >= y[i]:
-                other += 1
-            y[i] = other
+        rows = rng.choose(ds.n, k)
+        other = rng.integers(ds.num_classes - 1, k)
+        other += other >= y[rows]
+        y[rows] = other
     return Dataset(ds.X.copy(), y, ds.num_classes, name=ds.name)
 
 

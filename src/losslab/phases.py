@@ -75,9 +75,13 @@ class PhaseThresholds:
             raise ParameterError("loss_converged must exceed 1")
 
 
+def _finite(value) -> bool:
+    return value is not None and math.isfinite(value)
+
+
 def _converged(row: dict, thresholds: PhaseThresholds) -> bool:
     loss = row.get("train_loss_mean")
-    if loss is not None and loss > thresholds.loss_converged:
+    if loss is not None and not (math.isfinite(loss) and loss <= thresholds.loss_converged):
         return False
     return row.get("n_converged", 0) > 0
 
@@ -98,13 +102,9 @@ def _quantile(values: list[float], q: float) -> float:
 
 
 def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> str:
-    """One of I, II, III, IV-A, IV-B for a converged cell, NC otherwise."""
-    if not _converged(row, thresholds):
-        return "NC"
-    trace = row.get("hessian_trace_mean")
-    beta = row.get("beta_hat")
-    mu = row.get("mu_hat")
-    if trace is None or beta is None or mu is None:
+    """One of I, II, III, IV-A, IV-B for a converged cell with finite metrics, NC otherwise."""
+    trace, beta, mu = (row.get(name) for name in ("hessian_trace_mean", "beta_hat", "mu_hat"))
+    if not (_converged(row, thresholds) and _finite(trace) and _finite(beta) and _finite(mu)):
         return "NC"
     sharp = trace > threshold
     poor = beta < -thresholds.eps_mc
@@ -116,9 +116,9 @@ def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> s
 
 
 def label_rows(rows: list[dict], thresholds: PhaseThresholds) -> list[str]:
-    """Classify every row against the ``sharp_quantile`` of the converged mean traces, if any."""
+    """Classify every row against the ``sharp_quantile`` of the converged finite traces, if any."""
     traces = [r["hessian_trace_mean"] for r in rows
-              if _converged(r, thresholds) and r.get("hessian_trace_mean") is not None]
+              if _converged(r, thresholds) and _finite(r.get("hessian_trace_mean"))]
     if not traces:
         return ["NC"] * len(rows)
     threshold = _quantile(traces, thresholds.sharp_quantile)
@@ -388,9 +388,11 @@ class CurveProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveProfile":
-        """The profile ``to_dict`` wrote; every value must convert with ``float``."""
-        return cls(tuple(float(t) for t in d["t"]), [float(v) for v in d["err01"]],
-                   [float(v) for v in d["cross_entropy"]])
+        """The profile ``to_dict`` wrote: every value a finite ``float``, every t in [0, 1]."""
+        t, err01, ce = (tuple(float(v) for v in d[k]) for k in ("t", "err01", "cross_entropy"))
+        if not all(map(math.isfinite, t + err01 + ce)) or not all(0.0 <= v <= 1.0 for v in t):
+            raise ParameterError("profile values must be finite, and every t in [0, 1]")
+        return cls(t, list(err01), list(ce))
 
 
 PROFILE_W = 400

@@ -9,10 +9,10 @@ and the same seed gives bit-identical words on every run and platform.
 Substreams are derived from the seed, not the position, so
 ``rng.split("probes", 3)`` is reproducible however far the parent has read.
 
-Array draws start at the first word not yet handed out.  Scalar draws read
-a block of the next ``BLOCK`` words computed ahead.  The rejection
-samplers ``integers`` and ``gamma`` draw for all n entries first, then
-redraw only the rejected entries, in index order, round by round.
+Every draw is an array draw that starts at the first word not yet handed
+out.  The rejection samplers ``integers`` and ``gamma`` draw for all n
+entries first, then redraw only the rejected entries, in index order,
+round by round; ``integers`` is the package's one masked rejection rule.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment, 2**64 over the golden rati
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-BLOCK = 256  # words a scalar draw computes ahead
 _PACKED_MAX = 1 << 11  # a permutation this long packs key and index into one word
 
 SeedPart = int | float | str | bool
@@ -81,9 +80,10 @@ def _words(states: list[int], n: int) -> np.ndarray:
 def raw_outputs(rngs: Sequence["Rng"], n: int) -> np.ndarray:
     """``(R, n)`` raw 64-bit words; row r is what ``rngs[r]`` alone gives.
 
-    Each generator advances exactly n words, as n scalar draws would.
+    Each generator advances exactly n words.
     """
-    out = _words([r._state() for r in rngs], n)
+    # word ``_pos`` of a generator is the output after state ``seed + _pos * GAMMA``
+    out = _words([(r.seed + r._pos * GAMMA) & _MASK64 for r in rngs], n)
     for r in rngs:
         r._pos += n
     return out
@@ -107,34 +107,15 @@ def permutations(rngs: Sequence["Rng"], n: int) -> np.ndarray:
 class Rng:
     """A splitmix64 counter stream with the distribution helpers the lab needs."""
 
-    __slots__ = ("seed", "_pos", "_start", "_ints")
+    __slots__ = ("seed", "_pos")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._pos = 0  # words handed out
-        self._start = 0  # stream position of the block's first word
-        self._ints: list[int] = []  # the block as Python ints
-
-    def _state(self) -> int:
-        """The splitmix64 state whose next output is word ``_pos``."""
-        return (self.seed + self._pos * GAMMA) & _MASK64
-
-    def _fill(self) -> None:
-        """Compute the block of ``BLOCK`` words from ``_pos`` on."""
-        self._ints = _words([self._state()], BLOCK)[0].tolist()
-        self._start = self._pos
 
     def split(self, *key: SeedPart) -> "Rng":
         """Independent substream keyed by value; position-independent."""
         return Rng(derive_seed(self.seed, *key))
-
-    def next_u64(self) -> int:
-        i = self._pos - self._start
-        if i >= len(self._ints):
-            self._fill()
-            i = 0
-        self._pos += 1
-        return self._ints[i]
 
     def _raw(self, n: int) -> np.ndarray:
         """n raw 64-bit words as a uint64 array."""
@@ -142,11 +123,8 @@ class Rng:
 
     # -- distributions -------------------------------------------------
 
-    def uniform(self) -> float:
-        """One double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * _INV53
-
     def uniforms(self, n: int) -> np.ndarray:
+        """n doubles in [0, 1), each from the top 53 bits of one word."""
         return (self._raw(n) >> np.uint64(11)) * _INV53
 
     def normals(self, n: int) -> np.ndarray:
@@ -161,14 +139,8 @@ class Rng:
         return z[:n]
 
     def integer(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection on ``bound.bit_length()`` low bits."""
-        if bound <= 0:
-            raise ParameterError("bound must be positive")
-        mask = (1 << int(bound).bit_length()) - 1
-        while True:
-            r = self.next_u64() & mask
-            if r < bound:
-                return r
+        """``integers(bound, 1)`` as a Python int; kept for the benchmark's floor timings."""
+        return int(self.integers(bound, 1)[0])
 
     def integers(self, bound: int, n: int) -> np.ndarray:
         """n uniform integers in [0, bound) by rejection on ``(bound - 1).bit_length()``

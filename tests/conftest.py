@@ -9,6 +9,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from losslab.model import Batch, ModelSpec, ParamVector, _forward_trace, he_init
 from losslab.rng import Rng
 
+from oracles import integer_loop
+
 
 @pytest.fixture
 def rng():
@@ -23,16 +25,16 @@ def random_instance(seed, max_hidden_layers=3, max_width=16, max_batch=32,
     depth and class count.
     """
     r = Rng(seed)
-    n_hidden = r.integer(max_hidden_layers + 1) if hidden_layers is None else hidden_layers
-    widths = tuple(1 + r.integer(max_width) for _ in range(n_hidden))
-    d = 1 + r.integer(6)
-    c = 2 + r.integer(4) if num_classes is None else num_classes
+    n_hidden = integer_loop(r, max_hidden_layers + 1) if hidden_layers is None else hidden_layers
+    widths = tuple(1 + integer_loop(r, max_width) for _ in range(n_hidden))
+    d = 1 + integer_loop(r, 6)
+    c = 2 + integer_loop(r, 4) if num_classes is None else num_classes
     spec = ModelSpec(input_dim=d, hidden_widths=widths, num_classes=c)
     theta = he_init(spec, r.split("init"))
-    b = 1 + r.integer(max_batch)
+    b = 1 + integer_loop(r, max_batch)
     data_rng = r.split("data")
     x = data_rng.normals(b * d).reshape(b, d)
-    y = np.array([data_rng.integer(c) for _ in range(b)], dtype=np.int64)
+    y = np.array([integer_loop(data_rng, c) for _ in range(b)], dtype=np.int64)
     return spec, theta, Batch(x, y)
 
 

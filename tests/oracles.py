@@ -3,11 +3,14 @@
 Everything here is written straight from public algorithm descriptions
 or as naive per-element loops, deliberately sharing no code with the
 package so that agreement is evidence, not tautology.  The exceptions
-are the draw loops at the end: they read ``Rng.next_u64`` one word at a
-time in the documented draw order, and are the reference the package's
-array draws and their consumers must equal bit for bit.  They take the
-logarithms, sines and powers from numpy on one value at a time, as
-``math`` rounds differently; +, -, * and / are Python floats.
+are the draw loops at the end.  They read a generator's stream one word
+at a time through ``word``, the splitmix64 specification evaluated at
+the generator's position, in the documented draw order, and are the
+reference the package's array draws and their consumers must equal bit
+for bit.  ``uniform_loop`` and ``integer_loop`` (a ``bound.bit_length()``
+mask) draw one value at a time; test helpers build pinned inputs with them.
+The loops take the logarithms, sines and powers from numpy on one value
+at a time, as ``math`` rounds differently; +, -, * and / are Python floats.
 """
 
 import math
@@ -201,19 +204,41 @@ def l2_loops(a, b):
     return s**0.5
 
 
+def word(rng):
+    """The next word of ``rng``'s stream; advances it one word.
+
+    ``rng`` is a ``Rng``, or any object with its ``seed`` and ``_pos``.  Word
+    i of seed s is the first splitmix64 output from state ``s + i * GAMMA``.
+    """
+    out = splitmix64_stream(rng.seed + rng._pos * 0x9E3779B97F4A7C15, 1)[0]
+    rng._pos += 1
+    return out
+
+
 def uniform_loop(rng):
-    return (rng.next_u64() >> 11) * 2.0**-53
+    """One double in [0, 1) from the top 53 bits of one word."""
+    return (word(rng) >> 11) * 2.0**-53
+
+
+def integer_loop(rng, bound):
+    """One integer in [0, bound), masking each word to ``bound.bit_length()``
+    low bits until one is in range."""
+    mask = (1 << bound.bit_length()) - 1
+    while True:
+        r = word(rng) & mask
+        if r < bound:
+            return r
 
 
 def integers_loop(rng, bound, n):
     """``Rng.integers``: n masked words, then one word for each entry still
     out of range, round by round in index order."""
     mask = (1 << (bound - 1).bit_length()) - 1
-    out = [rng.next_u64() & mask for _ in range(n)]
+    out = [word(rng) & mask for _ in range(n)]
     redo = [i for i in range(n) if out[i] >= bound]
     while redo:
         for i in redo:
-            out[i] = rng.next_u64() & mask
+            out[i] = word(rng) & mask
         redo = [i for i in redo if out[i] >= bound]
     return out
 
@@ -286,14 +311,13 @@ def raw_probe_rows_loop(n, m, seed):
 
 
 def randomize_labels_loop(y, num_classes, frac, seed):
-    """Labels after flipping round(frac*n) of them, one scalar draw per flipped row."""
+    """Labels after flipping k = round(frac*n) of them: ``Rng.choose`` picks
+    the k rows, then ``integers_loop`` their classes, skipping each row's own."""
     y = np.array(y, dtype=np.int64)
     k = round(frac * y.size)
     if k:
         rng = Rng(seed)
-        for i in rng.choose(y.size, k):
-            other = rng.integer(num_classes - 1)
-            if other >= y[i]:
-                other += 1
-            y[i] = other
+        rows = rng.choose(y.size, k)
+        for i, other in zip(rows, integers_loop(rng, num_classes - 1, k)):
+            y[i] = other + (other >= y[i])
     return y

@@ -307,10 +307,10 @@ def write_narrow_results_csv(root: Path) -> None:
         "".join(",".join(row[:drop] + row[drop + 1:]) + "\n" for row in rows))
 
 
-def write_profile_with(root: Path, name: str, value) -> None:
-    """The modeconn profile with ``value`` as its second ``err01`` entry."""
+def write_profile_with(root: Path, name: str, value, key: str = "err01") -> None:
+    """The modeconn profile with ``value`` as the second entry of its ``key`` list."""
     profile = json.loads((root / "modeconn.profile.json").read_text())
-    profile["err01"][1] = value
+    profile[key][1] = value
     (root / name).write_text(json.dumps(profile))
 
 
@@ -331,6 +331,8 @@ def write_profile_with(root: Path, name: str, value) -> None:
      "blank.csv:3: load_value"),
     (["l2", "--checkpoint-a", "trailing.ckpt", "--checkpoint-b", "run_b/model.ckpt",
       "--out", "x.json"], "trailing.ckpt: trailing bytes after the meta"),
+    (["profile-plot", "--profile", "nan.json", "--out", "x.svg"], "nan.json"),
+    (["profile-plot", "--profile", "far.json", "--out", "x.svg"], "far.json"),
 ])
 def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     root = workdir[0]
@@ -341,6 +343,8 @@ def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     (root / "short.json").write_text('{"t": [0.0]}')
     write_profile_with(root, "text.json", "a")
     write_profile_with(root, "null.json", None)
+    write_profile_with(root, "nan.json", float("nan"))  # json writes it as NaN
+    write_profile_with(root, "far.json", 7.0, key="t")
     (root / "trailing.ckpt").write_bytes((root / "run_a" / "model.ckpt").read_bytes() + b"\x00")
     code, _, err = in_workdir(workdir, monkeypatch, argv)
     assert code == 4 and message in err

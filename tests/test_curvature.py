@@ -12,6 +12,7 @@ from losslab.rng import Rng
 from losslab.tridiagonal import dominant_ritz
 
 from conftest import penalty_only_instance, random_instance
+from oracles import integer_loop, uniform_loop
 
 
 def small_instance(seed=0, widths=(5,), d=3, c=4, batch=16):
@@ -21,7 +22,7 @@ def small_instance(seed=0, widths=(5,), d=3, c=4, batch=16):
     theta = he_init(spec, r.split("init"))
     dr = r.split("data")
     x = dr.normals(batch * d).reshape(batch, d)
-    y = np.array([dr.integer(c) for _ in range(batch)], dtype=np.int64)
+    y = np.array([integer_loop(dr, c) for _ in range(batch)], dtype=np.int64)
     return spec, theta, Batch(x, y)
 
 
@@ -223,8 +224,8 @@ def assert_matches_eigh(alpha, beta):
 def test_ritz_pair_matches_eigh_on_random_tridiagonals():
     r = Rng(24).split("tridiagonals")
     for _ in range(400):
-        k = 1 + r.integer(60)
-        scale = 10.0 ** (6 * r.uniform() - 3)
+        k = 1 + integer_loop(r, 60)
+        scale = 10.0 ** (6 * uniform_loop(r) - 3)
         alpha = [scale * x for x in r.normals(k)]
         beta = [scale * 10.0 ** (7 * u - 6) for u in r.uniforms(k - 1)]
         assert_matches_eigh(alpha, beta)

@@ -21,6 +21,7 @@ from losslab.rng import Rng
 from losslab.train import LinearDecay, TrainConfig, epoch_batches, sgd_train
 
 from conftest import penalty_only_instance
+from oracles import uniform_loop
 
 
 def make_endpoints(seed=0, spec=None):
@@ -126,7 +127,7 @@ def test_train_curve_lowers_midpoint_loss_on_quadratic():
     bend = curve.values[1].copy()
     for _ in range(cfg.epochs):
         for _ in epoch_batches(ds.n, cfg.batch_size, [rng]):
-            c = bernstein(2, rng.uniform())
+            c = bernstein(2, uniform_loop(rng))
             gamma = c[0] * a.values + c[1] * bend + c[2] * b.values
             bend -= (cfg.lr * c[1]) * ((2.0 * wd) * gamma)
     assert np.array_equal(trained.values[1], bend)

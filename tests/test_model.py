@@ -34,6 +34,7 @@ from oracles import (
     central_diff_hvp,
     exact_trace_stacked,
     hvp_full_pass,
+    integer_loop,
     jacobi_eigenvalues,
     mlp_forward_loops,
 )
@@ -45,7 +46,7 @@ def small_net(seed=0, widths=(5,), d=3, c=3, batch=8):
     theta = he_init(spec, r.split("init"))
     dr = r.split("data")
     x = dr.normals(batch * d).reshape(batch, d)
-    y = np.array([dr.integer(c) for _ in range(batch)], dtype=np.int64)
+    y = np.array([integer_loop(dr, c) for _ in range(batch)], dtype=np.int64)
     return spec, theta, Batch(x, y)
 
 

@@ -39,6 +39,27 @@ def test_missing_metric_is_nc(missing):
     assert label_rows(rows, THRESHOLDS)[1] == "NC"
 
 
+@pytest.mark.parametrize("column", ["hessian_trace_mean", "beta_hat", "mu_hat"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_metric_is_nc(column, value):
+    rows = [row(trace=1.0), row(trace=2.0)]
+    rows[1][column] = value
+    assert label_rows(rows, THRESHOLDS)[1] == "NC"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("position", range(5))
+def test_a_non_finite_trace_leaves_the_other_labels(position, value):
+    # traces 1-4 split at 2.5; a non-finite trace, wherever it sits, must
+    # neither make the threshold nan nor move it
+    rows = [row(trace=t, mu=0.95, load=t) for t in (1.0, 2.0, 3.0, 4.0)]
+    expected = label_rows(rows, THRESHOLDS)
+    assert expected == ["IV-B", "IV-B", "II", "II"]
+    rows.insert(position, row(trace=value, mu=0.95, load=9.0))
+    expected.insert(position, "NC")
+    assert label_rows(rows, THRESHOLDS) == expected
+
+
 @pytest.mark.parametrize("quantile,sharp", [(0.5, [False, False, True, True]),
                                             (0.25, [False, True, True, True])])
 def test_sharp_flat_split_at_quantile_of_converged_traces(quantile, sharp):
@@ -107,7 +128,7 @@ def test_cell_whose_train_loss_exceeds_loss_converged_is_nc(tmp_path):
 
 
 @pytest.mark.parametrize("loss,label", [(9.99, "IV-A"), (10.0, "IV-A"), (10.01, "NC"),
-                                        (float("inf"), "NC")])
+                                        (float("inf"), "NC"), (float("nan"), "NC")])
 def test_loss_converged_bounds_the_mean_train_loss(loss, label):
     probe = row(trace=1.0)
     probe["train_loss_mean"] = loss

@@ -5,27 +5,42 @@ from hypothesis import strategies as st
 
 from losslab import rng as rng_module
 from losslab.errors import ParameterError
-from losslab.rng import BLOCK, Rng, derive_seed, permutations, raw_outputs
+from losslab.rng import Rng, derive_seed, permutations, raw_outputs
 from losslab.train import epoch_batches
 
-from oracles import beta_loop, gamma_loop, integers_loop, normals_loop, splitmix64_stream
+from oracles import (
+    beta_loop,
+    gamma_loop,
+    integers_loop,
+    normals_loop,
+    splitmix64_stream,
+    uniform_loop,
+    word,
+)
 
 # First outputs of splitmix64 for seed 0, as published in the common
 # cross-implementation test vectors.
 SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
+def words(r, n):
+    """The next n words of ``r`` as Python ints."""
+    return raw_outputs([r], n)[0].tolist()
+
+
 def test_splitmix64_matches_published_sequence():
-    r = Rng(0)
-    outs = [r.next_u64() for _ in range(3)]
+    outs = words(Rng(0), 3)
     assert outs == SPLITMIX64_SEED0
     assert outs == splitmix64_stream(0, 3)
+    r = Rng(0)
+    assert [word(r) for _ in range(3)] == SPLITMIX64_SEED0
 
 
 def test_stream_matches_reference_splitmix64():
     for seed in (0, 7, 8, 999, 2**63 + 5, 2**64 - 1):
         r = Rng(seed)
-        assert [r.next_u64() for _ in range(64)] == splitmix64_stream(seed, 64)
+        # draws of uneven lengths continue where the last one stopped
+        assert sum((words(r, n) for n in (1, 20, 43)), []) == splitmix64_stream(seed, 64)
 
 
 def test_same_seed_same_doubles():
@@ -38,9 +53,7 @@ def test_different_seeds_diverge_quickly():
     a = splitmix64_stream(7, 16)
     b = splitmix64_stream(8, 16)
     assert a != b
-    assert [Rng(7).next_u64() for _ in range(16)] != [
-        Rng(8).next_u64() for _ in range(16)
-    ]
+    assert words(Rng(7), 16) != words(Rng(8), 16)
 
 
 def test_split_streams_are_reproducible_and_distinct():
@@ -67,7 +80,7 @@ def test_derive_seed_values_are_pinned(key, seed):
 def test_split_independent_of_parent_position():
     a = Rng(42)
     a.uniforms(100)
-    assert a.split("x").next_u64() == Rng(42).split("x").next_u64()
+    assert words(a.split("x"), 4) == words(Rng(42).split("x"), 4)
 
 
 def test_rademacher_codomain_and_determinism():
@@ -102,6 +115,14 @@ def test_integer_bounds_and_coverage():
         r.integer(0)
 
 
+@pytest.mark.parametrize("bound", [2, 4, 8])
+def test_integer_at_a_power_of_two_takes_one_word_per_draw(bound):
+    r = Rng(15)
+    draws = [r.integer(bound) for _ in range(5000)]
+    assert r._pos == 5000
+    assert draws == [w % bound for w in splitmix64_stream(15, 5000)]
+
+
 def test_permutation_is_a_permutation():
     p = Rng(9).permutation(257)
     assert np.array_equal(np.sort(p), np.arange(257))
@@ -132,7 +153,7 @@ def test_integers_redraw_only_out_of_range_entries(bound):
     # the stream advanced by exactly the words the oracle read
     assert draws.tolist() == integers_loop(ref, bound, 20_000)
     assert r._pos == ref._pos > 20_000
-    assert r.next_u64() == ref.next_u64()
+    assert words(r, 1) == [word(ref)]
 
 
 def test_integers_are_uniform_just_above_a_power_of_two():
@@ -195,17 +216,17 @@ def test_gamma_and_beta_equal_their_oracles(alpha, n):
     assert r.gamma(alpha, n).tolist() == gamma_loop(ref, alpha, n)
     assert r.beta(alpha, n).tolist() == beta_loop(ref, alpha, n)
     assert r._pos == ref._pos
-    assert r.next_u64() == ref.next_u64()
+    assert words(r, 1) == [word(ref)]
 
 
 # -- array draws against the reference stream -------------------------------
 
-# lengths on both sides of powers of two, and of the scalar block
-BLOCK_SIZES = [1, 15, 16, 17, 1023, 1024, 1025, 212, 1000, 8000, BLOCK - 1, BLOCK, BLOCK + 1]
+# lengths on both sides of powers of two
+SIZES = [1, 15, 16, 17, 1023, 1024, 1025, 212, 1000, 8000, 255, 256, 257]
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
-@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("n", SIZES)
 def test_block_draws_match_reference_stream(count, n):
     seeds = range(50, 50 + count)
     rngs = [Rng(s) for s in seeds]
@@ -215,22 +236,23 @@ def test_block_draws_match_reference_stream(count, n):
         ref = splitmix64_stream(seed, n + 2)
         assert row.tolist() == ref[:n]
         # the generator is left exactly n words on
-        assert [r.next_u64(), r.next_u64()] == ref[n:]
+        assert words(r, 2) == ref[n:]
 
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_block_and_scalar_draws_interleave_on_one_stream(count):
+    # a draw over all generators, one-word draws on each alone, then all again
     seeds = range(7, 7 + count)
     rngs = [Rng(s) for s in seeds]
-    first = raw_outputs(rngs, BLOCK + 5)
-    scalars = [(r.next_u64(), r.uniform()) for r in rngs]
+    first = raw_outputs(rngs, 261)
+    singles = [(words(r, 1)[0], float(r.uniforms(1)[0])) for r in rngs]
     second = raw_outputs(rngs, 48)
-    for seed, a, (u64, u), b in zip(seeds, first, scalars, second):
-        ref = splitmix64_stream(seed, BLOCK + 5 + 2 + 48)
-        assert a.tolist() == ref[: BLOCK + 5]
-        assert u64 == ref[BLOCK + 5]
-        assert u == (ref[BLOCK + 6] >> 11) * 2.0**-53
-        assert b.tolist() == ref[BLOCK + 7 :]
+    for seed, a, (u64, u), b in zip(seeds, first, singles, second):
+        ref = splitmix64_stream(seed, 261 + 2 + 48)
+        assert a.tolist() == ref[:261]
+        assert u64 == ref[261]
+        assert u == (ref[262] >> 11) * 2.0**-53
+        assert b.tolist() == ref[263:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,7 +264,7 @@ def test_block_draws_match_reference_property(seeds, n):
     for r, seed, row in zip(rngs, seeds, out):
         ref = splitmix64_stream(seed, n + 1)
         assert row.tolist() == ref[:n]
-        assert r.next_u64() == ref[n]
+        assert words(r, 1) == [ref[n]]
 
 
 @pytest.mark.parametrize("n", [5, 300, 1000])
@@ -282,36 +304,26 @@ def test_multi_block_passes_match_reference_stream(count, n):
     for r, seed, row in zip(rngs, seeds, out):
         ref = splitmix64_stream(seed, n + 2)
         assert row.tolist() == ref[:n]
-        assert [r.next_u64(), r.next_u64()] == ref[n:]
+        assert words(r, 2) == ref[n:]
 
 
-# -- scalar and array draws on one stream -------------------------------------
+# -- every draw on one stream -------------------------------------------------
 
 class StreamReader:
-    """Reads ``splitmix64_stream(seed, ...)`` word by word and applies ``Rng``'s transforms.
+    """Reads a stream word by word through ``oracles.word`` and applies ``Rng``'s transforms.
 
-    ``integer`` is ``Rng``'s own function, and ``integers``, ``normals``,
-    ``gamma`` and ``beta`` the oracles, run on the words this reader hands out.
+    ``integer``, ``integers``, ``normals``, ``gamma`` and ``beta`` are the
+    oracles, run on the words this reader hands out.
     """
 
-    def __init__(self, seed, words):
-        self.words = splitmix64_stream(seed, words)
-        self.i = 0
+    def __init__(self, seed):
+        self.seed, self._pos = seed, 0
 
     def take(self, n):
-        out = self.words[self.i : self.i + n]
-        assert len(out) == n, "the reader ran past its words"
-        self.i += n
-        return out
-
-    def next_u64(self):
-        return self.take(1)[0]
-
-    def uniform(self):
-        return (self.next_u64() >> 11) * 2.0**-53
+        return [word(self) for _ in range(n)]
 
     def uniforms(self, n):
-        return np.array([(w >> 11) * 2.0**-53 for w in self.take(n)])
+        return np.array([uniform_loop(self) for _ in range(n)])
 
     def normals(self, n):
         return np.array(normals_loop(self, n))
@@ -331,10 +343,11 @@ class StreamReader:
     def permutation(self, n):
         return np.argsort(self.uniforms(n), kind="stable")
 
-    integer = Rng.integer
+    def integer(self, bound):
+        return integers_loop(self, bound, 1)[0]
 
 
-CALLS = [("next_u64",), ("uniform",), ("normals", 1), ("normals", 5), ("integer", 1),
+CALLS = [("normals", 1), ("normals", 5), ("integer", 1), ("integer", 4),
          ("integer", 5), ("integer", 1025), ("integers", 1, 3), ("integers", 5, 40),
          ("integers", 1025, 120), ("gamma", 0.3, 2), ("gamma", 4.0, 9), ("beta", 16.0, 1),
          ("beta", 16.0, 64), ("beta", 0.001, 5),
@@ -346,32 +359,16 @@ def same(a, b):
     return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-@pytest.mark.parametrize("block", [2, 3, 7, BLOCK])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1),
        calls=st.lists(st.sampled_from(CALLS), min_size=1, max_size=120))
-def test_scalar_and_array_draws_read_the_stream_in_order(block, seed, calls):
-    # small blocks put an edge every few words, under scalar and array draws alike
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng_module, "BLOCK", block)
-        r = Rng(seed)
-        got = [getattr(r, name)(*args) for name, *args in calls]
-    ref = StreamReader(seed, 400 * len(calls) + 1000)
+def test_scalar_and_array_draws_read_the_stream_in_order(seed, calls):
+    r = Rng(seed)
+    got = [getattr(r, name)(*args) for name, *args in calls]
+    ref = StreamReader(seed)
     for (name, *args), value in zip(calls, got):
         assert same(value, getattr(ref, name)(*args)), (name, args)
-    assert r.next_u64() == ref.next_u64()
-
-
-@pytest.mark.parametrize("lead", [BLOCK - 3, BLOCK - 2, BLOCK - 1, BLOCK, 2 * BLOCK - 1])
-def test_normals_after_a_partly_read_block_read_the_next_words(lead):
-    # the first scalar draw computes a block at word 0, the array draws move
-    # on inside it, and the normal then reads words lead and lead + 1
-    r, ref = Rng(3), StreamReader(3, lead + 5)
-    assert r.next_u64() == ref.next_u64()
-    assert np.array_equal(r.uniforms(lead - 1), ref.uniforms(lead - 1))
-    assert np.array_equal(r.normals(1), ref.normals(1))
-    assert r.next_u64() == ref.next_u64()
-    assert np.array_equal(r.normals(1), ref.normals(1))
+    assert words(r, 1) == [word(ref)]
 
 
 def test_beta_returns_half_when_both_gammas_underflow():

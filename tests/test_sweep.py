@@ -260,7 +260,7 @@ WORKLOADS = {
 
 WORKLOAD_SHA256 = {
     "small_batch": "8e37dfcede2e2c3f86dda6ac9181a47accadfe9d451812e7d3d8863f2ef4c871",
-    "large_batch_noisy": "2b7ff0bcc78edacf7f2f6e2e4d823b4b691de98c28868a2429be1e49f6d2f6ff",
+    "large_batch_noisy": "d6ce5819c1e87828b87fc8f2e40a3a0e20ca2863cbd2c116ea7fed4bcef0babd",
     "curvature_heavy": "3e3effc67adb24f41d7223694853b5225ac6ce8119b4bef141cf5cb0cc7a4c55",
 }
 
