@@ -359,13 +359,15 @@ def same(a, b):
     return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("lead", [2, 3, 7, 256])
+@settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1),
        calls=st.lists(st.sampled_from(CALLS), min_size=1, max_size=120))
-def test_scalar_and_array_draws_read_the_stream_in_order(seed, calls):
-    r = Rng(seed)
+def test_scalar_and_array_draws_read_the_stream_in_order(lead, seed, calls):
+    # the calls start ``lead`` words into the stream
+    r, ref = Rng(seed), StreamReader(seed)
+    assert words(r, lead) == ref.take(lead)
     got = [getattr(r, name)(*args) for name, *args in calls]
-    ref = StreamReader(seed)
     for (name, *args), value in zip(calls, got):
         assert same(value, getattr(ref, name)(*args)), (name, args)
     assert words(r, 1) == [word(ref)]
