@@ -144,9 +144,8 @@ def cmd_hessian(args) -> int:
     """curvature metrics of one checkpoint"""
     import numpy as np
 
-    from .curvature import draw_metric_batch, top_eigenvalue, trace_hutchinson
     from .model import exact_hessian
-    from .sweep import datasets_from_recipe
+    from .sweep import datasets_from_recipe, measure_curvature
     from .train import load_checkpoint
 
     cfg = load_config(args.config)
@@ -155,9 +154,7 @@ def cmd_hessian(args) -> int:
     wd = parse_weight_decay(cfg)
     theta, spec, _ = load_checkpoint(args.checkpoint)
     train_ds, _ = datasets_from_recipe(recipe)
-    batch = draw_metric_batch(train_ds, curvature)
-    eig = top_eigenvalue(spec, theta, batch, wd, curvature)
-    tr = trace_hutchinson(spec, theta, batch, wd, curvature)
+    eig, tr, batch = measure_curvature(spec, theta, train_ds, wd, curvature)
     record = {
         "metric": "hessian",
         "lambda_max": eig.value,
@@ -200,8 +197,8 @@ def cmd_cka(args) -> int:
 
 def cmd_modeconn(args) -> int:
     """train a connecting curve and report mc"""
-    from .curves import curve_profile, mode_connectivity, train_curve
-    from .sweep import datasets_from_recipe
+    from .curves import mode_connectivity
+    from .sweep import connect, datasets_from_recipe
 
     cfg = load_config(args.config)
     recipe = parse_data(cfg)
@@ -209,10 +206,9 @@ def cmd_modeconn(args) -> int:
     wd = parse_weight_decay(cfg)
     spec, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
     train_ds, _ = datasets_from_recipe(recipe)
-    [curve] = train_curve(spec, [(theta_a, theta_b)], train_ds, [ccfg], weight_decay=wd)
-    if isinstance(curve, DivergenceError):
-        raise curve
-    profile = curve_profile(spec, curve, train_ds, ccfg.t_grid)
+    [profile] = connect(spec, [(theta_a, theta_b)], train_ds, [ccfg], wd)
+    if isinstance(profile, DivergenceError):
+        raise profile
     record = {
         "metric": "modeconn",
         "mc": mode_connectivity(profile),

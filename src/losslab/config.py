@@ -12,8 +12,11 @@ field takes a finite number (JSON ``true`` and ``false`` are not
 numbers), or a string that spells one; only ``phase.eps_mc`` may be
 infinite, as the string ``"inf"``.  ``schema`` is the integer 1.
 
-A sweep replaces some settings in every cell, so in a sweep config they
-apply only to the single-model commands (train, hessian, modeconn):
+The single-model commands train, hessian and modeconn train and measure
+through the same functions as a sweep cell (``sgd_train``,
+``sweep.measure_curvature`` and ``sweep.connect``) and differ from it
+only in the settings a sweep replaces in every cell, so in a sweep
+config those settings apply only to these commands:
 ``train.seed``, ``curve.seed`` and ``metrics.seed`` are derived per cell
 and replicate from ``grid.base_seed``, and ``curve.batch_size`` becomes
 the cell's training batch size.  The grid axes replace the fields they

@@ -7,7 +7,10 @@ is phase I, sharp otherwise II, flat + poor III, and flat + connected
 IV, with IV split by mean CKA into IV-A (dissimilar replicas) and IV-B
 (similar replicas, the "globally nice" corner).  Cells whose replicates
 all diverged, or whose mean training loss exceeds ``loss_converged``,
-stay NC, and a grid in which no cell converged labels every cell NC.
+stay NC, as do cells with a blank or non-finite trace, ``beta_hat`` or
+``mu_hat``.  The quantile is taken over the traces of the cells that are
+not NC, so an NC cell never moves it, and a grid with no such cell labels
+every cell NC.
 
 The module reads and writes ``results.csv`` and ``phases.csv``, holds
 the curve profile that ``losslab modeconn`` writes, and imports neither
@@ -116,9 +119,9 @@ def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> s
 
 
 def label_rows(rows: list[dict], thresholds: PhaseThresholds) -> list[str]:
-    """Classify every row against the ``sharp_quantile`` of the converged finite traces, if any."""
-    traces = [r["hessian_trace_mean"] for r in rows
-              if _converged(r, thresholds) and _finite(r.get("hessian_trace_mean"))]
+    """Classify every row against the ``sharp_quantile`` of the traces of the rows that
+    ``classify_cell`` does not label NC, if any."""
+    traces = [r["hessian_trace_mean"] for r in rows if classify_cell(r, 0.0, thresholds) != "NC"]
     if not traces:
         return ["NC"] * len(rows)
     threshold = _quantile(traces, thresholds.sharp_quantile)
@@ -264,13 +267,19 @@ def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto")
 
     Load increases to the right; temperature increases toward the top,
     which for a batch-size axis puts the *smallest* batch on top (batch
-    size is inverse temperature).  Non-converged cells are hatched.
+    size is inverse temperature).  Non-converged cells, and cells whose
+    value is blank or not finite, are hatched.  The rows must hold each
+    cell of a rectangular grid once.
     """
     if not rows:
         raise ParameterError("no rows to plot")
     load_vals = sorted({r["load_value"] for r in rows})
     temp_vals = sorted({r["temp_value"] for r in rows})
-    index = {(r["load_value"], r["temp_value"]): r for r in rows}
+    index = {}
+    for r in rows:
+        if index.setdefault((r["load_value"], r["temp_value"]), r) is not r:
+            raise ParameterError("more than one row for the cell "
+                                 "%(load_kind)s %(load_value)g, %(temp_kind)s %(temp_value)g" % r)
     if len(index) != len(load_vals) * len(temp_vals):
         raise ParameterError("rows do not form a full rectangular grid")
 
@@ -285,14 +294,10 @@ def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto")
     if categorical:
         values = {k: (r[metric] or "NC") for k, r in index.items()}
         present = [v for v in values.values() if v != "NC"]
-        vmin = vmax = None
     else:
         values = {k: r.get(metric) for k, r in index.items()}
-        present = [v for v in values.values() if v is not None]
-        if present:
-            vmin, vmax = min(present), max(present)
-        else:
-            vmin = vmax = 0.0
+        present = [v for v in values.values() if _finite(v)]
+        vmin, vmax = min(present, default=0.0), max(present, default=0.0)
     diverging = metric in DIVERGING_METRICS
 
     width = MARGIN_LEFT + CELL * len(load_vals) + LEGEND_W
@@ -312,7 +317,7 @@ def emit_heatmap(rows: list[dict], metric: str, path, orientation: str = "auto")
             v = values[(lv, tv)]
             if categorical:
                 fill = "url(#nc)" if v == "NC" else PHASE_COLORS.get(v, "url(#nc)")
-            elif v is None:
+            elif not _finite(v):
                 fill = "url(#nc)"
             elif diverging:
                 fill = _diverging_color(v, span)

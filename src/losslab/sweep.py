@@ -13,6 +13,14 @@ indices, so extending the grid or reordering cell execution cannot change
 any existing cell's numbers.  The CKA probes are keyed by the cell's data
 recipe alone, so every cell that trains on the same data compares its
 replicates on the same inputs; each cell builds its own copy of the set.
+
+Two stages measure for both a cell and the single-model commands:
+``measure_curvature`` (lambda_max and the trace of one model) and
+``connect`` (the curve profiles of replicate pairs).  They live here and
+call this module's names, positionally, because the benchmark's tracer
+rebinds ``sweep.draw_metric_batch``, ``top_eigenvalue``,
+``trace_hutchinson``, ``train_curve`` and ``curve_profile`` and reads
+the estimators' arguments.
 """
 
 from __future__ import annotations
@@ -343,6 +351,21 @@ def build_probes(ds: Dataset, cfg: ProbeConfig, seed: int):
                     f"pixel_noise(u={cfg.noise:g})")
 
 
+def measure_curvature(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_decay: float,
+                      cfg: CurvatureConfig) -> tuple:
+    """Lanczos lambda_max and the Hessian trace on ``ds``'s frozen metric batch, and the batch."""
+    batch = draw_metric_batch(ds, cfg)
+    return (top_eigenvalue(spec, theta, batch, weight_decay, cfg),
+            trace_hutchinson(spec, theta, batch, weight_decay, cfg), batch)
+
+
+def connect(spec: ModelSpec, ends: list, ds: Dataset, cfgs: list, weight_decay: float) -> list:
+    """Per pair of ``ends``: its trained curve's profile on its t_grid, or its DivergenceError."""
+    curves = train_curve(spec, ends, ds, cfgs, weight_decay)
+    return [c if isinstance(c, DivergenceError) else curve_profile(spec, c, ds, cfg.t_grid)
+            for c, cfg in zip(curves, cfgs)]
+
+
 def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
     """Train and measure one (load, temperature) cell; divergence is data."""
     load_value = _axis_value(grid.load_axis.kind, grid.load_axis.values[i])
@@ -369,9 +392,8 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
         rep.train_loss = best.train_loss
         rep.test_acc = best.test_acc
         curv_cfg = replace(grid.curvature, seed=derive_seed(grid.base_seed, "curvature", *key, r))
-        batch = draw_metric_batch(train_ds, curv_cfg)
-        rep.lambda_max = top_eigenvalue(spec, theta, batch, wd, curv_cfg).value
-        rep.hessian_trace = trace_hutchinson(spec, theta, batch, wd, curv_cfg).value
+        eig, trace, _ = measure_curvature(spec, theta, train_ds, wd, curv_cfg)
+        rep.lambda_max, rep.hessian_trace = eig.value, trace.value
         thetas[r] = theta
 
     converged_ids = sorted(thetas)
@@ -386,17 +408,16 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
                 seed=derive_seed(grid.base_seed, "curve", *key, p.replica_a, p.replica_b))
         for p in pairs
     ]
-    curves = train_curve(spec, [(thetas[p.replica_a], thetas[p.replica_b]) for p in pairs],
-                         train_ds, curve_cfgs, weight_decay=wd)
-    for pair, curve in zip(pairs, curves):
+    profiles = connect(spec, [(thetas[p.replica_a], thetas[p.replica_b]) for p in pairs],
+                       train_ds, curve_cfgs, wd)
+    for pair, profile in zip(pairs, profiles):
         theta_a, theta_b = thetas[pair.replica_a], thetas[pair.replica_b]
         pair.l2 = l2_distance(theta_a, theta_b)
         try:
             pair.cka = cka_between_models(spec, theta_a, theta_b, probes)
         except DegenerateOutputError:
             pair.cka = None
-        if not isinstance(curve, DivergenceError):
-            profile = curve_profile(spec, curve, train_ds, grid.curve.t_grid)
+        if not isinstance(profile, DivergenceError):
             pair.mc = mode_connectivity(profile)
             pair.profile = profile.to_dict()
         cell.pairs.append(pair)

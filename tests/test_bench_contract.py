@@ -64,6 +64,20 @@ def test_traced_sweep_matches_untraced_and_counts_every_epoch(monkeypatch):
     assert tracer.counts["train.epochs"] == sum(len(h.records) for h in histories) > 0
 
 
+def test_the_sweep_measures_through_the_names_the_benchmark_captures():
+    # the accuracy check reads one estimate per measured replicate, both
+    # estimators on one batch; a stage that bypassed sweep's names would
+    # leave it nothing to check
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    with tracer.patched(tracing.CAPTURE_POINTS):
+        cells, _ = run_sweep(tiny_grid(), workers=1)
+    measured = [r for cell in cells for r in cell.replicates if r.converged]
+    assert len(tracer.estimates) == len(measured) > 0
+    assert [(e["lambda_max"], e["trace"]) for e in tracer.estimates] == [
+        (r.lambda_max, r.hessian_trace) for r in measured]
+
+
 @pytest.mark.parametrize("kind", ["model.loss_grad", "model.hvp"])
 def test_floors_agree_with_the_package(floors, kind):
     floors.check(floors.Problem((3, 5, 4), 16), kind)

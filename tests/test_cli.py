@@ -289,13 +289,14 @@ def test_modeconn_on_data_the_checkpoints_do_not_fit_exits_2(workdir, monkeypatc
     assert code == 2 and message in err, err
 
 
-def write_results_csv_with(root: Path, name: str, column: str, value: str) -> None:
-    """``sweep/results.csv`` with ``value`` as its ``column`` field on its third line."""
+def write_results_csv_with(root: Path, name: str, column: str, value: str,
+                           line: int = 2) -> None:
+    """``sweep/results.csv`` with ``value`` as its ``column`` field on line ``line`` (header 0)."""
     lines = (root / "sweep" / "results.csv").read_text().splitlines()
     header = lines[0].split(",")
-    parts = lines[2].split(",")
+    parts = lines[line].split(",")
     parts[header.index(column)] = value
-    lines[2] = ",".join(parts)
+    lines[line] = ",".join(parts)
     (root / name).write_text("\n".join(lines) + "\n")
 
 
@@ -348,6 +349,32 @@ def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     (root / "trailing.ckpt").write_bytes((root / "run_a" / "model.ckpt").read_bytes() + b"\x00")
     code, _, err = in_workdir(workdir, monkeypatch, argv)
     assert code == 4 and message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("line", range(1, 5))
+@pytest.mark.parametrize("metric", ["hessian_trace_mean", "mc_mean"])
+def test_plot_draws_a_non_finite_value_as_a_blank_one(workdir, monkeypatch, metric, line,
+                                                      value):
+    # a sweep can write nan or inf; it is hatched and kept out of the scale
+    root = workdir[0]
+    write_results_csv_with(root, "odd.csv", metric, value, line)
+    write_results_csv_with(root, "gap.csv", metric, "", line)
+    for name in ("odd", "gap"):
+        argv = ["plot", "--csv", f"{name}.csv", "--metric", metric, "--out", f"{name}.svg"]
+        code, _, err = in_workdir(workdir, monkeypatch, argv)
+        assert code == 0, err
+    assert (root / "odd.svg").read_bytes() == (root / "gap.svg").read_bytes()
+
+
+def test_plot_of_a_repeated_cell_exits_2(workdir, monkeypatch):
+    # the second row of a cell would replace the first in the heatmap and its scale
+    root = workdir[0]
+    lines = (root / "sweep" / "results.csv").read_text().splitlines()
+    (root / "twice.csv").write_text("\n".join(lines + [lines[2]]) + "\n")
+    code, _, err = in_workdir(workdir, monkeypatch, ["plot", "--csv", "twice.csv",
+                                                     "--metric", "mc_mean", "--out", "x.svg"])
+    assert code == 2 and "more than one row for the cell width 2, batch_size 256" in err
 
 
 def test_eps_mc_is_set_only_in_the_config(workdir, monkeypatch):

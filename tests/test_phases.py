@@ -60,6 +60,20 @@ def test_a_non_finite_trace_leaves_the_other_labels(position, value):
     assert label_rows(rows, THRESHOLDS) == expected
 
 
+@pytest.mark.parametrize("value", [None, float("nan"), float("inf")])
+@pytest.mark.parametrize("column", ["beta_hat", "mu_hat"])
+def test_an_nc_row_with_a_finite_trace_leaves_the_threshold(column, value):
+    # traces 1-4 split at 2.5; a converged row of trace 100 that is NC for
+    # its beta_hat or mu_hat must not move the split to 3
+    rows = [row(trace=t, beta=-5.0 if t > 2 else 0.0, mu=0.95, load=t)
+            for t in (1.0, 2.0, 3.0, 4.0)]
+    expected = label_rows(rows, THRESHOLDS)
+    assert expected == ["IV-B", "IV-B", "I", "I"]
+    rows.append(row(trace=100.0, mu=0.95, load=9.0))
+    rows[-1][column] = value
+    assert label_rows(rows, THRESHOLDS) == expected + ["NC"]
+
+
 @pytest.mark.parametrize("quantile,sharp", [(0.5, [False, False, True, True]),
                                             (0.25, [False, True, True, True])])
 def test_sharp_flat_split_at_quantile_of_converged_traces(quantile, sharp):

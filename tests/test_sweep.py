@@ -22,10 +22,11 @@ import losslab
 from losslab import cli, sweep
 from losslab.config import load_config, parse_grid
 from losslab.curvature import CurvatureConfig
-from losslab.curves import CurveTrainConfig
+from losslab.curves import CurveTrainConfig, mode_connectivity
 from losslab.errors import DegenerateOutputError, DimensionError, DivergenceError, ParameterError
 from losslab.model import ModelSpec, ParamVector
 from losslab.phases import PhaseThresholds, label_rows
+from losslab.rng import derive_seed
 from losslab.sweep import (
     Axis,
     DataRecipe,
@@ -340,6 +341,36 @@ def test_degenerate_cka_leaves_only_the_cka_columns_blank(monkeypatch):
     row = run_cell(tiny_grid(), 0, 0).row()
     assert row["cka_mean"] is None and row["mu_hat"] is None
     assert row["mc_mean"] is not None and row["l2_mean"] is not None
+
+
+def test_the_stages_reproduce_a_cell_from_its_weights(monkeypatch):
+    # the single-model commands measure through these two stages; on a
+    # cell's weights and configs they give back the cell's numbers
+    grid = replace(tiny_grid(), replicates=4)
+    calls = []
+    real = sweep.sgd_train
+
+    def sgd_train(*args):
+        trained, histories = real(*args)
+        calls.append((args, trained))
+        return trained, histories
+
+    monkeypatch.setattr(sweep, "sgd_train", sgd_train)
+    cell = run_cell(grid, 1, 0)
+    [((spec, train_ds, _, cfgs), thetas)] = calls
+    key = ("width", 8, "batch_size", 32)
+    wd = cfgs[0].weight_decay
+    assert cell.n_converged == 4 and len(cell.pairs) == 2
+    for r, (rep, theta) in enumerate(zip(cell.replicates, thetas)):
+        curv_cfg = replace(grid.curvature, seed=derive_seed(grid.base_seed, "curvature", *key, r))
+        eig, trace, _ = sweep.measure_curvature(spec, theta, train_ds, wd, curv_cfg)
+        assert (eig.value, trace.value) == (rep.lambda_max, rep.hessian_trace)
+    for pair in cell.pairs:
+        a, b = pair.replica_a, pair.replica_b
+        curve_cfg = replace(grid.curve, batch_size=cfgs[0].batch_size,
+                            seed=derive_seed(grid.base_seed, "curve", *key, a, b))
+        [profile] = sweep.connect(spec, [(thetas[a], thetas[b])], train_ds, [curve_cfg], wd)
+        assert mode_connectivity(profile) == pair.mc and profile.to_dict() == pair.profile
 
 
 # the second pair has one parameter count, P = 26: a size check would pass it
