@@ -69,7 +69,7 @@ from .phases import (
     read_results_csv,
     render_curve_profile,
     rows_to_csv,
-    write_manifest,
+    write_json,
 )
 
 
@@ -85,7 +85,7 @@ def _finish(args, outputs: list, config: dict | None = None, seeds: dict | None 
         "outputs": [str(Path(p)) for p in outputs],
         "wall_clock_s": time.time() - args.t0,
     }
-    write_manifest(manifest, path or f"{outputs[0]}.manifest.json")
+    write_json(manifest, path or f"{outputs[0]}.manifest.json")
     return 0
 
 
@@ -100,9 +100,7 @@ def _load_pair(path_a, path_b):
 
 
 def _write_record(record: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(record, path)
     print(json.dumps(record, sort_keys=True))
 
 
@@ -216,9 +214,7 @@ def cmd_modeconn(args) -> int:
         "profile": profile.to_dict(),
     }
     profile_path = Path(args.out).with_suffix(".profile.json")
-    with open(profile_path, "w") as fh:
-        json.dump(profile.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(profile.to_dict(), profile_path)
     _write_record(record, args.out)
     return _finish(args, [args.out, profile_path], cfg, {"curve": ccfg.seed})
 

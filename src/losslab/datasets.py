@@ -142,6 +142,8 @@ def load_csv(path) -> Dataset:
             label = int(parts[-1])
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: unparsable value") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise FormatError(f"{path}:{lineno}: non-finite feature")
         if not 0 <= label < num_classes:
             raise FormatError(f"{path}:{lineno}: label {label} out of range [0, {num_classes})")
         labels.append(label)

@@ -148,12 +148,6 @@ _COUNT_COLUMNS = ("n_replicates", "n_converged")
 _AXIS_COLUMNS = ("load_value", "temp_value")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return "%.10g" % value
-
-
 def rows_to_csv(rows: list[dict]) -> str:
     """One CSV line per row dict (from ``CellResult.row`` or ``read_results_csv``)."""
     lines = [",".join(CSV_COLUMNS)]
@@ -166,7 +160,7 @@ def rows_to_csv(rows: list[dict]) -> str:
             elif name in _COUNT_COLUMNS:
                 parts.append(str(value))
             else:
-                parts.append(_fmt(value))
+                parts.append("" if value is None else "%.10g" % value)
         lines.append(",".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -174,9 +168,9 @@ def rows_to_csv(rows: list[dict]) -> str:
 def read_results_csv(path) -> list[dict]:
     """Rows as dicts; numeric fields parsed, absent metrics become None.
 
-    An empty file, a header without every ``CSV_COLUMNS`` name, or a
-    malformed line (a blank axis value among them) is a FormatError
-    naming the file and line.
+    An empty file, a header without every ``CSV_COLUMNS`` name or with a
+    repeated one, or a malformed line (a blank axis value among them) is
+    a FormatError naming the file and line.
     """
     with open(path, "r") as fh:
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -187,6 +181,9 @@ def read_results_csv(path) -> list[dict]:
     missing = [name for name in CSV_COLUMNS if name not in header]
     if missing:
         raise FormatError(f"{path}:{n}: header lacks the column(s) {', '.join(missing)}")
+    for name in header:
+        if header.count(name) > 1:
+            raise FormatError(f"{path}:{n}: column {name} appears more than once")
     rows = []
     for n, ln in lines[1:]:
         parts = ln.split(",")
@@ -207,9 +204,10 @@ def read_results_csv(path) -> list[dict]:
     return rows
 
 
-def write_manifest(manifest: dict, path) -> None:
+def write_json(obj, path) -> None:
+    """The package's one JSON writer: manifests, command records, curve profiles, checkpoints."""
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
@@ -222,16 +220,9 @@ def _sequential_color(frac: float) -> str:
 
 
 def _diverging_color(value: float, span: float) -> str:
-    if span == 0.0:
-        rgb = DIVERGING_MID
-    else:
-        frac = max(-1.0, min(1.0, value / span))
-        lo, mid, hi = DIVERGING_LOW, DIVERGING_MID, DIVERGING_HIGH
-        if frac < 0:
-            w = -frac
-            rgb = tuple(round(m + w * (l - m)) for l, m in zip(lo, mid))
-        else:
-            rgb = tuple(round(m + frac * (h - m)) for h, m in zip(hi, mid))
+    frac = max(-1.0, min(1.0, value / span)) if span else 0.0
+    end = DIVERGING_LOW if frac < 0 else DIVERGING_HIGH
+    rgb = tuple(round(m + abs(frac) * (e - m)) for e, m in zip(end, DIVERGING_MID))
     return "#%02x%02x%02x" % rgb
 
 

@@ -274,14 +274,7 @@ def _base_dataset(recipe: DataRecipe, which: str) -> Dataset:
     n = recipe.n_train if which == "train" else recipe.n_test
     if recipe.kind == "blobs":
         return gen_blobs(n, recipe.num_classes, recipe.dim, recipe.spread, seed)
-    if recipe.kind == "spirals":
-        return gen_spirals(n, recipe.num_classes, recipe.arm_noise, seed)
-    ds = load_csv(recipe.path)
-    # one file serves both roles: deterministic front/back split
-    n_train = min(recipe.n_train, ds.n - 1)
-    idx = np.arange(ds.n) < n_train
-    keep = idx if which == "train" else ~idx
-    return Dataset(ds.X[keep], ds.y[keep], ds.num_classes, ds.name)
+    return gen_spirals(n, recipe.num_classes, recipe.arm_noise, seed)
 
 
 def datasets_from_recipe(recipe: DataRecipe) -> tuple[Dataset, Dataset]:
@@ -292,8 +285,14 @@ def datasets_from_recipe(recipe: DataRecipe) -> tuple[Dataset, Dataset]:
     two recipes sharing a stage value share its output bit-for-bit.
     The test set stays clean.
     """
-    train = _base_dataset(recipe, "train")
-    test = _base_dataset(recipe, "test")
+    if recipe.kind == "csv":
+        ds = load_csv(recipe.path)
+        # one file serves both roles: deterministic front/back split
+        n_train = min(recipe.n_train, ds.n - 1)
+        train = Dataset(ds.X[:n_train], ds.y[:n_train], ds.num_classes, ds.name)
+        test = Dataset(ds.X[n_train:], ds.y[n_train:], ds.num_classes, ds.name)
+    else:
+        train, test = _base_dataset(recipe, "train"), _base_dataset(recipe, "test")
     n_keep = recipe.subsample_n
     if n_keep is not None and n_keep > train.n:
         raise ParameterError(f"subsample_n {n_keep} exceeds the {train.n} training rows")

@@ -1,4 +1,4 @@
-"""Minibatch SGD with plateau stopping, plus checkpoints.
+"""Minibatch SGD with plateau stopping, plus JSON checkpoints.
 
 One training run is a pure function of (model spec, datasets, config):
 initialization, shuffling, and the update sequence all come from the
@@ -19,22 +19,21 @@ the measurement of the returned weights.
 from __future__ import annotations
 
 import json
-import struct
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .config import parse_model
 from .datasets import Dataset
 from .errors import ConfigError, DimensionError, DivergenceError, FormatError, ParameterError
 from .model import Batch, ModelSpec, ParamVector, evaluate, he_init, loss_grad, require_matching
 # forward is not called here, but the benchmark's tracer rebinds
 # train.forward, so the name must stay bound
 from .model import forward  # noqa: F401
+from .phases import write_json
 from .rng import Rng, permutations
-
-CHECKPOINT_MAGIC = b"LLAB"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -252,77 +251,52 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfgs: Sequence[Tra
 
 
 def save_checkpoint(theta: ParamVector, spec: ModelSpec, meta: dict, path) -> None:
-    """Binary checkpoint: magic, version, spec, raw f64 values, JSON meta."""
+    """Write one JSON object, ``{"schema": 1, "model": {"input_dim": ...,
+    "hidden_widths": [...], "num_classes": ...}, "values": [...], "meta": {...}}``,
+    through ``phases.write_json``.
+
+    ``values`` is the flat parameter vector.  JSON writes each float in
+    Python's shortest round-trip repr, so ``load_checkpoint`` gives the
+    values back bitwise, -0.0 and subnormals included.
+    """
     require_matching(spec, theta)
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", CHECKPOINT_VERSION)
-    blob += struct.pack("<I", spec.input_dim)
-    blob += struct.pack("<I", len(spec.hidden_widths))
-    for w in spec.hidden_widths:
-        blob += struct.pack("<I", w)
-    blob += struct.pack("<I", spec.num_classes)
-    blob += struct.pack("<Q", theta.values.size)
-    blob += theta.values.astype("<f8").tobytes()
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    ckpt = {"schema": 1, "model": asdict(spec), "values": theta.values.tolist(), "meta": meta}
+    write_json(ckpt, path)
 
 
-def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
-    if offset + count > len(buf):
-        raise FormatError(f"truncated while reading {what}")
-    return buf[offset : offset + count], offset + count
+def _parse_finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise FormatError(f"non-finite value {token}")
+    return value
 
 
 def load_checkpoint(path) -> tuple[ParamVector, ModelSpec, dict]:
-    """The (theta, spec, meta) saved at ``path``; malformed content raises a
-    FormatError that names the file."""
+    """The (theta, spec, meta) that ``save_checkpoint`` wrote at ``path``.
+
+    The model section is checked as a config's ``model`` is.  A file
+    that is not UTF-8 JSON, a NaN or infinite number, a key missing or
+    unknown, a schema other than 1, a value that is not a float, a value
+    count the model does not have, or a meta that is not an object
+    raises a FormatError that names the file.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    try:
-        return _parse_checkpoint(buf)
-    except FormatError as exc:
+        raw = fh.read()
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        ckpt = json.loads(raw.decode("utf-8"), parse_float=_parse_finite,
+                          parse_constant=_parse_finite)
+        if not isinstance(ckpt, dict):
+            raise FormatError("not a JSON object")
+        if sorted(ckpt) != ["meta", "model", "schema", "values"]:
+            raise FormatError(f"keys {sorted(ckpt)} are not meta, model, schema and values")
+        if type(ckpt["schema"]) is not int or ckpt["schema"] != 1:
+            raise FormatError(f"expected schema 1, got {ckpt['schema']!r}")
+        values, meta = ckpt["values"], ckpt["meta"]
+        if not isinstance(values, list) or not all(type(v) is float for v in values):
+            raise FormatError("values must be a list of floats")
+        if not isinstance(meta, dict):
+            raise FormatError(f"meta must be an object, got {meta!r}")
+        spec = parse_model(ckpt)
+        return ParamVector(spec, values), spec, meta
+    except (ValueError, ConfigError, DimensionError, FormatError) as exc:
         raise FormatError(f"malformed checkpoint {path}: {exc}") from None
-
-
-def _parse_checkpoint(buf: bytes) -> tuple[ParamVector, ModelSpec, dict]:
-    raw, off = _take(buf, 0, 4, "magic")
-    if raw != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {raw!r}")
-    raw, off = _take(buf, off, 4, "version")
-    version = struct.unpack("<I", raw)[0]
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    raw, off = _take(buf, off, 4, "input_dim")
-    input_dim = struct.unpack("<I", raw)[0]
-    raw, off = _take(buf, off, 4, "hidden count")
-    n_hidden = struct.unpack("<I", raw)[0]
-    widths = []
-    for i in range(n_hidden):
-        raw, off = _take(buf, off, 4, f"hidden width {i}")
-        widths.append(struct.unpack("<I", raw)[0])
-    raw, off = _take(buf, off, 4, "num_classes")
-    num_classes = struct.unpack("<I", raw)[0]
-    try:
-        spec = ModelSpec(input_dim=input_dim, hidden_widths=tuple(widths), num_classes=num_classes)
-    except ParameterError as exc:
-        raise FormatError(str(exc)) from None
-    raw, off = _take(buf, off, 8, "parameter count")
-    count = struct.unpack("<Q", raw)[0]
-    if count != spec.param_count:
-        raise FormatError(f"parameter count {count} does not match spec ({spec.param_count})")
-    raw, off = _take(buf, off, 8 * count, "parameter values")
-    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    raw, off = _take(buf, off, 4, "meta length")
-    meta_len = struct.unpack("<I", raw)[0]
-    raw, off = _take(buf, off, meta_len, "meta")
-    try:
-        meta = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
-        raise FormatError(f"meta: {exc}") from None
-    if off != len(buf):
-        raise FormatError(f"trailing bytes after the meta: {len(buf) - off}")
-    return ParamVector(spec, values), spec, meta

@@ -24,7 +24,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "a762456a36bc2410e5636cdfe4230311434040e8587c64defd0255128cae77d4"
+GOLDEN_SHA256 = "aad9c0c608b101a7ec3d74bf1d20fee27bcaa1454a58145e561e0f0655ac962b"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")
@@ -235,6 +235,36 @@ def test_truncated_checkpoint_exits_4(workdir, monkeypatch):
     assert code == 4 and "truncated" in err
 
 
+def write_bad_checkpoints(root: Path) -> None:
+    """``run_a/model.ckpt`` cut in half, with a NaN first value, and with two values too few."""
+    text = (root / "run_a" / "model.ckpt").read_text()
+    (root / "truncated.ckpt").write_text(text[: len(text) // 2])
+    ckpt = json.loads(text)
+    ckpt["values"][0] = float("nan")  # json writes it as NaN
+    (root / "nan.ckpt").write_text(json.dumps(ckpt))
+    ckpt["values"][0:2] = []
+    (root / "short.ckpt").write_text(json.dumps(ckpt))
+
+
+@pytest.mark.parametrize("bad,reason", [
+    ("truncated.ckpt", "Expecting"), ("nan.ckpt", "non-finite value NaN"),
+    ("short.ckpt", "value shape (210,) does not match"),
+])
+@pytest.mark.parametrize("argv", [
+    ["hessian", "--config", "sweep.json", "--checkpoint", "BAD"],
+    ["cka", "--config", "sweep.json", "--checkpoint-a", "run_a/model.ckpt",
+     "--checkpoint-b", "BAD"],
+    ["modeconn", "--config", "sweep.json", "--checkpoint-a", "BAD",
+     "--checkpoint-b", "run_b/model.ckpt"],
+    ["l2", "--checkpoint-a", "run_a/model.ckpt", "--checkpoint-b", "BAD"],
+], ids=lambda argv: argv[0])
+def test_a_measuring_command_on_a_bad_checkpoint_exits_4(workdir, monkeypatch, argv, bad, reason):
+    write_bad_checkpoints(workdir[0])
+    argv = [bad if arg == "BAD" else arg for arg in argv]
+    code, _, err = in_workdir(workdir, monkeypatch, [*argv, "--out", "bad.json"])
+    assert code == 4 and f"malformed checkpoint {bad}: {reason}" in err, err
+
+
 MEASURE = {
     "hessian": ["--checkpoint", "run_a/model.ckpt"],
     "modeconn": ["--checkpoint-a", "run_a/model.ckpt", "--checkpoint-b", "run_b/model.ckpt"],
@@ -331,7 +361,7 @@ def write_profile_with(root: Path, name: str, value, key: str = "err01") -> None
     (["plot", "--csv", "blank.csv", "--metric", "mc_mean", "--out", "x.svg"],
      "blank.csv:3: load_value"),
     (["l2", "--checkpoint-a", "trailing.ckpt", "--checkpoint-b", "run_b/model.ckpt",
-      "--out", "x.json"], "trailing.ckpt: trailing bytes after the meta"),
+      "--out", "x.json"], "trailing.ckpt: Extra data"),
     (["profile-plot", "--profile", "nan.json", "--out", "x.svg"], "nan.json"),
     (["profile-plot", "--profile", "far.json", "--out", "x.svg"], "far.json"),
 ])

@@ -122,6 +122,14 @@ def test_csv_ragged_row_names_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_csv_non_finite_feature_names_line(tmp_path, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"# d=2 classes=2\n0.1,0.2,0\n0.3,{value},1\n")
+    with pytest.raises(FormatError, match="nonfinite.csv:3: non-finite feature"):
+        load_csv(path)
+
+
 def test_csv_missing_header(tmp_path):
     path = tmp_path / "nohdr.csv"
     path.write_text("1.0,2.0,0\n")

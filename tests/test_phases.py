@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losslab import cli
+from losslab.errors import FormatError
 from losslab.phases import PhaseThresholds, _quantile, label_rows, read_results_csv, rows_to_csv
 
 THRESHOLDS = PhaseThresholds(eps_mc=2.0, sharp_quantile=0.5, tau_cka=0.9)
@@ -119,6 +120,18 @@ def test_phase_command_without_converged_rows_labels_nc(tmp_path, capsys):
     assert code == 0
     assert '{"labels": {"NC": 2}}' in capsys.readouterr().out
     assert [r["phase_label"] for r in read_results_csv(tmp_path / "phases.csv")] == ["NC", "NC"]
+
+
+@pytest.mark.parametrize("name,columns,values", [
+    ("mc_mean", "mc_mean", "9.0"),  # read as the row's mc_mean, it would be 9.0, not -5.0
+    ("notes", "notes,notes", "a,b"),
+])
+def test_a_repeated_header_column_is_a_format_error(tmp_path, name, columns, values):
+    header, line = rows_to_csv([dict(row(), mc_mean=-5.0)]).splitlines()
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(f"{header},{columns}\n{line},{values}\n")
+    with pytest.raises(FormatError, match=f"results.csv:1: column {name} appears more than once"):
+        read_results_csv(csv_path)
 
 
 def test_converged_rows_without_train_loss_still_label(tmp_path):

@@ -23,6 +23,7 @@ from losslab import cli, sweep
 from losslab.config import load_config, parse_grid
 from losslab.curvature import CurvatureConfig
 from losslab.curves import CurveTrainConfig, mode_connectivity
+from losslab.datasets import load_csv
 from losslab.errors import DegenerateOutputError, DimensionError, DivergenceError, ParameterError
 from losslab.model import ModelSpec, ParamVector
 from losslab.phases import PhaseThresholds, label_rows
@@ -299,6 +300,17 @@ def test_csv_subsample_of_more_rows_than_the_file_trains_on_raises(tmp_path):
     assert datasets_from_recipe(replace(recipe, subsample_n=3))[0].n == 3
     with pytest.raises(ParameterError, match="subsample_n 8 exceeds the 7 training rows"):
         datasets_from_recipe(replace(recipe, subsample_n=8))
+
+
+def test_a_csv_recipe_reads_its_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_text("# d=2 classes=2\n" + "".join(f"{i},{-i},{i % 2}\n" for i in range(8)))
+    calls = []
+    monkeypatch.setattr(sweep, "load_csv", lambda p: calls.append(p) or load_csv(p))
+    train, test = datasets_from_recipe(DataRecipe(kind="csv", path=str(path), n_train=5))
+    assert calls == [str(path)]
+    assert train.X[:, 0].tolist() == [0, 1, 2, 3, 4] and test.X[:, 0].tolist() == [5, 6, 7]
+    assert train.y.tolist() == [0, 1, 0, 1, 0] and test.y.tolist() == [1, 0, 1]
 
 
 def diverge_replicates(monkeypatch, diverged):

@@ -1,9 +1,15 @@
+import json
 import math
-import struct
+import re
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losslab.datasets import Dataset, gen_blobs
 from losslab.errors import (
@@ -208,16 +214,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded_meta == meta
 
 
-def test_checkpoint_corrupt_magic(tmp_path):
+def test_checkpoint_of_another_schema(tmp_path):
     spec = ModelSpec(input_dim=2, hidden_widths=(), num_classes=2)
-    theta = ParamVector.zeros(spec)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(theta, spec, {}, path)
-    blob = bytearray(path.read_bytes())
-    blob[:4] = b"XXXX"
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError):
-        load_checkpoint(path)
+    save_checkpoint(ParamVector.zeros(spec), spec, {}, path)
+    ckpt = json.loads(path.read_text())
+    for schema in (2, 0, 1.0, "1", True, None):
+        path.write_text(json.dumps(dict(ckpt, schema=schema)))
+        with pytest.raises(FormatError, match="model.ckpt: expected schema 1"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_truncation(tmp_path):
@@ -231,13 +236,49 @@ def test_checkpoint_truncation(tmp_path):
         load_checkpoint(path)
 
 
-# edits of a checkpoint of 2 -> 4 -> 2 saved with meta {}, whose last two
-# bytes are the meta "{}" and whose bytes 16-19 are the hidden width
+def _edit(change):
+    """The checkpoint edit that applies ``change`` to the parsed object."""
+    def edit(blob):
+        ckpt = json.loads(blob)
+        change(ckpt)
+        return json.dumps(ckpt).encode()
+    return edit
+
+
+def _first_value(token: bytes):
+    """The checkpoint edit that makes ``token`` the text of the first value."""
+    def edit(blob):
+        ckpt = json.loads(blob)
+        ckpt["values"][0] = "FIRST"
+        return json.dumps(ckpt).encode().replace(b'"FIRST"', token)
+    return edit
+
+
+# edits of a checkpoint of 2 -> 4 -> 2 saved with meta {}, and the start
+# of the reason given after the file name
 MALFORMED_CHECKPOINTS = {
-    "meta not utf-8": lambda blob: blob[:-2] + b"\xff\xfe",
-    "meta not json": lambda blob: blob[:-2] + b"{]",
-    "hidden width 0": lambda blob: blob[:16] + struct.pack("<I", 0) + blob[20:],
-    "trailing bytes": lambda blob: blob + b"\x00",
+    "meta not utf-8": (lambda blob: blob.replace(b'"meta": {}', b'"meta": "\xff\xfe"'),
+                       "'utf-8' codec can't decode"),
+    "meta not json": (lambda blob: blob.replace(b'"meta": {}', b'"meta": {]'), "Expecting"),
+    "meta not an object": (_edit(lambda c: c.update(meta=[1])), "meta must be an object"),
+    "hidden width 0": (_edit(lambda c: c["model"].update(hidden_widths=[0])),
+                       "model: all hidden widths must be >= 1"),
+    "model key unknown": (_edit(lambda c: c["model"].update(depth=1)), "model.depth: unknown"),
+    "trailing bytes": (lambda blob: blob + b"\x00", "Extra data"),
+    "not an object": (lambda blob: b"[" + blob + b"]", "not a JSON object"),
+    "key missing": (_edit(lambda c: c.pop("meta")), "keys ['model', 'schema', 'values'] are not"),
+    "key unknown": (_edit(lambda c: c.update(version=1)),
+                    "keys ['meta', 'model', 'schema', 'values', 'version'] are not"),
+    "value NaN": (_first_value(b"NaN"), "non-finite value NaN"),
+    "value Infinity": (_first_value(b"-Infinity"), "non-finite value -Infinity"),
+    "value overflows": (_first_value(b"1e999"), "non-finite value 1e999"),
+    "value a string": (_first_value(b'"0.5"'), "values must be a list of floats"),
+    "value a bool": (_first_value(b"true"), "values must be a list of floats"),
+    "value an integer": (_first_value(b"0"), "values must be a list of floats"),
+    "value a list": (_first_value(b"[0.5]"), "values must be a list of floats"),
+    "value missing": (_edit(lambda c: c["values"].pop()), "value shape (21,) does not match"),
+    "value extra": (_edit(lambda c: c["values"].append(0.5)), "value shape (23,) does not match"),
+    "values not a list": (_edit(lambda c: c.update(values={})), "values must be a list of floats"),
 }
 
 
@@ -246,9 +287,52 @@ def test_malformed_checkpoint_raises_a_format_error_naming_the_file(tmp_path, na
     spec = ModelSpec(input_dim=2, hidden_widths=(4,), num_classes=2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(he_init(spec, Rng(1)), spec, {}, path)
-    path.write_bytes(MALFORMED_CHECKPOINTS[name](path.read_bytes()))
-    with pytest.raises(FormatError, match="model.ckpt"):
+    edit, reason = MALFORMED_CHECKPOINTS[name]
+    blob = path.read_bytes()
+    assert edit(blob) != blob
+    path.write_bytes(edit(blob))
+    with pytest.raises(FormatError, match=re.escape(f"model.ckpt: {reason}")):
         load_checkpoint(path)
+
+
+def test_a_checkpoint_is_one_json_object(tmp_path):
+    spec = ModelSpec(input_dim=2, hidden_widths=(3,), num_classes=2)
+    theta = he_init(spec, Rng(5))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(theta, spec, {"seed": 5}, path)
+    assert json.loads(path.read_text()) == {
+        "schema": 1, "model": {"input_dim": 2, "hidden_widths": [3], "num_classes": 2},
+        "values": theta.values.tolist(), "meta": {"seed": 5}}
+
+
+# every float64 JSON can hold: signed zeros, subnormals, the extremes
+FLOAT64 = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, sys.float_info.max, -sys.float_info.max]),
+)
+
+
+@st.composite
+def spec_and_values(draw):
+    spec = ModelSpec(input_dim=draw(st.integers(1, 3)),
+                     hidden_widths=tuple(draw(st.lists(st.integers(1, 3), max_size=2))),
+                     num_classes=draw(st.integers(2, 3)))
+    values = draw(st.lists(FLOAT64, min_size=spec.param_count, max_size=spec.param_count))
+    return spec, np.array(values, dtype=np.float64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=spec_and_values(),
+       meta=st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.text(max_size=4)),
+                            max_size=3))
+def test_checkpoint_round_trip_is_bitwise(case, meta):
+    spec, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(ParamVector(spec, values), spec, meta, path)
+        theta, loaded_spec, loaded_meta = load_checkpoint(path)
+    assert loaded_spec == spec and loaded_meta == meta
+    assert theta.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
 
 
 def test_checkpoint_spec_mismatch_guard(tmp_path):
