@@ -16,7 +16,8 @@ a tree does not have is ``null`` there.  As the ``losslab`` command line does,
 each side runs with one BLAS thread unless the caller set one of
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``.
 ``measure`` itself needs ``rng.raw_outputs`` and an ``evaluate`` that
-takes a stack of models.
+takes a stack of models.  ``curves.train_curve.epoch_b4`` is timed only
+on a tree whose ``train_curve`` takes one config and a seed per pair.
 
 The per-epoch evaluation is timed first in the process, before any
 random draw: the RNG timings' large temporaries change what the
@@ -36,6 +37,7 @@ Each value is the median of ``REPS`` timed calls, in microseconds per call.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -107,10 +109,11 @@ def measure() -> dict:
         lambda: mixup_probes(train, m=MIXUP_PROBES, alpha=16.0, seed=5))
     out["datasets.randomize_labels.f0.4.us"] = _median_us(
         lambda: randomize_labels(train, 0.4, seed=6))
-    cfgs = [CurveTrainConfig(epochs=1, schedule=None, batch_size=4, seed=s) for s in (7, 8)]
+    cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=4)
     ends = [(thetas[0], thetas[1]), (thetas[2], thetas[3])]
-    out["curves.train_curve.epoch_b4.us"] = _median_us(
-        lambda: train_curve(spec, ends, train, cfgs, 5e-4))
+    if "seeds" in inspect.signature(train_curve).parameters:  # not in a config-per-pair tree
+        out["curves.train_curve.epoch_b4.us"] = _median_us(
+            lambda: train_curve(spec, ends, train, cfg, [7, 8], 5e-4))
     return out
 
 

@@ -114,7 +114,7 @@ def cmd_train(args) -> int:
     recipe = parse_data(cfg)
     tcfg = parse_train(cfg)
     train_ds, test_ds = datasets_from_recipe(recipe)
-    [theta], [history] = sgd_train(spec, train_ds, test_ds, [tcfg])
+    [theta], [history] = sgd_train(spec, train_ds, test_ds, tcfg, [tcfg.seed])
     if isinstance(theta, DivergenceError):
         raise theta
 
@@ -204,7 +204,7 @@ def cmd_modeconn(args) -> int:
     wd = parse_weight_decay(cfg)
     spec, theta_a, theta_b = _load_pair(args.checkpoint_a, args.checkpoint_b)
     train_ds, _ = datasets_from_recipe(recipe)
-    [profile] = connect(spec, [(theta_a, theta_b)], train_ds, [ccfg], wd)
+    [profile] = connect(spec, [(theta_a, theta_b)], train_ds, ccfg, [ccfg.seed], wd)
     if isinstance(profile, DivergenceError):
         raise profile
     record = {

@@ -19,10 +19,11 @@ only in the settings a sweep replaces in every cell, so in a sweep
 config those settings apply only to these commands:
 ``train.seed``, ``curve.seed`` and ``metrics.seed`` are derived per cell
 and replicate from ``grid.base_seed``, and ``curve.batch_size`` becomes
-the cell's training batch size.  The grid axes replace the fields they
-name (a width axis every hidden width, a batch-size axis
-``train.batch_size``), and every axis value is checked when the grid is
-parsed, before any cell runs.
+the cell's training batch size: the trainers take one config and a
+seed per replicate or curve.  Every seed is taken mod 2**64.  The grid
+axes replace the fields they name (a width axis every hidden width, a
+batch-size axis ``train.batch_size``), and every axis value is checked
+when the grid is parsed, before any cell runs.
 
 Each ``parse_*`` function imports its section's dataclass from the
 owning module when it is called, and ``REQUIRED`` and ``NESTED`` are
@@ -123,9 +124,9 @@ def _build(cls, sec, path: str, **given):
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on bytes not UTF-8
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top level must be an object")

@@ -12,7 +12,7 @@ barrier, near zero means well-connected, positive means the endpoints
 themselves were never at a reasonable optimum.
 
 ``train_curve`` builds each replicate pair's curve from its endpoints at
-its config's bend degree ``k`` and trains them as one ``(C, k+1, P)``
+the config's bend degree ``k`` and trains them as one ``(C, k+1, P)``
 stack: each step evaluates all C curve points as one ``(C, B, d)``
 ``loss_grad`` call, with a ``(C, k+1)`` array of Bernstein coefficients.
 Each pair keeps its own generator and divergence check, so its curve is
@@ -33,7 +33,7 @@ from .errors import DimensionError, DivergenceError, ParameterError
 from .model import Batch, ModelSpec, ParamVector, evaluate, loss_grad, require_matching
 from .phases import CurveProfile
 from .rng import Rng
-from .train import LinearDecay, check_dataset, epoch_batches, schedule_lr, stack_config
+from .train import LinearDecay, check_dataset, epoch_batches, schedule_lr
 
 DEFAULT_T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -108,7 +108,8 @@ def train_curve(
     spec: ModelSpec,
     ends: Sequence[tuple[ParamVector, ParamVector]],
     ds: Dataset,
-    cfgs: Sequence[CurveTrainConfig],
+    cfg: CurveTrainConfig,
+    seeds: Sequence[int],
     weight_decay: float = 0.0,
 ) -> list:
     """Build the curve joining each ``(theta_a, theta_b)`` pair and train its bends.
@@ -119,18 +120,17 @@ def train_curve(
     Bernstein coefficient.  The endpoint rows of each trained curve are
     bitwise copies of ``theta_a`` and ``theta_b``.
 
-    The curves train as one stack, one config each; the configs must
-    differ only in ``seed``.  Returns, per pair, the trained ``(k+1, P)``
+    The curves train as one stack under ``cfg``, pair i from ``seeds[i]``;
+    ``cfg.seed`` is not read.  Returns, per pair, the trained ``(k+1, P)``
     curve or the DivergenceError that ended it on a non-finite loss.
     """
     check_dataset(spec, ds, "curve data")
-    cfg = stack_config(cfgs, "curves")
-    if len(ends) != len(cfgs):
-        raise ParameterError("curves trained together need one config each")
+    if not ends or len(seeds) != len(ends):
+        raise ParameterError("train_curve needs at least one pair, and one seed per pair")
     for a, _ in ends:
         require_matching(spec, a)
     k = cfg.k
-    rngs = [Rng(c.seed) for c in cfgs]
+    rngs = list(map(Rng, seeds))
     results: list = [None] * len(ends)
     active = list(range(len(ends)))  # curve of each stack row
     controls = np.stack([init_curve(a, b, k).values for a, b in ends])  # (C, k+1, P)

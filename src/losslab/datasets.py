@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, read_lines
 from .rng import Rng
 
 # Arm geometry for gen_spirals: radius r = R0 + (R1 - R0) * phi / PHI_MAX
@@ -118,8 +118,7 @@ def gen_spirals(n: int, num_classes: int, noise: float, seed: int) -> Dataset:
 
 
 def load_csv(path) -> Dataset:
-    with open(path, "r") as fh:
-        raw = fh.readlines()
+    raw = read_lines(path)
     if not raw or not raw[0].startswith("#"):
         raise FormatError(f"{path}:1: missing '# d=<d> classes=<C>' header")
     header = raw[0][1:].split()

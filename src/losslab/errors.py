@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``read_lines`` for text input files."""
 
 
 class LosslabError(Exception):
@@ -27,6 +27,15 @@ class DivergenceError(LosslabError):
 
 class FormatError(LosslabError):
     """A file does not match its declared format."""
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``; other bytes are a FormatError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 class DegenerateOutputError(LosslabError):

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, read_lines
 
 PHASE_LABELS = ("I", "II", "III", "IV-A", "IV-B", "NC")
 
@@ -168,12 +168,11 @@ def rows_to_csv(rows: list[dict]) -> str:
 def read_results_csv(path) -> list[dict]:
     """Rows as dicts; numeric fields parsed, absent metrics become None.
 
-    An empty file, a header without every ``CSV_COLUMNS`` name or with a
-    repeated one, or a malformed line (a blank axis value among them) is
-    a FormatError naming the file and line.
+    Bytes that are not UTF-8, an empty file, a header without every
+    ``CSV_COLUMNS`` name or with a repeated one, or a malformed line (a
+    blank axis value among them) is a FormatError naming the file.
     """
-    with open(path, "r") as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
+    lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(read_lines(path), 1) if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty file, expected a header line")
     n, header_line = lines[0]

@@ -40,12 +40,12 @@ SeedPart = int | float | str | bool
 def derive_seed(base: int, *key: SeedPart) -> int:
     """Mix a base seed with a tag tuple into a new 64-bit seed.
 
-    Parts are hashed by value with a type tag, so ``derive_seed(s, 2)``
-    and ``derive_seed(s, 2.0)`` differ, and string tags never collide
-    with numeric ones.
+    The base is taken mod 2**64, as ``Rng`` takes its seed.  Parts are
+    hashed by value with a type tag, so ``derive_seed(s, 2)`` and
+    ``derive_seed(s, 2.0)`` differ, and string tags never collide.
     """
     h = blake2b(digest_size=8)
-    h.update(int(base).to_bytes(8, "little", signed=False))
+    h.update((int(base) & _MASK64).to_bytes(8, "little"))
     for part in key:
         if isinstance(part, bool):
             h.update(b"b" + bytes([part]))

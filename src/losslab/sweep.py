@@ -5,7 +5,8 @@ pair, measures per-model curvature and accuracy, then forms disjoint
 replicate pairs for the pairwise metrics (mode connectivity, CKA,
 parameter-space distance).  The R replicates train as one stacked
 ``sgd_train`` call and the pairs' curves as one stacked ``train_curve``
-call.  A replicate's training loss and test accuracy are read from its
+call, each given the cell's one config and a seed per replicate or
+pair.  A replicate's training loss and test accuracy are read from its
 training history, at the epoch whose weights training returned;
 curvature, CKA and curve profiles are measured per model and per pair.
 All randomness is derived from seeds keyed by axis *values*, never
@@ -85,6 +86,7 @@ class DataRecipe:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", self.seed % 2**64)  # the probe key reads the repr
         if self.kind not in ("blobs", "spirals", "csv"):
             raise ParameterError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
@@ -176,7 +178,7 @@ class GridSpec:
                 raise ConfigError("grid.load", f"{load} {_axis_value(load, v)}: {exc}") from None
         for v in self.temp_axis.values:
             try:
-                cell_train_config(self, v, seed=0)
+                cell_train_config(self, v)
             except ConfigError as exc:
                 message = f"{temp} {_axis_value(temp, v)}: {exc.message}"
                 raise ConfigError("grid.temp", message) from None
@@ -333,10 +335,9 @@ def cell_model_spec(grid: GridSpec, load_value) -> ModelSpec:
     return replace(base, hidden_widths=tuple(width for _ in base.hidden_widths))
 
 
-def cell_train_config(grid: GridSpec, temp_value, seed: int) -> TrainConfig:
+def cell_train_config(grid: GridSpec, temp_value) -> TrainConfig:
     kind = grid.temp_axis.kind
-    value = _axis_value(kind, temp_value)
-    return replace(grid.base_train, **{kind: value}, seed=seed)
+    return replace(grid.base_train, **{kind: _axis_value(kind, temp_value)})
 
 
 def build_probes(ds: Dataset, cfg: ProbeConfig, seed: int):
@@ -358,11 +359,12 @@ def measure_curvature(spec: ModelSpec, theta: ParamVector, ds: Dataset, weight_d
             trace_hutchinson(spec, theta, batch, weight_decay, cfg), batch)
 
 
-def connect(spec: ModelSpec, ends: list, ds: Dataset, cfgs: list, weight_decay: float) -> list:
-    """Per pair of ``ends``: its trained curve's profile on its t_grid, or its DivergenceError."""
-    curves = train_curve(spec, ends, ds, cfgs, weight_decay)
+def connect(spec: ModelSpec, ends: list, ds: Dataset, cfg: CurveTrainConfig, seeds: list,
+            weight_decay: float) -> list:
+    """Per pair of ``ends`` and seed: its curve's profile on cfg.t_grid, or its DivergenceError."""
+    curves = train_curve(spec, ends, ds, cfg, seeds, weight_decay)
     return [c if isinstance(c, DivergenceError) else curve_profile(spec, c, ds, cfg.t_grid)
-            for c, cfg in zip(curves, cfgs)]
+            for c in curves]
 
 
 def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
@@ -377,13 +379,13 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
         load_kind=grid.load_axis.kind, load_value=load_value,
         temp_kind=grid.temp_axis.kind, temp_value=temp_value)
 
-    cfgs = [cell_train_config(grid, temp_value, derive_seed(grid.base_seed, "train", *key, r))
-             for r in range(grid.replicates)]
-    wd = cfgs[0].weight_decay
-    trained, histories = sgd_train(spec, train_ds, test_ds, cfgs)
+    cfg = cell_train_config(grid, temp_value)
+    wd = cfg.weight_decay
+    seeds = [derive_seed(grid.base_seed, "train", *key, r) for r in range(grid.replicates)]
+    trained, histories = sgd_train(spec, train_ds, test_ds, cfg, seeds)
     thetas: dict[int, ParamVector] = {}
-    for r, (cfg, theta, history) in enumerate(zip(cfgs, trained, histories)):
-        rep = ReplicateMetrics(seed=cfg.seed, converged=not isinstance(theta, DivergenceError))
+    for r, (seed, theta, history) in enumerate(zip(seeds, trained, histories)):
+        rep = ReplicateMetrics(seed=seed, converged=not isinstance(theta, DivergenceError))
         cell.replicates.append(rep)
         if not rep.converged:
             continue
@@ -402,13 +404,11 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
     probes = build_probes(train_ds, grid.probes, probe_seed)
     pairs = [PairMetrics(replica_a=a, replica_b=b)
              for a, b in zip(converged_ids[0::2], converged_ids[1::2])]
-    curve_cfgs = [
-        replace(grid.curve, batch_size=cfgs[0].batch_size,
-                seed=derive_seed(grid.base_seed, "curve", *key, p.replica_a, p.replica_b))
-        for p in pairs
-    ]
+    curve_cfg = replace(grid.curve, batch_size=cfg.batch_size)
+    curve_seeds = [derive_seed(grid.base_seed, "curve", *key, p.replica_a, p.replica_b)
+                   for p in pairs]
     profiles = connect(spec, [(thetas[p.replica_a], thetas[p.replica_b]) for p in pairs],
-                       train_ds, curve_cfgs, wd)
+                       train_ds, curve_cfg, curve_seeds, wd)
     for pair, profile in zip(pairs, profiles):
         theta_a, theta_b = thetas[pair.replica_a], thetas[pair.replica_b]
         pair.l2 = l2_distance(theta_a, theta_b)

@@ -1,8 +1,8 @@
 """Minibatch SGD with plateau stopping, plus JSON checkpoints.
 
-One training run is a pure function of (model spec, datasets, config):
-initialization, shuffling, and the update sequence all come from the
-config seed, so reruns are bit-identical.  Weight decay is coupled: the
+One training run is a pure function of (model spec, datasets, config,
+seed): initialization, shuffling, and the update sequence all come from
+the seed, so reruns are bit-identical.  Weight decay is coupled: the
 update direction is the exact gradient of the penalized loss, i.e. the
 minibatch data gradient plus ``2 * wd * theta``.
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class TrainHistory:
 
 
 class StackHistory(list):
-    """The histories of replicates trained together, in config order.
+    """The histories of replicates trained together, in seed order.
 
     ``records`` and ``stopped_by_plateau`` total the replicates, so the
     stack reads like one run: all epochs trained, and how many replicates
@@ -153,15 +153,6 @@ def check_dataset(spec: ModelSpec, ds: Dataset, which: str) -> None:
         raise DimensionError(f"{which} classes {ds.num_classes} != num_classes {spec.num_classes}")
 
 
-def stack_config(cfgs: Sequence, what: str):
-    """The one config of a stack: ``cfgs[0]``, once every config is known
-    to differ from it only in ``seed``.  ``what`` names the stack's items
-    in the ParameterError raised otherwise."""
-    if not cfgs or any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
-        raise ParameterError(f"{what} trained together must share every setting but the seed")
-    return cfgs[0]
-
-
 @dataclass
 class _Replicate:
     """One replicate's own state while it trains in a stack."""
@@ -174,27 +165,27 @@ class _Replicate:
     streak: int = 0
 
 
-def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfgs: Sequence[TrainConfig]):
-    """Train one MLP per config, keeping the epoch-end weights with lowest training loss.
+def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
+              seeds: Sequence[int]):
+    """Train one MLP per seed under ``cfg`` (whose ``seed`` is not read),
+    keeping the epoch-end weights with lowest training loss.
 
-    The configs must differ only in ``seed``.  Each replicate stops early
-    once its epoch-end training loss changes by less than ``plateau_eps``
-    for ``plateau_epochs`` consecutive epochs; otherwise it runs
-    ``max_epochs``.  Best-loss selection applies either way.
+    Each replicate stops early once its epoch-end training loss changes
+    by less than ``plateau_eps`` for ``plateau_epochs`` consecutive
+    epochs; otherwise it runs ``max_epochs``.  Best-loss selection
+    applies either way.
 
-    Returns ``(results, StackHistory)``: per config its best weights, or
+    Returns ``(results, StackHistory)``: per seed its best weights, or
     the DivergenceError that ended it on a non-finite loss.  The record of
     the best epoch holds that epoch's penalized training loss and test
     accuracy, bitwise what ``evaluate`` gives on the returned weights.
     """
     check_dataset(spec, train, "train")
     check_dataset(spec, test, "test")
-    cfg = stack_config(cfgs, "replicates")
+    if not seeds:
+        raise ParameterError("sgd_train needs at least one seed")
     wd = cfg.weight_decay
-    reps = []
-    for c in cfgs:
-        rng = Rng(c.seed)
-        reps.append(_Replicate(rng, he_init(spec, rng)))
+    reps = [_Replicate(rng, he_init(spec, rng)) for rng in map(Rng, seeds)]
     active = list(reps)  # the replicate of each stack row
     theta = ParamVector(spec, np.stack([rep.result.values for rep in reps]))
 

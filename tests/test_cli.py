@@ -1,11 +1,14 @@
 """Golden-output and exit-code tests of the ``losslab`` command line.
 
-Every command runs in-process through ``cli.main`` inside a scratch
-directory with relative paths, on the bundled quickstart config cut down
-to a few seconds of work.  One pinned digest covers the exit codes, the
-stdout and every byte each command writes, so a change to any command's
-outputs or manifests (other than the wall-clock time and the command
-line) fails here.
+The golden commands run through ``cli.main`` in one fresh interpreter,
+inside a scratch directory with relative paths, on the bundled
+quickstart config cut down to a few seconds of work.  That interpreter
+has not loaded numpy and has no BLAS thread variable set, so ``main``
+sets one BLAS thread, as it does when run from a shell.  One pinned
+digest covers the exit codes, the stdout and every byte each command
+writes, so a change to any command's outputs or manifests (other than
+the wall-clock time and the command line) fails here.  The error-path
+tests run their commands in-process in the same directory.
 """
 
 import contextlib
@@ -24,7 +27,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "aad9c0c608b101a7ec3d74bf1d20fee27bcaa1454a58145e561e0f0655ac962b"
+GOLDEN_SHA256 = "c099ab0de922f2ccf4ca49ce424793a5bc44aa8db909211d2cc06f8b0f39d51c"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")
@@ -54,6 +57,19 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_python(code: str, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this ``losslab``, in ``env`` (default ours)."""
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=str(Path(losslab.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def without_blas_variables() -> dict:
+    """This process's environment without the BLAS thread variables ``cli.main`` sets."""
+    return {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES}
 
 
 def file_digest_lines(root: Path) -> list[str]:
@@ -99,18 +115,24 @@ COMMANDS = [
 def workdir(tmp_path_factory):
     """The directory of every command's outputs, the run log and its digest text."""
     root = tmp_path_factory.mktemp("cli")
-    log = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(root)
-        cfg = small_config()
-        write_config("sweep.json", cfg)
-        train = {k: cfg[k] for k in ("schema", "model", "data", "train")}
-        write_config("train_a.json", train)
-        train["train"] = dict(train["train"], seed=1)
-        write_config("train_b.json", train)
-        for argv in COMMANDS:
-            code, out, _ = run(argv)
-            log.append(f"{' '.join(argv)} -> {code}\n{out}")
+    cfg = small_config()
+    write_config(str(root / "sweep.json"), cfg)
+    train = {k: cfg[k] for k in ("schema", "model", "data", "train")}
+    write_config(str(root / "train_a.json"), train)
+    train["train"] = dict(train["train"], seed=1)
+    write_config(str(root / "train_b.json"), train)
+    proc = run_python(
+        "import contextlib, io, json\n"
+        "from losslab import cli\n"
+        "runs = []\n"
+        f"for argv in {COMMANDS!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([cli.main(argv), out.getvalue()])\n"
+        "print(json.dumps(runs))\n", cwd=root, env=without_blas_variables())
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout.splitlines()[-1])
+    log = [f"{' '.join(argv)} -> {code}\n{out}" for argv, (code, out) in zip(COMMANDS, runs)]
     # digested before any other test adds files to the directory
     text = "".join(log) + "\n".join(file_digest_lines(root)) + "\n"
     return root, log, text
@@ -217,6 +239,27 @@ def test_diverging_curve_exits_3(workdir, monkeypatch):
         "modeconn", "--config", "hot_curve.json", "--checkpoint-a", "run_a/model.ckpt",
         "--checkpoint-b", "run_b/model.ckpt", "--out", "hot.json"])
     assert code == 3 and "epoch 0" in err
+
+
+@pytest.mark.parametrize("command,output,path,seed,congruent", [
+    ("sweep", "results.csv", "grid.base_seed", -1, 2**64 - 1),
+    ("sweep", "results.csv", "data.seed", 2**64, 0),
+    ("train", "model.ckpt", "data.seed", -5, 2**64 - 5),
+])
+def test_a_seed_is_taken_mod_2_64(workdir, monkeypatch, command, output, path, seed, congruent):
+    # on one cell; a seed out of [0, 2**64) gives the bytes of the seed it is congruent to
+    cfg = small_config()
+    cfg["grid"]["load"]["values"], cfg["grid"]["temp"]["values"] = [2], [64]
+    section, key = path.split(".")
+    written = []
+    for name, value in (("out", seed), ("in", congruent)):
+        cfg[section][key] = value
+        write_config(str(workdir[0] / f"seed_{name}.json"), cfg)
+        code, _, err = in_workdir(workdir, monkeypatch,
+                                  [command, "--config", f"seed_{name}.json", "--out-dir", name])
+        assert code == 0, err
+        written.append((workdir[0] / name / output).read_bytes())
+    assert written[0] == written[1]
 
 
 def test_missing_checkpoint_exits_4(workdir, monkeypatch):
@@ -414,14 +457,6 @@ def test_eps_mc_is_set_only_in_the_config(workdir, monkeypatch):
     assert info.value.code == 2
 
 
-def run_python(code: str, cwd=None, env=None) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter that imports this ``losslab``, in ``env`` (default ours)."""
-    env = dict(os.environ if env is None else env,
-               PYTHONPATH=str(Path(losslab.__file__).parent.parent))
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True)
-
-
 def test_importing_the_cli_loads_no_numpy():
     proc = run_python("import sys\nimport losslab.cli\nprint('numpy' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
@@ -456,7 +491,7 @@ BLAS_ENV = {v: os.environ.get(v) for v in cli.BLAS_THREAD_VARIABLES}
     ("import numpy\n", {}, [None, None, None]),  # too late to apply
 ])
 def test_main_runs_blas_on_one_thread_unless_told_otherwise(workdir, prelude, user, expected):
-    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES} | user
+    env = without_blas_variables() | user
     proc = run_python(
         f"{prelude}import os\n"
         "from losslab import cli\n"

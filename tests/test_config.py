@@ -170,6 +170,14 @@ def test_error_paths(sweep_cfg, tmp_path, path, value, error_path):
     assert info.value.path == error_path
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"schema": 1, "data": {"kind": "\xff"}}')
+    with pytest.raises(ConfigError, match="invalid JSON.*can't decode byte 0xff") as info:
+        load_config(cfg_path)
+    assert info.value.path == str(cfg_path)
+
+
 def test_curve_schedule_null_disables_and_absent_defaults(sweep_cfg):
     assert parse_grid(edited(sweep_cfg, "curve.schedule", None)).curve.schedule is None
     assert parse_grid(sweep_cfg).curve.schedule == LinearDecay(25, 45, 0.01)

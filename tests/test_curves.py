@@ -87,7 +87,7 @@ def test_train_curve_preserves_endpoints_bitwise():
     b_snapshot = b.values.copy()
     ds = gen_blobs(n=60, num_classes=3, dim=3, spread=0.2, seed=6)
     cfg = CurveTrainConfig(epochs=8, lr=0.05, schedule=None, batch_size=20, seed=7)
-    [trained] = train_curve(spec, [(a, b)], ds, [cfg], weight_decay=1e-3)
+    [trained] = train_curve(spec, [(a, b)], ds, cfg, [cfg.seed], weight_decay=1e-3)
     assert np.array_equal(trained.values[0], a_snapshot)
     assert np.array_equal(trained.values[-1], b_snapshot)
     # and the interior actually moved
@@ -99,7 +99,7 @@ def test_train_curve_zero_lr_keeps_bends():
     spec, a, b = make_endpoints(seed=8)
     ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=9)
     cfg = CurveTrainConfig(epochs=3, lr=0.0, schedule=None, batch_size=10, seed=10)
-    [trained] = train_curve(spec, [(a, b)], ds, [cfg])
+    [trained] = train_curve(spec, [(a, b)], ds, cfg, [cfg.seed])
     assert np.array_equal(trained.values, init_curve(a, b, k=2).values)
 
 
@@ -120,7 +120,7 @@ def test_train_curve_lowers_midpoint_loss_on_quadratic():
     curve = init_curve(a, b, k=2)
     initial = mid_loss(curve)
     cfg = CurveTrainConfig(epochs=20, lr=0.05, schedule=None, batch_size=10, seed=12)
-    [trained] = train_curve(spec, [(a, b)], ds, [cfg], weight_decay=wd)
+    [trained] = train_curve(spec, [(a, b)], ds, cfg, [cfg.seed], weight_decay=wd)
     assert mid_loss(trained) < initial
 
     rng = Rng(cfg.seed)
@@ -137,7 +137,7 @@ def test_train_curve_divergence():
     spec, a, b = make_endpoints(seed=13)
     ds = gen_blobs(n=30, num_classes=3, dim=3, spread=0.2, seed=14)
     cfg = CurveTrainConfig(epochs=10, lr=1e200, schedule=None, batch_size=10, seed=15)
-    [trained] = train_curve(spec, [(a, b)], ds, [cfg])
+    [trained] = train_curve(spec, [(a, b)], ds, cfg, [cfg.seed])
     assert isinstance(trained, DivergenceError) and trained.epoch == 0
 
 
@@ -162,7 +162,7 @@ def test_profile_random_bend_hurts_perfect_model():
     spec = ModelSpec(input_dim=4, hidden_widths=(16,), num_classes=3)
     cfg = TrainConfig(batch_size=16, lr=0.05, weight_decay=5e-4, max_epochs=100,
                       plateau_eps=1e-4, plateau_epochs=5, seed=21)
-    [theta], _ = sgd_train(spec, train, train, [cfg])
+    [theta], _ = sgd_train(spec, train, train, cfg, [cfg.seed])
     assert 100.0 - evaluate(spec, theta, train).acc == 0.0
     wild = ParamVector(spec, 5.0 * Rng(22).normals(spec.param_count))
     curve = ParamVector(spec, np.stack([theta.values, wild.values, theta.values]))
@@ -226,15 +226,15 @@ def test_profile_requires_endpoints():
         CurveTrainConfig(t_grid=(0.0, 0.5))
 
 
-def train_stack_and_alone(spec, ends, ds, cfgs, **kw):
+def train_stack_and_alone(spec, ends, ds, cfg, seeds, **kw):
     """Train the curves joining ``ends`` as one stack and check each against training it alone.
 
     A stack draws its shuffles for all curves in one array expression.
     """
-    stacked = train_curve(spec, ends, ds, cfgs, **kw)
+    stacked = train_curve(spec, ends, ds, cfg, seeds, **kw)
     assert len(stacked) == len(ends)
-    for (a, b), cfg, trained in zip(ends, cfgs, stacked):
-        [alone] = train_curve(spec, [(a, b)], ds, [cfg], **kw)
+    for (a, b), seed, trained in zip(ends, seeds, stacked):
+        [alone] = train_curve(spec, [(a, b)], ds, cfg, [seed], **kw)
         if isinstance(alone, DivergenceError):
             assert isinstance(trained, DivergenceError) and trained.epoch == alone.epoch
             continue
@@ -253,9 +253,8 @@ def stack_pairs(count):
 
 def test_stacked_curves_match_alone():
     spec, ends, ds = stack_pairs(3)
-    cfgs = [CurveTrainConfig(epochs=6, lr=0.05, schedule=LinearDecay(2, 5, 0.1),
-                             batch_size=7, k=3, seed=30 + i) for i in range(3)]
-    stacked = train_stack_and_alone(spec, ends, ds, cfgs, weight_decay=1e-3)
+    cfg = CurveTrainConfig(epochs=6, lr=0.05, schedule=LinearDecay(2, 5, 0.1), batch_size=7, k=3)
+    stacked = train_stack_and_alone(spec, ends, ds, cfg, range(30, 33), weight_decay=1e-3)
     assert not any(isinstance(c, DivergenceError) for c in stacked)
 
 
@@ -265,28 +264,25 @@ def test_stacked_curves_on_lane_draws_match_scalar_alone(n):
     # then a scalar draw from where its stream's shuffle stopped
     spec, ends, _ = stack_pairs(2)
     ds = gen_blobs(n=n, num_classes=3, dim=3, spread=0.2, seed=15)
-    cfgs = [CurveTrainConfig(epochs=3, lr=0.05, schedule=None, batch_size=128, seed=40 + i)
-            for i in range(2)]
-    train_stack_and_alone(spec, ends, ds, cfgs)
+    cfg = CurveTrainConfig(epochs=3, lr=0.05, schedule=None, batch_size=128)
+    train_stack_and_alone(spec, ends, ds, cfg, range(40, 42))
 
 
 def test_stacked_curve_divergence_leaves_the_others_training():
     # lr 1e28: pair 0 overflows in epoch 2, pairs 1 and 2 stay finite
     spec, ends, ds = stack_pairs(3)
-    cfgs = [CurveTrainConfig(epochs=4, lr=1e28, schedule=None, batch_size=10, seed=24 + i)
-            for i in range(3)]
-    stacked = train_stack_and_alone(spec, ends, ds, cfgs)
+    cfg = CurveTrainConfig(epochs=4, lr=1e28, schedule=None, batch_size=10)
+    stacked = train_stack_and_alone(spec, ends, ds, cfg, range(24, 27))
     assert [isinstance(c, DivergenceError) for c in stacked] == [True, False, False]
     assert stacked[0].epoch == 2
 
 
-def test_stacked_curves_must_share_all_but_the_seed():
+def test_train_curve_needs_one_seed_per_pair():
     spec, ends, ds = stack_pairs(2)
-    cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=10, seed=1)
-    with pytest.raises(ParameterError):
-        train_curve(spec, ends, ds, [cfg, CurveTrainConfig(epochs=2, batch_size=10, seed=2)])
-    with pytest.raises(ParameterError):
-        train_curve(spec, ends, ds, [cfg])
+    cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=10)
+    for pairs, seeds in (([], []), (ends, [1]), (ends, [1, 2, 3])):
+        with pytest.raises(ParameterError, match="at least one pair, and one seed per pair"):
+            train_curve(spec, pairs, ds, cfg, seeds)
 
 
 def test_train_curve_endpoints_must_be_single_models_of_the_spec():
@@ -297,10 +293,10 @@ def test_train_curve_endpoints_must_be_single_models_of_the_spec():
     cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=10, seed=1)
     for ends in ([(c, d)], [(a, d)]):
         with pytest.raises(DimensionError):
-            train_curve(spec, ends, ds, [cfg])
+            train_curve(spec, ends, ds, cfg, [cfg.seed])
     stack = ParamVector(spec, np.stack([a.values, b.values]))
     with pytest.raises(DimensionError):
-        train_curve(spec, [(stack, stack.copy())], ds, [cfg])
+        train_curve(spec, [(stack, stack.copy())], ds, cfg, [cfg.seed])
 
 
 def test_init_curve_rejects_a_stack_of_models():

@@ -34,7 +34,7 @@ def train_linear_probe(ds, epochs=200, lr=0.5):
         batch_size=ds.n, lr=lr, weight_decay=0.0, max_epochs=epochs,
         plateau_eps=0.0, seed=1,
     )
-    _, [history] = sgd_train(spec, ds, ds, [cfg])
+    _, [history] = sgd_train(spec, ds, ds, cfg, [cfg.seed])
     return history.records[history.best_train_loss_epoch].train_acc
 
 
@@ -127,6 +127,13 @@ def test_csv_non_finite_feature_names_line(tmp_path, value):
     path = tmp_path / "nonfinite.csv"
     path.write_text(f"# d=2 classes=2\n0.1,0.2,0\n0.3,{value},1\n")
     with pytest.raises(FormatError, match="nonfinite.csv:3: non-finite feature"):
+        load_csv(path)
+
+
+def test_csv_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"# d=2 classes=2\n0.1,0.2,0\n0.3,\xff,1\n")
+    with pytest.raises(FormatError, match="latin1.csv: not UTF-8 text"):
         load_csv(path)
 
 

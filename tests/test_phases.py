@@ -134,6 +134,13 @@ def test_a_repeated_header_column_is_a_format_error(tmp_path, name, columns, val
         read_results_csv(csv_path)
 
 
+def test_a_results_csv_that_is_not_utf8_is_a_format_error(tmp_path):
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_bytes(rows_to_csv([row()]).encode() + b"\xff\n")
+    with pytest.raises(FormatError, match="results.csv: not UTF-8 text"):
+        read_results_csv(csv_path)
+
+
 def test_converged_rows_without_train_loss_still_label(tmp_path):
     blank = row(trace=1.0)
     blank["train_loss_mean"] = None

@@ -77,6 +77,13 @@ def test_derive_seed_values_are_pinned(key, seed):
     assert derive_seed(*key) == seed
 
 
+def test_derive_seed_takes_its_base_mod_2_64():
+    # as Rng takes its seed; a config seed out of [0, 2**64) names the seed it is congruent to
+    assert derive_seed(-1, "x") == derive_seed(2**64 - 1, "x")
+    assert derive_seed(2**64 + 7, "x") == derive_seed(7, "x")
+    assert Rng(-1).uniforms(4).tolist() == Rng(2**64 - 1).uniforms(4).tolist()
+
+
 def test_split_independent_of_parent_position():
     a = Rng(42)
     a.uniforms(100)

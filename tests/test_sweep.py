@@ -369,9 +369,10 @@ def test_the_stages_reproduce_a_cell_from_its_weights(monkeypatch):
 
     monkeypatch.setattr(sweep, "sgd_train", sgd_train)
     cell = run_cell(grid, 1, 0)
-    [((spec, train_ds, _, cfgs), thetas)] = calls
+    [((spec, train_ds, _, cfg, seeds), thetas)] = calls
     key = ("width", 8, "batch_size", 32)
-    wd = cfgs[0].weight_decay
+    assert seeds == [derive_seed(grid.base_seed, "train", *key, r) for r in range(4)]
+    wd = cfg.weight_decay
     assert cell.n_converged == 4 and len(cell.pairs) == 2
     for r, (rep, theta) in enumerate(zip(cell.replicates, thetas)):
         curv_cfg = replace(grid.curvature, seed=derive_seed(grid.base_seed, "curvature", *key, r))
@@ -379,9 +380,9 @@ def test_the_stages_reproduce_a_cell_from_its_weights(monkeypatch):
         assert (eig.value, trace.value) == (rep.lambda_max, rep.hessian_trace)
     for pair in cell.pairs:
         a, b = pair.replica_a, pair.replica_b
-        curve_cfg = replace(grid.curve, batch_size=cfgs[0].batch_size,
-                            seed=derive_seed(grid.base_seed, "curve", *key, a, b))
-        [profile] = sweep.connect(spec, [(thetas[a], thetas[b])], train_ds, [curve_cfg], wd)
+        curve_cfg = replace(grid.curve, batch_size=cfg.batch_size)
+        seed = derive_seed(grid.base_seed, "curve", *key, a, b)
+        [profile] = sweep.connect(spec, [(thetas[a], thetas[b])], train_ds, curve_cfg, [seed], wd)
         assert mode_connectivity(profile) == pair.mc and profile.to_dict() == pair.profile
 
 

@@ -44,7 +44,7 @@ def test_zero_lr_keeps_initialization_bits():
     spec = ModelSpec(input_dim=4, hidden_widths=(6,), num_classes=3)
     cfg = TrainConfig(batch_size=16, lr=0.0, weight_decay=0.0, max_epochs=3,
                       plateau_eps=0.0, seed=5)
-    [theta], _ = sgd_train(spec, train, test, [cfg])
+    [theta], _ = sgd_train(spec, train, test, cfg, [cfg.seed])
     init = he_init(spec, Rng(5))
     assert np.array_equal(theta.values, init.values)
 
@@ -60,7 +60,7 @@ def test_quadratic_surrogate_matches_closed_form():
     lam, lr, epochs = 0.1, 0.5, 12
     cfg = TrainConfig(batch_size=data.n, lr=lr, weight_decay=lam,
                       max_epochs=epochs, plateau_eps=0.0, seed=3)
-    [theta], [history] = sgd_train(spec, data, data, [cfg])
+    [theta], [history] = sgd_train(spec, data, data, cfg, [cfg.seed])
     theta0 = he_init(spec, Rng(3))
     factor = (1.0 - 2.0 * lr * lam) ** epochs
     expected = theta0.values * factor
@@ -80,7 +80,7 @@ def test_blobs_reach_full_train_accuracy():
     spec = ModelSpec(input_dim=4, hidden_widths=(16,), num_classes=3)
     cfg = TrainConfig(batch_size=16, lr=0.05, weight_decay=5e-4, max_epochs=150,
                       plateau_eps=1e-4, plateau_epochs=5, seed=7)
-    [theta], _ = sgd_train(spec, train, test, [cfg])
+    [theta], _ = sgd_train(spec, train, test, cfg, [cfg.seed])
     assert evaluate(spec, theta, train).acc == 100.0
 
 
@@ -89,8 +89,9 @@ def test_training_is_deterministic():
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     cfg = TrainConfig(batch_size=8, lr=0.05, weight_decay=5e-4, max_epochs=10,
                       plateau_eps=0.0, seed=11)
-    [t1], [h1] = sgd_train(spec, train, test, [cfg])
-    [t2], [h2] = sgd_train(spec, train, test, [cfg])
+    [t1], [h1] = sgd_train(spec, train, test, cfg, [11])
+    # the seed list alone seeds the run: the config's seed is not read
+    [t2], [h2] = sgd_train(spec, train, test, replace(cfg, seed=12), [11])
     assert np.array_equal(t1.values, t2.values)
     assert [r.train_loss for r in h1.records] == [r.train_loss for r in h2.records]
 
@@ -100,7 +101,7 @@ def test_zero_wd_matches_pure_sgd_replica():
     spec = ModelSpec(input_dim=4, hidden_widths=(5,), num_classes=3)
     cfg = TrainConfig(batch_size=8, lr=0.1, weight_decay=0.0, max_epochs=4,
                       plateau_eps=0.0, seed=13)
-    [theta], _ = sgd_train(spec, train, test, [cfg])
+    [theta], _ = sgd_train(spec, train, test, cfg, [cfg.seed])
 
     from losslab.model import Batch, loss_grad
 
@@ -112,7 +113,7 @@ def test_zero_wd_matches_pure_sgd_replica():
             replica.values -= 0.1 * g.values
     # sgd_train returns the best epoch; recompute which epoch that was
     # by confirming the final replica equals one recorded iterate
-    [t_final], [hist] = sgd_train(spec, train, test, [cfg])
+    [t_final], [hist] = sgd_train(spec, train, test, cfg, [cfg.seed])
     assert np.array_equal(t_final.values, theta.values)
     if hist.best_train_loss_epoch == 3:
         assert np.array_equal(theta.values, replica.values)
@@ -133,7 +134,7 @@ def test_plateau_stopping_fires():
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     cfg = TrainConfig(batch_size=40, lr=1e-6, weight_decay=0.0, max_epochs=100,
                       plateau_eps=1e-3, plateau_epochs=5, seed=1)
-    _, [history] = sgd_train(spec, train, test, [cfg])
+    _, [history] = sgd_train(spec, train, test, cfg, [cfg.seed])
     assert history.stopped_by_plateau
     assert len(history.records) < 100
 
@@ -143,7 +144,7 @@ def test_divergence_raises_with_epoch():
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     cfg = TrainConfig(batch_size=8, lr=1e200, weight_decay=0.0, max_epochs=50,
                       plateau_eps=0.0, seed=2)
-    [theta], [history] = sgd_train(spec, train, test, [cfg])
+    [theta], [history] = sgd_train(spec, train, test, cfg, [cfg.seed])
     assert isinstance(theta, DivergenceError)
     assert theta.epoch == 0 and history.records == []
 
@@ -346,15 +347,15 @@ def test_checkpoint_spec_mismatch_guard(tmp_path):
         require_matching(spec16, loaded_theta)
 
 
-def train_stack_and_alone(spec, train, test, cfgs):
-    """Train ``cfgs`` as one stack and check each replicate against training it alone.
+def train_stack_and_alone(spec, train, test, cfg, seeds):
+    """Train ``seeds`` as one stack and check each replicate against training it alone.
 
     A stack draws its shuffles for all replicates in one array expression.
     """
-    thetas, histories = sgd_train(spec, train, test, cfgs)
-    assert len(thetas) == len(histories) == len(cfgs)
-    for cfg, theta, history in zip(cfgs, thetas, histories):
-        [alone], [alone_history] = sgd_train(spec, train, test, [cfg])
+    thetas, histories = sgd_train(spec, train, test, cfg, seeds)
+    assert len(thetas) == len(histories) == len(seeds)
+    for seed, theta, history in zip(seeds, thetas, histories):
+        [alone], [alone_history] = sgd_train(spec, train, test, cfg, [seed])
         if isinstance(alone, DivergenceError):
             assert isinstance(theta, DivergenceError) and theta.epoch == alone.epoch
             continue
@@ -368,8 +369,7 @@ def test_stacked_replicates_stop_on_plateau_at_their_own_epochs():
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     base = TrainConfig(batch_size=8, lr=0.05, weight_decay=0.0, max_epochs=40,
                        plateau_eps=1e-2, plateau_epochs=2)
-    cfgs = [replace(base, seed=s) for s in range(4)]
-    _, histories = train_stack_and_alone(spec, train, test, cfgs)
+    _, histories = train_stack_and_alone(spec, train, test, base, range(4))
     assert [len(h.records) for h in histories] == [16, 13, 22, 21]
     assert all(h.stopped_by_plateau for h in histories)
     assert len(histories.records) == 72 and histories.stopped_by_plateau == 4
@@ -381,7 +381,7 @@ def test_stacked_replicates_on_lane_draws_match_scalar_alone():
     train, test = tiny_task(n=400)
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     base = TrainConfig(batch_size=64, lr=0.05, weight_decay=1e-3, max_epochs=3, plateau_eps=0.0)
-    train_stack_and_alone(spec, train, test, [replace(base, seed=s) for s in range(3)])
+    train_stack_and_alone(spec, train, test, base, range(3))
 
 
 def test_stacked_replicate_divergence_leaves_the_others_training():
@@ -389,21 +389,17 @@ def test_stacked_replicate_divergence_leaves_the_others_training():
     train, test = tiny_task()
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     base = TrainConfig(batch_size=8, lr=1e40, weight_decay=0.0, max_epochs=6, plateau_eps=0.0)
-    cfgs = [replace(base, seed=s) for s in range(9, 13)]
-    thetas, histories = train_stack_and_alone(spec, train, test, cfgs)
+    thetas, histories = train_stack_and_alone(spec, train, test, base, range(9, 13))
     assert [isinstance(t, DivergenceError) for t in thetas] == [False, False, False, True]
     assert thetas[3].epoch == 0
     assert [len(h.records) for h in histories] == [6, 6, 6, 0]
 
 
-def test_stacked_replicates_must_share_all_but_the_seed():
+def test_sgd_train_needs_a_seed():
     train, test = tiny_task()
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
-    cfg = TrainConfig(batch_size=8, lr=0.05, max_epochs=2, seed=1)
-    with pytest.raises(ParameterError):
-        sgd_train(spec, train, test, [cfg, replace(cfg, seed=2, lr=0.1)])
-    with pytest.raises(ParameterError):
-        sgd_train(spec, train, test, [])
+    with pytest.raises(ParameterError, match="at least one seed"):
+        sgd_train(spec, train, test, TrainConfig(batch_size=8, max_epochs=2), [])
 
 
 @pytest.mark.parametrize("base", [
@@ -417,8 +413,7 @@ def test_best_epoch_record_is_the_evaluation_of_the_returned_weights(base):
     # a cell reads its replicates' train loss and test accuracy from here
     train, test = tiny_task()
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
-    cfgs = [replace(base, seed=s) for s in range(9, 13)]
-    thetas, histories = train_stack_and_alone(spec, train, test, cfgs)
+    thetas, histories = train_stack_and_alone(spec, train, test, base, range(9, 13))
     assert histories.stopped_by_plateau or any(isinstance(t, DivergenceError) for t in thetas)
     for theta, history in zip(thetas, histories):
         if isinstance(theta, DivergenceError):
