@@ -15,9 +15,9 @@ ratio and the number of rounds in which the change read lower.  A metric
 a tree does not have is ``null`` there.  As the ``losslab`` command line does,
 each side runs with one BLAS thread unless the caller set one of
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``.
-``measure`` itself needs ``rng.raw_outputs`` and an ``evaluate`` that
-takes a stack of models.  ``curves.train_curve.epoch_b4`` is timed only
-on a tree whose ``train_curve`` takes one config and a seed per pair.
+``measure`` itself needs ``rng.raw_outputs``, an ``evaluate`` that takes
+a stack of models, a ``ParamVector`` built from a spec, and a
+``train_curve`` that takes one seed per pair.
 
 The per-epoch evaluation is timed first in the process, before any
 random draw: the RNG timings' large temporaries change what the
@@ -37,7 +37,6 @@ Each value is the median of ``REPS`` timed calls, in microseconds per call.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -67,13 +66,11 @@ def _median_us(fn) -> float:
 
 def measure() -> dict:
     """Every metric of the ``losslab`` on ``sys.path``, as one flat dict."""
-    from dataclasses import replace
-
     import numpy as np
 
     from losslab.curves import CurveTrainConfig, train_curve
     from losslab.datasets import gen_blobs, mixup_probes, randomize_labels
-    from losslab.model import ModelSpec, he_init
+    from losslab.model import ModelSpec, ParamVector, he_init
     from losslab.rng import Rng, raw_outputs
     from losslab.train import epoch_batches, evaluate
 
@@ -85,8 +82,7 @@ def measure() -> dict:
     thetas = [he_init(spec, Rng(s)) for s in range(4)]
     out["train.epoch_evaluate.per_model.us"] = _median_us(
         lambda: [evaluate(spec, t, ds) for t in thetas for ds in (train, test)])
-    # ``replace`` keeps whatever first field the tree's ParamVector has
-    stack = replace(thetas[0], values=np.stack([t.values for t in thetas]))
+    stack = ParamVector(spec, np.stack([t.values for t in thetas]))
     alone = [evaluate(spec, t, train).loss for t in thetas]
     if evaluate(spec, stack, train).loss.tolist() != alone:
         raise SystemExit("stacked evaluate differs from per-model evaluate")
@@ -111,9 +107,8 @@ def measure() -> dict:
         lambda: randomize_labels(train, 0.4, seed=6))
     cfg = CurveTrainConfig(epochs=1, schedule=None, batch_size=4)
     ends = [(thetas[0], thetas[1]), (thetas[2], thetas[3])]
-    if "seeds" in inspect.signature(train_curve).parameters:  # not in a config-per-pair tree
-        out["curves.train_curve.epoch_b4.us"] = _median_us(
-            lambda: train_curve(spec, ends, train, cfg, [7, 8], 5e-4))
+    out["curves.train_curve.epoch_b4.us"] = _median_us(
+        lambda: train_curve(spec, ends, train, cfg, [7, 8], 5e-4))
     return out
 
 

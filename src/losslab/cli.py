@@ -274,7 +274,7 @@ def cmd_profile_plot(args) -> int:
     try:
         with open(args.profile) as fh:
             profile = CurveProfile.from_dict(json.load(fh))
-    except (ValueError, KeyError, TypeError, ParameterError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError, ParameterError) as exc:
         raise FormatError(f"{args.profile}: not a curve profile: {exc!r}") from None
     render_curve_profile(profile, args.out)
     print(f"profile plot written to {args.out}")

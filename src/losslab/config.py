@@ -126,7 +126,7 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError on bytes not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top level must be an object")

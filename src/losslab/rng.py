@@ -40,9 +40,10 @@ SeedPart = int | float | str | bool
 def derive_seed(base: int, *key: SeedPart) -> int:
     """Mix a base seed with a tag tuple into a new 64-bit seed.
 
-    The base is taken mod 2**64, as ``Rng`` takes its seed.  Parts are
-    hashed by value with a type tag, so ``derive_seed(s, 2)`` and
-    ``derive_seed(s, 2.0)`` differ, and string tags never collide.
+    The base and every int part are taken mod 2**64, as ``Rng`` takes
+    its seed.  Parts are hashed by value with a type tag, so
+    ``derive_seed(s, 2)`` and ``derive_seed(s, 2.0)`` differ, and string
+    tags never collide.
     """
     h = blake2b(digest_size=8)
     h.update((int(base) & _MASK64).to_bytes(8, "little"))
@@ -50,7 +51,7 @@ def derive_seed(base: int, *key: SeedPart) -> int:
         if isinstance(part, bool):
             h.update(b"b" + bytes([part]))
         elif isinstance(part, int):
-            h.update(b"i" + int(part).to_bytes(8, "little", signed=True))
+            h.update(b"i" + (int(part) & _MASK64).to_bytes(8, "little"))
         elif isinstance(part, float):
             h.update(b"f" + struct.pack("<d", part))
         elif isinstance(part, str):

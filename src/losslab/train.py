@@ -8,12 +8,15 @@ minibatch data gradient plus ``2 * wd * theta``.
 
 Replicates that differ only in their seed train together as one stack:
 each SGD step is one ``loss_grad`` call on an ``(R, B, d)`` batch gathered
-from the R shuffles.  Each replicate keeps its own generator, plateau
-stop, best-loss selection and divergence check, and leaves the stack when
-it stops or diverges, so its result is bitwise what it gets alone.  Each
-epoch-end record holds the replicate's penalized training loss and test
-accuracy as ``evaluate`` gives them, so the record of the best epoch is
-the measurement of the returned weights.
+from the R shuffles.  Each replicate keeps its own generator, and its
+``TrainHistory`` is its only other state.  Both rules read it: the best
+epoch is the first of lowest training loss, and the replicate stops on a
+plateau once each of its last ``plateau_epochs`` changes of loss is below
+``plateau_eps``.  A replicate leaves the stack when it stops or diverges,
+so its result is bitwise what it gets alone.  Each epoch-end record holds
+the replicate's penalized training loss and test accuracy as ``evaluate``
+gives them, so the record of the best epoch is the measurement of the
+returned weights.
 """
 
 from __future__ import annotations
@@ -103,13 +106,19 @@ class EpochRecord:
 
 @dataclass
 class TrainHistory:
-    records: list[EpochRecord] = field(default_factory=list)
-    stopped_by_plateau: bool = False
+    """One replicate's epoch-end records, ``records[e]`` for epoch e: the
+    only record of its progress, from which the training loop decides.
 
-    @property
-    def best_train_loss_epoch(self) -> int:
-        losses = [r.train_loss for r in self.records]
-        return int(np.argmin(losses))
+    ``best_train_loss_epoch`` (``None`` before any record) moves to an
+    epoch whose loss is strictly below the best record's, so a tie keeps
+    the earlier epoch.  ``stopped_by_plateau`` is set at the first record
+    whose last ``plateau_epochs`` changes of loss are each below
+    ``plateau_eps``.
+    """
+
+    records: list[EpochRecord] = field(default_factory=list)
+    best_train_loss_epoch: int | None = None
+    stopped_by_plateau: bool = False
 
     @property
     def best_test_acc_epoch(self) -> int:
@@ -153,27 +162,11 @@ def check_dataset(spec: ModelSpec, ds: Dataset, which: str) -> None:
         raise DimensionError(f"{which} classes {ds.num_classes} != num_classes {spec.num_classes}")
 
 
-@dataclass
-class _Replicate:
-    """One replicate's own state while it trains in a stack."""
-
-    rng: Rng
-    result: ParamVector | DivergenceError  # best weights so far, or what ended the run
-    history: TrainHistory = field(default_factory=TrainHistory)
-    best_loss: float = np.inf
-    prev_loss: float | None = None
-    streak: int = 0
-
-
 def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
               seeds: Sequence[int]):
     """Train one MLP per seed under ``cfg`` (whose ``seed`` is not read),
-    keeping the epoch-end weights with lowest training loss.
-
-    Each replicate stops early once its epoch-end training loss changes
-    by less than ``plateau_eps`` for ``plateau_epochs`` consecutive
-    epochs; otherwise it runs ``max_epochs``.  Best-loss selection
-    applies either way.
+    keeping the weights of each history's best epoch.  A replicate runs
+    ``max_epochs`` unless its history reaches the plateau stop first.
 
     Returns ``(results, StackHistory)``: per seed its best weights, or
     the DivergenceError that ended it on a non-finite loss.  The record of
@@ -185,9 +178,11 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
     if not seeds:
         raise ParameterError("sgd_train needs at least one seed")
     wd = cfg.weight_decay
-    reps = [_Replicate(rng, he_init(spec, rng)) for rng in map(Rng, seeds)]
-    active = list(reps)  # the replicate of each stack row
-    theta = ParamVector(spec, np.stack([rep.result.values for rep in reps]))
+    rngs = list(map(Rng, seeds))
+    results: list = [he_init(spec, rng) for rng in rngs]  # best weights, or what ended the run
+    histories = StackHistory(TrainHistory() for _ in seeds)
+    active = list(range(len(seeds)))  # the replicate of each stack row
+    theta = ParamVector(spec, np.stack([init.values for init in results]))
 
     for epoch in range(cfg.max_epochs):
         grad = ParamVector(spec, np.empty_like(theta.values))
@@ -196,7 +191,7 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
         # overflow on the way to a non-finite loss is expected and ends
         # the replicate, so the numpy warnings are just noise here
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx in epoch_batches(train.n, cfg.batch_size, [rep.rng for rep in active]):
+            for idx in epoch_batches(train.n, cfg.batch_size, [rngs[r] for r in active]):
                 batch = Batch(train.X[idx], train.y[idx])
                 losses, _ = loss_grad(spec, theta, batch, wd, grad)
                 # a replicate that diverged rides along until the epoch ends;
@@ -207,27 +202,28 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
             train_eval = evaluate(spec, theta, train, wd)
             test_eval = evaluate(spec, theta, test)
             keep = []
-            for i, rep in enumerate(active):
+            for i, r in enumerate(active):
                 epoch_loss = float(train_eval.loss[i])
                 if not (finite[i] and np.isfinite(epoch_loss)):
-                    rep.result = DivergenceError(epoch)
+                    results[r] = DivergenceError(epoch)
                     continue
-                rep.history.records.append(EpochRecord(
+                history = histories[r]
+                records = history.records
+                records.append(EpochRecord(
                     epoch, epoch_loss, float(train_eval.acc[i]), float(test_eval.loss[i]),
                     float(test_eval.acc[i]), lr_t))
 
-                if epoch_loss < rep.best_loss:
-                    rep.best_loss = epoch_loss
-                    rep.result = ParamVector(spec, theta.values[i].copy())
+                best = history.best_train_loss_epoch
+                if best is None or epoch_loss < records[best].train_loss:
+                    history.best_train_loss_epoch = epoch
+                    results[r] = ParamVector(spec, theta.values[i].copy())
 
-                if rep.prev_loss is not None and abs(epoch_loss - rep.prev_loss) < cfg.plateau_eps:
-                    rep.streak += 1
-                    if rep.streak >= cfg.plateau_epochs:
-                        rep.history.stopped_by_plateau = True
-                        continue
-                else:
-                    rep.streak = 0
-                rep.prev_loss = epoch_loss
+                window = records[-cfg.plateau_epochs - 1:]
+                if len(window) > cfg.plateau_epochs and all(
+                        abs(b.train_loss - a.train_loss) < cfg.plateau_eps
+                        for a, b in zip(window, window[1:])):
+                    history.stopped_by_plateau = True
+                    continue
                 keep.append(i)
         if not keep:
             break
@@ -235,7 +231,7 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
             theta = ParamVector(spec, theta.values[keep])
             active = [active[i] for i in keep]
 
-    return [rep.result for rep in reps], StackHistory(rep.history for rep in reps)
+    return results, histories
 
 
 # -- checkpoint persistence ---------------------------------------------
@@ -273,7 +269,7 @@ def load_checkpoint(path) -> tuple[ParamVector, ModelSpec, dict]:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors; too deep a nesting recurses
         ckpt = json.loads(raw.decode("utf-8"), parse_float=_parse_finite,
                           parse_constant=_parse_finite)
         if not isinstance(ckpt, dict):
@@ -289,5 +285,5 @@ def load_checkpoint(path) -> tuple[ParamVector, ModelSpec, dict]:
             raise FormatError(f"meta must be an object, got {meta!r}")
         spec = parse_model(ckpt)
         return ParamVector(spec, values), spec, meta
-    except (ValueError, ConfigError, DimensionError, FormatError) as exc:
+    except (ValueError, RecursionError, ConfigError, DimensionError, FormatError) as exc:
         raise FormatError(f"malformed checkpoint {path}: {exc}") from None

@@ -262,6 +262,18 @@ def test_a_seed_is_taken_mod_2_64(workdir, monkeypatch, command, output, path, s
     assert written[0] == written[1]
 
 
+def test_a_sweep_at_a_batch_size_of_2_63_writes_its_row(workdir, monkeypatch):
+    # TrainConfig accepts the value, and its seed key part is taken mod 2**64
+    cfg = small_config()
+    cfg["grid"]["load"]["values"], cfg["grid"]["temp"]["values"] = [2], [2**63]
+    write_config(str(workdir[0] / "huge_batch.json"), cfg)
+    code, _, err = in_workdir(workdir, monkeypatch, [
+        "sweep", "--config", "huge_batch.json", "--out-dir", "huge_batch", "--workers", "1"])
+    assert code == 0, err
+    rows = (workdir[0] / "huge_batch" / "results.csv").read_text().splitlines()
+    assert len(rows) == 2 and ",9.223372037e+18," in rows[1]
+
+
 def test_missing_checkpoint_exits_4(workdir, monkeypatch):
     code, _, err = in_workdir(workdir, monkeypatch, [
         "hessian", "--config", "sweep.json", "--checkpoint", "absent.ckpt", "--out", "x.json"])
@@ -407,6 +419,10 @@ def write_profile_with(root: Path, name: str, value, key: str = "err01") -> None
       "--out", "x.json"], "trailing.ckpt: Extra data"),
     (["profile-plot", "--profile", "nan.json", "--out", "x.svg"], "nan.json"),
     (["profile-plot", "--profile", "far.json", "--out", "x.svg"], "far.json"),
+    (["l2", "--checkpoint-a", "deep.json", "--checkpoint-b", "run_b/model.ckpt",
+      "--out", "x.json"], "malformed checkpoint deep.json: maximum recursion depth"),
+    (["profile-plot", "--profile", "deep.json", "--out", "x.svg"],
+     "deep.json: not a curve profile: RecursionError"),
 ])
 def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     root = workdir[0]
@@ -420,6 +436,8 @@ def test_malformed_input_file_exits_4(workdir, monkeypatch, argv, message):
     write_profile_with(root, "nan.json", float("nan"))  # json writes it as NaN
     write_profile_with(root, "far.json", 7.0, key="t")
     (root / "trailing.ckpt").write_bytes((root / "run_a" / "model.ckpt").read_bytes() + b"\x00")
+    # nested deeper than the JSON parser can recurse
+    (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     code, _, err = in_workdir(workdir, monkeypatch, argv)
     assert code == 4 and message in err
 

@@ -178,6 +178,14 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path):
     assert info.value.path == str(cfg_path)
 
 
+def test_a_config_nested_too_deep_to_parse_is_a_config_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"schema": 1, "model": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ConfigError, match="invalid JSON: maximum recursion depth") as info:
+        load_config(cfg_path)
+    assert info.value.path == str(cfg_path)
+
+
 def test_curve_schedule_null_disables_and_absent_defaults(sweep_cfg):
     assert parse_grid(edited(sweep_cfg, "curve.schedule", None)).curve.schedule is None
     assert parse_grid(sweep_cfg).curve.schedule == LinearDecay(25, 45, 0.01)

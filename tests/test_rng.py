@@ -382,3 +382,9 @@ def test_scalar_and_array_draws_read_the_stream_in_order(lead, seed, calls):
 
 def test_beta_returns_half_when_both_gammas_underflow():
     assert 0.5 in Rng(4).beta(0.001, 50).tolist()
+
+
+def test_derive_seed_takes_an_int_part_mod_2_64():
+    # as it takes its base: a key part out of [-2**63, 2**63) names the part it is congruent to
+    assert derive_seed(7, "k", 2**63) == derive_seed(7, "k", -2**63)
+    assert derive_seed(7, "k", 2**64 + 3) == derive_seed(7, "k", 3)

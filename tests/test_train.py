@@ -421,3 +421,45 @@ def test_best_epoch_record_is_the_evaluation_of_the_returned_weights(base):
         best = history.records[history.best_train_loss_epoch]
         assert best.train_loss == evaluate(spec, theta, train, base.weight_decay).loss
         assert best.test_acc == evaluate(spec, theta, test).acc
+
+
+def test_a_tie_keeps_the_best_epoch_and_a_flat_loss_stops_on_its_plateau():
+    # at lr 0 every epoch's loss equals epoch 0's, so the window of 3
+    # changes first fills at the fourth record and no later loss is below
+    # the best record's
+    train, test = tiny_task()
+    spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
+    cfg = TrainConfig(batch_size=8, lr=0.0, weight_decay=1e-3, max_epochs=20,
+                      plateau_eps=1e-3, plateau_epochs=3)
+    [theta], [history] = sgd_train(spec, train, test, cfg, [5])
+    assert len(history.records) == 4 and history.stopped_by_plateau
+    assert len({r.train_loss for r in history.records}) == 1
+    assert history.best_train_loss_epoch == 0
+    assert np.array_equal(theta.values, he_init(spec, Rng(5)).values)
+
+
+def plateau_window_holds(losses, e, eps, k):
+    """Whether each of the k loss changes up to record e is below eps."""
+    return e >= k and all(abs(losses[j + 1] - losses[j]) < eps for j in range(e - k, e))
+
+
+@pytest.mark.parametrize("lr,eps,k", [
+    (0.05, 1e-2, 2),  # every replicate stops on a plateau
+    (0.05, 3e-3, 4),  # seed 9 stops at the last allowed epoch; the others hit the ceiling
+    (0.2, 1e-2, 1),  # a window of one change
+    (1e40, 1e-2, 2),  # seed 12 diverges in epoch 0; seeds 9-11's best epochs precede their last
+])
+def test_each_history_follows_the_best_epoch_and_plateau_rules(lr, eps, k):
+    train, test = tiny_task()
+    spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
+    cfg = TrainConfig(batch_size=8, lr=lr, weight_decay=0.0, max_epochs=25,
+                      plateau_eps=eps, plateau_epochs=k)
+    thetas, histories = sgd_train(spec, train, test, cfg, range(9, 13))
+    for theta, history in zip(thetas, histories):
+        losses = [r.train_loss for r in history.records]
+        assert [r.epoch for r in history.records] == list(range(len(losses)))
+        assert history.best_train_loss_epoch == (losses.index(min(losses)) if losses else None)
+        windows = [plateau_window_holds(losses, e, eps, k) for e in range(len(losses))]
+        assert history.stopped_by_plateau == any(windows) and not any(windows[:-1])
+        if not (history.stopped_by_plateau or isinstance(theta, DivergenceError)):
+            assert len(losses) == cfg.max_epochs
