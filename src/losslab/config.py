@@ -15,15 +15,15 @@ infinite, as the string ``"inf"``.  ``schema`` is the integer 1.
 The single-model commands train, hessian and modeconn train and measure
 through the same functions as a sweep cell (``sgd_train``,
 ``sweep.measure_curvature`` and ``sweep.connect``) and differ from it
-only in the settings a sweep replaces in every cell, so in a sweep
-config those settings apply only to these commands:
-``train.seed``, ``curve.seed`` and ``metrics.seed`` are derived per cell
-and replicate from ``grid.base_seed``, and ``curve.batch_size`` becomes
-the cell's training batch size: the trainers take one config and a
-seed per replicate or curve.  Every seed is taken mod 2**64.  The grid
-axes replace the fields they name (a width axis every hidden width, a
-batch-size axis ``train.batch_size``), and every axis value is checked
-when the grid is parsed, before any cell runs.
+only in their seeds: a sweep derives ``train.seed``, ``curve.seed`` and
+``metrics.seed`` per cell and replicate from ``grid.base_seed``, so in a
+sweep config they apply only to these commands.  Every seed is taken
+mod 2**64.  The grid axes replace the fields they name (a width axis
+every hidden width, a batch-size axis ``train.batch_size``), and every
+axis value is checked when the grid is parsed, before any cell runs.
+No axis changes ``curve``, so the temperature does not set the batch of
+the instrument that reads mc; the curve loss keeps the cell's weight
+decay, as a curve joins two minima of the cell's own objective.
 
 Each ``parse_*`` function imports its section's dataclass from the
 owning module when it is called, and ``REQUIRED`` and ``NESTED`` are

@@ -4,16 +4,18 @@ Each cell trains R replicates at one (load value, temperature value)
 pair, measures per-model curvature and accuracy, then forms disjoint
 replicate pairs for the pairwise metrics (mode connectivity, CKA,
 parameter-space distance).  The R replicates train as one stacked
-``sgd_train`` call and the pairs' curves as one stacked ``train_curve``
-call, each given the cell's one config and a seed per replicate or
-pair.  A replicate's training loss and test accuracy are read from its
-training history, at the epoch whose weights training returned;
-curvature, CKA and curve profiles are measured per model and per pair.
-All randomness is derived from seeds keyed by axis *values*, never
-indices, so extending the grid or reordering cell execution cannot change
-any existing cell's numbers.  The CKA probes are keyed by the cell's data
-recipe alone, so every cell that trains on the same data compares its
-replicates on the same inputs; each cell builds its own copy of the set.
+``sgd_train`` call with the cell's config, the pairs' curves as one
+stacked ``train_curve`` call with ``grid.curve`` (one instrument over
+the grid) and the cell's weight decay (its objective), each with a seed
+per replicate or pair.  A replicate's training loss and test accuracy
+are read from its training history, at the epoch whose weights training
+returned; curvature, CKA and curve profiles are measured per model and
+per pair.  All randomness is derived from seeds keyed by axis *values*,
+never indices, so extending the grid or reordering cell execution cannot
+change any existing cell's numbers.  The CKA probes are keyed by the
+cell's data recipe alone, so every cell that trains on the same data
+compares its replicates on the same inputs; each cell builds its own
+copy of the set.
 
 Two stages measure for both a cell and the single-model commands:
 ``measure_curvature`` (lambda_max and the trace of one model) and
@@ -404,11 +406,10 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
     probes = build_probes(train_ds, grid.probes, probe_seed)
     pairs = [PairMetrics(replica_a=a, replica_b=b)
              for a, b in zip(converged_ids[0::2], converged_ids[1::2])]
-    curve_cfg = replace(grid.curve, batch_size=cfg.batch_size)
     curve_seeds = [derive_seed(grid.base_seed, "curve", *key, p.replica_a, p.replica_b)
                    for p in pairs]
     profiles = connect(spec, [(thetas[p.replica_a], thetas[p.replica_b]) for p in pairs],
-                       train_ds, curve_cfg, curve_seeds, wd)
+                       train_ds, grid.curve, curve_seeds, wd)
     for pair, profile in zip(pairs, profiles):
         theta_a, theta_b = thetas[pair.replica_a], thetas[pair.replica_b]
         pair.l2 = l2_distance(theta_a, theta_b)

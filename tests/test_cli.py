@@ -27,7 +27,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "c099ab0de922f2ccf4ca49ce424793a5bc44aa8db909211d2cc06f8b0f39d51c"
+GOLDEN_SHA256 = "5f0b8a2208103ce00c897024532859e0b352ec1e1f5c03c2e5ad409ca0e00e3f"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")

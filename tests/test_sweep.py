@@ -261,8 +261,8 @@ WORKLOADS = {
 }
 
 WORKLOAD_SHA256 = {
-    "small_batch": "8e37dfcede2e2c3f86dda6ac9181a47accadfe9d451812e7d3d8863f2ef4c871",
-    "large_batch_noisy": "d6ce5819c1e87828b87fc8f2e40a3a0e20ca2863cbd2c116ea7fed4bcef0babd",
+    "small_batch": "cd420d4a62cedc27215bb4543446f8be98fb7cca82a96e1445f039d59818141f",
+    "large_batch_noisy": "2eb936c8471e9ef97ef02dafb2bdaeeaa13ae08befe42846b66c1e6bdf4b0f95",
     "curvature_heavy": "3e3effc67adb24f41d7223694853b5225ac6ce8119b4bef141cf5cb0cc7a4c55",
 }
 
@@ -355,6 +355,27 @@ def test_degenerate_cka_leaves_only_the_cka_columns_blank(monkeypatch):
     assert row["mc_mean"] is not None and row["l2_mean"] is not None
 
 
+@pytest.mark.parametrize("temp_axis", [Axis("batch_size", (16, 64)),
+                                       Axis("weight_decay", (0.0, 1e-3))])
+def test_every_cell_trains_its_curves_with_the_grid_curve_and_its_own_weight_decay(
+        temp_axis, monkeypatch):
+    # the batch size is the curve's instrument and stays the grid's; the
+    # weight decay is part of the cell's objective, which the curve joins
+    grid = replace(tiny_grid(), temp_axis=temp_axis, curve=CurveTrainConfig(epochs=1, batch_size=50))
+    calls = []
+    real = sweep.train_curve
+
+    def train_curve(spec, ends, ds, cfg, seeds, weight_decay):
+        calls.append((cfg, weight_decay))
+        return real(spec, ends, ds, cfg, seeds, weight_decay)
+
+    monkeypatch.setattr(sweep, "train_curve", train_curve)
+    cells, _ = run_sweep(grid, workers=1)
+    wds = [sweep.cell_train_config(grid, cell.temp_value).weight_decay for cell in cells]
+    assert calls == [(grid.curve, wd) for wd in wds]
+    assert len(set(wds)) == (2 if temp_axis.kind == "weight_decay" else 1)
+
+
 def test_the_stages_reproduce_a_cell_from_its_weights(monkeypatch):
     # the single-model commands measure through these two stages; on a
     # cell's weights and configs they give back the cell's numbers
@@ -380,9 +401,8 @@ def test_the_stages_reproduce_a_cell_from_its_weights(monkeypatch):
         assert (eig.value, trace.value) == (rep.lambda_max, rep.hessian_trace)
     for pair in cell.pairs:
         a, b = pair.replica_a, pair.replica_b
-        curve_cfg = replace(grid.curve, batch_size=cfg.batch_size)
         seed = derive_seed(grid.base_seed, "curve", *key, a, b)
-        [profile] = sweep.connect(spec, [(thetas[a], thetas[b])], train_ds, curve_cfg, [seed], wd)
+        [profile] = sweep.connect(spec, [(thetas[a], thetas[b])], train_ds, grid.curve, [seed], wd)
         assert mode_connectivity(profile) == pair.mc and profile.to_dict() == pair.profile
 
 
