@@ -133,8 +133,6 @@ def cmd_train(args) -> int:
     print(f"checkpoint written to {ckpt}")
     return _finish(args, [ckpt, hist_path], cfg, {"train": tcfg.seed, "data": recipe.seed},
                    path=out_dir / "train.manifest.json",
-                   best_train_loss_epoch=history.best_train_loss_epoch,
-                   best_test_acc_epoch=history.best_test_acc_epoch,
                    stopped_by_plateau=history.stopped_by_plateau)
 
 

@@ -8,9 +8,9 @@ parameter-space distance).  The R replicates train as one stacked
 stacked ``train_curve`` call with ``grid.curve`` (one instrument over
 the grid) and the cell's weight decay (its objective), each with a seed
 per replicate or pair.  A replicate's training loss and test accuracy
-are read from its training history, at the epoch whose weights training
-returned; curvature, CKA and curve profiles are measured per model and
-per pair.  All randomness is derived from seeds keyed by axis *values*,
+are its history's last record, which measures the weights it stopped
+with; curvature, CKA and curve profiles are measured per model and per
+pair.  All randomness is derived from seeds keyed by axis *values*,
 never indices, so extending the grid or reordering cell execution cannot
 change any existing cell's numbers.  The CKA probes are keyed by the
 cell's data recipe alone, so every cell that trains on the same data
@@ -391,9 +391,9 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
         cell.replicates.append(rep)
         if not rep.converged:
             continue
-        best = history.records[history.best_train_loss_epoch]
-        rep.train_loss = best.train_loss
-        rep.test_acc = best.test_acc
+        last = history.records[-1]
+        rep.train_loss = last.train_loss
+        rep.test_acc = last.test_acc
         curv_cfg = replace(grid.curvature, seed=derive_seed(grid.base_seed, "curvature", *key, r))
         eig, trace, _ = measure_curvature(spec, theta, train_ds, wd, curv_cfg)
         rep.lambda_max, rep.hessian_trace = eig.value, trace.value

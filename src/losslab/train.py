@@ -9,14 +9,12 @@ minibatch data gradient plus ``2 * wd * theta``.
 Replicates that differ only in their seed train together as one stack:
 each SGD step is one ``loss_grad`` call on an ``(R, B, d)`` batch gathered
 from the R shuffles.  Each replicate keeps its own generator, and its
-``TrainHistory`` is its only other state.  Both rules read it: the best
-epoch is the first of lowest training loss, and the replicate stops on a
-plateau once each of its last ``plateau_epochs`` changes of loss is below
-``plateau_eps``.  A replicate leaves the stack when it stops or diverges,
-so its result is bitwise what it gets alone.  Each epoch-end record holds
-the replicate's penalized training loss and test accuracy as ``evaluate``
-gives them, so the record of the best epoch is the measurement of the
-returned weights.
+``TrainHistory`` is its only other state.  A replicate leaves the stack
+when it stops on a plateau (each of its last ``plateau_epochs`` changes
+of loss below ``plateau_eps``), diverges, or reaches ``max_epochs``, so
+its result is bitwise what it gets alone.  It returns the weights it
+stopped with, and its last epoch-end record, the penalized training loss
+and test accuracy as ``evaluate`` gives them, measures those weights.
 """
 
 from __future__ import annotations
@@ -108,22 +106,14 @@ class EpochRecord:
 class TrainHistory:
     """One replicate's epoch-end records, ``records[e]`` for epoch e: the
     only record of its progress, from which the training loop decides.
+    The last record measures the weights the replicate returns.
 
-    ``best_train_loss_epoch`` (``None`` before any record) moves to an
-    epoch whose loss is strictly below the best record's, so a tie keeps
-    the earlier epoch.  ``stopped_by_plateau`` is set at the first record
-    whose last ``plateau_epochs`` changes of loss are each below
-    ``plateau_eps``.
+    ``stopped_by_plateau`` is set at the first record whose last
+    ``plateau_epochs`` changes of loss are each below ``plateau_eps``.
     """
 
     records: list[EpochRecord] = field(default_factory=list)
-    best_train_loss_epoch: int | None = None
     stopped_by_plateau: bool = False
-
-    @property
-    def best_test_acc_epoch(self) -> int:
-        accs = [r.test_acc for r in self.records]
-        return int(np.argmax(accs))
 
 
 class StackHistory(list):
@@ -164,14 +154,14 @@ def check_dataset(spec: ModelSpec, ds: Dataset, which: str) -> None:
 
 def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
               seeds: Sequence[int]):
-    """Train one MLP per seed under ``cfg`` (whose ``seed`` is not read),
-    keeping the weights of each history's best epoch.  A replicate runs
-    ``max_epochs`` unless its history reaches the plateau stop first.
+    """Train one MLP per seed under ``cfg`` (whose ``seed`` is not read).
+    A replicate runs ``max_epochs`` unless its history reaches the
+    plateau stop first.
 
-    Returns ``(results, StackHistory)``: per seed its best weights, or
-    the DivergenceError that ended it on a non-finite loss.  The record of
-    the best epoch holds that epoch's penalized training loss and test
-    accuracy, bitwise what ``evaluate`` gives on the returned weights.
+    Returns ``(results, StackHistory)``: per seed the weights it stopped
+    with, or the DivergenceError that ended it on a non-finite loss.  Its
+    last record holds the penalized training loss and test accuracy,
+    bitwise what ``evaluate`` gives on the returned weights.
     """
     check_dataset(spec, train, "train")
     check_dataset(spec, test, "test")
@@ -179,10 +169,10 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
         raise ParameterError("sgd_train needs at least one seed")
     wd = cfg.weight_decay
     rngs = list(map(Rng, seeds))
-    results: list = [he_init(spec, rng) for rng in rngs]  # best weights, or what ended the run
+    results: list = [None] * len(seeds)  # final weights, or what ended the run
     histories = StackHistory(TrainHistory() for _ in seeds)
     active = list(range(len(seeds)))  # the replicate of each stack row
-    theta = ParamVector(spec, np.stack([init.values for init in results]))
+    theta = ParamVector(spec, np.stack([he_init(spec, rng).values for rng in rngs]))
 
     for epoch in range(cfg.max_epochs):
         grad = ParamVector(spec, np.empty_like(theta.values))
@@ -208,29 +198,24 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
                     results[r] = DivergenceError(epoch)
                     continue
                 history = histories[r]
-                records = history.records
-                records.append(EpochRecord(
+                history.records.append(EpochRecord(
                     epoch, epoch_loss, float(train_eval.acc[i]), float(test_eval.loss[i]),
                     float(test_eval.acc[i]), lr_t))
-
-                best = history.best_train_loss_epoch
-                if best is None or epoch_loss < records[best].train_loss:
-                    history.best_train_loss_epoch = epoch
-                    results[r] = ParamVector(spec, theta.values[i].copy())
-
-                window = records[-cfg.plateau_epochs - 1:]
+                window = history.records[-cfg.plateau_epochs - 1:]
                 if len(window) > cfg.plateau_epochs and all(
                         abs(b.train_loss - a.train_loss) < cfg.plateau_eps
                         for a, b in zip(window, window[1:])):
                     history.stopped_by_plateau = True
+                    results[r] = ParamVector(spec, theta.values[i].copy())
                     continue
                 keep.append(i)
-        if not keep:
-            break
         if len(keep) < len(active):
             theta = ParamVector(spec, theta.values[keep])
             active = [active[i] for i in keep]
-
+        if not active:
+            break
+    for i, r in enumerate(active):
+        results[r] = ParamVector(spec, theta.values[i])
     return results, histories
 
 

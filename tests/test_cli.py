@@ -27,7 +27,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "5f0b8a2208103ce00c897024532859e0b352ec1e1f5c03c2e5ad409ca0e00e3f"
+GOLDEN_SHA256 = "ac669e62478423f102d66274e84312dde80648458e876feee80aa6247b1701ab"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")

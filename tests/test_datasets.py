@@ -35,7 +35,7 @@ def train_linear_probe(ds, epochs=200, lr=0.5):
         plateau_eps=0.0, seed=1,
     )
     _, [history] = sgd_train(spec, ds, ds, cfg, [cfg.seed])
-    return history.records[history.best_train_loss_epoch].train_acc
+    return history.records[-1].train_acc
 
 
 def test_blobs_zero_spread_hits_centers():

@@ -111,12 +111,8 @@ def test_zero_wd_matches_pure_sgd_replica():
         for (idx,) in epoch_batches(train.n, 8, [rng]):
             _, g = loss_grad(spec, replica, Batch(train.X[idx], train.y[idx]), 0.0)
             replica.values -= 0.1 * g.values
-    # sgd_train returns the best epoch; recompute which epoch that was
-    # by confirming the final replica equals one recorded iterate
-    [t_final], [hist] = sgd_train(spec, train, test, cfg, [cfg.seed])
-    assert np.array_equal(t_final.values, theta.values)
-    if hist.best_train_loss_epoch == 3:
-        assert np.array_equal(theta.values, replica.values)
+    # sgd_train returns the weights of the last epoch it ran
+    assert np.array_equal(theta.values, replica.values)
 
 
 def test_epoch_partition_covers_every_index_once():
@@ -406,10 +402,10 @@ def test_sgd_train_needs_a_seed():
     # every replicate stops on a plateau
     TrainConfig(batch_size=8, lr=0.05, weight_decay=1e-3, max_epochs=40,
                 plateau_eps=1e-2, plateau_epochs=2),
-    # seed 12 diverges in epoch 0; the others' best epochs (4, 4, 4) precede their last
+    # seed 12 diverges in epoch 0; the others' lowest losses (epoch 4) precede their last
     TrainConfig(batch_size=8, lr=1e40, weight_decay=0.0, max_epochs=6, plateau_eps=0.0),
 ])
-def test_best_epoch_record_is_the_evaluation_of_the_returned_weights(base):
+def test_last_record_is_the_evaluation_of_the_returned_weights(base):
     # a cell reads its replicates' train loss and test accuracy from here
     train, test = tiny_task()
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
@@ -418,15 +414,14 @@ def test_best_epoch_record_is_the_evaluation_of_the_returned_weights(base):
     for theta, history in zip(thetas, histories):
         if isinstance(theta, DivergenceError):
             continue
-        best = history.records[history.best_train_loss_epoch]
-        assert best.train_loss == evaluate(spec, theta, train, base.weight_decay).loss
-        assert best.test_acc == evaluate(spec, theta, test).acc
+        last = history.records[-1]
+        assert last.train_loss == evaluate(spec, theta, train, base.weight_decay).loss
+        assert last.test_acc == evaluate(spec, theta, test).acc
 
 
-def test_a_tie_keeps_the_best_epoch_and_a_flat_loss_stops_on_its_plateau():
+def test_a_flat_loss_stops_on_its_plateau():
     # at lr 0 every epoch's loss equals epoch 0's, so the window of 3
-    # changes first fills at the fourth record and no later loss is below
-    # the best record's
+    # changes first fills at the fourth record
     train, test = tiny_task()
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     cfg = TrainConfig(batch_size=8, lr=0.0, weight_decay=1e-3, max_epochs=20,
@@ -434,7 +429,6 @@ def test_a_tie_keeps_the_best_epoch_and_a_flat_loss_stops_on_its_plateau():
     [theta], [history] = sgd_train(spec, train, test, cfg, [5])
     assert len(history.records) == 4 and history.stopped_by_plateau
     assert len({r.train_loss for r in history.records}) == 1
-    assert history.best_train_loss_epoch == 0
     assert np.array_equal(theta.values, he_init(spec, Rng(5)).values)
 
 
@@ -447,9 +441,9 @@ def plateau_window_holds(losses, e, eps, k):
     (0.05, 1e-2, 2),  # every replicate stops on a plateau
     (0.05, 3e-3, 4),  # seed 9 stops at the last allowed epoch; the others hit the ceiling
     (0.2, 1e-2, 1),  # a window of one change
-    (1e40, 1e-2, 2),  # seed 12 diverges in epoch 0; seeds 9-11's best epochs precede their last
+    (1e40, 1e-2, 2),  # seed 12 diverges in epoch 0
 ])
-def test_each_history_follows_the_best_epoch_and_plateau_rules(lr, eps, k):
+def test_each_history_follows_the_plateau_rule(lr, eps, k):
     train, test = tiny_task()
     spec = ModelSpec(input_dim=4, hidden_widths=(8,), num_classes=3)
     cfg = TrainConfig(batch_size=8, lr=lr, weight_decay=0.0, max_epochs=25,
@@ -458,7 +452,6 @@ def test_each_history_follows_the_best_epoch_and_plateau_rules(lr, eps, k):
     for theta, history in zip(thetas, histories):
         losses = [r.train_loss for r in history.records]
         assert [r.epoch for r in history.records] == list(range(len(losses)))
-        assert history.best_train_loss_epoch == (losses.index(min(losses)) if losses else None)
         windows = [plateau_window_holds(losses, e, eps, k) for e in range(len(losses))]
         assert history.stopped_by_plateau == any(windows) and not any(windows[:-1])
         if not (history.stopped_by_plateau or isinstance(theta, DivergenceError)):
