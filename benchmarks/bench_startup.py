@@ -64,6 +64,9 @@ from bench_rng import compare_trees
 REPS = 10
 APPLY_CALLS = 200
 HERE = Path(__file__).resolve()
+# The fixture keeps the older layout, with cka_mean and mc_mean copied into
+# mu_hat and beta_hat.  A tree that needs those columns reads it, and one that
+# does not ignores them, so ``--parent`` can be a tree from either side.
 HEADER = ("load_kind,load_value,temp_kind,temp_value,n_replicates,n_converged,"
           "train_loss_mean,train_loss_sd,test_acc_mean,test_acc_sd,lambda_max_mean,lambda_max_sd,"
           "hessian_trace_mean,hessian_trace_sd,mc_mean,mc_sd,cka_mean,cka_sd,l2_mean,l2_sd,"

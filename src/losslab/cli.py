@@ -156,7 +156,7 @@ def cmd_hessian(args) -> int:
         "lambda_max": eig.value,
         "lanczos_steps": eig.iterations,
         "lambda_residual": eig.residual,
-        "degenerate": eig.degenerate,
+        "degenerate": eig.value == 0.0,
         "hessian_trace": tr.value,
         "weight_decay": wd,
     }

@@ -55,7 +55,6 @@ class LanczosResult:
     value: float
     iterations: int  # Hessian products used
     residual: float  # |value - nearest eigenvalue of H| is at most this
-    degenerate: bool = False
 
 
 @dataclass
@@ -81,8 +80,8 @@ def top_eigenvalue(
     """Dominant-magnitude Hessian eigenvalue by Lanczos, with its residual bound.
 
     Starts from the ``"power_iteration"`` stream's normals and returns
-    the signed Ritz value of largest magnitude.  An exactly-zero Hessian
-    is reported as value 0 with the degenerate flag set.
+    the signed Ritz value of largest magnitude.  Value 0 marks an
+    exactly-zero Hessian.
     """
     from .tridiagonal import dominant_ritz
 
@@ -102,7 +101,7 @@ def top_eigenvalue(
         value, last, top, low = dominant_ritz(alpha, beta, top, low)
         residual = norm * last
         if residual <= cfg.rtol * abs(value) or k == steps:  # a zero norm gives residual 0
-            return LanczosResult(value, k, residual, degenerate=value == 0.0)
+            return LanczosResult(value, k, residual)
         basis[k] = w / norm
         beta.append(norm)
 

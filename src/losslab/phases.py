@@ -1,16 +1,16 @@
 """Phase classification of grid cells, the results table, and SVG rendering.
 
 A converged cell is locally sharp or flat by comparing its Hessian
-trace with a grid-relative quantile, and globally poorly-connected
-when its mean mode connectivity sits below ``-eps_mc``.  Sharp + poor
-is phase I, sharp otherwise II, flat + poor III, and flat + connected
-IV, with IV split by mean CKA into IV-A (dissimilar replicas) and IV-B
-(similar replicas, the "globally nice" corner).  Cells whose replicates
-all diverged, or whose mean training loss exceeds ``loss_converged``,
-stay NC, as do cells with a blank or non-finite trace, ``beta_hat`` or
-``mu_hat``.  The quantile is taken over the traces of the cells that are
-not NC, so an NC cell never moves it, and a grid with no such cell labels
-every cell NC.
+trace ``hessian_trace_mean`` with a grid-relative quantile, and globally
+poorly-connected when its mean mode connectivity ``mc_mean`` sits below
+``-eps_mc``.  Sharp + poor is phase I, sharp otherwise II, flat + poor
+III, and flat + connected IV, with IV split by mean CKA ``cka_mean``
+into IV-A (dissimilar replicas) and IV-B (similar replicas, the
+"globally nice" corner).  Cells whose replicates all diverged, or whose
+``train_loss_mean`` exceeds ``loss_converged``, stay NC, as do cells
+with a blank or non-finite value in any of those three columns.  The
+quantile is taken over the traces of the cells that are not NC, so an
+NC cell never moves it, and a grid with no such cell labels every cell NC.
 
 The module reads and writes ``results.csv`` and ``phases.csv``, holds
 the curve profile that ``losslab modeconn`` writes, and imports neither
@@ -49,7 +49,7 @@ PHASE_COLORS = {
     "IV-B": "#313695",
 }
 
-DIVERGING_METRICS = ("mc_mean", "beta_hat")
+DIVERGING_METRICS = ("mc_mean",)
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,20 @@ def _quantile(values: list[float], q: float) -> float:
 
 
 def classify_cell(row: dict, threshold: float, thresholds: PhaseThresholds) -> str:
-    """One of I, II, III, IV-A, IV-B for a converged cell with finite metrics, NC otherwise."""
-    trace, beta, mu = (row.get(name) for name in ("hessian_trace_mean", "beta_hat", "mu_hat"))
-    if not (_converged(row, thresholds) and _finite(trace) and _finite(beta) and _finite(mu)):
+    """One of I, II, III, IV-A, IV-B for a converged cell with finite metrics, NC otherwise.
+
+    Reads ``hessian_trace_mean``, ``mc_mean``, ``cka_mean``, ``n_converged`` and
+    ``train_loss_mean``."""
+    trace, mc, cka = (row.get(name) for name in ("hessian_trace_mean", "mc_mean", "cka_mean"))
+    if not (_converged(row, thresholds) and _finite(trace) and _finite(mc) and _finite(cka)):
         return "NC"
     sharp = trace > threshold
-    poor = beta < -thresholds.eps_mc
+    poor = mc < -thresholds.eps_mc
     if sharp:
         return "I" if poor else "II"
     if poor:
         return "III"
-    return "IV-B" if mu >= thresholds.tau_cka else "IV-A"
+    return "IV-B" if cka >= thresholds.tau_cka else "IV-A"
 
 
 def label_rows(rows: list[dict], thresholds: PhaseThresholds) -> list[str]:
@@ -140,7 +143,6 @@ CSV_COLUMNS = [
     "mc_mean", "mc_sd",
     "cka_mean", "cka_sd",
     "l2_mean", "l2_sd",
-    "mu_hat", "beta_hat",
     "phase_label",
 ]
 _TEXT_COLUMNS = ("load_kind", "temp_kind", "phase_label")

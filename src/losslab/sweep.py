@@ -56,7 +56,7 @@ from .errors import ConfigError, DegenerateOutputError, DivergenceError, Paramet
 # sweep.evaluate, so the name must stay bound
 from .model import ModelSpec, ParamVector, evaluate, require_matching  # noqa: F401
 # read_results_csv is not called here; the benchmark reads it as sweep.read_results_csv
-from .phases import read_results_csv, rows_to_csv  # noqa: F401
+from .phases import CurveProfile, read_results_csv, rows_to_csv  # noqa: F401
 from .rng import derive_seed
 from .train import TrainConfig, sgd_train
 
@@ -203,7 +203,7 @@ class PairMetrics:
     mc: float | None = None
     cka: float | None = None
     l2: float | None = None
-    profile: dict | None = None
+    profile: CurveProfile | None = None
 
 
 @dataclass
@@ -243,7 +243,7 @@ class CellResult:
 
     def aggregate(self) -> dict:
         """The CSV's metric columns: means and sample SDs over converged
-        replicates / valid pairs, plus the mu and beta estimates."""
+        replicates / valid pairs."""
         out = {}
         for name in ("train_loss", "test_acc", "lambda_max", "hessian_trace"):
             mean, sd = self._mean_sd(self._rep_values(name))
@@ -253,8 +253,6 @@ class CellResult:
             mean, sd = self._mean_sd(self._pair_values(name))
             out[f"{name}_mean"] = mean
             out[f"{name}_sd"] = sd
-        out["mu_hat"] = out["cka_mean"]
-        out["beta_hat"] = out["mc_mean"]
         return out
 
     def row(self) -> dict:
@@ -419,7 +417,7 @@ def run_cell(grid: GridSpec, i: int, j: int) -> CellResult:
             pair.cka = None
         if not isinstance(profile, DivergenceError):
             pair.mc = mode_connectivity(profile)
-            pair.profile = profile.to_dict()
+            pair.profile = profile
         cell.pairs.append(pair)
     return cell
 

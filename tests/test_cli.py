@@ -27,7 +27,7 @@ from losslab import cli
 
 CONFIGS = Path(losslab.__file__).parent / "configs"
 
-GOLDEN_SHA256 = "ac669e62478423f102d66274e84312dde80648458e876feee80aa6247b1701ab"
+GOLDEN_SHA256 = "74854f8c469f94cc2942b61c75ad932220c749082d60222dd03c474ea0d0b2e8"
 
 # Manifest keys that differ between otherwise identical runs.
 VOLATILE = ("wall_clock_s", "command_line")
@@ -214,8 +214,9 @@ def test_config_error_exits_2(workdir, monkeypatch, command, edit, message):
 
 
 def test_plot_unknown_metric_exits_2(workdir, monkeypatch):
-    # the axis kinds are CSV columns too, but text: no heatmap of them
-    for metric in ("nope", "load_kind", "temp_kind"):
+    # the axis kinds are CSV columns too, but text: no heatmap of them; mu_hat
+    # and beta_hat, once copies of cka_mean and mc_mean, are not columns
+    for metric in ("nope", "load_kind", "temp_kind", "mu_hat", "beta_hat"):
         code, _, err = in_workdir(workdir, monkeypatch, ["plot", "--csv", "phases.csv",
                                                          "--metric", metric, "--out", "nope.svg"])
         assert code == 2 and metric in err

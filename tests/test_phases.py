@@ -15,16 +15,19 @@ THRESHOLDS = PhaseThresholds(eps_mc=2.0, sharp_quantile=0.5, tau_cka=0.9)
 # (n_train 200, 2 epochs, 2 replicates): both replicates' weights blew up while
 # their loss stayed finite, so the cell counts 2 converged replicates.
 BLOWN_UP_ROW = ("width,4,batch_size,128,2,2,2.466554864e+115,1.170952644e+115,13.5,16.26345597,"
-                "0.7189964369,0.02112235173,0.056,0,-12.25,0,0.5784262597,0,2.619247783e+59,0,"
-                "0.5784262597,-12.25,")
+                "0.7189964369,0.02112235173,0.056,0,-12.25,0,0.5784262597,0,2.619247783e+59,0,")
+
+# The pairwise columns the classifier reads.  Their cases keep the ids they had
+# when results.csv also wrote these values as beta_hat and mu_hat.
+PAIRWISE = [pytest.param("mc_mean", id="beta_hat"), pytest.param("cka_mean", id="mu_hat")]
 
 
-def row(trace=1.0, beta=0.0, mu=0.5, n_converged=2, load=0.0):
+def row(trace=1.0, mc=0.0, cka=0.5, n_converged=2, load=0.0):
     """One results row with the columns the classifier reads."""
     return {
         "load_kind": "width", "load_value": load, "temp_kind": "batch_size", "temp_value": 4.0,
         "n_replicates": 2, "n_converged": n_converged, "train_loss_mean": 0.1,
-        "hessian_trace_mean": trace, "beta_hat": beta, "mu_hat": mu,
+        "hessian_trace_mean": trace, "mc_mean": mc, "cka_mean": cka,
     }
 
 
@@ -33,14 +36,14 @@ def test_no_converged_replicate_is_nc():
     assert label_rows(rows, THRESHOLDS)[1] == "NC"
 
 
-@pytest.mark.parametrize("missing", ["hessian_trace_mean", "beta_hat", "mu_hat"])
+@pytest.mark.parametrize("missing", ["hessian_trace_mean", *PAIRWISE])
 def test_missing_metric_is_nc(missing):
     rows = [row(trace=1.0), row(trace=2.0)]
     rows[1][missing] = None
     assert label_rows(rows, THRESHOLDS)[1] == "NC"
 
 
-@pytest.mark.parametrize("column", ["hessian_trace_mean", "beta_hat", "mu_hat"])
+@pytest.mark.parametrize("column", ["hessian_trace_mean", *PAIRWISE])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_metric_is_nc(column, value):
     rows = [row(trace=1.0), row(trace=2.0)]
@@ -53,24 +56,24 @@ def test_non_finite_metric_is_nc(column, value):
 def test_a_non_finite_trace_leaves_the_other_labels(position, value):
     # traces 1-4 split at 2.5; a non-finite trace, wherever it sits, must
     # neither make the threshold nan nor move it
-    rows = [row(trace=t, mu=0.95, load=t) for t in (1.0, 2.0, 3.0, 4.0)]
+    rows = [row(trace=t, cka=0.95, load=t) for t in (1.0, 2.0, 3.0, 4.0)]
     expected = label_rows(rows, THRESHOLDS)
     assert expected == ["IV-B", "IV-B", "II", "II"]
-    rows.insert(position, row(trace=value, mu=0.95, load=9.0))
+    rows.insert(position, row(trace=value, cka=0.95, load=9.0))
     expected.insert(position, "NC")
     assert label_rows(rows, THRESHOLDS) == expected
 
 
 @pytest.mark.parametrize("value", [None, float("nan"), float("inf")])
-@pytest.mark.parametrize("column", ["beta_hat", "mu_hat"])
+@pytest.mark.parametrize("column", PAIRWISE)
 def test_an_nc_row_with_a_finite_trace_leaves_the_threshold(column, value):
     # traces 1-4 split at 2.5; a converged row of trace 100 that is NC for
-    # its beta_hat or mu_hat must not move the split to 3
-    rows = [row(trace=t, beta=-5.0 if t > 2 else 0.0, mu=0.95, load=t)
+    # its mc_mean or cka_mean must not move the split to 3
+    rows = [row(trace=t, mc=-5.0 if t > 2 else 0.0, cka=0.95, load=t)
             for t in (1.0, 2.0, 3.0, 4.0)]
     expected = label_rows(rows, THRESHOLDS)
     assert expected == ["IV-B", "IV-B", "I", "I"]
-    rows.append(row(trace=100.0, mu=0.95, load=9.0))
+    rows.append(row(trace=100.0, cka=0.95, load=9.0))
     rows[-1][column] = value
     assert label_rows(rows, THRESHOLDS) == expected + ["NC"]
 
@@ -87,13 +90,13 @@ def test_sharp_flat_split_at_quantile_of_converged_traces(quantile, sharp):
     assert labels[4] == "NC"
 
 
-@pytest.mark.parametrize("beta,poor", [(-2.01, True), (-2.0, False), (0.0, False), (5.0, False)])
-def test_poor_when_beta_below_minus_eps_mc(beta, poor):
-    rows = [row(trace=1.0, beta=beta), row(trace=2.0)]
+@pytest.mark.parametrize("mc,poor", [(-2.01, True), (-2.0, False), (0.0, False), (5.0, False)])
+def test_poor_when_beta_below_minus_eps_mc(mc, poor):
+    rows = [row(trace=1.0, mc=mc), row(trace=2.0)]
     assert label_rows(rows, THRESHOLDS)[0] == ("III" if poor else "IV-A")
 
 
-@pytest.mark.parametrize("sharp,beta,mu,label", [
+@pytest.mark.parametrize("sharp,mc,cka,label", [
     (True, -3.0, 0.5, "I"),
     (True, 0.0, 0.5, "II"),
     (True, 0.0, 0.95, "II"),
@@ -102,9 +105,9 @@ def test_poor_when_beta_below_minus_eps_mc(beta, poor):
     (False, 0.0, 0.9, "IV-B"),
     (False, 0.0, 0.95, "IV-B"),
 ])
-def test_phase_mapping(sharp, beta, mu, label):
+def test_phase_mapping(sharp, mc, cka, label):
     # the threshold is the median of the traces 1 and 3, so 3 is sharp and 1 flat
-    probe = row(trace=3.0 if sharp else 1.0, beta=beta, mu=mu)
+    probe = row(trace=3.0 if sharp else 1.0, mc=mc, cka=cka)
     other = row(trace=1.0 if sharp else 3.0)
     assert label_rows([probe, other], THRESHOLDS)[0] == label
 

@@ -42,8 +42,12 @@ from losslab.sweep import (
 )
 from losslab.train import TrainConfig
 
-RESULTS_SHA256 = "81e045c4b4ad442a58d2520bbf40f13150d1daf8ef7396fb48c5cb8e777d9120"
-PHASES_SHA256 = "d2cead490e23f5779d1cb60ad53e0d89967cc8da9b7e34855fe9ce49f9b14a08"
+RESULTS_SHA256 = "522868df414b7cf67774611c8501d34f2effb36b6b9e03678ab4abc598a97655"
+PHASES_SHA256 = "86566aad6aae1e5f86039aa43e949bb545f3e78c771ca883f80a6b50bb56b4e0"
+# the labels of that phases.csv, so a change of format shows apart from a moved label
+PHASE_LABELS = ["III", "III", "I", "II"]
+# RESULTS_SHA256 of the layout that also wrote cka_mean as mu_hat and mc_mean as beta_hat
+COPIED_COLUMNS_RESULTS_SHA256 = "81e045c4b4ad442a58d2520bbf40f13150d1daf8ef7396fb48c5cb8e777d9120"
 
 
 def tiny_grid() -> GridSpec:
@@ -205,12 +209,48 @@ def test_read_then_rows_to_csv_round_trips(serial_csv, tmp_path):
     assert rows_to_csv(read_results_csv(path)).encode() == serial_csv.encode()
 
 
-def test_phase_command_output_pinned(serial_csv, tmp_path, capsys):
-    csv_path = tmp_path / "results.csv"
-    csv_path.write_text(serial_csv)
-    out = tmp_path / "phases.csv"
+def phase(csv: str, directory: Path) -> Path:
+    """``losslab phase`` on ``csv``, in ``directory``; the path of the phases.csv it wrote."""
+    directory.mkdir(exist_ok=True)
+    csv_path, out = directory / "results.csv", directory / "phases.csv"
+    csv_path.write_text(csv)
     assert cli.main(["phase", "--csv", str(csv_path), "--out", str(out)]) == 0
-    assert sha256(out.read_bytes()) == PHASES_SHA256
+    return out
+
+
+def phase_labels(csv: str, directory: Path) -> list[str]:
+    return [row["phase_label"] for row in read_results_csv(phase(csv, directory))]
+
+
+def with_copied_columns(csv: str) -> str:
+    """``csv`` with ``cka_mean`` copied into ``mu_hat`` and ``mc_mean`` into ``beta_hat``,
+    before ``phase_label``: the layout results.csv had when it wrote both."""
+    header, *lines = csv.splitlines()
+    names = header.split(",")
+    mc, cka = names.index("mc_mean"), names.index("cka_mean")
+    out = []
+    for n, line in enumerate([header, *lines]):
+        *fields, label = line.split(",")
+        copies = ["mu_hat", "beta_hat"] if n == 0 else [fields[cka], fields[mc]]
+        out.append(",".join([*fields, *copies, label]))
+    return "\n".join(out) + "\n"
+
+
+def test_phase_command_output_pinned(serial_csv, tmp_path, capsys):
+    assert sha256(phase(serial_csv, tmp_path).read_bytes()) == PHASES_SHA256
+
+
+def test_phase_labels_pinned(serial_csv, tmp_path):
+    assert phase_labels(serial_csv, tmp_path) == PHASE_LABELS
+
+
+def test_a_results_csv_with_the_copied_columns_phases_alike(serial_csv, tmp_path):
+    # read_results_csv ignores columns it does not know, so a results.csv
+    # that still holds mu_hat and beta_hat gives the same phases.csv
+    copied = with_copied_columns(serial_csv)
+    assert sha256(copied.encode()) == COPIED_COLUMNS_RESULTS_SHA256
+    out = phase(copied, tmp_path / "copied")
+    assert out.read_bytes() == phase(serial_csv, tmp_path / "plain").read_bytes()
 
 
 # The benchmark's sweep workloads at seed 1: the quickstart config with
@@ -261,9 +301,14 @@ WORKLOADS = {
 }
 
 WORKLOAD_SHA256 = {
-    "small_batch": "cd420d4a62cedc27215bb4543446f8be98fb7cca82a96e1445f039d59818141f",
-    "large_batch_noisy": "2eb936c8471e9ef97ef02dafb2bdaeeaa13ae08befe42846b66c1e6bdf4b0f95",
-    "curvature_heavy": "3e3effc67adb24f41d7223694853b5225ac6ce8119b4bef141cf5cb0cc7a4c55",
+    "small_batch": "91df87f3a41bd61c65b6e9476643cab5476258a6a945e3277b8fe16b99dcb259",
+    "large_batch_noisy": "985fb2e2f7deffba18142d030f4a4619780e8ebed41126b79ffe2b4bebb0571a",
+    "curvature_heavy": "ec472ee50571ea15a3ebb361acb523b4959adc6ae0e7397c4c771ed85d0cf47e",
+}
+WORKLOAD_PHASE_LABELS = {
+    "small_batch": ["III", "I", "III", "II"],
+    "large_batch_noisy": ["IV-B", "I", "IV-B", "I", "III", "I", "I", "III"],
+    "curvature_heavy": ["III", "I", "IV-A", "I", "III", "II"],
 }
 
 
@@ -279,12 +324,24 @@ def workload_config(name: str, seed: int) -> dict:
     return cfg
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_results_csv_pinned(name, tmp_path):
-    path = tmp_path / f"{name}.json"
+@pytest.fixture(scope="module", params=sorted(WORKLOADS))
+def workload_csv(request, tmp_path_factory) -> tuple[str, str]:
+    """A workload's name and its results.csv at seed 1."""
+    name = request.param
+    path = tmp_path_factory.mktemp(name) / f"{name}.json"
     path.write_text(json.dumps(workload_config(name, 1)))
     cells, _ = run_sweep(parse_grid(load_config(path)), workers=1)
-    assert sha256(results_to_csv(cells).encode()) == WORKLOAD_SHA256[name]
+    return name, results_to_csv(cells)
+
+
+def test_workload_results_csv_pinned(workload_csv):
+    name, csv = workload_csv
+    assert sha256(csv.encode()) == WORKLOAD_SHA256[name]
+
+
+def test_workload_phase_labels_pinned(workload_csv, tmp_path):
+    name, csv = workload_csv
+    assert phase_labels(csv, tmp_path) == WORKLOAD_PHASE_LABELS[name]
 
 
 def test_csv_subsample_of_more_rows_than_the_file_trains_on_raises(tmp_path):
@@ -351,7 +408,7 @@ def test_degenerate_cka_leaves_only_the_cka_columns_blank(monkeypatch):
 
     monkeypatch.setattr(sweep, "cka_between_models", cka_between_models)
     row = run_cell(tiny_grid(), 0, 0).row()
-    assert row["cka_mean"] is None and row["mu_hat"] is None
+    assert row["cka_mean"] is None
     assert row["mc_mean"] is not None and row["l2_mean"] is not None
 
 
@@ -403,7 +460,7 @@ def test_the_stages_reproduce_a_cell_from_its_weights(monkeypatch):
         a, b = pair.replica_a, pair.replica_b
         seed = derive_seed(grid.base_seed, "curve", *key, a, b)
         [profile] = sweep.connect(spec, [(thetas[a], thetas[b])], train_ds, grid.curve, [seed], wd)
-        assert mode_connectivity(profile) == pair.mc and profile.to_dict() == pair.profile
+        assert mode_connectivity(profile) == pair.mc and profile == pair.profile
 
 
 # the second pair has one parameter count, P = 26: a size check would pass it
