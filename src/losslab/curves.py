@@ -13,11 +13,10 @@ themselves were never at a reasonable optimum.
 
 ``train_curve`` builds each replicate pair's curve from its endpoints at
 the config's bend degree ``k`` and trains them as one ``(C, k+1, P)``
-stack: each step evaluates all C curve points as one ``(C, B, d)``
-``loss_grad`` call, with a ``(C, k+1)`` array of Bernstein coefficients.
-Each pair keeps its own generator and divergence check, so its curve is
-bitwise what it gets in a list of one.  A generator draws an epoch's
-shuffle, then that epoch's one t per step as one ``uniforms`` array.
+stack on ``train.train_stack``: each step evaluates all C curve points as
+one ``(C, B, d)`` ``loss_grad`` call, with a ``(C, k+1)`` array of
+Bernstein coefficients.  A generator draws an epoch's shuffle, then that
+epoch's one t per step as one ``uniforms`` array.
 """
 
 from __future__ import annotations
@@ -29,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .errors import DimensionError, DivergenceError, ParameterError
+from .errors import DimensionError, ParameterError
 from .model import Batch, ModelSpec, ParamVector, evaluate, loss_grad, require_matching
 from .phases import CurveProfile
 from .rng import Rng
-from .train import LinearDecay, check_dataset, epoch_batches, schedule_lr
+from .train import LinearDecay, check_dataset, train_stack
+# train_stack draws the blocks, but the tracer rebinds curves.epoch_batches: keep it bound
+from .train import epoch_batches  # noqa: F401
 
 DEFAULT_T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -130,38 +131,24 @@ def train_curve(
     for a, _ in ends:
         require_matching(spec, a)
     k = cfg.k
-    rngs = list(map(Rng, seeds))
-    results: list = [None] * len(ends)
-    active = list(range(len(ends)))  # curve of each stack row
-    controls = np.stack([init_curve(a, b, k).values for a, b in ends])  # (C, k+1, P)
-    for epoch in range(cfg.epochs if k > 1 else 0):  # k = 1 has no bends to train
+
+    def run_epoch(controls, blocks, rngs, lr_t):
         gamma = ParamVector(spec, np.empty_like(controls[:, 0]))
         grad = ParamVector(spec, np.empty_like(gamma.values))
-        finite = np.ones(len(active), dtype=bool)
-        lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack_rngs = [rngs[c] for c in active]
-            blocks = epoch_batches(ds.n, cfg.batch_size, stack_rngs)
-            # each step's t per curve; Python floats keep bernstein's pow bitwise
-            steps_t = zip(*(r.uniforms(len(blocks)).tolist() for r in stack_rngs))
-            for idx, ts in zip(blocks, steps_t):
-                coeffs = np.array([bernstein(k, t) for t in ts])
-                _combine(coeffs, controls, gamma.values)
-                batch = Batch(ds.X[idx], ds.y[idx])
-                losses, _ = loss_grad(spec, gamma, batch, weight_decay, grad)
-                # a diverged curve rides along until the epoch ends; rows never mix
-                finite &= np.isfinite(losses)
-                controls[:, 1:k] -= (lr_t * coeffs[:, 1:k, None]) * grad.values[:, None]
-        if not finite.all():
-            for i in np.flatnonzero(~finite):
-                results[active[i]] = DivergenceError(epoch)
-            controls = controls[finite]
-            active = [c for c, ok in zip(active, finite) if ok]
-            if not active:
-                break
-    for i, c in enumerate(active):
-        results[c] = ParamVector(spec, controls[i])
-    return results
+        finite = np.ones(len(controls), dtype=bool)
+        # each step's t per curve; Python floats keep bernstein's pow bitwise
+        steps_t = zip(*(r.uniforms(len(blocks)).tolist() for r in rngs))
+        for idx, ts in zip(blocks, steps_t):
+            coeffs = np.array([bernstein(k, t) for t in ts])
+            _combine(coeffs, controls, gamma.values)
+            losses, _ = loss_grad(spec, gamma, Batch(ds.X[idx], ds.y[idx]), weight_decay, grad)
+            finite &= np.isfinite(losses)
+            controls[:, 1:k] -= (lr_t * coeffs[:, 1:k, None]) * grad.values[:, None]
+        return finite
+
+    controls = np.stack([init_curve(a, b, k).values for a, b in ends])  # (C, k+1, P)
+    epochs = cfg.epochs if k > 1 else 0  # k = 1 has no bends to train
+    return train_stack(spec, controls, list(map(Rng, seeds)), ds.n, cfg, epochs, run_epoch)
 
 
 def curve_profile(
@@ -170,13 +157,9 @@ def curve_profile(
     ds: Dataset,
     t_grid: tuple[float, ...] = DEFAULT_T_GRID,
 ) -> CurveProfile:
-    errs = []
-    ces = []
-    for t in sorted(t_grid):
-        res = evaluate(spec, curve_point(curve, t), ds)
-        errs.append(100.0 - res.acc)
-        ces.append(res.loss)
-    return CurveProfile(tuple(sorted(t_grid)), errs, ces)
+    ts = tuple(sorted(t_grid))
+    evals = [evaluate(spec, curve_point(curve, t), ds) for t in ts]
+    return CurveProfile(ts, [100.0 - e.acc for e in evals], [e.loss for e in evals])
 
 
 def mode_connectivity(profile: CurveProfile, use: str = "err01") -> float:
@@ -192,9 +175,7 @@ def mode_connectivity(profile: CurveProfile, use: str = "err01") -> float:
     else:
         raise ParameterError("use must be 'err01' or 'cross_entropy'")
     t = profile.t_values
-    v0 = vals[t.index(0.0)]
-    v1 = vals[t.index(1.0)]
-    base = 0.5 * (v0 + v1)
+    base = 0.5 * (vals[t.index(0.0)] + vals[t.index(1.0)])
     deviations = [abs(base - v) for v in vals]
     t_star = int(np.argmax(deviations))  # ties resolve to the smallest t
     return base - vals[t_star]

@@ -1,4 +1,4 @@
-"""Minibatch SGD with plateau stopping, plus JSON checkpoints.
+"""Minibatch SGD with plateau stopping, the stack driver, and JSON checkpoints.
 
 One training run is a pure function of (model spec, datasets, config,
 seed): initialization, shuffling, and the update sequence all come from
@@ -6,15 +6,16 @@ the seed, so reruns are bit-identical.  Weight decay is coupled: the
 update direction is the exact gradient of the penalized loss, i.e. the
 minibatch data gradient plus ``2 * wd * theta``.
 
-Replicates that differ only in their seed train together as one stack:
-each SGD step is one ``loss_grad`` call on an ``(R, B, d)`` batch gathered
-from the R shuffles.  Each replicate keeps its own generator, and its
-``TrainHistory`` is its only other state.  A replicate leaves the stack
-when it stops on a plateau (each of its last ``plateau_epochs`` changes
-of loss below ``plateau_eps``), diverges, or reaches ``max_epochs``, so
-its result is bitwise what it gets alone.  It returns the weights it
-stopped with, and its last epoch-end record, the penalized training loss
-and test accuracy as ``evaluate`` gives them, measures those weights.
+``train_stack`` runs both stacked trainers, ``sgd_train`` and
+``curves.train_curve``: rows that differ only in their seed train as one
+stack, each step one ``loss_grad`` call on a batch gathered from the
+rows' own shuffles.  A row leaves the stack when it diverges, when the
+trainer's epoch-end rule stops it, or at the epoch ceiling.  A replicate
+of ``sgd_train`` stops on a plateau (each of its last ``plateau_epochs``
+changes of loss below ``plateau_eps``).  It returns the weights it
+stopped with, and the last record of its ``TrainHistory``, the penalized
+training loss and test accuracy as ``evaluate`` gives them, measures
+those weights.
 """
 
 from __future__ import annotations
@@ -81,14 +82,11 @@ class TrainConfig:
 
 def schedule_lr(epoch: int, base_lr: float, schedule: LinearDecay | None) -> float:
     """Learning rate at a given (0-based) epoch under an optional decay."""
-    if schedule is None:
-        return base_lr
-    if epoch < schedule.start_epoch:
+    if schedule is None or epoch < schedule.start_epoch:
         return base_lr
     if epoch >= schedule.end_epoch:
         return base_lr * schedule.final_fraction
-    span = schedule.end_epoch - schedule.start_epoch
-    frac = (epoch - schedule.start_epoch) / span
+    frac = (epoch - schedule.start_epoch) / (schedule.end_epoch - schedule.start_epoch)
     return base_lr * (1.0 - frac * (1.0 - schedule.final_fraction))
 
 
@@ -152,6 +150,44 @@ def check_dataset(spec: ModelSpec, ds: Dataset, which: str) -> None:
         raise DimensionError(f"{which} classes {ds.num_classes} != num_classes {spec.num_classes}")
 
 
+def train_stack(spec: ModelSpec, state: np.ndarray, rngs: Sequence[Rng], n: int, cfg,
+                epochs: int, run_epoch, verdict=lambda *_: ()) -> list:
+    """Each row's result: row r of ``state`` trained from ``rngs[r]`` for at most ``epochs``.
+
+    Each epoch, at ``cfg``'s ``lr``, ``schedule`` and ``batch_size``,
+    ``run_epoch(state, blocks, rngs, lr)`` steps the active rows of
+    ``state`` in place over their ``epoch_batches`` of ``n`` and returns
+    the mask of rows whose losses stayed finite; a row that was not stops
+    with ``DivergenceError(epoch)``.  ``verdict(epoch, state, live, lr)``
+    yields, per finite ``(index, row)`` in ``live``, None to go on (all
+    do by default) or the row's result.  The rows never mix, so a diverged
+    row rides along to the epoch's end and each row's result is bitwise
+    what it gets alone.  A row still training at the ceiling returns its
+    state as a ``ParamVector``.
+    """
+    results: list = [None] * len(rngs)
+    active = list(range(len(rngs)))  # the row at each stack index
+    for epoch in range(epochs):
+        lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
+        stack_rngs = [rngs[r] for r in active]
+        # overflow on the way to a non-finite loss is expected, so its warnings are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = run_epoch(state, epoch_batches(n, cfg.batch_size, stack_rngs), stack_rngs, lr_t)
+            live = [(i, r) for i, r in enumerate(active) if finite[i]]
+            for (_, r), result in zip(live, verdict(epoch, state, live, lr_t)):
+                results[r] = result
+        for i in np.flatnonzero(~finite):
+            results[active[i]] = DivergenceError(epoch)
+        keep = [i for i, r in enumerate(active) if results[r] is None]
+        if len(keep) < len(active):
+            state, active = state[keep], [active[i] for i in keep]
+        if not active:
+            break
+    for i, r in enumerate(active):
+        results[r] = ParamVector(spec, state[i])
+    return results
+
+
 def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
               seeds: Sequence[int]):
     """Train one MLP per seed under ``cfg`` (whose ``seed`` is not read).
@@ -169,54 +205,36 @@ def sgd_train(spec: ModelSpec, train: Dataset, test: Dataset, cfg: TrainConfig,
         raise ParameterError("sgd_train needs at least one seed")
     wd = cfg.weight_decay
     rngs = list(map(Rng, seeds))
-    results: list = [None] * len(seeds)  # final weights, or what ended the run
     histories = StackHistory(TrainHistory() for _ in seeds)
-    active = list(range(len(seeds)))  # the replicate of each stack row
-    theta = ParamVector(spec, np.stack([he_init(spec, rng).values for rng in rngs]))
 
-    for epoch in range(cfg.max_epochs):
-        grad = ParamVector(spec, np.empty_like(theta.values))
-        finite = np.ones(len(active), dtype=bool)
-        lr_t = schedule_lr(epoch, cfg.lr, cfg.schedule)
-        # overflow on the way to a non-finite loss is expected and ends
-        # the replicate, so the numpy warnings are just noise here
-        with np.errstate(over="ignore", invalid="ignore"):
-            for idx in epoch_batches(train.n, cfg.batch_size, [rngs[r] for r in active]):
-                batch = Batch(train.X[idx], train.y[idx])
-                losses, _ = loss_grad(spec, theta, batch, wd, grad)
-                # a replicate that diverged rides along until the epoch ends;
-                # the rows never mix, so the others are unaffected
-                finite &= np.isfinite(losses)
-                theta.values -= lr_t * grad.values
+    def run_epoch(values, blocks, _rngs, lr_t):
+        theta, grad = ParamVector(spec, values), ParamVector(spec, np.empty_like(values))
+        finite = np.ones(len(values), dtype=bool)
+        for idx in blocks:
+            losses, _ = loss_grad(spec, theta, Batch(train.X[idx], train.y[idx]), wd, grad)
+            finite &= np.isfinite(losses)
+            values -= lr_t * grad.values
+        return finite
 
-            train_eval = evaluate(spec, theta, train, wd)
-            test_eval = evaluate(spec, theta, test)
-            keep = []
-            for i, r in enumerate(active):
-                epoch_loss = float(train_eval.loss[i])
-                if not (finite[i] and np.isfinite(epoch_loss)):
-                    results[r] = DivergenceError(epoch)
-                    continue
-                history = histories[r]
-                history.records.append(EpochRecord(
-                    epoch, epoch_loss, float(train_eval.acc[i]), float(test_eval.loss[i]),
-                    float(test_eval.acc[i]), lr_t))
-                window = history.records[-cfg.plateau_epochs - 1:]
-                if len(window) > cfg.plateau_epochs and all(
-                        abs(b.train_loss - a.train_loss) < cfg.plateau_eps
-                        for a, b in zip(window, window[1:])):
-                    history.stopped_by_plateau = True
-                    results[r] = ParamVector(spec, theta.values[i].copy())
-                    continue
-                keep.append(i)
-        if len(keep) < len(active):
-            theta = ParamVector(spec, theta.values[keep])
-            active = [active[i] for i in keep]
-        if not active:
-            break
-    for i, r in enumerate(active):
-        results[r] = ParamVector(spec, theta.values[i])
-    return results, histories
+    def plateau(epoch, values, live, lr_t):
+        train_eval = evaluate(spec, ParamVector(spec, values), train, wd)
+        test_eval = evaluate(spec, ParamVector(spec, values), test)
+        for i, r in live:
+            history, epoch_loss = histories[r], float(train_eval.loss[i])
+            if not np.isfinite(epoch_loss):
+                yield DivergenceError(epoch)
+                continue
+            history.records.append(EpochRecord(
+                epoch, epoch_loss, float(train_eval.acc[i]), float(test_eval.loss[i]),
+                float(test_eval.acc[i]), lr_t))
+            window = history.records[-cfg.plateau_epochs - 1:]
+            history.stopped_by_plateau = len(window) > cfg.plateau_epochs and all(
+                abs(b.train_loss - a.train_loss) < cfg.plateau_eps
+                for a, b in zip(window, window[1:]))
+            yield ParamVector(spec, values[i].copy()) if history.stopped_by_plateau else None
+
+    theta = np.stack([he_init(spec, rng).values for rng in rngs])
+    return train_stack(spec, theta, rngs, train.n, cfg, cfg.max_epochs, run_epoch, plateau), histories
 
 
 # -- checkpoint persistence ---------------------------------------------

@@ -64,6 +64,22 @@ def test_traced_sweep_matches_untraced_and_counts_every_epoch(monkeypatch):
     assert tracer.counts["train.epochs"] == sum(len(h.records) for h in histories) > 0
 
 
+def test_each_training_step_and_shuffle_is_traced_under_its_trainer():
+    # train.steps and curves.steps count the loss_grad calls made directly
+    # by the two trainers, so a step or a shuffle reached through another
+    # traced name, or through no traced name, would go uncounted
+    tracer = load("tracing").Tracer()
+    with tracer.patched():
+        run_sweep(tiny_grid(), workers=1)
+    spans = tracer.spans
+    trainers = {"train.sgd_train", "curves.train_curve"}
+    for name in ("model.loss_grad", "train.epoch_batches"):
+        parents = {spans[s[3]][0] if s[3] >= 0 else None for s in spans if s[0] == name}
+        assert parents == trainers, name
+    for trainer in trainers:
+        assert tracer.calls_under("model.loss_grad", trainer) > 0
+
+
 def test_the_sweep_measures_through_the_names_the_benchmark_captures():
     # the accuracy check reads one estimate per measured replicate, both
     # estimators on one batch; a stage that bypassed sweep's names would

@@ -123,6 +123,39 @@ def test_extending_an_axis_leaves_old_cells_unchanged(serial_csv):
     assert results_to_csv(old_cells) == serial_csv
 
 
+@pytest.mark.parametrize("train", [
+    dict(max_epochs=3),
+    # most replicates leave the stack on a plateau, each at its own epoch
+    dict(max_epochs=40, plateau_eps=1e-2, plateau_epochs=2),
+])
+def test_the_replicates_of_a_smaller_sweep_are_the_first_of_a_larger_one(train):
+    # seeds are keyed by replicate index and stacked rows never mix, so
+    # the first replicates of a cell and their pairs do not see the rest
+    grid = replace(tiny_grid(), base_train=replace(tiny_grid().base_train, **train))
+    two, _ = run_sweep(grid, workers=1)
+    four, _ = run_sweep(replace(grid, replicates=4), workers=1)
+    for small, large in zip(two, four, strict=True):
+        assert small.replicates == large.replicates[:2]
+        assert small.pairs == large.pairs[:1]
+
+
+@pytest.mark.parametrize("base_seed", [7, 8, 9])
+def test_a_linear_model_has_no_barrier_on_the_straight_segment(base_seed):
+    # with no hidden layer the logits are linear in the weights, so a point
+    # both endpoints classify correctly is correct all along the straight
+    # segment (k = 1) between them: the error anywhere on it is at most
+    # e_a + e_b, so mc >= -(e_a + e_b) / 2, and two endpoints that fit give mc = 0
+    grid = replace(tiny_grid(), load_axis=Axis("n_samples", (50, 200)),
+                   base_model=ModelSpec(input_dim=8, hidden_widths=(), num_classes=4),
+                   base_train=replace(tiny_grid().base_train, max_epochs=20, lr=0.2),
+                   replicates=4, curve=CurveTrainConfig(k=1), base_seed=base_seed)
+    pairs = [pair for cell in run_sweep(grid, workers=1)[0] for pair in cell.pairs]
+    ends = [(pair.profile.err01[0], pair.profile.err01[-1]) for pair in pairs]
+    assert all(pair.mc >= -(e_a + e_b) / 2 for pair, (e_a, e_b) in zip(pairs, ends))
+    fit = [pair.mc for pair, e in zip(pairs, ends) if e == (0.0, 0.0)]
+    assert fit == [0.0] * len(fit) and 0 < len(fit) < len(pairs) == 8
+
+
 def noise_grid(temps=(32, 128)) -> GridSpec:
     """``tiny_grid`` with a label-noise load axis: three datasets, not one."""
     return replace(tiny_grid(), load_axis=Axis("noise_frac", (0.0, 0.2, 0.4)),

@@ -28,6 +28,7 @@ from losslab.train import (
     save_checkpoint,
     schedule_lr,
     sgd_train,
+    train_stack,
 )
 
 from oracles import count_correct_loops
@@ -389,6 +390,57 @@ def test_stacked_replicate_divergence_leaves_the_others_training():
     assert [isinstance(t, DivergenceError) for t in thetas] == [False, False, False, True]
     assert thetas[3].epoch == 0
     assert [len(h.records) for h in histories] == [6, 6, 6, 0]
+
+
+def test_train_stack_keeps_each_row_in_its_own_slot():
+    # row r of the stack holds r in its first column, and the epoch
+    # function adds lr to the others.  Row 0 stops in epoch 0; in epoch 1
+    # row 2 stops with a result, row 3 diverges and rows 1 and 4 go on
+    spec = ModelSpec(input_dim=1, hidden_widths=(), num_classes=2)  # P = 4
+    cfg = TrainConfig(batch_size=4, lr=0.5)
+    rngs = [Rng(10 + r) for r in range(5)]
+    stops = {(0, 0): object(), (1, 2): object()}
+    seen, verdicts = [], []
+
+    def run_epoch(values, blocks, stack_rngs, lr):
+        epoch = len(seen)
+        rows = values[:, 0].tolist()
+        seen.append(rows)
+        assert [rng.seed - 10 for rng in stack_rngs] == rows
+        assert [b.shape for b in blocks] == [(len(rows), 4), (len(rows), 2)]
+        values[:, 1:] += lr
+        return ~((values[:, 0] == 3) & (epoch == 1))
+
+    def verdict(epoch, values, live, lr):
+        verdicts.append(live)
+        assert all(values[i, 0] == r for i, r in live)
+        return [stops.get((epoch, r)) for _, r in live]
+
+    state = np.repeat(np.arange(5.0)[:, None], spec.param_count, axis=1)
+    results = train_stack(spec, state, rngs, 6, cfg, 4, run_epoch, verdict)
+    assert seen == [[0, 1, 2, 3, 4], [1, 2, 3, 4], [1, 4], [1, 4]]
+    assert verdicts[1] == [(0, 1), (1, 2), (3, 4)]
+    assert verdicts[2:] == [[(0, 1), (1, 4)]] * 2
+    assert results[0] is stops[0, 0] and results[2] is stops[1, 2]
+    assert isinstance(results[3], DivergenceError) and results[3].epoch == 1
+    for r in (1, 4):
+        assert isinstance(results[r], ParamVector) and results[r].spec == spec
+        assert results[r].values.tolist() == [r, r + 2.0, r + 2.0, r + 2.0]
+
+
+def test_train_stack_of_no_epochs_returns_the_initial_rows_and_draws_nothing():
+    # train_curve at k = 1 has no bends to train
+    spec = ModelSpec(input_dim=1, hidden_widths=(), num_classes=2)
+    rngs = [Rng(1), Rng(2)]
+    state = np.arange(8.0).reshape(2, 4)
+
+    def never(*args):
+        raise AssertionError("called at epochs = 0")
+
+    results = train_stack(spec, state.copy(), rngs, 6, TrainConfig(), 0, never, never)
+    assert [theta.values.tolist() for theta in results] == state.tolist()
+    assert [rng.uniforms(3).tolist() for rng in rngs] == [
+        Rng(seed).uniforms(3).tolist() for seed in (1, 2)]
 
 
 def test_sgd_train_needs_a_seed():
